@@ -1,46 +1,88 @@
 """Small 1-D numeric solvers shared across the library.
 
 Everything here operates on plain callables and floats. The heavy lifting
-elsewhere (rate functions, tilted-moment optimizations) reduces to monotone
-root finding or unimodal minimization on an interval, so this module is the
-only numerical machinery the optimizers need.
+elsewhere (rate functions, tilted-moment optimizations, quantiles, caps)
+reduces to monotone root finding or unimodal minimization on an interval,
+and this module is the only numerical machinery the optimizers use: every
+float bisection in the package runs through bisect_root, with
+expand_bracket growing its brackets.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def bisect_root(f, lo, hi, *, tol=1e-12, max_iter=200):
-    """Root of a monotone f with f(lo), f(hi) of opposite sign.
+class Bracket(NamedTuple):
+    """Final bracket [lo, hi] of a root search and the steps it took."""
 
-    Returns (x, iterations). Tolerance is on the bracket width relative to
-    max(1, |x|); the residual |f| is additionally driven below tol when f is
-    finite, which the callers rely on for derivative roots.
+    lo: float
+    hi: float
+    iterations: int
+
+    @property
+    def mid(self):
+        return 0.5 * (self.lo + self.hi)
+
+
+def bisect_root(f, lo, hi, *, xtol=1e-12, ftol=None, max_iter=200,
+                flo=None, fhi=None):
+    """Bracket the root of a monotone f with f(lo), f(hi) of opposite sign.
+
+    Stops once hi - lo <= xtol * max(1, |mid|) and, when ftol is given,
+    |f(mid)| <= ftol at the last midpoint, or after max_iter steps. A
+    midpoint where f is exactly 0 replaces the end where f <= 0, so the
+    Bracket's lo keeps f <= 0 for increasing f and hi keeps it for
+    decreasing f. flo and fhi skip re-evaluating ends the caller already
+    knows; an exact root at an end returns the degenerate bracket there.
     """
-    flo = f(lo)
-    fhi = f(hi)
+    flo = f(lo) if flo is None else flo
+    fhi = f(hi) if fhi is None else fhi
     if flo == 0.0:
-        return lo, 0
+        return Bracket(lo, lo, 0)
     if fhi == 0.0:
-        return hi, 0
-    if (flo > 0) == (fhi > 0):
+        return Bracket(hi, hi, 0)
+    up = fhi > 0
+    if (flo > 0) == up:
         raise ValueError("root not bracketed")
     it = 0
     for it in range(1, max_iter + 1):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0:
-            return mid, it
-        if (fm > 0) == (fhi > 0):
-            hi, fhi = mid, fm
+        if (fm > 0) == up:
+            hi = mid
         else:
-            lo, flo = mid, fm
-        if hi - lo <= tol * max(1.0, abs(mid)) and abs(fm) <= tol:
-            return 0.5 * (lo + hi), it
-    return 0.5 * (lo + hi), it
+            lo = mid
+        if hi - lo <= xtol * max(1.0, abs(mid)) and (
+                ftol is None or abs(fm) <= ftol):
+            break
+    return Bracket(lo, hi, it)
+
+
+def expand_bracket(f, x, edge, sign, cap=math.inf):
+    """Step x toward the domain edge while f(x) keeps the given sign.
+
+    sign is +1 or -1. An infinite edge doubles x (nonzero, pointing at the
+    edge) and stops before |x| passes cap; a finite edge halves the gap
+    to it until the gap no longer shrinks. A zero or NaN value stops the
+    walk. Returns (x, f(x)) at the last point, ready for bisect_root's
+    flo or fhi.
+    """
+    fx = f(x)
+    while sign * fx > 0:
+        if math.isinf(edge):
+            nxt = 2.0 * x
+            if abs(nxt) > cap:
+                break
+        else:
+            nxt = 0.5 * (x + edge)
+        if nxt == x:
+            break
+        x, fx = nxt, f(nxt)
+    return x, fx
 
 
 def golden_min(f, lo, hi, *, tol=1e-10, max_iter=300):

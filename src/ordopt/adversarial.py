@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate
 
+from ._solve import bisect_root
 from .populations import GaussianMixture, kl_divergence, quantile
 
 __all__ = [
@@ -133,18 +134,16 @@ class TiltedDistribution:
             return float(self.base.quantile(p / (1.0 - self.gamma)))
         # in the lifted tail solve beta Gbar(x) = 1 - p for x >= b
         target = math.log1p(-p) - self._log_beta
+
+        def excess(x):
+            return _log_sf(self.base, x) - target
+
         lo, hi = self.b, 2.0 * abs(self.b) + 1.0
-        while _log_sf(self.base, hi) > target:
+        f_hi = excess(hi)
+        while f_hi > 0:
             lo, hi = hi, 2.0 * hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _log_sf(self.base, mid) > target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-12 * max(1.0, abs(hi)):
-                break
-        return 0.5 * (lo + hi)
+            f_hi = excess(hi)
+        return bisect_root(excess, lo, hi, fhi=f_hi, xtol=1e-12).mid
 
     def mean(self) -> float:
         # split E X = (below-b part) + (tail part), tail in log space

@@ -41,12 +41,9 @@ from .meta_rate import (
     two_phase_exponent,
 )
 from .populations import (
-    Bernoulli,
+    _VARIANTS,
     Empirical,
-    Gaussian,
-    GaussianMixture,
     Mirrored,
-    Pareto,
     ShiftedExponential,
     TwoPoint,
 )
@@ -61,16 +58,6 @@ from .truncation import (
 
 __all__ = ["ExperimentConfig", "main", "parse_model", "run_reproduce"]
 
-_MODEL_TYPES = {
-    "two-point": (TwoPoint, ("b", "p_minus")),
-    "shifted-exponential": (ShiftedExponential, ("K", "lam")),
-    "gaussian": (Gaussian, ("mu", "sigma")),
-    "gaussian-mixture": (GaussianMixture, ("p", "mu")),
-    "bernoulli": (Bernoulli, ("q",)),
-    "pareto": (Pareto, ("alpha_tail", "scale")),
-}
-
-
 def parse_model(spec: str):
     """Model from a compact string like "pareto:3,0.55"."""
     name, sep, rest = str(spec).strip().partition(":")
@@ -84,9 +71,9 @@ def parse_model(spec: str):
         if not pts:
             raise ValueError("model: empirical needs sample points")
         return Empirical(np.asarray(pts, dtype=float))
-    if name not in _MODEL_TYPES:
+    if name not in _VARIANTS:
         raise ValueError(f"model: unknown type '{name}'")
-    cls, fields = _MODEL_TYPES[name]
+    cls, fields = _VARIANTS[name]
     args = [float(t) for t in rest.split(",") if t.strip()] if sep else []
     if len(args) > len(fields):
         raise ValueError(
@@ -115,9 +102,9 @@ def _model_from_mapping(m, where):
         if not pts:
             raise ValueError(f"{where}: empirical needs 'points'")
         return Empirical(np.asarray(pts, dtype=float))
-    if t not in _MODEL_TYPES:
+    if t not in _VARIANTS:
         raise ValueError(f"{where}: unknown type '{t}'")
-    cls, fields = _MODEL_TYPES[t]
+    cls, fields = _VARIANTS[t]
     extra = set(m) - {"type"} - set(fields)
     if extra:
         raise ValueError(f"{where}: unexpected fields {sorted(extra)}")

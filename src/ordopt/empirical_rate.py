@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+
+from ._solve import bisect_root, expand_bracket
 
 _THETA_CAP = 2.0 ** 10
 
@@ -47,6 +50,8 @@ def _values(batch):
     arr = np.asarray(vals, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("batch must be a nonempty 1-D collection of reals")
+    if not np.isfinite(arr).all():
+        raise ValueError("batch values must be finite (no NaN or inf)")
     return arr
 
 
@@ -56,20 +61,20 @@ def empirical_log_mgf(batch, theta: float) -> float:
     The shift makes the result exact up to rounding for |theta * X_i| far
     beyond the bare exp overflow threshold.
     """
-    x = _values(batch)
-    t = theta * x
-    hi = t.max()
-    return float(hi + math.log(np.exp(t - hi).mean()))
+    return float(_log_mgf(_values(batch), theta))
 
 
-def _log_mgf_and_deriv(x: np.ndarray, theta: float):
+def _log_mgf(x: np.ndarray, theta: float):
     t = theta * x
     hi = t.max()
-    w = np.exp(t - hi)
-    s = w.sum()
-    lmgf = hi + math.log(s / x.size)
-    deriv = float((x * w).sum() / s)
-    return lmgf, deriv
+    return hi + math.log(np.exp(t - hi).sum() / x.size)
+
+
+def _tilted_mean(x: np.ndarray, theta: float) -> float:
+    """L_m'(theta): the batch mean under the theta-tilt."""
+    t = theta * x
+    w = np.exp(t - t.max())
+    return float((x * w).sum() / w.sum())
 
 
 def estimate_rate_at_zero(batch) -> RateEstimate:
@@ -94,39 +99,21 @@ def estimate_rate_at_zero(batch) -> RateEstimate:
     if np.all(x < 0):
         return RateEstimate(math.inf, None, "diverges-right", 0)
 
-    lo, hi = -1.0, 1.0
-    _, dlo = _log_mgf_and_deriv(x, lo)
-    _, dhi = _log_mgf_and_deriv(x, hi)
-    while dlo > 0 and lo > -_THETA_CAP:
-        lo *= 2.0
-        _, dlo = _log_mgf_and_deriv(x, lo)
-    while dhi < 0 and hi < _THETA_CAP:
-        hi *= 2.0
-        _, dhi = _log_mgf_and_deriv(x, hi)
+    deriv = partial(_tilted_mean, x)
+    lo, dlo = expand_bracket(deriv, -1.0, -math.inf, 1, cap=_THETA_CAP)
+    hi, dhi = expand_bracket(deriv, 1.0, math.inf, -1, cap=_THETA_CAP)
 
     # mass exactly at zero: derivative keeps one sign, optimum saturates
     if dlo > 0:
-        lmgf, _ = _log_mgf_and_deriv(x, lo)
-        return RateEstimate(max(-lmgf, 0.0), lo, "interior", 0)
+        return RateEstimate(max(-_log_mgf(x, lo), 0.0), lo, "interior", 0)
     if dhi < 0:
-        lmgf, _ = _log_mgf_and_deriv(x, hi)
-        return RateEstimate(max(-lmgf, 0.0), hi, "interior", 0)
+        return RateEstimate(max(-_log_mgf(x, hi), 0.0), hi, "interior", 0)
 
     tol = 1e-10 * max(1.0, float(np.abs(x).mean()))
-    it = 0
-    d_mid = dlo
-    for it in range(1, 200):
-        mid = 0.5 * (lo + hi)
-        _, d_mid = _log_mgf_and_deriv(x, mid)
-        if d_mid > 0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(d_mid) <= tol and hi - lo <= 1e-12 * max(1.0, abs(mid)):
-            break
-    theta_star = 0.5 * (lo + hi)
-    lmgf, _ = _log_mgf_and_deriv(x, theta_star)
-    return RateEstimate(max(-lmgf, 0.0), theta_star, "interior", it)
+    root = bisect_root(deriv, lo, hi, flo=dlo, fhi=dhi, xtol=1e-12,
+                       ftol=tol, max_iter=199)
+    return RateEstimate(max(-_log_mgf(x, root.mid), 0.0), root.mid,
+                        "interior", root.iterations)
 
 
 def estimate_rate_at(batch, x: float) -> RateEstimate:
@@ -145,25 +132,13 @@ def restricted_inf_log_mgf(batch, theta_lo: float, theta_hi: float):
     if theta_lo > theta_hi:
         raise ValueError("theta_lo must not exceed theta_hi")
     x = _values(batch)
-    lm_lo, d_lo = _log_mgf_and_deriv(x, theta_lo)
-    if theta_lo == theta_hi:
-        return float(lm_lo), theta_lo
-    lm_hi, d_hi = _log_mgf_and_deriv(x, theta_hi)
-    if d_lo >= 0:
-        return float(lm_lo), theta_lo
+    d_lo = _tilted_mean(x, theta_lo)
+    if theta_lo == theta_hi or d_lo >= 0:
+        return float(_log_mgf(x, theta_lo)), theta_lo
+    d_hi = _tilted_mean(x, theta_hi)
     if d_hi <= 0:
-        return float(lm_hi), theta_hi
-    lo, hi = theta_lo, theta_hi
+        return float(_log_mgf(x, theta_hi)), theta_hi
     tol = 1e-10 * max(1.0, float(np.abs(x).mean()))
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        _, d_mid = _log_mgf_and_deriv(x, mid)
-        if d_mid > 0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(d_mid) <= tol and hi - lo <= 1e-12 * max(1.0, abs(mid)):
-            break
-    theta_star = 0.5 * (lo + hi)
-    lmgf, _ = _log_mgf_and_deriv(x, theta_star)
-    return float(lmgf), theta_star
+    theta_star = bisect_root(partial(_tilted_mean, x), theta_lo, theta_hi,
+                             flo=d_lo, fhi=d_hi, xtol=1e-12, ftol=tol).mid
+    return float(_log_mgf(x, theta_star)), theta_star

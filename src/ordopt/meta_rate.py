@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from ._solve import grid_then_golden
-from .populations import ShiftedExponential, rate_function
+from ._solve import bisect_root, expand_bracket, grid_then_golden
+from .populations import (ShiftedExponential, _derivative_bracket,
+                          rate_function)
 
 __all__ = [
     "RegimeError", "NumericalError", "MetaRateResult", "TwoPhaseExponent",
@@ -201,53 +202,29 @@ def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
     if nu < w_lo or nu > w_hi:
         return MetaRateResult(math.inf, None, theta, nu)
 
-    alpha_max = math.inf if math.isfinite(w_hi) else 0.0
-
-    def t_mean(alpha):
+    def gap(alpha):
+        """Tilted W-mean minus nu; increasing in alpha."""
         if alpha == 0.0:
-            return math.exp(model.log_mgf(theta))
-        _, t, _ = _moments(model, theta, alpha)
-        return t
+            return math.exp(model.log_mgf(theta)) - nu
+        return _moments(model, theta, alpha)[1] - nu
 
-    # boundary of the finite-M domain: nu at or above E W decays at rate 0
-    if alpha_max == 0.0 and t_mean(0.0) <= nu:
-        return MetaRateResult(0.0, 0.0, theta, nu)
-
-    lo, hi = -1.0, min(1.0, alpha_max)
-    while t_mean(lo) > nu and lo > -_ALPHA_CAP:
-        lo *= 2.0
-    if hi == 0.0:
-        pass
+    if math.isfinite(w_hi):
+        hi, f_hi = expand_bracket(gap, 1.0, math.inf, -1, cap=_ALPHA_CAP)
     else:
-        while t_mean(hi) < nu and hi < _ALPHA_CAP:
-            hi = min(hi * 2.0, _ALPHA_CAP if math.isinf(alpha_max)
-                     else alpha_max)
-            if hi == alpha_max and math.isfinite(alpha_max):
-                break
+        # boundary of the finite-M domain: nu at or above E W decays at
+        # rate 0
+        hi, f_hi = 0.0, gap(0.0)
+        if f_hi <= 0:
+            return MetaRateResult(0.0, 0.0, theta, nu)
+    lo, f_lo = expand_bracket(gap, -1.0, -math.inf, 1, cap=_ALPHA_CAP)
 
-    f_lo = t_mean(lo) - nu
     if f_lo > 0:
-        # saturated toward the essential infimum
-        m_val, _, _ = _moments(model, theta, lo)
-        value = lo * nu - m_val
-        return MetaRateResult(max(value, 0.0), lo, theta, nu)
-    f_hi = t_mean(hi) - nu
-    if f_hi < 0:
-        m_val, _, _ = _moments(model, theta, hi)
-        value = hi * nu - m_val
-        return MetaRateResult(max(value, 0.0), hi, theta, nu)
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = t_mean(mid) - nu
-        if fm > 0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(fm) <= 1e-11 * max(1.0, nu) and hi - lo <= 1e-13 * max(
-                1.0, abs(mid)):
-            break
-    alpha_star = 0.5 * (lo + hi)
+        alpha_star = lo       # saturated toward the essential infimum
+    elif f_hi < 0:
+        alpha_star = hi
+    else:
+        alpha_star = bisect_root(gap, lo, hi, flo=f_lo, fhi=f_hi,
+                                 xtol=1e-13, ftol=1e-11 * max(1.0, nu)).mid
     m_val, _, _ = _moments(model, theta, alpha_star)
     value = alpha_star * nu - m_val
     return MetaRateResult(max(value, 0.0), alpha_star, theta, nu)
@@ -277,78 +254,50 @@ def inf_meta_rate(model, a: float):
 
 
 def _lambda_minimizer(model):
-    d_lo, d_hi = model.theta_domain()
-    lo = -1.0 if math.isinf(d_lo) else 0.5 * d_lo
-    while model.dlog_mgf(lo) > 0:
-        nxt = lo * 2.0 if math.isinf(d_lo) else 0.5 * (lo + d_lo)
-        if nxt == lo or abs(nxt) > _ALPHA_CAP:
-            break
-        lo = nxt
-    hi = 1.0 if math.isinf(d_hi) else d_hi
-    if not math.isfinite(model.log_mgf(hi)):
-        hi = 0.5 * d_hi if d_hi != 0.0 else -1e-8
-    while model.dlog_mgf(hi) < 0:
-        nxt = hi * 2.0 if math.isinf(d_hi) else 0.5 * (hi + d_hi)
-        if nxt == hi or abs(nxt) > _ALPHA_CAP:
-            break
-        hi = nxt
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if model.dlog_mgf(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    (lo, f_lo), (hi, f_hi) = _derivative_bracket(model, model.dlog_mgf,
+                                                 _ALPHA_CAP)
+    if (f_lo > 0) == (f_hi > 0):
+        # Lambda' keeps one sign: the infimum sits at the reachable edge
+        return lo if f_lo > 0 else hi
+    return bisect_root(model.dlog_mgf, lo, hi, flo=f_lo, fhi=f_hi,
+                       xtol=1e-13).mid
 
 
 def _theta_a_interval(model, a):
-    """[theta_lo, theta_hi] where Lambda <= -a, for 0 < a < I(0)."""
+    """[theta_lo, theta_hi] where Lambda <= -a, for 0 < a < I(0).
+
+    Each endpoint is bracketed between the Lambda-minimizer and a point
+    outside Theta_a on that side: 0 when it lies there (Lambda(0) = 0 >
+    -a), else a probe stepped toward the domain edge, and the end of the
+    final bracket inside Theta_a is returned. If Theta_a runs past
+    |theta| = 4 * 64 the last probe stands in for the endpoint.
+    """
     theta_m = _lambda_minimizer(model)
 
-    def lam(t):
-        return model.log_mgf(t)
+    def excess(t):
+        return model.log_mgf(t) + a     # <= 0 exactly on Theta_a
 
-    # left endpoint: Lambda(0) = 0 > -a >= Lambda(theta_m)
-    lo, hi = min(0.0, theta_m), theta_m
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lam(mid) <= -a:
-            hi = mid
+    def endpoint(edge):
+        right = edge > theta_m
+        if (theta_m < 0.0) == right:
+            x = 0.0
         else:
-            lo = mid
-        if hi - lo <= 1e-10 * max(1.0, abs(mid)):
-            break
-    left = hi
+            step = max(abs(theta_m), 0.5)
+            x = theta_m + step if right else theta_m - step
+            if math.isfinite(edge):
+                far = (edge if math.isfinite(model.log_mgf(edge))
+                       else 0.5 * (theta_m + edge))
+                x = min(x, far) if right else max(x, far)
+        x, fx = expand_bracket(excess, x, edge, -1,
+                               cap=4.0 * _THETA_BRACKET)
+        if fx <= 0.0:
+            return x
+        if right:
+            return bisect_root(excess, theta_m, x, fhi=fx, xtol=1e-10).lo
+        return bisect_root(excess, x, theta_m, flo=fx, xtol=1e-10).hi
 
     d_lo, d_hi = model.theta_domain()
-    hi = theta_m
-    step = max(abs(theta_m), 0.5)
-    probe = theta_m + step
-    for _ in range(200):
-        if math.isfinite(d_hi):
-            probe = min(probe, 0.5 * (hi + d_hi) if not math.isfinite(
-                model.log_mgf(d_hi)) else d_hi)
-        if lam(probe) > -a:
-            break
-        hi = probe
-        step *= 2.0
-        probe = theta_m + step
-        if probe > _THETA_BRACKET * 4:
-            probe = _THETA_BRACKET * 4
-            break
-    lo2, hi2 = hi, probe
-    for _ in range(200):
-        mid = 0.5 * (lo2 + hi2)
-        if lam(mid) <= -a:
-            lo2 = mid
-        else:
-            hi2 = mid
-        if hi2 - lo2 <= 1e-10 * max(1.0, abs(mid)):
-            break
-    right = lo2
-    return left, right
+    return endpoint(d_lo), endpoint(d_hi)
 
 
 def sup_meta_rate_on_theta_a(model, a: float):
@@ -395,12 +344,6 @@ def sup_meta_rate_on_theta_a(model, a: float):
     return value, theta_star, (left, right)
 
 
-def _neg_family_moments(model, theta, alpha):
-    """Moments of the negated tilt family exp(-alpha W), with X-weighting."""
-    m_val, t_mean, xw = _moments(model, theta, -alpha, want_xw=True)
-    return m_val, t_mean, xw
-
-
 def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     """Optimal failure exponent of the two-phase budget split.
 
@@ -427,7 +370,7 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     newton = _two_phase_newton(model, c2, i0)
     if newton is not None:
         gamma, theta, alpha = newton
-        m_val, _, _ = _neg_family_moments(model, theta, alpha)
+        m_val, _, _ = _moments(model, theta, -alpha)
         value = -alpha * math.exp(-gamma) - m_val
         exponent = c2 * i0 / gamma + value
         return TwoPhaseExponent(exponent, gamma, theta, alpha, c1, c2)
@@ -458,7 +401,7 @@ def _two_phase_newton(model, c2, i0, max_iter=500):
         g, th, al = v
         if g <= 0 or al <= 0:
             return None
-        m_val, t_mean, xw = _neg_family_moments(model, th, al)
+        m_val, t_mean, xw = _moments(model, th, -al, want_xw=True)
         if not math.isfinite(m_val):
             return None
         return np.array([
@@ -560,23 +503,23 @@ def _se_certificate_objective(theta_hat, model, c1):
     # s <= 1 (infinite-mean tail), so a root always exists; for small s it
     # can sit many orders below 1, hence the downward expansion
     lo = math.log(1e-8)
-    while h(lo) <= 0.0 and lo > -200.0:
+    f_lo = h(lo)
+    while f_lo <= 0.0 and lo > -200.0:
         lo -= 8.0
+        f_lo = h(lo)
     hi = lo + 2.0
-    while h(hi) > 0.0:
+    f_hi = h(hi)
+    while f_hi > 0.0:
         hi += 2.0
         if hi > 60.0:
             return math.inf, None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = h(mid)
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-7:
-            break
-    beta = math.exp(0.5 * (lo + hi))
+        f_hi = h(hi)
+    log_beta = lo
+    if f_lo > 0.0:
+        # width 1e-7 in log beta anywhere in the bracket
+        log_beta = bisect_root(h, lo, hi, flo=f_lo, fhi=f_hi,
+                               xtol=1e-7 / max(1.0, -lo, hi)).mid
+    beta = math.exp(log_beta)
     # J_theta value at the root: -beta target - log( s J(beta, s+1) )
     value = -beta * target - math.log(s) - _log_j(beta, s + 1.0)
     return max(value, 0.0), beta

@@ -20,7 +20,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr, ndtri
 
-from .empirical_rate import (RateEstimate, empirical_log_mgf,
+from ._solve import bisect_root, expand_bracket
+from .empirical_rate import (RateEstimate, _tilted_mean, empirical_log_mgf,
                              estimate_rate_at)
 
 __all__ = [
@@ -265,15 +266,10 @@ class GaussianMixture:
     def quantile(self, p):
         lo = min(float(ndtri(p)), self.mu + float(ndtri(p))) - 1.0
         hi = max(float(ndtri(p)), self.mu + float(ndtri(p))) + 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(self.cdf(mid)) >= p:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-10:
-                break
-        return 0.5 * (lo + hi)
+        # the shortfall p - F(x) falls through 0; the relative width is
+        # scaled so the bracket ends within 1e-10 anywhere in [lo, hi]
+        return bisect_root(lambda x: p - float(self.cdf(x)), lo, hi,
+                           xtol=1e-10 / max(1.0, abs(lo), abs(hi))).mid
 
     def draw(self, rng, n):
         x = rng.standard_normal(n)
@@ -399,13 +395,6 @@ class Pareto:
     def draw(self, rng, n):
         return self.scale * (1.0 - rng.random(n)) ** (-1.0 / self.alpha_tail)
 
-    def abs_moment(self, r):
-        """E |X|^r, finite for r < alpha_tail."""
-        if r >= self.alpha_tail:
-            return math.inf
-        return (self.alpha_tail * self.scale ** r
-                / (self.alpha_tail - r))
-
 
 @dataclass(frozen=True, eq=False)
 class Empirical:
@@ -432,9 +421,7 @@ class Empirical:
         return empirical_log_mgf(self.points, theta)
 
     def dlog_mgf(self, theta):
-        t = theta * self.points
-        w = np.exp(t - t.max())
-        return float((self.points * w).sum() / w.sum())
+        return _tilted_mean(self.points, theta)
 
     def support(self):
         return (float(self.points.min()), float(self.points.max()))
@@ -584,50 +571,10 @@ def rate_function(model, a: float) -> RateEstimate:
     if a == model.mean():
         return RateEstimate(0.0, 0.0, "at-mean", 0)
 
-    d_lo, d_hi = model.theta_domain()
-
     def deriv(theta):
         return model.dlog_mgf(theta) - a
 
-    # bracket the root of Lambda' = a. The domain edge is either infinite
-    # (step geometrically, capped), an open pole where Lambda' blows up
-    # (halve toward it), or a closed finite endpoint (evaluate there).
-    lo = -1.0 if math.isinf(d_lo) else 0.5 * d_lo
-    f_lo = deriv(lo)
-    for _ in range(100):
-        if f_lo < 0:
-            break
-        if math.isinf(d_lo):
-            if lo <= -_THETA_CAP:
-                break
-            lo *= 2.0
-        else:
-            nxt = 0.5 * (lo + d_lo)
-            if nxt == lo:
-                break
-            lo = nxt
-        f_lo = deriv(lo)
-
-    hi = 1.0 if math.isinf(d_hi) else d_hi
-    if not math.isinf(d_hi) and not math.isfinite(model.log_mgf(d_hi)):
-        hi = 0.5 * d_hi if d_hi != 0.0 else -1e-8
-    f_hi = deriv(hi)
-    for _ in range(100):
-        if f_hi > 0:
-            break
-        if math.isinf(d_hi):
-            if hi >= _THETA_CAP:
-                break
-            hi *= 2.0
-        elif hi == d_hi:
-            break
-        else:
-            nxt = 0.5 * (hi + d_hi)
-            if nxt == hi:
-                break
-            hi = nxt
-        f_hi = deriv(hi)
-
+    (lo, f_lo), (hi, f_hi) = _derivative_bracket(model, deriv, _THETA_CAP)
     if f_hi <= 0:
         # supremum sits at the right end of the reachable domain
         val = hi * a - model.log_mgf(hi)
@@ -636,20 +583,30 @@ def rate_function(model, a: float) -> RateEstimate:
         val = lo * a - model.log_mgf(lo)
         return RateEstimate(max(val, 0.0), lo, "interior", 0)
 
-    it = 0
-    for it in range(1, 200):
-        mid = 0.5 * (lo + hi)
-        fm = deriv(mid)
-        if fm > 0:
-            hi = mid
-        else:
-            lo = mid
-        if abs(fm) <= 1e-11 * max(1.0, abs(a)) and hi - lo <= 1e-12 * max(
-                1.0, abs(mid)):
-            break
-    theta = 0.5 * (lo + hi)
+    root = bisect_root(deriv, lo, hi, flo=f_lo, fhi=f_hi, xtol=1e-12,
+                       ftol=1e-11 * max(1.0, abs(a)), max_iter=199)
+    theta = root.mid
     val = theta * a - model.log_mgf(theta)
-    return RateEstimate(max(val, 0.0), theta, "interior", it)
+    return RateEstimate(max(val, 0.0), theta, "interior", root.iterations)
+
+
+def _derivative_bracket(model, deriv, cap):
+    """Ends ((lo, deriv(lo)), (hi, deriv(hi))) of a search for the root of
+    an increasing deriv over the MGF domain.
+
+    Each domain edge is either infinite (step geometrically, capped at
+    |theta| = cap), an open pole where Lambda' blows up (start halfway to
+    it, then halve toward it), or a closed finite endpoint (evaluate
+    there). An end whose deriv keeps the wrong sign is the last point
+    reached.
+    """
+    d_lo, d_hi = model.theta_domain()
+    lo = -1.0 if math.isinf(d_lo) else 0.5 * d_lo
+    hi = 1.0 if math.isinf(d_hi) else d_hi
+    if not math.isfinite(model.log_mgf(hi)):
+        hi = 0.5 * d_hi if d_hi != 0.0 else -1e-8
+    return (expand_bracket(deriv, lo, d_lo, 1, cap=cap),
+            expand_bracket(deriv, hi, d_hi, -1, cap=cap))
 
 
 def _kl_discrete(g_atoms, gt_atoms):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solve import increasing_fixed_point
+from ._solve import bisect_root, expand_bracket, increasing_fixed_point
 from .empirical_rate import estimate_rate_at_zero
 from .truncation import PowerSpec, solve_x_u
 
@@ -216,22 +216,17 @@ def capping_radius(bounds: MomentBound, x: float) -> float:
             radii.append((c_i / x) ** (1.0 / (al - 1.0)) * (al - 1.0)
                          / al ** (al / (al - 1.0)))
             continue
-        lo = 0.0
-        if capping_bias(spec, c_i, lo) <= x:
+
+        def excess(u):
+            return capping_bias(spec, c_i, u) - x
+
+        f_lo = excess(0.0)
+        if f_lo <= 0:
             radii.append(0.0)
             continue
-        hi = 1.0
-        while capping_bias(spec, c_i, hi) > x:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if capping_bias(spec, c_i, mid) > x:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * max(1.0, hi):
-                break
-        radii.append(0.5 * (lo + hi))
+        hi, f_hi = expand_bracket(excess, 1.0, math.inf, 1)
+        radii.append(bisect_root(excess, 0.0, hi, flo=f_lo, fhi=f_hi,
+                                 xtol=1e-13).mid)
     return max(radii)
 
 

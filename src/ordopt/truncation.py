@@ -155,8 +155,8 @@ def solve_x_u(f_spec, u: float) -> float:
         if hi > u * 1e12:
             raise ValueError("no stationary point found; f may not be "
                              "strictly convex")
-    x, _ = bisect_root(g, u, hi, tol=1e-12 * max(1.0, u))
-    return x
+    tol = 1e-12 * max(1.0, u)
+    return bisect_root(g, u, hi, xtol=tol, ftol=tol).mid
 
 
 def worst_capping_error(f_spec, c: float, u: float) -> WorstCaseSolution:

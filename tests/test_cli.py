@@ -107,6 +107,13 @@ class TestRateEstimate:
         assert float(lines[1].split(",")[0]) == pytest.approx(
             0.1438410362, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_are_validation_errors(self, capsys, bad):
+        code, out, err = run_cli(capsys, ["rate-estimate", "--values",
+                                          f"1,{bad},-1"])
+        assert code == 2 and "finite" in err
+        assert out == ""
+
     def test_input_mode_required(self, capsys):
         code, _, err = run_cli(capsys, ["rate-estimate"])
         assert code == 2 and "validation" in err

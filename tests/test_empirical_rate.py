@@ -33,6 +33,12 @@ def test_rate_at_zero_four_point():
     assert r.iterations > 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_batch_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        estimate_rate_at_zero([1.0, bad, -1.0])
+
+
 def test_rate_at_zero_balanced():
     r = estimate_rate_at_zero([1.0, -1.0])
     assert r.value == pytest.approx(0.0, abs=1e-12)

@@ -18,6 +18,7 @@ from ordopt.meta_rate import (
     two_phase_exponent,
 )
 from ordopt.populations import (
+    Gaussian,
     Mirrored,
     ShiftedExponential,
     TwoPoint,
@@ -173,6 +174,17 @@ class TestSupMetaRateOnThetaA:
         assert lo < hi
         assert m.log_mgf(lo) == pytest.approx(-a, abs=1e-8)
         assert m.log_mgf(hi) == pytest.approx(-a, abs=1e-8)
+
+    def test_positive_mean_interval_matches_closed_form(self):
+        # Lambda(theta) = 0.3 theta + 1.125 theta^2 <= -a between the two
+        # quadratic roots, which straddle the negative Lambda-minimizer
+        # -0.3/2.25; neither end may collapse onto it
+        m = Gaussian(0.3, 1.5)
+        a = 0.01
+        disc = math.sqrt(0.3 ** 2 - 4.0 * 1.125 * a)
+        _, _, (lo, hi) = sup_meta_rate_on_theta_a(m, a)
+        assert lo == pytest.approx((-0.3 - disc) / 2.25, abs=1e-9)
+        assert hi == pytest.approx((-0.3 + disc) / 2.25, abs=1e-9)
 
     def test_positive_interior_maximum_without_warning(self):
         m = TwoPoint(1.0, 0.6)

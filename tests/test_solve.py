@@ -1,15 +1,20 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ordopt._solve import (bisect_root, golden_min, grid_then_golden,
-                           increasing_fixed_point)
+import ordopt
+from ordopt._solve import (bisect_root, expand_bracket, golden_min,
+                           grid_then_golden, increasing_fixed_point)
 
 
 def test_bisect_root_cubic():
-    x, it = bisect_root(lambda t: t ** 3 - 2.0, 0.0, 2.0)
-    assert abs(x - 2.0 ** (1.0 / 3.0)) < 1e-10
-    assert it > 0
+    root = bisect_root(lambda t: t ** 3 - 2.0, 0.0, 2.0)
+    assert abs(root.mid - 2.0 ** (1.0 / 3.0)) < 1e-10
+    assert root.iterations > 0
 
 
 def test_bisect_requires_bracket():
@@ -18,8 +23,55 @@ def test_bisect_requires_bracket():
 
 
 def test_bisect_exact_endpoint():
-    x, it = bisect_root(lambda t: t, 0.0, 1.0)
-    assert x == 0.0 and it == 0
+    root = bisect_root(lambda t: t, 0.0, 1.0)
+    assert root.mid == 0.0 and root.iterations == 0
+
+
+@given(r=st.floats(-1e3, 1e3), a=st.floats(0.0, 10.0),
+       b=st.floats(1e-3, 10.0), sign=st.sampled_from([1.0, -1.0]),
+       left=st.floats(1e-3, 1e3), right=st.floats(1e-3, 1e3),
+       xtol=st.sampled_from([1e-4, 1e-9, 1e-13]),
+       ftol=st.sampled_from([None, 1e-6]), max_iter=st.integers(1, 200))
+def test_bisect_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
+                                                     right, xtol, ftol,
+                                                     max_iter):
+    seen = []
+
+    def f(t):
+        seen.append(t)
+        return sign * (a * (t - r) ** 3 + b * (t - r))
+
+    root = bisect_root(f, r - left, r + right, xtol=xtol, ftol=ftol,
+                       max_iter=max_iter)
+    assert 1 <= root.iterations <= max_iter
+    assert root.lo <= r <= root.hi
+    if root.iterations < max_iter:
+        last = seen[-1]
+        assert last in (root.lo, root.hi)
+        assert root.hi - root.lo <= xtol * max(1.0, abs(last))
+        assert ftol is None or abs(f(last)) <= ftol
+
+
+def test_expand_bracket_doubles_to_cap_and_halves_to_edge():
+    assert expand_bracket(lambda t: t + 5.0, -1.0, -math.inf, 1,
+                          cap=64.0) == (-8.0, -3.0)
+    x, fx = expand_bracket(lambda t: t + 500.0, -1.0, -math.inf, 1,
+                           cap=64.0)
+    assert x == -64.0 and fx > 0
+    x, fx = expand_bracket(lambda t: 1.0 / (2.0 - t) - 1e6, 1.0, 2.0, -1)
+    assert 1.0 < x < 2.0 and fx >= 0 and 2.0 - x > 5e-7
+
+
+def test_float_bisection_only_in_solve():
+    # every float bisection goes through _solve.bisect_root
+    midpoint = re.compile(r"0\.5 \* \((lo|hi)")
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(Path(ordopt.__file__).parent.glob("*.py"))
+        if path.name != "_solve.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if midpoint.search(line)]
+    assert offenders == []
 
 
 def test_golden_quadratic():
