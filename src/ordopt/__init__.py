@@ -12,6 +12,7 @@ command line front end (`cli`).
 from .adversarial import (
     FsEstimate,
     TiltedDistribution,
+    fs_estimate,
     lower_bound_samples,
     monte_carlo_fs,
     quantile_gadget,
@@ -22,6 +23,7 @@ from .empirical_rate import (
     empirical_log_mgf,
     estimate_rate_at,
     estimate_rate_at_zero,
+    estimate_rates_at_zero,
 )
 from .meta_rate import (
     MetaRateResult,
@@ -57,6 +59,7 @@ from .selectors import (
     expected_pulls_bound,
     hoeffding_select,
     optimal_beta,
+    replicate,
     sequential_select,
     solve_log_fixed_point,
     successive_elimination,
@@ -98,7 +101,9 @@ __all__ = [
     "empirical_log_mgf",
     "estimate_rate_at",
     "estimate_rate_at_zero",
+    "estimate_rates_at_zero",
     "expected_pulls_bound",
+    "fs_estimate",
     "hoeffding_select",
     "inf_meta_rate",
     "kl_divergence",
@@ -109,6 +114,7 @@ __all__ = [
     "quantile",
     "quantile_gadget",
     "rate_function",
+    "replicate",
     "sequential_failure_certificate",
     "sequential_select",
     "solve_log_fixed_point",

@@ -1,6 +1,8 @@
 """Small 1-D numeric solvers shared across the library.
 
-Everything here operates on plain callables and floats. The heavy lifting
+Everything here operates on plain callables and floats; the two root
+searches also step 1-D arrays of independent brackets in lock-step, for
+row-wise work such as a block of rate estimates. The heavy lifting
 elsewhere (rate functions, tilted-moment optimizations, quantiles, caps)
 reduces to monotone root finding or unimodal minimization on an interval,
 and this module is the only numerical machinery the optimizers use: every
@@ -12,6 +14,8 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -28,6 +32,14 @@ class Bracket(NamedTuple):
         return 0.5 * (self.lo + self.hi)
 
 
+def _converged(width, mid, fm, xtol, ftol):
+    """The stop test of bisect_root, for floats or row arrays alike:
+    width <= xtol * max(1, |mid|) and, when ftol is given, |f(mid)| <= ftol.
+    """
+    done = (width <= xtol) | (width <= xtol * abs(mid))
+    return done if ftol is None else done & (abs(fm) <= ftol)
+
+
 def bisect_root(f, lo, hi, *, xtol=1e-12, ftol=None, max_iter=200,
                 flo=None, fhi=None):
     """Bracket the root of a monotone f with f(lo), f(hi) of opposite sign.
@@ -38,7 +50,15 @@ def bisect_root(f, lo, hi, *, xtol=1e-12, ftol=None, max_iter=200,
     Bracket's lo keeps f <= 0 for increasing f and hi keeps it for
     decreasing f. flo and fhi skip re-evaluating ends the caller already
     knows; an exact root at an end returns the degenerate bracket there.
+
+    With 1-D arrays for lo and hi (and flo, fhi, and ftol when given) every
+    row is its own search, stepped in lock-step: f(x, rows) gets the
+    midpoints of the still-active rows and their indices (ascending), and
+    the Bracket holds arrays. Each row takes exactly the steps its scalar
+    call would.
     """
+    if np.ndim(lo):
+        return _bisect_rows(f, lo, hi, xtol, ftol, max_iter, flo, fhi)
     flo = f(lo) if flo is None else flo
     fhi = f(hi) if fhi is None else fhi
     if flo == 0.0:
@@ -56,10 +76,48 @@ def bisect_root(f, lo, hi, *, xtol=1e-12, ftol=None, max_iter=200,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= xtol * max(1.0, abs(mid)) and (
-                ftol is None or abs(fm) <= ftol):
+        if _converged(hi - lo, mid, fm, xtol, ftol):
             break
     return Bracket(lo, hi, it)
+
+
+def _bisect_rows(f, lo, hi, xtol, ftol, max_iter, flo, fhi):
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    every = np.arange(lo.size)
+    flo = f(lo, every) if flo is None else np.asarray(flo)
+    fhi = f(hi, every) if fhi is None else np.asarray(fhi)
+    at_lo = flo == 0.0
+    at_hi = (fhi == 0.0) & ~at_lo
+    hi[at_lo] = lo[at_lo]
+    lo[at_hi] = hi[at_hi]
+    iterations = np.zeros(lo.size, dtype=int)
+    # the active rows' brackets are kept compacted; a row leaves them, with
+    # its final bracket written back, at the step it converges
+    act = np.flatnonzero(~(at_lo | at_hi))
+    up = fhi[act] > 0
+    if np.any((flo[act] > 0) == up):
+        raise ValueError("root not bracketed")
+    tol = ftol if np.ndim(ftol) == 0 else np.asarray(ftol)[act]
+    a_lo, a_hi = lo[act], hi[act]
+    for it in range(1, max_iter + 1):
+        if not act.size:
+            break
+        mid = 0.5 * (a_lo + a_hi)
+        fm = f(mid, act)
+        to_hi = (fm > 0) == up
+        a_hi = np.where(to_hi, mid, a_hi)
+        a_lo = np.where(to_hi, a_lo, mid)
+        done = _converged(a_hi - a_lo, mid, fm, xtol, tol)
+        if done.any():
+            fin = act[done]
+            lo[fin], hi[fin], iterations[fin] = a_lo[done], a_hi[done], it
+            keep = ~done
+            act, a_lo, a_hi, up = act[keep], a_lo[keep], a_hi[keep], up[keep]
+            if np.ndim(tol):
+                tol = tol[keep]
+    lo[act], hi[act], iterations[act] = a_lo, a_hi, max_iter
+    return Bracket(lo, hi, iterations)
 
 
 def expand_bracket(f, x, edge, sign, cap=math.inf):
@@ -70,7 +128,13 @@ def expand_bracket(f, x, edge, sign, cap=math.inf):
     to it until the gap no longer shrinks. A zero or NaN value stops the
     walk. Returns (x, f(x)) at the last point, ready for bisect_root's
     flo or fhi.
+
+    With a 1-D array x every row walks on its own, as in bisect_root:
+    f(x, rows) is evaluated on the still-walking rows only, and x, f(x)
+    come back as arrays.
     """
+    if np.ndim(x):
+        return _expand_rows(f, x, edge, sign, cap)
     fx = f(x)
     while sign * fx > 0:
         if math.isinf(edge):
@@ -82,6 +146,25 @@ def expand_bracket(f, x, edge, sign, cap=math.inf):
         if nxt == x:
             break
         x, fx = nxt, f(nxt)
+    return x, fx
+
+
+def _expand_rows(f, x, edge, sign, cap):
+    x = np.array(x, dtype=float)
+    every = np.arange(x.size)
+    fx = np.asarray(f(x, every), dtype=float)
+    act = np.flatnonzero(sign * fx > 0)
+    while act.size:
+        if math.isinf(edge):
+            nxt = 2.0 * x[act]
+            walk = (np.abs(nxt) <= cap) & (nxt != x[act])
+        else:
+            nxt = 0.5 * (x[act] + edge)
+            walk = nxt != x[act]
+        act = act[walk]
+        x[act] = nxt[walk]
+        fx[act] = f(x[act], act)
+        act = act[sign * fx[act] > 0]
     return x, fx
 
 

@@ -8,10 +8,10 @@ probabilities underflow), so the class keeps its tail bookkeeping in log
 space: the survival mass and tail moments come from quadrature shifted by
 the log-density at the split.
 
-monte_carlo_fs is the measurement harness shared by every selection
-policy: it
-replays a policy over independent replication streams and aggregates the
-false-selection rate with a normal-approximation confidence band.
+fs_estimate is the measurement shared by every selection policy: it
+aggregates the outcomes of the replication engine (selectors.replicate)
+into the false-selection rate with a normal-approximation confidence band;
+monte_carlo_fs replays a one-stream policy through that engine.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from scipy import integrate
 
 from ._solve import bisect_root
 from .populations import GaussianMixture, kl_divergence, quantile
+from .selectors import replicate
 
 __all__ = [
     "TiltedDistribution", "QuantileGadget", "FsEstimate",
-    "tilt", "lower_bound_samples", "quantile_gadget", "monte_carlo_fs",
+    "tilt", "lower_bound_samples", "quantile_gadget", "fs_estimate",
+    "monte_carlo_fs",
 ]
 
 _MAX_DOUBLINGS = 60
@@ -257,26 +259,33 @@ class FsEstimate:
     mean_samples: float
 
 
+def fs_estimate(outcomes) -> FsEstimate:
+    """False-selection rate of a list of outcomes, its 99% half-width and
+    the mean total sample count per outcome.
+
+    Every outcome must carry a false_selection flag; a tie in true means
+    leaves it unset and is rejected here.
+    """
+    if not outcomes:
+        raise ValueError("need at least one outcome")
+    if any(o.false_selection is None for o in outcomes):
+        raise ValueError("undefined truth: tied true means make the "
+                         "false-selection rate meaningless")
+    n = len(outcomes)
+    rate = sum(bool(o.false_selection) for o in outcomes) / n
+    half = 2.576 * math.sqrt(rate * (1.0 - rate) / n)
+    return FsEstimate(rate, half,
+                      sum(sum(o.per_arm_samples) for o in outcomes) / n)
+
+
 def monte_carlo_fs(policy, truth, delta: float, replications: int,
                    seed: int) -> FsEstimate:
-    """Replay policy(truth, delta, seed, stream) over independent streams.
+    """fs_estimate over replications of policy(truth, delta, seed, stream).
 
-    Aggregates are order-invariant sums, so replications can run in any
-    order or in parallel; stream r is replication r. The policy outcome
-    must carry a false_selection flag; a tie in true means leaves it unset
-    and is rejected here.
+    Replication r calls the policy once on stream r, through the
+    replication engine.
     """
-    if replications < 1:
-        raise ValueError("replications must be at least 1")
-    fs_count = 0
-    total_samples = 0
-    for r in range(replications):
-        out = policy(truth, delta, seed, r)
-        if out.false_selection is None:
-            raise ValueError("undefined truth: tied true means make the "
-                             "false-selection rate meaningless")
-        fs_count += bool(out.false_selection)
-        total_samples += sum(out.per_arm_samples)
-    rate = fs_count / replications
-    half = 2.576 * math.sqrt(rate * (1.0 - rate) / replications)
-    return FsEstimate(rate, half, total_samples / replications)
+    def block(truth, delta, seed, streams):
+        return [policy(truth, delta, seed, s) for s in streams]
+
+    return fs_estimate(replicate(block, truth, delta, seed, replications))

@@ -3,8 +3,8 @@
 Seeding discipline: one run-level seed; replication r uses stream index r,
 and sampling inside a replication offsets sub-streams by arm index (see the
 selection module). Identical (config, seed) pairs therefore reproduce the
-same draw counts and decisions on any machine; --threads is a scheduling
-hint only and never changes output.
+same draw counts and decisions on any machine. `select` and `mc-fs` run
+their replications through one engine, `selectors.replicate`, in blocks.
 
 Experiment configs come either as a flat INI file with [model:NAME],
 [policy] and [run] sections, or as a JSON object {"models": .., "policy":
@@ -12,7 +12,8 @@ Experiment configs come either as a flat INI file with [model:NAME],
 "two-point:1,0.6", "bernoulli:0.3", "mirrored:shifted-exponential:0.96,1",
 "empirical:0.2;0.8". CSV output is UTF-8 with a header row and 17
 significant digits, written to a temp file and renamed so a failed run
-never leaves a partial file.
+never leaves a partial file. The per-replication `select` CSV ends each row
+with the replication's rounds and termination.
 
 Exit codes: 0 success, 1 reproduce found a failing item, 2 validation
 error, 3 numerical (solver) failure.
@@ -156,26 +157,26 @@ def _build_adapter(name, params, d, delta):
         c1 = _fparam(p, "c1", "policy")
         c2 = _fparam(p, "c2", "policy")
 
-        def policy(truth, dlt, seed, stream):
+        def policy(truth, dlt, seed, streams):
             return selectors.two_phase_select(truth[0], dlt, c1, c2, seed,
-                                              stream=stream)
+                                              stream=streams)
     elif name == "sequential":
         if d != 1:
             raise ValueError("policy: sequential takes exactly one model")
         c1 = _fparam(p, "c1", "policy")
         round_cap = int(_fparam(p, "round_cap", "policy", 50))
 
-        def policy(truth, dlt, seed, stream):
+        def policy(truth, dlt, seed, streams):
             return selectors.sequential_select(truth[0], dlt, (c1,),
                                                round_cap=round_cap,
-                                               seed=seed, stream=stream)
+                                               seed=seed, stream=streams)
     elif name == "hoeffding":
         eps = _fparam(p, "epsilon", "policy")
         b = _fparam(p, "b", "policy")
 
-        def policy(truth, dlt, seed, stream):
+        def policy(truth, dlt, seed, streams):
             return selectors.hoeffding_select(truth, eps, dlt, b, seed,
-                                              stream=stream)
+                                              stream=streams)
     elif name == "capped":
         eps = _fparam(p, "epsilon", "policy")
         beta = _fparam(p, "beta", "policy")
@@ -186,9 +187,9 @@ def _build_adapter(name, params, d, delta):
         except ValueError as e:
             raise ValueError(f"policy: {e}") from None
 
-        def policy(truth, dlt, seed, stream):
+        def policy(truth, dlt, seed, streams):
             return selectors.capped_select(truth, eps, dlt, bounds, beta,
-                                           seed, stream=stream)
+                                           seed, stream=streams)
     elif name == "succ-elim":
         estimator = str(p.get("estimator", "plain"))
         pull_cap = int(_fparam(p, "pull_cap", "policy", 1_000_000))
@@ -206,10 +207,10 @@ def _build_adapter(name, params, d, delta):
         except ValueError as e:
             raise ValueError(f"policy: {e}") from None
 
-        def policy(truth, dlt, seed, stream):
-            return selectors.successive_elimination(
+        def policy(truth, dlt, seed, streams):
+            return [selectors.successive_elimination(
                 truth, dlt, schedule, estimator=estimator, seed=seed,
-                pull_cap=pull_cap, stream=stream)
+                pull_cap=pull_cap, stream=s) for s in streams]
     else:
         raise ValueError(f"policy: unknown policy '{name}'")
     return policy
@@ -397,35 +398,29 @@ def _cmd_meta_rate(args):
     return 0
 
 
-def _run_replications(cfg):
-    outcomes = [cfg.policy(cfg.models, cfg.delta, cfg.seed, r)
-                for r in range(cfg.replications)]
-    if any(o.false_selection is None for o in outcomes):
-        raise ValueError("undefined truth: tied true means make the "
-                         "false-selection rate meaningless")
-    fs = [bool(o.false_selection) for o in outcomes]
-    totals = [sum(o.per_arm_samples) for o in outcomes]
-    rate = sum(fs) / len(fs)
-    ci = 2.576 * math.sqrt(rate * (1.0 - rate) / len(fs))
-    return outcomes, rate, ci, sum(totals) / len(totals)
+def _replicate(cfg):
+    outcomes = selectors.replicate(cfg.policy, cfg.models, cfg.delta,
+                                   cfg.seed, cfg.replications)
+    return outcomes, adversarial.fs_estimate(outcomes)
 
 
 def _cmd_select(args):
     cfg = _experiment_from_args(args)
-    outcomes, rate, ci, mean_samples = _run_replications(cfg)
+    outcomes, est = _replicate(cfg)
     if cfg.out:
         d = len(cfg.models)
         header = (["replication", "chosen", "samples_total"]
-                  + [f"pulls_{nm}" for nm in cfg.names] + ["fs_flag"])
+                  + [f"pulls_{nm}" for nm in cfg.names]
+                  + ["fs_flag", "rounds", "termination"])
         rows = [[r, o.chosen, sum(o.per_arm_samples),
                  *[int(n) for n in o.per_arm_samples],
-                 int(bool(o.false_selection))]
+                 int(bool(o.false_selection)), o.rounds, o.termination]
                 for r, o in enumerate(outcomes)]
-        rows.append(["summary", _fmt(rate), _fmt(mean_samples), _fmt(ci)]
-                    + [""] * d)
+        rows.append(["summary", _fmt(est.fs_rate), _fmt(est.mean_samples),
+                     _fmt(est.ci_halfwidth)] + [""] * (d + 2))
         _write_csv(cfg.out, header, rows)
-    record = {"fs_rate": rate, "ci_halfwidth": ci,
-              "mean_samples": mean_samples,
+    record = {"fs_rate": est.fs_rate, "ci_halfwidth": est.ci_halfwidth,
+              "mean_samples": est.mean_samples,
               "replications": cfg.replications, "out": cfg.out}
     _emit(args, record, _kv(record))
     return 0
@@ -433,8 +428,7 @@ def _cmd_select(args):
 
 def _cmd_mc_fs(args):
     cfg = _experiment_from_args(args)
-    est = adversarial.monte_carlo_fs(cfg.policy, cfg.models, cfg.delta,
-                                     cfg.replications, cfg.seed)
+    _, est = _replicate(cfg)
     if cfg.out:
         _write_csv(cfg.out, ["fs_rate", "ci_halfwidth", "mean_samples"],
                    [[_fmt(est.fs_rate), _fmt(est.ci_halfwidth),
@@ -699,25 +693,10 @@ def _cmd_reproduce(args):
 
 # ------------------------------------------------------------------- parser
 
-def _check_threads(value):
-    if value == "auto":
-        return value
-    try:
-        n = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "--threads takes a positive integer or 'auto'") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("--threads must be at least 1")
-    return n
-
-
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="run-level RNG seed (default 0)")
-    common.add_argument("--threads", type=_check_threads, default="auto",
-                        help="scheduling hint; outputs never depend on it")
     common.add_argument("--out", default=None, help="CSV output path")
     common.add_argument("--json", action="store_true",
                         help="print a JSON record instead of key=value")

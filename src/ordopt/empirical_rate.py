@@ -64,17 +64,44 @@ def empirical_log_mgf(batch, theta: float) -> float:
     return float(_log_mgf(_values(batch), theta))
 
 
-def _log_mgf(x: np.ndarray, theta: float):
-    t = theta * x
-    hi = t.max()
-    return hi + math.log(np.exp(t - hi).sum() / x.size)
+def _tilt(x: np.ndarray, theta):
+    """theta * x and its maximum over the last axis, kept as an axis.
+
+    x is one batch with a float theta, or an (R, m) matrix with one theta
+    per row; each row's arithmetic is exactly that of the row alone.
+    """
+    t = (theta[:, None] if np.ndim(theta) else theta) * x
+    return t, np.maximum.reduce(t, axis=-1, keepdims=True)
 
 
-def _tilted_mean(x: np.ndarray, theta: float) -> float:
-    """L_m'(theta): the batch mean under the theta-tilt."""
-    t = theta * x
-    w = np.exp(t - t.max())
-    return float((x * w).sum() / w.sum())
+def _log_mgf(x: np.ndarray, theta):
+    """L_m(theta) of one batch, or the list of L_m of the rows of x.
+
+    The last step is math.log, row by row: np.log can differ from it in
+    the last bit.
+    """
+    t, hi = _tilt(x, theta)
+    mean_w = np.add.reduce(np.exp(t - hi), axis=-1) / x.shape[-1]
+    if not np.ndim(theta):
+        return hi[0] + math.log(mean_w)
+    return [h + math.log(w) for h, w in zip(hi[:, 0].tolist(),
+                                            mean_w.tolist())]
+
+
+def _tilted_mean(x: np.ndarray, theta):
+    """L_m'(theta): the batch mean under the theta-tilt (row-wise for a
+    matrix x and one theta per row, as in _tilt)."""
+    t, hi = _tilt(x, theta)
+    w = np.exp(t - hi)
+    mean = np.add.reduce(x * w, axis=-1) / np.add.reduce(w, axis=-1)
+    return mean if np.ndim(theta) else float(mean)
+
+
+def _row_derivative(x):
+    """L_m' of the rows of x as f(theta, rows), for the lock-step solvers."""
+    def deriv(theta, rows):
+        return _tilted_mean(x if rows.size == len(x) else x[rows], theta)
+    return deriv
 
 
 def estimate_rate_at_zero(batch) -> RateEstimate:
@@ -88,32 +115,55 @@ def estimate_rate_at_zero(batch) -> RateEstimate:
     the limit because the batch has mass exactly at zero, in which case the
     boundary value at the cap already matches the limit to double precision.
     """
-    x = _values(batch)
-    if np.all(x == x[0]):
-        if x[0] == 0.0:
-            return RateEstimate(0.0, 0.0, "at-mean", 0)
-        status = "diverges-left" if x[0] > 0 else "diverges-right"
-        return RateEstimate(math.inf, None, status, 0)
-    if np.all(x > 0):
-        return RateEstimate(math.inf, None, "diverges-left", 0)
-    if np.all(x < 0):
-        return RateEstimate(math.inf, None, "diverges-right", 0)
+    return estimate_rates_at_zero(_values(batch)[None, :])[0]
 
-    deriv = partial(_tilted_mean, x)
-    lo, dlo = expand_bracket(deriv, -1.0, -math.inf, 1, cap=_THETA_CAP)
-    hi, dhi = expand_bracket(deriv, 1.0, math.inf, -1, cap=_THETA_CAP)
 
+def estimate_rates_at_zero(batches) -> list[RateEstimate]:
+    """estimate_rate_at_zero of every row of an (R, m) matrix of batches.
+
+    The root searches of all rows step in lock-step, each row taking
+    exactly the steps it takes alone, so no estimate, iterations included,
+    depends on the other rows.
+    """
+    x = np.asarray(batches, dtype=float)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError("batches must be a nonempty 2-D array of reals")
+    if not np.isfinite(x).all():
+        raise ValueError("batch values must be finite (no NaN or inf)")
+    out = [None] * len(x)
+    equal = (x == x[:, :1]).all(axis=1)
+    above = (x > 0).all(axis=1)
+    below = (x < 0).all(axis=1)
+    for i in np.flatnonzero(equal | above | below):
+        if equal[i] and x[i, 0] == 0.0:
+            out[i] = RateEstimate(0.0, 0.0, "at-mean", 0)
+        else:
+            status = "diverges-left" if above[i] else "diverges-right"
+            out[i] = RateEstimate(math.inf, None, status, 0)
+    rows = np.flatnonzero(~(equal | above | below))
+    if not rows.size:
+        return out
+    x = x[rows]
+    lo, dlo = expand_bracket(_row_derivative(x), np.full(len(x), -1.0),
+                             -math.inf, 1, cap=_THETA_CAP)
+    hi, dhi = expand_bracket(_row_derivative(x), np.full(len(x), 1.0),
+                             math.inf, -1, cap=_THETA_CAP)
     # mass exactly at zero: derivative keeps one sign, optimum saturates
-    if dlo > 0:
-        return RateEstimate(max(-_log_mgf(x, lo), 0.0), lo, "interior", 0)
-    if dhi < 0:
-        return RateEstimate(max(-_log_mgf(x, hi), 0.0), hi, "interior", 0)
-
-    tol = 1e-10 * max(1.0, float(np.abs(x).mean()))
-    root = bisect_root(deriv, lo, hi, flo=dlo, fhi=dhi, xtol=1e-12,
-                       ftol=tol, max_iter=199)
-    return RateEstimate(max(-_log_mgf(x, root.mid), 0.0), root.mid,
-                        "interior", root.iterations)
+    theta = np.where(dlo > 0, lo, hi)
+    iterations = np.zeros(len(x), dtype=int)
+    free = np.flatnonzero((dlo <= 0) & (dhi >= 0))
+    if free.size:
+        xf = x[free]
+        tol = 1e-10 * np.maximum(1.0, np.abs(xf).mean(axis=1))
+        root = bisect_root(_row_derivative(xf), lo[free], hi[free],
+                           flo=dlo[free], fhi=dhi[free], xtol=1e-12,
+                           ftol=tol, max_iter=199)
+        theta[free] = root.mid
+        iterations[free] = root.iterations
+    for i, lm, th, it in zip(rows, _log_mgf(x, theta), theta.tolist(),
+                             iterations.tolist()):
+        out[i] = RateEstimate(max(-lm, 0.0), th, "interior", it)
+    return out
 
 
 def estimate_rate_at(batch, x: float) -> RateEstimate:

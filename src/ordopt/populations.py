@@ -500,7 +500,8 @@ def sample(model, seed: int, stream: int, n: int) -> SampleBatch:
         raise ValueError("n must be at least 1")
     if not 0 <= seed < 2 ** 64 or not 0 <= stream < 2 ** 64:
         raise ValueError("seed and stream must fit in 64 bits")
-    rng = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, stream], dtype=np.uint64)))
     values = model.draw(rng, int(n))
     return SampleBatch(values, model_id=str(model), seed=seed,
                        stream_index=stream)

@@ -10,24 +10,33 @@ means (argmax, the reward convention the radii were derived in).
 
 Streams: replication-level reproducibility keys every draw by
 (seed, stream); a policy derives its internal independent streams as
-stream * 2^20 + slot, so callers should keep user-facing stream indices
-below 2^44.
+stream * 2^20 + slot. Seeds and derived keys must lie in [0, 2^64), so
+stream indices stay below 2^44; anything outside raises ValueError.
+
+Replications: replicate() runs replication r on stream r, handing the
+policy blocks of consecutive streams. The sign and comparison policies
+(all but successive_elimination) take a range of streams for `stream` and
+return the list of outcomes, each identical to its one-stream call; the
+sign procedures step a block in lock-step, stacking its batches into one
+matrix for the rate estimate.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._solve import bisect_root, expand_bracket, increasing_fixed_point
-from .empirical_rate import estimate_rate_at_zero
+from .empirical_rate import estimate_rates_at_zero
 from .truncation import PowerSpec, solve_x_u
 
 __all__ = [
     "SelectionOutcome", "MomentBound", "RadiusSchedule",
-    "two_phase_select", "sequential_select", "hoeffding_select",
+    "replicate", "two_phase_select", "sequential_select",
+    "hoeffding_select",
     "capping_bias", "capping_radius", "capped_select", "optimal_beta",
     "radius", "successive_elimination", "expected_pulls_bound",
     "solve_log_fixed_point", "PullsBound",
@@ -36,6 +45,9 @@ __all__ = [
 
 _C_NORM = 6.0 / math.pi ** 2
 _SUBSTREAM = 1 << 20
+_KEY_LIMIT = 1 << 64
+_SAMPLE_CAP = 1 << 20  # two-phase decision batch ceiling
+_BLOCK = 256  # replications per engine block: bounds the stacked batches
 
 
 @dataclass(frozen=True)
@@ -43,7 +55,8 @@ class SelectionOutcome:
     chosen: int
     per_arm_samples: list
     rounds: int
-    termination: str  # budget-exhausted | confidence-met | round-cap
+    # budget-exhausted | confidence-met | round-cap | sample-cap
+    termination: str
     decided_sign: str | None = None  # positive | negative (sign problems)
     false_selection: bool | None = None
 
@@ -88,9 +101,73 @@ class RadiusSchedule:
             raise ValueError("c_norm must be 6/pi^2")
 
 
+def _key(seed, stream, slot):
+    # operator.index: a numpy integer stream would wrap around in int64
+    key = operator.index(stream) * _SUBSTREAM + slot
+    if not (0 <= seed < _KEY_LIMIT and 0 <= key < _KEY_LIMIT):
+        raise ValueError("seed and stream * 2^20 + slot must lie in "
+                         "[0, 2^64)")
+    return key
+
+
 def _rng(seed, stream, slot):
-    return np.random.Generator(np.random.Philox(
-        key=[seed, stream * _SUBSTREAM + slot]))
+    # a uint64 array keeps keys of 2^63 and above exact; a plain list goes
+    # through float64 there and rounds distinct keys together
+    return np.random.Generator(np.random.Philox(key=np.array(
+        [seed, _key(seed, stream, slot)], dtype=np.uint64)))
+
+
+class _Streams:
+    """The generators _rng(seed, stream, slot), from one re-keyed Philox.
+
+    Setting the key resets the bit generator to the state a new Philox
+    keyed (seed, stream * 2^20 + slot) starts in, so the draws are the
+    same, at a fraction of the cost of building one. Each call re-keys the single
+    shared generator: finish drawing from one before asking for the next.
+    """
+
+    def __init__(self, seed):
+        self._key = [seed, _key(seed, 0, 0)]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+        self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
+
+    def __call__(self, stream, slot):
+        self._key[1] = _key(self._key[0], stream, slot)
+        self._bits.state = self._state
+        return self._gen
+
+
+def _over(stream, block):
+    """block(streams) for a range of streams; its one outcome for one."""
+    if isinstance(stream, range):
+        return block(stream) if stream else []
+    return block(range(stream, stream + 1))[0]
+
+
+def replicate(policy, truth, delta: float, seed: int,
+              replications: int) -> list:
+    """Outcomes of replications 0, ..., replications - 1 of a policy.
+
+    policy(truth, delta, seed, streams) runs the replications of a range
+    of streams, replication r on stream r, and returns their outcomes in
+    order. The engine hands it consecutive blocks of at most _BLOCK
+    streams, so a lock-step policy holds one block's batches at a time;
+    outcomes do not depend on the block size.
+    """
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
+    outcomes = []
+    for start in range(0, replications, _BLOCK):
+        streams = range(start, min(start + _BLOCK, replications))
+        block = list(policy(truth, delta, seed, streams))
+        if len(block) != len(streams):
+            raise ValueError("policy must return one outcome per stream")
+        outcomes += block
+    return outcomes
 
 
 def _check_delta(delta):
@@ -107,59 +184,100 @@ def _sign_outcome(mean, total, rounds, termination, truth_mean):
     return SelectionOutcome(0, [total], rounds, termination, sign, fs)
 
 
+def _decision_size(rate, m, c2):
+    """Phase-two batch size and the termination it implies."""
+    if math.isinf(rate):
+        return m, "budget-exhausted"
+    need = c2 * m / rate if rate > 0 else math.inf
+    if need > _SAMPLE_CAP:  # a zero-rate pilot would ask for N = inf
+        return _SAMPLE_CAP, "sample-cap"
+    return math.ceil(need), "budget-exhausted"
+
+
 def two_phase_select(model, delta: float, c1: float, c2: float,
-                     seed: int, stream: int = 0) -> SelectionOutcome:
+                     seed: int, stream=0):
     """Estimate the rate on a pilot batch, then size the decision batch.
 
     Phase 1 draws m = ceil(c1 log(1/delta)) samples and computes the rate
     estimate at zero; phase 2 draws N = ceil(c2 m / I) fresh samples and
     decides by the sign of their mean. An infinite rate estimate (all pilot
-    samples one-signed) collapses N to m.
+    samples one-signed) collapses N to m. N never exceeds 2^20: a zero or
+    tiny rate estimate that asks for more draws 2^20 and ends with
+    termination "sample-cap" instead of "budget-exhausted".
+
+    With a range of streams the pilots of all of them form one matrix for
+    a lock-step rate estimate; decision batches are drawn and reduced one
+    replication at a time. Returns the list of outcomes.
     """
     _check_delta(delta)
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
     m = math.ceil(c1 * math.log(1.0 / delta))
-    pilot = model.draw(_rng(seed, stream, 0), m)
-    rate = estimate_rate_at_zero(pilot).value
-    if math.isinf(rate):
-        n2 = m
-    else:
-        n2 = math.ceil(c2 * m / rate) if rate > 0 else 2 ** 20
-        n2 = min(n2, 2 ** 20)  # zero-rate pilot would ask for N = inf
-    decision = model.draw(_rng(seed, stream, 1), n2)
-    return _sign_outcome(float(np.mean(decision)), m + n2, 2,
-                         "budget-exhausted", model.mean())
+    keys = _Streams(seed)
+    truth = model.mean()
+
+    def block(streams):
+        pilots = np.stack([model.draw(keys(s, 0), m) for s in streams])
+        outcomes = []
+        for s, est in zip(streams, estimate_rates_at_zero(pilots)):
+            n2, termination = _decision_size(est.value, m, c2)
+            decision = model.draw(keys(s, 1), n2)
+            outcomes.append(_sign_outcome(float(np.mean(decision)), m + n2,
+                                          2, termination, truth))
+        return outcomes
+
+    return _over(stream, block)
 
 
 def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
-                      seed: int = 0, stream: int = 0) -> SelectionOutcome:
+                      seed: int = 0, stream=0):
     """Grow the sample until the rate estimate certifies the target level.
 
     Round k holds m_k = ceil((c_1 + ... + c_k) log(1/delta)) cumulative
     samples (the schedule repeats its last entry past the end); the
     procedure stops at the first round with m_k * I_{m_k}(0) >= log(1/delta)
     and decides by the sign of the cumulative mean.
+
+    With a range of streams, each round estimates the rates of all
+    replications still running as one matrix (m_k depends on k only) and
+    returns the list of outcomes.
     """
     _check_delta(delta)
     c_schedule = list(c_schedule)
     if not c_schedule or any(c <= 0 for c in c_schedule):
         raise ValueError("c_schedule must be nonempty and positive")
     log_inv = math.log(1.0 / delta)
-    values = np.empty(0)
-    total_c = 0.0
-    for k in range(1, round_cap + 1):
-        total_c += c_schedule[min(k - 1, len(c_schedule) - 1)]
-        m_k = max(math.ceil(total_c * log_inv), 1)
-        if m_k > len(values):
-            fresh = model.draw(_rng(seed, stream, k - 1), m_k - len(values))
-            values = np.concatenate([values, fresh])
-        rate = estimate_rate_at_zero(values).value
-        if m_k * rate >= log_inv:
-            return _sign_outcome(float(values.mean()), m_k, k,
-                                 "confidence-met", model.mean())
-    return _sign_outcome(float(values.mean()), len(values), round_cap,
-                         "round-cap", model.mean())
+    keys = _Streams(seed)
+    truth = model.mean()
+
+    def block(streams):
+        outcomes = [None] * len(streams)
+        live = np.arange(len(streams))
+        values = np.empty((len(streams), 0))
+        total_c = 0.0
+        for k in range(1, round_cap + 1):
+            total_c += c_schedule[min(k - 1, len(c_schedule) - 1)]
+            m_k = max(math.ceil(total_c * log_inv), 1)
+            if m_k > values.shape[1]:
+                grow = m_k - values.shape[1]
+                fresh = np.stack([model.draw(keys(streams[i], k - 1), grow)
+                                  for i in live])
+                values = np.concatenate([values, fresh], axis=1)
+            met = np.array([m_k * est.value >= log_inv
+                            for est in estimate_rates_at_zero(values)])
+            for j in np.flatnonzero(met):
+                outcomes[live[j]] = _sign_outcome(
+                    float(values[j].mean()), m_k, k, "confidence-met", truth)
+            live, values = live[~met], values[~met]
+            if not live.size:
+                return outcomes
+        for j, i in enumerate(live):
+            outcomes[i] = _sign_outcome(float(values[j].mean()),
+                                        values.shape[1], round_cap,
+                                        "round-cap", truth)
+        return outcomes
+
+    return _over(stream, block)
 
 
 def _argmin_outcome(models, means, n, termination):
@@ -173,8 +291,11 @@ def _argmin_outcome(models, means, n, termination):
 
 
 def hoeffding_select(models, epsilon: float, delta: float, b: float,
-                     seed: int, stream: int = 0) -> SelectionOutcome:
-    """Fixed-budget minimum selection for populations in [0, b]."""
+                     seed: int, stream=0):
+    """Fixed-budget minimum selection for populations in [0, b].
+
+    A range of streams returns the list of their outcomes.
+    """
     d = len(models)
     if d < 2:
         raise ValueError("need at least two populations")
@@ -182,9 +303,14 @@ def hoeffding_select(models, epsilon: float, delta: float, b: float,
     if epsilon <= 0 or b <= 0:
         raise ValueError("epsilon and b must be positive")
     n = math.ceil((2.0 * b * b / epsilon ** 2) * math.log((d - 1) / delta))
-    means = [float(np.mean(model.draw(_rng(seed, stream, a), n)))
-             for a, model in enumerate(models)]
-    return _argmin_outcome(models, means, n, "budget-exhausted")
+    keys = _Streams(seed)
+
+    def one(s):
+        means = [float(np.mean(model.draw(keys(s, a), n)))
+                 for a, model in enumerate(models)]
+        return _argmin_outcome(models, means, n, "budget-exhausted")
+
+    return _over(stream, lambda streams: [one(s) for s in streams])
 
 
 def capping_bias(f_spec, c: float, u: float) -> float:
@@ -232,14 +358,15 @@ def capping_radius(bounds: MomentBound, x: float) -> float:
 
 def capped_select(models, epsilon: float, delta: float,
                   bounds: MomentBound, beta: float, seed: int,
-                  stream: int = 0) -> SelectionOutcome:
+                  stream=0):
     """Minimum selection for non-negative heavy-tailed populations.
 
     Caps every draw at u = R(beta epsilon), spends
     n = ceil(2 u^2 / (epsilon^2 (1-beta)^2) log((d-1)/delta)) per
     population, and compares capped means; the cap keeps each mean within
     (1-beta) epsilon of the truth in the worst case, preserving the
-    epsilon-gap guarantee.
+    epsilon-gap guarantee. A range of streams returns the list of their
+    outcomes.
     """
     d = len(models)
     if d < 2:
@@ -252,10 +379,14 @@ def capped_select(models, epsilon: float, delta: float,
     u = capping_radius(bounds, beta * epsilon)
     n = math.ceil(2.0 * u * u / (epsilon ** 2 * (1.0 - beta) ** 2)
                   * math.log((d - 1) / delta))
-    means = [float(np.mean(np.minimum(model.draw(_rng(seed, stream, a), n),
-                                      u)))
-             for a, model in enumerate(models)]
-    return _argmin_outcome(models, means, n, "budget-exhausted")
+    keys = _Streams(seed)
+
+    def one(s):
+        means = [float(np.mean(np.minimum(model.draw(keys(s, a), n), u)))
+                 for a, model in enumerate(models)]
+        return _argmin_outcome(models, means, n, "budget-exhausted")
+
+    return _over(stream, lambda streams: [one(s) for s in streams])
 
 
 def optimal_beta(bounds: MomentBound) -> float:

@@ -155,8 +155,9 @@ def solve_x_u(f_spec, u: float) -> float:
         if hi > u * 1e12:
             raise ValueError("no stationary point found; f may not be "
                              "strictly convex")
-    tol = 1e-12 * max(1.0, u)
-    return bisect_root(g, u, hi, xtol=tol, ftol=tol).mid
+    # width alone stops the search: g carries terms of size f(x), whose
+    # rounding can exceed any fixed residual tolerance
+    return bisect_root(g, u, hi, xtol=1e-12 * max(1.0, u)).mid
 
 
 def worst_capping_error(f_spec, c: float, u: float) -> WorstCaseSolution:

@@ -57,6 +57,7 @@ from ordopt.selectors import (
     concentration_constant,
     expected_pulls_bound,
     hoeffding_select,
+    replicate,
     solve_log_fixed_point,
     successive_elimination,
     two_phase_select,
@@ -443,10 +444,12 @@ def test_10_negative_results():
     model = TwoPoint(1.0, 0.55)
     delta = 1e-3
     reps = 100_000
-    fs = 0
-    for r in range(reps):
-        fs += two_phase_select(model, delta, 1.0, 1.0, seed=10,
-                               stream=r).false_selection
+
+    def policy(truth, dlt, seed, streams):
+        return two_phase_select(truth, dlt, 1.0, 1.0, seed, stream=streams)
+
+    fs = sum(o.false_selection
+             for o in replicate(policy, model, delta, 10, reps))
     rate = fs / reps
     lower = rate - _ci99(rate, reps)
 

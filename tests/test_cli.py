@@ -178,13 +178,15 @@ class TestSelect:
         first = out_path.read_bytes()
         lines = first.decode().strip().splitlines()
         assert lines[0] == ("replication,chosen,samples_total,pulls_a0,"
-                            "pulls_a1,fs_flag")
+                            "pulls_a1,fs_flag,rounds,termination")
         assert len(lines) == 1 + 5 + 1
         for row in lines[1:6]:
             cells = row.split(",")
             assert cells[1] == "0" and cells[3] == cells[4] == "19"
             assert cells[5] == "0"
+            assert cells[6:] == ["1", "budget-exhausted"]
         summary = lines[6].split(",")
+        assert len(summary) == 8
         assert summary[0] == "summary"
         assert float(summary[1]) == 0.0
         assert float(summary[2]) == 38.0
@@ -193,19 +195,13 @@ class TestSelect:
         assert code == 0
         assert out_path.read_bytes() == first
 
-    def test_threads_hint_never_changes_output(self, capsys, tmp_path,
-                                               models_ini):
-        outs = []
-        for threads in ("auto", "1", "4"):
-            out_path = tmp_path / f"t{threads}.csv"
-            code, _, _ = run_cli(capsys, [
-                "select", "--policy", "hoeffding", "--epsilon", "0.5",
-                "--b", "1", "--delta", "0.1", "--models", models_ini,
-                "--replications", "4", "--seed", "11", "--threads", threads,
-                "--out", str(out_path)])
-            assert code == 0
-            outs.append(out_path.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+    def test_threads_option_is_gone(self, capsys, models_ini):
+        with pytest.raises(SystemExit) as exc:
+            main(["select", "--policy", "hoeffding", "--epsilon", "0.5",
+                  "--b", "1", "--delta", "0.1", "--models", models_ini,
+                  "--replications", "4", "--seed", "11", "--threads", "4"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_json_config_file(self, capsys, tmp_path):
         out_path = tmp_path / "cfg.csv"
@@ -292,6 +288,21 @@ class TestSelect:
                                         "--models", models_ini,
                                         "--replications", "3"])
         assert code == 2 and "policy.name" in err
+
+    @pytest.mark.parametrize("policy, params", [
+        ("hoeffding", ["--epsilon", "0.5", "--b", "1"]),
+        ("two-phase", ["--c1", "1", "--c2", "1"])])
+    def test_seed_beyond_64_bits_is_validation_error(self, capsys, tmp_path,
+                                                     policy, params):
+        p = tmp_path / "m.ini"
+        p.write_text("[a0]\nspec = empirical:-0.2\n" if policy == "two-phase"
+                     else "[a0]\nspec = empirical:0.2\n\n"
+                          "[a1]\nspec = empirical:0.8\n")
+        code, _, err = run_cli(capsys, [
+            "select", "--policy", policy, *params, "--delta", "0.1",
+            "--models", str(p), "--replications", "2", "--seed",
+            str(2 ** 64)])
+        assert code == 2 and "validation" in err and "2^64" in err
 
     def test_tied_truth_rejected(self, capsys, tmp_path):
         p = tmp_path / "m.ini"

@@ -216,6 +216,14 @@ def test_sample_determinism_and_splitting():
     assert a.seed == 123 and a.stream_index == 5 and len(a) == 50
 
 
+def test_sample_keys_above_2_63_stay_distinct():
+    # as a float64, 2^63 + 12345 rounds to 2^63 + 12288
+    model = Gaussian(0.0, 1.0)
+    a = sample(model, 2 ** 63 + 12345, 0, 4)
+    b = sample(model, 2 ** 63 + 12288, 0, 4)
+    assert not np.array_equal(a.values, b.values)
+
+
 def test_sample_mean_large_n():
     batch = sample(ShiftedExponential(0.96, 1.0), 2024, 0, 10 ** 6)
     se = 1.0 / math.sqrt(10 ** 6)

@@ -6,6 +6,8 @@ import pytest
 from ordopt.populations import Bernoulli, Empirical, Mirrored, TwoPoint
 from ordopt.selectors import (
     MomentBound,
+    _rng,
+    _Streams,
     RadiusSchedule,
     capped_concentration_constant,
     capped_select,
@@ -57,6 +59,16 @@ class Scripted:
 
     def mean(self):
         return self._mean
+
+
+class Alternating:
+    """+1, -1, +1, ... from the start of every draw; mean reported 0."""
+
+    def draw(self, rng, n):
+        return np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+
+    def mean(self):
+        return 0.0
 
 
 class TestDomainTypes:
@@ -120,6 +132,43 @@ class TestTwoPhase:
             two_phase_select(const(-1.0), 1.0, 1.0, 1.0, seed=0)
         with pytest.raises(ValueError, match="c1 and c2"):
             two_phase_select(const(-1.0), 0.1, 0.0, 1.0, seed=0)
+
+    def test_zero_rate_pilot_hits_the_sample_cap(self):
+        # a balanced +-1 pilot of m = ceil(1.5 log 10) = 4 has rate 0, so
+        # N would be infinite; the 2^20 ceiling is reported, not hidden
+        out = two_phase_select(Alternating(), 0.1, 1.5, 1.0, seed=0)
+        assert out.per_arm_samples == [4 + 2 ** 20]
+        assert out.termination == "sample-cap"
+        assert out.rounds == 2
+
+    @pytest.mark.parametrize("seed, stream", [
+        (2 ** 64, 0), (-1, 0), (0, 2 ** 44), (0, -1)])
+    def test_keys_beyond_64_bits_rejected(self, seed, stream):
+        for call in (
+                lambda: two_phase_select(const(-1.0), 0.1, 1.0, 1.0,
+                                         seed=seed, stream=stream),
+                lambda: sequential_select(const(-1.0), 0.1, [1.0],
+                                          seed=seed, stream=stream),
+                lambda: hoeffding_select([const(0.0), const(1.0)], 0.5, 0.1,
+                                         1.0, seed=seed, stream=stream)):
+            with pytest.raises(ValueError, match="2\\^64"):
+                call()
+
+    def test_largest_stream_is_accepted(self):
+        out = two_phase_select(const(-1.0), 0.1, 1.0, 1.0,
+                               seed=2 ** 64 - 1, stream=2 ** 44 - 1)
+        assert out.decided_sign == "negative"
+
+    def test_keys_above_2_63_stay_exact(self):
+        # a key list holding 2^63 or more converts through float64, which
+        # maps 2^63 + 12345 and 2^63 + 12288 onto one key
+        a, b = 2 ** 63 + 12345, 2 ** 63 + 12288
+        key = _rng(a, 2 ** 43, 1).bit_generator.state["state"]["key"]
+        assert key.tolist() == [a, 2 ** 63 + 1]
+        assert not np.array_equal(_rng(a, 0, 0).random(4),
+                                  _rng(b, 0, 0).random(4))
+        assert np.array_equal(_Streams(a)(2 ** 43, 1).random(4),
+                              _rng(a, 2 ** 43, 1).random(4))
 
 
 class TestSequential:

@@ -2,6 +2,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +61,53 @@ def test_expand_bracket_doubles_to_cap_and_halves_to_edge():
     assert x == -64.0 and fx > 0
     x, fx = expand_bracket(lambda t: 1.0 / (2.0 - t) - 1e6, 1.0, 2.0, -1)
     assert 1.0 < x < 2.0 and fx >= 0 and 2.0 - x > 5e-7
+
+
+@given(rows=st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 10.0),
+                               st.floats(1e-3, 10.0),
+                               st.sampled_from([1.0, -1.0]),
+                               st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+                               st.sampled_from([None, 1e-6])),
+                     min_size=1, max_size=6),
+       xtol=st.sampled_from([1e-4, 1e-9, 1e-13]),
+       max_iter=st.integers(1, 200))
+def test_bisect_rows_take_each_scalar_search_step_for_step(rows, xtol,
+                                                           max_iter):
+    r, a, b, sign, left, right, ftols = (np.array(c) for c in zip(*rows))
+    ftol = None if all(f is None for f in ftols) else np.array(
+        [1e-6 if f is not None else math.inf for f in ftols])
+
+    def g(i, t):
+        return sign[i] * (a[i] * (t - r[i]) ** 3 + b[i] * (t - r[i]))
+
+    active = []
+
+    def f(t, idx):
+        active.append(idx.tolist())
+        return g(idx, t)
+
+    got = bisect_root(f, r - left, r + right, xtol=xtol, ftol=ftol,
+                      max_iter=max_iter)
+    assert all(x == sorted(set(x)) for x in active)
+    for i in range(len(rows)):
+        tol = None if ftol is None or ftol[i] == math.inf else ftol[i]
+        one = bisect_root(lambda t: g(i, t), r[i] - left[i], r[i] + right[i],
+                          xtol=xtol, ftol=tol, max_iter=max_iter)
+        assert (got.lo[i], got.hi[i], got.iterations[i]) == tuple(one)
+        # row i is evaluated at exactly its own steps and no others
+        assert sum(i in x for x in active[2:]) == one.iterations
+
+
+def test_expand_rows_walk_like_scalar_calls():
+    shifts = np.array([5.0, 500.0, -0.5, 0.0])
+
+    def f(t, idx):
+        return t + shifts[idx]
+
+    x, fx = expand_bracket(f, np.full(4, -1.0), -math.inf, 1, cap=64.0)
+    for i, s in enumerate(shifts):
+        assert (x[i], fx[i]) == expand_bracket(lambda t: t + s, -1.0,
+                                               -math.inf, 1, cap=64.0)
 
 
 def test_float_bisection_only_in_solve():
