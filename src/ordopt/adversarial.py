@@ -255,16 +255,22 @@ def quantile_gadget(p: float, epsilon: float, mu: float) -> QuantileGadget:
 @dataclass(frozen=True)
 class FsEstimate:
     fs_rate: float
-    ci_halfwidth: float
+    ci_low: float
+    ci_high: float
     mean_samples: float
 
 
-def fs_estimate(outcomes) -> FsEstimate:
-    """False-selection rate of a list of outcomes, its 99% half-width and
-    the mean total sample count per outcome.
+_Z99 = 2.576
 
-    Every outcome must carry a false_selection flag; a tie in true means
-    leaves it unset and is rejected here.
+
+def fs_estimate(outcomes) -> FsEstimate:
+    """False-selection rate of a list of outcomes, its 99% Wilson score
+    interval and the mean total sample count per outcome.
+
+    The Wilson interval keeps a positive width at 0 (and at every) false
+    selections: its upper end there is z^2 / (n + z^2). Every outcome must
+    carry a false_selection flag; a tie in true means leaves it unset and
+    is rejected here.
     """
     if not outcomes:
         raise ValueError("need at least one outcome")
@@ -272,9 +278,14 @@ def fs_estimate(outcomes) -> FsEstimate:
         raise ValueError("undefined truth: tied true means make the "
                          "false-selection rate meaningless")
     n = len(outcomes)
-    rate = sum(bool(o.false_selection) for o in outcomes) / n
-    half = 2.576 * math.sqrt(rate * (1.0 - rate) / n)
-    return FsEstimate(rate, half,
+    k = sum(bool(o.false_selection) for o in outcomes)
+    # the interval's ends are the roots in p of (k - n p)^2 = z^2 n p (1-p);
+    # at k = 0 the lower one is exactly 0, as sqrt(z^2) = z in floats
+    z2 = _Z99 * _Z99
+    root = _Z99 * math.sqrt(z2 + 4.0 * k * (n - k) / n)
+    low = (2.0 * k + z2 - root) / (2.0 * (n + z2))
+    high = (2.0 * k + z2 + root) / (2.0 * (n + z2))
+    return FsEstimate(k / n, max(low, 0.0), min(high, 1.0),
                       sum(sum(o.per_arm_samples) for o in outcomes) / n)
 
 

@@ -417,10 +417,10 @@ def _cmd_select(args):
                  int(bool(o.false_selection)), o.rounds, o.termination]
                 for r, o in enumerate(outcomes)]
         rows.append(["summary", _fmt(est.fs_rate), _fmt(est.mean_samples),
-                     _fmt(est.ci_halfwidth)] + [""] * (d + 2))
+                     _fmt(est.ci_low), _fmt(est.ci_high)] + [""] * (d + 1))
         _write_csv(cfg.out, header, rows)
-    record = {"fs_rate": est.fs_rate, "ci_halfwidth": est.ci_halfwidth,
-              "mean_samples": est.mean_samples,
+    record = {"fs_rate": est.fs_rate, "ci_low": est.ci_low,
+              "ci_high": est.ci_high, "mean_samples": est.mean_samples,
               "replications": cfg.replications, "out": cfg.out}
     _emit(args, record, _kv(record))
     return 0
@@ -430,11 +430,12 @@ def _cmd_mc_fs(args):
     cfg = _experiment_from_args(args)
     _, est = _replicate(cfg)
     if cfg.out:
-        _write_csv(cfg.out, ["fs_rate", "ci_halfwidth", "mean_samples"],
-                   [[_fmt(est.fs_rate), _fmt(est.ci_halfwidth),
+        _write_csv(cfg.out, ["fs_rate", "ci_low", "ci_high",
+                             "mean_samples"],
+                   [[_fmt(est.fs_rate), _fmt(est.ci_low), _fmt(est.ci_high),
                      _fmt(est.mean_samples)]])
-    record = {"fs_rate": est.fs_rate, "ci_halfwidth": est.ci_halfwidth,
-              "mean_samples": est.mean_samples,
+    record = {"fs_rate": est.fs_rate, "ci_low": est.ci_low,
+              "ci_high": est.ci_high, "mean_samples": est.mean_samples,
               "replications": cfg.replications}
     _emit(args, record, _kv(record))
     return 0

@@ -35,8 +35,10 @@ class RateEstimate:
     status is one of "interior" (finite optimum located), "diverges-left" /
     "diverges-right" (the defining infimum runs away to -inf as theta goes
     to -inf / +inf, value is +infinity), or "at-mean" (the evaluation point
-    is the mean and the rate is exactly zero). theta_star is None whenever
-    value is +infinity.
+    is the mean and the rate is exactly zero). populations.rate_function
+    also reports "theta-cap" (the search for the optimizer stopped at the
+    edge of its theta range; the value there is a lower bound). theta_star
+    is None whenever value is +infinity.
     """
 
     value: float

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.special import expit
 
 from ._solve import bisect_root, expand_bracket, grid_then_golden
 from .populations import (ShiftedExponential, _derivative_bracket,
@@ -77,31 +78,72 @@ class TwoPhaseExponent:
 
 def _w_bounds(model, theta):
     """Essential range of W = exp(theta X)."""
-    lo_s, hi_s = model.support()
     if theta == 0.0:
         return 1.0, 1.0
-    if theta > 0:
-        w_lo = math.exp(theta * lo_s) if math.isfinite(lo_s) else 0.0
-        w_hi = math.exp(theta * hi_s) if math.isfinite(hi_s) else math.inf
-    else:
-        w_lo = math.exp(theta * hi_s) if math.isfinite(hi_s) else 0.0
-        w_hi = math.exp(theta * lo_s) if math.isfinite(lo_s) else math.inf
-    return w_lo, w_hi
+    lo, hi = sorted(theta * x for x in model.support())
+    return math.exp(lo), math.exp(hi)
 
 
-def _atom_arrays(model, theta):
+_ORDER = 16
+_CORE_PANELS = 48
+_SPAN_PANELS = 48
+_CORE_LOGIT = math.log(1e14)
+_TAIL_GROWTH = 1.25
+_REACH_LOGIT = math.log(1e300)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_ORDER)
+
+
+def _node_table(model):
+    """Nodes x and weights p = (Gauss-Legendre weight) * pdf(x) > 0 of a
+    density model, on panels between breakpoints. Quantile breakpoints sit
+    at logit-spaced probabilities in the core [1e-14, 1 - 1e-14] and widen
+    geometrically in logit out to tail probabilities of 1e-300, each taken
+    as Q(q) or Q(1 - q) from its tail probability q. Equal-width breakpoints
+    across the core bound the panels where the density is low, such as
+    between the modes of a mixture."""
+    step = 2.0 * _CORE_LOGIT / _CORE_PANELS
+    t = [-_CORE_LOGIT + step * k for k in range(_CORE_PANELS // 2 + 1)]
+    edge = -_CORE_LOGIT
+    while edge > -_REACH_LOGIT:
+        step *= _TAIL_GROWTH
+        edge = max(edge - step, -_REACH_LOGIT)
+        t.append(edge)
+    q = expit(np.array(t))
+    lower, upper = model.quantile(q), model.upper_quantile(q)
+    span = np.linspace(lower[0], upper[0], _SPAN_PANELS + 1)
+    cuts = np.unique(np.clip(np.concatenate([lower, upper, span]),
+                             *model.support()))
+    half = 0.5 * np.diff(cuts)[:, None]
+    x = (cuts[:-1, None] + half * (1.0 + _GL_X)).ravel()
+    with np.errstate(under="ignore"):
+        p = (half * _GL_W).ravel() * np.exp(model.logpdf(x))
+    return x[p > 0], p[p > 0]
+
+
+def _law(model):
+    """(x, p): the atoms of positive mass, or a density's node table."""
     atoms = model.atoms()
-    x = np.array([a for a, _ in atoms])
-    p = np.array([q for _, q in atoms])
-    keep = p > 0
-    x, p = x[keep], p[keep]
-    return x, p, np.exp(theta * x)
+    if atoms is None:
+        return _node_table(model)
+    x, p = np.array(atoms, dtype=float).T
+    return x[p > 0], p[p > 0]
+
+
+def _tilt(law, theta):
+    """(x, p, w = exp(theta x)), less the nodes where x w overflows: alpha
+    < 0 there, so they add 0 to every sum, where inf * 0 would add nan."""
+    x, p = law
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(theta * x)
+        keep = np.isfinite(x * w)
+    return (x, p, w) if keep.all() else (x[keep], p[keep], w[keep])
 
 
 def _atom_moments(x, p, w, alpha):
-    """(M, T, XW/den) for atom laws: log E e^{aW}, tilted W-mean, tilted
-    E[X W] under the alpha-tilt. Shift makes it safe for any finite alpha."""
-    t = alpha * w
+    """(M, T, XW/den) over the law (x, p): log E e^{aW}, tilted W-mean,
+    tilted E[X W]. Shift makes it safe for any finite alpha."""
+    with np.errstate(over="ignore"):
+        t = alpha * w
     hi = t.max()
     e = p * np.exp(t - hi)
     den = e.sum()
@@ -111,73 +153,21 @@ def _atom_moments(x, p, w, alpha):
     return m_val, t_mean, xw
 
 
-def _quantile_box(model):
-    lo_s, hi_s = model.support()
-    lo = lo_s if math.isfinite(lo_s) else model.quantile(1e-14)
-    hi = hi_s if math.isfinite(hi_s) else model.quantile(1.0 - 1e-14)
-    return lo, hi
-
-
-def _quad_moments(model, theta, alpha, want_xw=False):
-    """Quadrature analogue of _atom_moments for density models."""
-    w_lo, w_hi = _w_bounds(model, theta)
-    if alpha > 0 and not math.isfinite(w_hi):
-        return math.inf, math.nan, math.nan
-    shift = alpha * (w_hi if alpha > 0 else w_lo)
-    lo, hi = _quantile_box(model)
-
-    def expo(xa):
-        w = np.exp(theta * xa)
-        t = alpha * w - shift + model.logpdf(xa)
-        return t
-
-    def den_f(xa):
-        xa = np.asarray(xa, dtype=float)
-        return np.exp(np.minimum(expo(xa), 700.0))
-
-    def num_f(xa):
-        xa = np.asarray(xa, dtype=float)
-        return np.exp(theta * xa) * np.exp(np.minimum(expo(xa), 700.0))
-
-    den, _ = integrate.quad(den_f, lo, hi, limit=400)
-    if den <= 0.0:
-        # alpha so extreme that all mass underflows: saturated regime
-        return -math.inf, w_lo if alpha < 0 else w_hi, 0.0
-    num, _ = integrate.quad(num_f, lo, hi, limit=400)
-    m_val = shift + math.log(den)
-    t_mean = num / den
-    xw = math.nan
-    if want_xw:
-        def xw_f(xa):
-            xa = np.asarray(xa, dtype=float)
-            return xa * np.exp(theta * xa) \
-                * np.exp(np.minimum(expo(xa), 700.0))
-        xw_num, _ = integrate.quad(xw_f, lo, hi, limit=400)
-        xw = xw_num / den
-    return m_val, t_mean, xw
-
-
-def _moments(model, theta, alpha, want_xw=False):
-    if model.atoms() is not None:
-        x, p, w = _atom_arrays(model, theta)
-        return _atom_moments(x, p, w, alpha)
-    return _quad_moments(model, theta, alpha, want_xw)
-
-
 def tilted_log_mgf(model, alpha: float, theta: float) -> float:
     """M(alpha, theta) = log E exp(alpha exp(theta X)); +inf on divergence.
 
-    Finite atom laws reduce to a shifted log-sum; density models integrate
-    the tilted density by adaptive quadrature. When exp(theta X) is
-    unbounded above its tail is at best polynomial for every model here, so
-    alpha > 0 diverges.
+    Atom laws reduce to a shifted log-sum, density models to the same sum
+    over a fixed node table that reaches tail probabilities of 1e-300 on
+    both sides. When exp(theta X) is unbounded above its tail is at best
+    polynomial for every model here, so alpha > 0 diverges.
     """
     if alpha == 0.0:
         return 0.0
     if theta == 0.0:
         return float(alpha)
-    m_val, _, _ = _moments(model, theta, alpha)
-    return m_val
+    if alpha > 0 and math.isinf(_w_bounds(model, theta)[1]):
+        return math.inf
+    return _atom_moments(*_tilt(_law(model), theta), alpha)[0]
 
 
 def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
@@ -189,8 +179,13 @@ def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
     boundary alpha = 0 with value 0 (no decay through that tilt). Levels at
     or below the essential infimum of W give +infinity for density models
     and -log(mass) for an atom there; the search saturates at a huge alpha
-    in that regime and reports the boundary value.
+    in that regime and reports the boundary value. A density's node table
+    (see tilted_log_mgf) holds every level with P(W <= nu) >= 1e-300.
     """
+    return _meta_rate(model, _law(model), theta, nu)
+
+
+def _meta_rate(model, law, theta, nu):
     nu = float(nu)
     if nu <= 0:
         raise ValueError("nu must be positive")
@@ -202,11 +197,14 @@ def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
     if nu < w_lo or nu > w_hi:
         return MetaRateResult(math.inf, None, theta, nu)
 
+    tilt = _tilt(law, theta)
+
     def gap(alpha):
-        """Tilted W-mean minus nu; increasing in alpha."""
+        """Tilted W-mean minus nu, increasing in alpha; at alpha = 0 the
+        sign-equal log E W - log nu, as E W can overflow."""
         if alpha == 0.0:
-            return math.exp(model.log_mgf(theta)) - nu
-        return _moments(model, theta, alpha)[1] - nu
+            return model.log_mgf(theta) - math.log(nu)
+        return _atom_moments(*tilt, alpha)[1] - nu
 
     if math.isfinite(w_hi):
         hi, f_hi = expand_bracket(gap, 1.0, math.inf, -1, cap=_ALPHA_CAP)
@@ -225,7 +223,7 @@ def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
     else:
         alpha_star = bisect_root(gap, lo, hi, flo=f_lo, fhi=f_hi,
                                  xtol=1e-13, ftol=1e-11 * max(1.0, nu)).mid
-    m_val, _, _ = _moments(model, theta, alpha_star)
+    m_val, _, _ = _atom_moments(*tilt, alpha_star)
     value = alpha_star * nu - m_val
     return MetaRateResult(max(value, 0.0), alpha_star, theta, nu)
 
@@ -242,10 +240,14 @@ def inf_meta_rate(model, a: float):
         raise RegimeError(
             f"inf_meta_rate needs a > I(0) = {i0:.6g}; for a below I(0) "
             "use sup_meta_rate_on_theta_a")
+    return _inf_meta_rate(model, _law(model), a)
+
+
+def _inf_meta_rate(model, law, a):
     nu = math.exp(-a)
 
     def objective(theta):
-        return meta_rate(model, theta, nu).value
+        return _meta_rate(model, law, theta, nu).value
 
     theta_star, value = grid_then_golden(objective, -_THETA_BRACKET,
                                          _THETA_BRACKET, n_grid=257,
@@ -318,11 +320,12 @@ def sup_meta_rate_on_theta_a(model, a: float):
         raise RegimeError("degenerate model: I(0) is infinite")
     left, right = _theta_a_interval(model, a)
     nu = math.exp(-a)
+    law = _law(model)
 
     results = {}
 
     def objective(theta):
-        res = meta_rate(model, theta, nu)
+        res = _meta_rate(model, law, theta, nu)
         results[theta] = res
         return -res.value
 
@@ -334,8 +337,8 @@ def sup_meta_rate_on_theta_a(model, a: float):
                 and res.alpha_star is not None and value > 1e-12
                 and abs(res.alpha_star) > 1e-9)
     if interior:
-        _, t_mean, xw = _moments(model, theta_star, res.alpha_star,
-                                 want_xw=True)
+        _, t_mean, xw = _atom_moments(*_tilt(law, theta_star),
+                                      res.alpha_star)
         scale = max(abs(t_mean), 1.0)
         if abs(xw) > 1e-6 * scale:
             warnings.warn(
@@ -367,17 +370,18 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     if not math.isfinite(i0) or i0 <= 0:
         raise RegimeError("degenerate model: I(0) must be finite positive")
 
-    newton = _two_phase_newton(model, c2, i0)
+    law = _law(model)
+    newton = _two_phase_newton(model, law, c2, i0)
     if newton is not None:
         gamma, theta, alpha = newton
-        m_val, _, _ = _moments(model, theta, -alpha)
+        m_val, _, _ = _atom_moments(*_tilt(law, theta), -alpha)
         value = -alpha * math.exp(-gamma) - m_val
         exponent = c2 * i0 / gamma + value
         return TwoPhaseExponent(exponent, gamma, theta, alpha, c1, c2)
 
     # fallback: outer golden-section over the level b
     def phi(b):
-        val, _ = inf_meta_rate(model, b)
+        val, _ = _inf_meta_rate(model, law, b)
         return c2 * i0 / b + val
 
     lo = i0 * (1.0 + 1e-7) + 1e-300
@@ -387,8 +391,8 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
             break
         hi *= 2.0
     b_star, exponent = grid_then_golden(phi, lo, hi, n_grid=65, tol=1e-9)
-    val, theta_star = inf_meta_rate(model, b_star)
-    res = meta_rate(model, theta_star, math.exp(-b_star))
+    val, theta_star = _inf_meta_rate(model, law, b_star)
+    res = _meta_rate(model, law, theta_star, math.exp(-b_star))
     if res.alpha_star is None or not math.isfinite(exponent):
         raise NumericalError("two-phase exponent failed to converge",
                              best=(b_star, theta_star, res.alpha_star))
@@ -396,12 +400,12 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
                             -res.alpha_star, c1, c2)
 
 
-def _two_phase_newton(model, c2, i0, max_iter=500):
+def _two_phase_newton(model, law, c2, i0, max_iter=500):
     def residuals(v):
         g, th, al = v
         if g <= 0 or al <= 0:
             return None
-        m_val, t_mean, xw = _moments(model, th, -al, want_xw=True)
+        m_val, t_mean, xw = _atom_moments(*_tilt(law, th), -al)
         if not math.isfinite(m_val):
             return None
         return np.array([
@@ -550,25 +554,20 @@ def sequential_failure_certificate(model, c1: float):
             f"certificate regime needs I(0) = {i0:.6g} < 1/c1 = "
             f"{1.0 / c1:.6g}")
 
-    is_se = isinstance(model, ShiftedExponential)
-    if is_se:
+    if isinstance(model, ShiftedExponential):
         lo = max(1.0 / (c1 * model.K), 0.0) + 1e-6 if model.K > 0 else 1e-6
 
-        def objective(theta_hat):
-            return _se_certificate_objective(theta_hat, model, c1)[0]
+        def solve(theta_hat):
+            return _se_certificate_objective(theta_hat, model, c1)
     else:
-        lo = 1e-6
-        nu = math.exp(-1.0 / c1)
+        lo, nu, law = 1e-6, math.exp(-1.0 / c1), _law(model)
 
-        def objective(theta_hat):
-            return meta_rate(model, -theta_hat, nu).value
+        def solve(theta_hat):
+            res = _meta_rate(model, law, -theta_hat, nu)
+            return res.value, res.alpha_star
 
-    theta_star, value = grid_then_golden(objective, lo, _THETA_BRACKET,
-                                         n_grid=129, tol=1e-8)
-    if is_se:
-        value, alpha_star = _se_certificate_objective(theta_star, model, c1)
-    else:
-        res = meta_rate(model, -theta_star, math.exp(-1.0 / c1))
-        value, alpha_star = res.value, res.alpha_star
+    theta_star, _ = grid_then_golden(lambda t: solve(t)[0], lo,
+                                     _THETA_BRACKET, n_grid=129, tol=1e-8)
+    value, alpha_star = solve(theta_star)
     certified = value < 1.0 / c1 - 1e-9
     return theta_star, alpha_star, value, certified

@@ -1,8 +1,8 @@
 """Analytic population models.
 
 Each model knows its mean, exact log-MGF Lambda(theta) = log E exp(theta X)
-with domain, sampler, CDF/quantile, and either a discrete atom list or a
-log-density. On top of that the module provides the Legendre-transform rate
+with domain, sampler, CDF/quantile, the upper-tail quantile Q(1 - q)
+computed from q itself, and either a discrete atom list or a log-density. On top of that the module provides the Legendre-transform rate
 function I(a) = sup_theta (theta a - Lambda(theta)), KL divergence between
 models, and an exact finite-sample law for the two-point rate estimator that
 the test harnesses use as an oracle.
@@ -119,6 +119,9 @@ class TwoPoint:
     def quantile(self, p):
         return -self.b if p <= self.p_minus else self.b
 
+    def upper_quantile(self, q):
+        return self.quantile(1.0 - q)
+
     def draw(self, rng, n):
         u = rng.random(n)
         return np.where(u < self.p_minus, -self.b, self.b)
@@ -171,7 +174,10 @@ class ShiftedExponential:
         return np.where(x >= self.K, 1.0, np.exp(-self.lam * (self.K - x)))
 
     def quantile(self, p):
-        return self.K + math.log(p) / self.lam
+        return self.K + np.log(p) / self.lam
+
+    def upper_quantile(self, q):
+        return self.K + np.log1p(-q) / self.lam
 
     def draw(self, rng, n):
         return self.K - rng.exponential(1.0 / self.lam, n)
@@ -212,7 +218,10 @@ class Gaussian:
         return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def quantile(self, p):
-        return self.mu + self.sigma * float(ndtri(p))
+        return self.mu + self.sigma * ndtri(p)
+
+    def upper_quantile(self, q):
+        return self.mu - self.sigma * ndtri(q)
 
     def draw(self, rng, n):
         return self.mu + self.sigma * rng.standard_normal(n)
@@ -264,12 +273,33 @@ class GaussianMixture:
         return self.p * ndtr(x) + (1.0 - self.p) * ndtr(x - self.mu)
 
     def quantile(self, p):
-        lo = min(float(ndtri(p)), self.mu + float(ndtri(p))) - 1.0
-        hi = max(float(ndtri(p)), self.mu + float(ndtri(p))) + 1.0
-        # the shortfall p - F(x) falls through 0; the relative width is
-        # scaled so the bracket ends within 1e-10 anywhere in [lo, hi]
-        return bisect_root(lambda x: p - float(self.cdf(x)), lo, hi,
-                           xtol=1e-10 / max(1.0, abs(lo), abs(hi))).mid
+        return self._invert(p, upper=False)
+
+    def upper_quantile(self, q):
+        return self._invert(q, upper=True)
+
+    def _invert(self, q, upper):
+        """Q(q), or Q(1 - q) from q when upper, for a float or an array:
+        one lock-step bisection over the cdf or the survival function.
+
+        Each component's quantile, moved out by 1, brackets the root.
+        """
+        qs = np.atleast_1d(np.asarray(q, dtype=float))
+        z = -ndtri(qs) if upper else ndtri(qs)
+        lo = np.minimum(z, self.mu + z) - 1.0
+        hi = np.maximum(z, self.mu + z) + 1.0
+
+        def shortfall(x, rows):
+            # falls through 0 as x grows, on either side
+            if upper:
+                return (self.p * ndtr(-x) + (1.0 - self.p) * ndtr(self.mu - x)
+                        - qs[rows])
+            return qs[rows] - self.cdf(x)
+
+        # the relative width is scaled so every bracket ends within 1e-10
+        width = max(1.0, float(np.abs(lo).max()), float(np.abs(hi).max()))
+        mid = bisect_root(shortfall, lo, hi, xtol=1e-10 / width).mid
+        return mid if np.ndim(q) else float(mid[0])
 
     def draw(self, rng, n):
         x = rng.standard_normal(n)
@@ -319,6 +349,9 @@ class Bernoulli:
 
     def quantile(self, p):
         return 0.0 if p <= 1.0 - self.q else 1.0
+
+    def upper_quantile(self, q):
+        return self.quantile(1.0 - q)
 
     def draw(self, rng, n):
         return (rng.random(n) < self.q).astype(float)
@@ -392,6 +425,9 @@ class Pareto:
     def quantile(self, p):
         return self.scale * (1.0 - p) ** (-1.0 / self.alpha_tail)
 
+    def upper_quantile(self, q):
+        return self.scale * q ** (-1.0 / self.alpha_tail)
+
     def draw(self, rng, n):
         return self.scale * (1.0 - rng.random(n)) ** (-1.0 / self.alpha_tail)
 
@@ -444,6 +480,9 @@ class Empirical:
         k = max(int(math.ceil(p * xs.size)), 1)
         return float(xs[k - 1])
 
+    def upper_quantile(self, q):
+        return self.quantile(1.0 - q)
+
     def draw(self, rng, n):
         return self.points[rng.integers(0, self.points.size, n)]
 
@@ -488,7 +527,10 @@ class Mirrored:
         return 1.0 - self.base.cdf(-np.asarray(x, dtype=float))
 
     def quantile(self, p):
-        return -self.base.quantile(1.0 - p)
+        return -self.base.upper_quantile(p)
+
+    def upper_quantile(self, q):
+        return -self.base.quantile(q)
 
     def draw(self, rng, n):
         return -self.base.draw(rng, n)
@@ -549,7 +591,11 @@ def rate_function(model, a: float) -> RateEstimate:
     Closed forms for the two-atom models and the Gaussian; elsewhere the
     concave problem is solved by bisecting Lambda'(theta) = a on the MGF
     domain. Points outside the support give +infinity; a heavy tail on the
-    'a' side gives 0 with the optimizer at the domain boundary.
+    'a' side gives 0 with the optimizer at the domain boundary. When
+    Lambda' - a keeps one strict sign up to |theta| = 2^10 or to the edge
+    of the MGF domain, the status is "theta-cap": theta_star is that last
+    point and the value, the objective there, is only a lower bound on
+    I(a).
     """
     a = float(a)
     if isinstance(model, TwoPoint):
@@ -576,13 +622,13 @@ def rate_function(model, a: float) -> RateEstimate:
         return model.dlog_mgf(theta) - a
 
     (lo, f_lo), (hi, f_hi) = _derivative_bracket(model, deriv, _THETA_CAP)
-    if f_hi <= 0:
-        # supremum sits at the right end of the reachable domain
-        val = hi * a - model.log_mgf(hi)
-        return RateEstimate(max(val, 0.0), hi, "interior", 0)
-    if f_lo >= 0:
-        val = lo * a - model.log_mgf(lo)
-        return RateEstimate(max(val, 0.0), lo, "interior", 0)
+    if f_hi <= 0 or f_lo >= 0:
+        # the search stopped at an end of the reachable domain, on an exact
+        # root of Lambda' - a or short of one
+        theta, f_end = (hi, f_hi) if f_hi <= 0 else (lo, f_lo)
+        val = theta * a - model.log_mgf(theta)
+        status = "interior" if f_end == 0 else "theta-cap"
+        return RateEstimate(max(val, 0.0), theta, status, 0)
 
     root = bisect_root(deriv, lo, hi, flo=f_lo, fhi=f_hi, xtol=1e-12,
                        ftol=1e-11 * max(1.0, abs(a)), max_iter=199)

@@ -246,6 +246,8 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
     c_schedule = list(c_schedule)
     if not c_schedule or any(c <= 0 for c in c_schedule):
         raise ValueError("c_schedule must be nonempty and positive")
+    if round_cap < 1:
+        raise ValueError("round_cap must be at least 1")
     log_inv = math.log(1.0 / delta)
     keys = _Streams(seed)
     truth = model.mean()

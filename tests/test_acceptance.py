@@ -8,7 +8,7 @@ a fix for a regression.
 
 Check 02 verifies the shifted-exponential certificate, the minimum over
 theta > 0 of J_{-theta}(e^{-1/c1}), along three routes: the solver's own
-z = e^{theta Y} substitution, the generic `meta_rate` quadrature over x,
+z = e^{theta Y} substitution, the generic `meta_rate` node table over x,
 and a direct integral over y written out in this file with no ordopt code
 (E e^{aW} = int lam e^{-lam y} exp(a e^{theta (y - K)}) dy with the
 Legendre sup found by a bounded scalar search over a < 0). The expected
@@ -162,7 +162,7 @@ def _se_direct_minimum(model, c1):
 def test_02_certificate_triples():
     # Expected minima come from the direct y-integral route above, not from
     # any stored output; the solver must match them to 1%/1%/0.5% and agree
-    # on certification, and the generic meta_rate quadrature must give the
+    # on certification, and the generic meta_rate node table must give the
     # same value at the solver's theta. The quoted triples are kept and
     # checked to miss: the direct J at each quoted theta is more than 0.5%
     # from the quoted rate, so they are not values of the objective at

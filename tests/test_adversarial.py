@@ -254,6 +254,16 @@ class TestQuantileGadget:
             quantile_gadget(0.3, 0.1, 0.0)
 
 
+def _wilson99(k, n):
+    """99% Wilson score interval for k successes in n trials."""
+    z = 2.576
+    phat = k / n
+    center = (phat + z * z / (2 * n)) / (1 + z * z / n)
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) \
+        / (1 + z * z / n)
+    return center - half, center + half
+
+
 def _hoeffding_policy(epsilon):
     def policy(truth, delta, seed, stream):
         return hoeffding_select(truth, epsilon, delta, 1.0, seed,
@@ -267,7 +277,13 @@ class TestMonteCarloFs:
         est = monte_carlo_fs(_hoeffding_policy(0.5), models, 0.1, 7, seed=42)
         assert isinstance(est, FsEstimate)
         assert est.fs_rate == 0.0
-        assert est.ci_halfwidth == 0.0
+        # a Wald interval had width 0 here; Wilson's upper end is z^2/(n+z^2)
+        low, high = _wilson99(0, 7)
+        assert est.ci_low == pytest.approx(low, abs=1e-15)
+        assert est.ci_low == 0.0
+        assert est.ci_high == pytest.approx(2.576 ** 2 / (7 + 2.576 ** 2),
+                                            rel=1e-12)
+        assert est.ci_high == pytest.approx(high, rel=1e-12)
         # ceil(8 log 10) = 19 pulls per arm, both arms, every replication
         assert est.mean_samples == 38.0
 
@@ -282,7 +298,9 @@ class TestMonteCarloFs:
         est = monte_carlo_fs(policy, None, 0.5, 4, seed=9)
         assert seen == [(9, 0), (9, 1), (9, 2), (9, 3)]
         assert est.fs_rate == pytest.approx(0.5)
-        assert est.ci_halfwidth == pytest.approx(2.576 * 0.25, rel=1e-12)
+        low, high = _wilson99(2, 4)
+        assert est.ci_low == pytest.approx(low, rel=1e-12)
+        assert est.ci_high == pytest.approx(high, rel=1e-12)
         assert est.mean_samples == pytest.approx(7.0)
 
     def test_undefined_truth_rejected(self):
@@ -301,7 +319,8 @@ class TestMonteCarloFs:
         est = monte_carlo_fs(_hoeffding_policy(0.2), models, 0.1, 400, seed=7)
         assert est.fs_rate <= 0.1
         assert est.mean_samples == 232.0
-        assert est.ci_halfwidth < 0.05
+        assert est.ci_low <= est.fs_rate <= est.ci_high
+        assert est.ci_high - est.ci_low < 0.1
 
     def test_replications_validated(self):
         with pytest.raises(ValueError, match="replications"):

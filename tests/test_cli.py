@@ -151,6 +151,19 @@ class TestMetaRate:
         rec = last_json(out)
         assert rec["value"] == pytest.approx(0.2214557, abs=2e-6)
 
+    @pytest.mark.parametrize("spec,a,value,theta", [
+        ("gaussian:-0.2,1", "0.1", 0.027664, 0.47326),
+        ("gaussian-mixture:0.3,5", "1.5", 0.035841, -0.87078)])
+    def test_infimum_on_densities_survives_the_theta_grid_ends(
+            self, capsys, spec, a, value, theta):
+        # the grid's theta = -64 makes E W overflow a float
+        code, out, err = run_cli(capsys, ["meta-rate", "--model", spec,
+                                          "--a", a, "--json"])
+        assert code == 0, err
+        rec = last_json(out)
+        assert rec["value"] == pytest.approx(value, abs=1e-6)
+        assert rec["theta_star"] == pytest.approx(theta, abs=1e-4)
+
     def test_exactly_one_mode(self, capsys):
         code, _, err = run_cli(capsys, ["meta-rate", "--model", "gaussian",
                                         "--a", "0.5", "--exponent"])
@@ -190,6 +203,11 @@ class TestSelect:
         assert summary[0] == "summary"
         assert float(summary[1]) == 0.0
         assert float(summary[2]) == 38.0
+        # 99% Wilson interval at 0 of 5: [0, z^2 / (5 + z^2)]
+        assert float(summary[3]) == 0.0
+        assert float(summary[4]) == pytest.approx(
+            2.576 ** 2 / (5 + 2.576 ** 2), rel=1e-9)
+        assert summary[5:] == ["", "", ""]
 
         code, _, _ = run_cli(capsys, argv)
         assert code == 0
@@ -259,6 +277,17 @@ class TestSelect:
             rec = last_json(out)
             assert 0.0 <= rec["fs_rate"] <= 1.0
             assert rec["mean_samples"] >= 3.0
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_round_cap_below_one_is_validation_error(self, capsys, tmp_path,
+                                                      cap):
+        p = tmp_path / "m.ini"
+        p.write_text("[only]\nspec = two-point:1,0.55\n")
+        code, _, err = run_cli(capsys, [
+            "select", "--policy", "sequential", "--c1", "1", "--round-cap",
+            cap, "--delta", "0.1", "--models", str(p), "--replications",
+            "2", "--json"])
+        assert code == 2 and "round_cap" in err
 
     def test_succ_elim_policy(self, capsys, tmp_path):
         p = tmp_path / "m.ini"
@@ -355,7 +384,7 @@ class TestMcFs:
             "--replications", "2", "--out", str(out_path)])
         assert code == 0
         lines = out_path.read_text().strip().splitlines()
-        assert lines[0] == "fs_rate,ci_halfwidth,mean_samples"
+        assert lines[0] == "fs_rate,ci_low,ci_high,mean_samples"
         assert len(lines) == 2
 
 

@@ -3,9 +3,12 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import integrate, optimize
+from scipy.special import ndtr
 
 from ordopt.meta_rate import (
     MetaRateResult,
@@ -18,8 +21,11 @@ from ordopt.meta_rate import (
     two_phase_exponent,
 )
 from ordopt.populations import (
+    Empirical,
     Gaussian,
+    GaussianMixture,
     Mirrored,
+    Pareto,
     ShiftedExponential,
     TwoPoint,
     rate_function,
@@ -28,6 +34,50 @@ from ordopt.populations import (
 
 def two_atom_kl(q, p):
     return q * math.log(q / p) + (1 - q) * math.log((1 - q) / (1 - p))
+
+
+def _whole_line_log_moment(model, theta, alpha, k):
+    """log int pdf(x) W^k exp(alpha W) dx over the whole support, with
+    W = exp(theta x), for alpha < 0: adaptive quad on pieces around the
+    peak of the log-integrand, which is found on a grid."""
+    lo_s, hi_s = model.support()
+
+    def g(x):
+        if theta * x > 700.0:
+            return -math.inf
+        return (float(model.logpdf(x)) + alpha * math.exp(theta * x)
+                + k * theta * x)
+
+    grid = np.linspace(max(lo_s, -100.0), min(hi_s, 100.0), 8001)[1:-1]
+    top = grid[int(np.argmax([g(x) for x in grid]))]
+    g_top = g(top)
+    pieces = sorted({lo_s, hi_s} | {top + d for d in
+                                    (-16, -8, -4, -2, -1, 0, 1, 2, 4, 8, 16)
+                                    if lo_s < top + d < hi_s})
+    total = sum(integrate.quad(lambda x: math.exp(g(x) - g_top), a, b,
+                               epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                for a, b in zip(pieces, pieces[1:]))
+    return g_top + math.log(total)
+
+
+def _whole_line_meta_rate(model, theta, nu):
+    """(J, alpha*) for a level nu below E W, independent of the library's
+    node table: Brent's method in log(-alpha) on the tilted W-mean."""
+    def gap(log_neg_alpha):
+        alpha = -math.exp(log_neg_alpha)
+        return math.exp(_whole_line_log_moment(model, theta, alpha, 1)
+                        - _whole_line_log_moment(model, theta, alpha, 0)) - nu
+
+    alpha = -math.exp(optimize.brentq(gap, -10.0, 12.0, xtol=1e-14,
+                                      rtol=1e-14))
+    return (alpha * nu - _whole_line_log_moment(model, theta, alpha, 0),
+            alpha)
+
+
+def _gaussian_cramer_cap(model, theta, nu):
+    """-log P(W <= nu) for W = exp(theta X), X Gaussian."""
+    z = (math.log(nu) / theta - model.mu) / model.sigma
+    return -math.log(ndtr(z) if theta > 0 else ndtr(-z))
 
 
 class TestTiltedLogMgf:
@@ -124,6 +174,123 @@ class TestMetaRate:
         assert res.value == pytest.approx(0.2214557, abs=2e-6)
         assert res.alpha_star < 0
 
+    def test_pareto_probe_sits_below_its_cramer_cap(self):
+        # the tilted W-weighted mass peaks near the scale point; a box of
+        # quantiles 1e-14 and 1 - 1e-14 gave J = 498 with alpha* = +977
+        m = Pareto(3.0, 0.6)
+        res = meta_rate(m, -0.5, 0.5)
+        cap = -math.log((0.6 / (math.log(0.5) / -0.5)) ** 3)
+        assert cap == pytest.approx(2.5124, abs=1e-4)
+        assert res.value < cap
+        assert res.value == pytest.approx(0.582038, abs=1e-6)
+        assert res.alpha_star == pytest.approx(-6.2238, abs=1e-4)
+        want, alpha = _whole_line_meta_rate(m, -0.5, 0.5)
+        assert res.value == pytest.approx(want, rel=1e-8)
+        assert res.alpha_star == pytest.approx(alpha, rel=1e-6)
+
+    def test_gaussian_level_beyond_the_quantile_box(self):
+        # W <= 0.3076 needs X >= 11.79, a tail probability near 2e-33: the
+        # old box [Q(1e-14), Q(1 - 1e-14)] saturated there at J = 283.5
+        m = Gaussian(-0.2, 1.0)
+        res = meta_rate(m, -0.1, 0.3076)
+        want, alpha = _whole_line_meta_rate(m, -0.1, 0.3076)
+        assert want == pytest.approx(72.26880, abs=1e-5)
+        assert res.value == pytest.approx(want, rel=1e-8)
+        assert res.alpha_star == pytest.approx(alpha, rel=1e-6)
+        assert res.value < _gaussian_cramer_cap(m, -0.1, 0.3076)
+
+    def test_density_moments_call_no_adaptive_quadrature(self, monkeypatch):
+        calls = []
+        real = integrate.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "quad", counted)
+        res = meta_rate(Gaussian(-0.2, 1.0), -0.5, 0.9)
+        assert res.value == pytest.approx(0.196767515164, abs=1e-11)
+        assert calls == []
+
+
+def _property_model(kind, a, b):
+    """A density or atom model of each family, from two unit draws."""
+    if kind == "gaussian":
+        return Gaussian(2.0 * a - 1.0, 0.5 + 1.5 * b)
+    if kind == "mixture":
+        return GaussianMixture(0.1 + 0.8 * a, 10.0 * b - 5.0)
+    if kind == "shifted-exponential":
+        return ShiftedExponential(2.0 * a - 1.0, 0.5 + 1.5 * b)
+    if kind == "mirrored-shifted-exponential":
+        return Mirrored(ShiftedExponential(2.0 * a - 1.0, 0.5 + 1.5 * b))
+    if kind == "pareto":
+        return Pareto(1.5 + 2.5 * a, 0.5 + 1.5 * b)
+    return Empirical(np.array([-1.5, -0.2 + a, 0.3, 1.0 + b, 1.7]))
+
+
+def _level(model, theta, log10_q, upper=False):
+    """(nu, q) with P(W <= nu) = q, or P(W >= nu) = q when upper, for
+    W = exp(theta X)."""
+    if isinstance(model, Empirical):
+        # math.exp, as the library's own range of W is
+        w = sorted(math.exp(theta * x) for x in model.points)
+        k = min(int(len(w) * 10.0 ** -log10_q), len(w) - 1)
+        nu = w[-1 - k] if upper else w[k]
+        return nu, float(np.mean([(v >= nu) if upper else (v <= nu)
+                                  for v in w]))
+    q = 10.0 ** -log10_q
+    x = (model.upper_quantile(q) if (theta < 0) != upper
+         else model.quantile(q))
+    log_nu = theta * float(x)
+    return (math.exp(log_nu) if log_nu < 700.0 else math.inf), q
+
+
+_KINDS = st.sampled_from(["gaussian", "mixture", "shifted-exponential",
+                          "mirrored-shifted-exponential", "pareto",
+                          "empirical"])
+_THETAS = st.one_of(st.floats(-2.0, -0.05), st.floats(0.05, 2.0))
+
+
+class TestMetaRateProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=_KINDS, a=st.floats(0, 1), b=st.floats(0, 1), theta=_THETAS,
+           log10_q=st.floats(0.05, 250.0), upper=st.booleans())
+    def test_nonnegative_and_below_the_cramer_cap(self, kind, a, b, theta,
+                                                  log10_q, upper):
+        # J <= -log P(W <= nu) for nu below E W, and -log P(W >= nu) above
+        # it, at every level, far outside the old quantile box too
+        m = _property_model(kind, a, b)
+        nu, q = _level(m, theta, log10_q, upper)
+        assume(0.0 < nu < math.inf and q > 0.0)
+        assume((math.log(nu) >= m.log_mgf(theta)) == upper)
+        value = meta_rate(m, theta, nu).value
+        # at an atom on the edge of W's range the search saturates at
+        # |alpha| = 2^30, and alpha nu - M(alpha) rounds at that scale
+        slack = 1e-12 + (1e-15 * 2.0 ** 30 * nu if kind == "empirical"
+                         else 0.0)
+        assert 0.0 <= value <= -math.log(q) * (1.0 + 1e-9) + slack
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=_KINDS, a=st.floats(0, 1), b=st.floats(0, 1), theta=_THETAS)
+    def test_zero_at_the_mean_of_w(self, kind, a, b, theta):
+        m = _property_model(kind, a, b)
+        log_mean = m.log_mgf(theta)
+        assume(math.isfinite(log_mean))
+        assert meta_rate(m, theta, math.exp(log_mean)).value \
+            == pytest.approx(0.0, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=_KINDS, a=st.floats(0, 1), b=st.floats(0, 1), theta=_THETAS,
+           log10_q=st.floats(0.05, 60.0), spread=st.floats(0.01, 0.5))
+    def test_convex_in_the_level(self, kind, a, b, theta, log10_q, spread):
+        m = _property_model(kind, a, b)
+        nu, _ = _level(m, theta, log10_q)
+        assume(0.0 < nu < math.inf)
+        lo, hi = nu * (1.0 - spread), nu * (1.0 + spread)
+        vals = [meta_rate(m, theta, v).value for v in (lo, nu, hi)]
+        assume(all(math.isfinite(v) for v in vals))
+        assert vals[1] <= 0.5 * (vals[0] + vals[2]) + 1e-9 * (1.0 + vals[1])
+
 
 class TestInfMetaRate:
     def test_two_point_min_kl_identity(self):
@@ -155,6 +322,24 @@ class TestInfMetaRate:
         vals = [inf_meta_rate(m, mult * i0)[0]
                 for mult in (1.2, 1.5, 2.0, 3.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    def test_gaussian_infimum_over_the_whole_theta_grid(self):
+        # the search's grid reaches theta = -64, where E W = e^{2061}
+        # overflows a float; every grid value stays below its Cramer cap
+        m = Gaussian(-0.2, 1.0)
+        nu = math.exp(-0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val, theta_star = inf_meta_rate(m, 0.1)
+            for theta in np.linspace(-64.0, 64.0, 257):
+                if theta == 0.0:
+                    continue
+                value = meta_rate(m, theta, nu).value
+                assert value <= _gaussian_cramer_cap(m, theta, nu)
+        assert val == pytest.approx(0.027664, abs=1e-6)
+        assert theta_star == pytest.approx(0.47326, abs=1e-4)
+        want, _ = _whole_line_meta_rate(m, theta_star, nu)
+        assert val == pytest.approx(want, rel=1e-8)
 
     def test_regime_error_below_i0(self):
         m = TwoPoint(1.0, 0.6)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from ordopt.populations import (Bernoulli, Empirical, Gaussian,
                                 GaussianMixture, Mirrored, Pareto,
@@ -118,6 +119,18 @@ def test_rate_heavy_tail_side_is_zero():
     assert rate_function(par, 0.7).value > 0.01
 
 
+def test_capped_rate_search_reports_theta_cap():
+    # Lambda'(theta) - a stays negative down to theta = -2^10 just above
+    # the Pareto scale point, so the reported theta is the cap and the
+    # value only a lower bound on I(a)
+    r = rate_function(Pareto(3.0, 0.6), 0.6000001)
+    assert r.theta_star == -1024.0
+    assert r.status == "theta-cap"
+    # an exact root where the bracket search stops is still interior
+    r = rate_function(Mirrored(ShiftedExponential(1.5, 1.0)), -1.0)
+    assert r.theta_star == -1.0 and r.status == "interior"
+
+
 def test_rate_at_bounded_endpoint_is_log_mass():
     r = rate_function(TwoPoint(1.0, 0.55), 1.0)
     assert r.value == pytest.approx(-math.log(0.45), abs=1e-12)
@@ -190,6 +203,49 @@ def test_quantile_generalized_inverse(model):
         assert float(model.cdf(q)) >= p - 1e-9
         if model.atoms() is None:
             assert float(model.cdf(q - 1e-6)) <= p + 1e-4
+
+
+def _survival(model, x):
+    if isinstance(model, Mirrored):
+        return float(model.base.cdf(-x))
+    if isinstance(model, Gaussian):
+        return float(ndtr((model.mu - x) / model.sigma))
+    if isinstance(model, GaussianMixture):
+        return float(model.p * ndtr(-x) + (1 - model.p) * ndtr(model.mu - x))
+    if isinstance(model, ShiftedExponential):
+        return -math.expm1(-model.lam * (model.K - x))
+    return (model.scale / x) ** model.alpha_tail
+
+
+@pytest.mark.parametrize("model", [
+    Gaussian(-0.2, 1.0), GaussianMixture(0.3, 5.0),
+    ShiftedExponential(0.96, 1.0), Pareto(3.0, 0.6),
+    Mirrored(Gaussian(0.5, 2.0)), Mirrored(GaussianMixture(0.7, -3.0))],
+    ids=lambda m: repr(m))
+def test_upper_quantile_from_the_tail_probability(model):
+    # Q(1 - q) computed from q itself stays exact where 1 - q rounds to 1
+    qs = np.array([0.3, 1e-3, 1e-20, 1e-100, 1e-300])
+    xs = model.upper_quantile(qs)
+    for q, x in zip(qs, xs):
+        assert _survival(model, float(x)) == pytest.approx(q, rel=1e-8)
+        assert float(model.upper_quantile(float(q))) == pytest.approx(
+            x, abs=1e-9)
+    # the lower tail of a mirror is its base's upper tail
+    if isinstance(model, Mirrored):
+        lows = model.quantile(qs)
+        for q, x in zip(qs, lows):
+            assert _survival(model.base, -float(x)) == pytest.approx(
+                q, rel=1e-8)
+
+
+def test_mixture_quantiles_in_lock_step_match_scalar_calls():
+    m = GaussianMixture(0.3, 5.0)
+    ps = np.array([1e-300, 1e-14, 0.01, 0.5, 0.97])
+    # every row ends within 1e-10 of its root, one at a time or stacked
+    assert m.quantile(ps) == pytest.approx(
+        [m.quantile(float(p)) for p in ps], abs=2e-10)
+    assert m.upper_quantile(ps) == pytest.approx(
+        [m.upper_quantile(float(p)) for p in ps], abs=2e-10)
 
 
 def test_quantile_domain_error():

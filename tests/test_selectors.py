@@ -211,6 +211,13 @@ class TestSequential:
         with pytest.raises(ValueError, match="c_schedule"):
             sequential_select(const(-1.0), 0.1, [1.0, -1.0])
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_round_cap_below_one_rejected(self, cap):
+        # no round would run, and the decision would come from the mean of
+        # an empty sample
+        with pytest.raises(ValueError, match="round_cap"):
+            sequential_select(const(-1.0), 0.1, [1.0], round_cap=cap)
+
 
 class TestHoeffding:
     def test_budget_formula(self):
