@@ -4,7 +4,8 @@ Seeding discipline: one run-level seed; replication r uses stream index r,
 and sampling inside a replication offsets sub-streams by arm index (see the
 selection module). Identical (config, seed) pairs therefore reproduce the
 same draw counts and decisions on any machine. `select` and `mc-fs` run
-their replications through one engine, `selectors.replicate`, in blocks.
+their replications through one engine, `selectors.replicate`, which hands
+each policy whole blocks of streams; no adapter loops over streams itself.
 
 Experiment configs come either as a flat INI file with [model:NAME],
 [policy] and [run] sections, or as a JSON object {"models": .., "policy":
@@ -208,9 +209,9 @@ def _build_adapter(name, params, d, delta):
             raise ValueError(f"policy: {e}") from None
 
         def policy(truth, dlt, seed, streams):
-            return [selectors.successive_elimination(
+            return selectors.successive_elimination(
                 truth, dlt, schedule, estimator=estimator, seed=seed,
-                pull_cap=pull_cap, stream=s) for s in streams]
+                pull_cap=pull_cap, stream=streams)
     else:
         raise ValueError(f"policy: unknown policy '{name}'")
     return policy

@@ -77,11 +77,13 @@ class TwoPhaseExponent:
 
 
 def _w_bounds(model, theta):
-    """Essential range of W = exp(theta X)."""
+    """Essential range of W = exp(theta X), by the np.exp of the tilt table
+    (math.exp can differ from it by an ulp and put a level computed the
+    table's way outside the range)."""
     if theta == 0.0:
         return 1.0, 1.0
-    lo, hi = sorted(theta * x for x in model.support())
-    return math.exp(lo), math.exp(hi)
+    lo, hi = np.exp(sorted(theta * x for x in model.support()))
+    return float(lo), float(hi)
 
 
 _ORDER = 16

@@ -14,11 +14,12 @@ stream * 2^20 + slot. Seeds and derived keys must lie in [0, 2^64), so
 stream indices stay below 2^44; anything outside raises ValueError.
 
 Replications: replicate() runs replication r on stream r, handing the
-policy blocks of consecutive streams. The sign and comparison policies
-(all but successive_elimination) take a range of streams for `stream` and
-return the list of outcomes, each identical to its one-stream call; the
-sign procedures step a block in lock-step, stacking its batches into one
-matrix for the rate estimate.
+policy blocks of consecutive streams. Every policy takes a range of streams
+for `stream` and returns the list of outcomes, each identical to its
+one-stream call, and draws through one re-keyed generator. The sign
+procedures step a block in lock-step, stacking its batches into one matrix
+for the rate estimate; successive elimination runs a block's replications
+one after another on radius and threshold tables built once per call.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ _SUBSTREAM = 1 << 20
 _KEY_LIMIT = 1 << 64
 _SAMPLE_CAP = 1 << 20  # two-phase decision batch ceiling
 _BLOCK = 256  # replications per engine block: bounds the stacked batches
+_SEGMENT = 512  # elimination rounds per cumulative-sum segment
+_MAX_SPAN = 8  # most segments one elimination step covers
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,8 @@ class _Streams:
     Setting the key resets the bit generator to the state a new Philox
     keyed (seed, stream * 2^20 + slot) starts in, so the draws are the
     same, at a fraction of the cost of building one. Each call re-keys the single
-    shared generator: finish drawing from one before asking for the next.
+    shared generator: finish drawing from one before asking for the next,
+    or save() its state and resume() it to continue that stream later.
     """
 
     def __init__(self, seed):
@@ -138,6 +142,13 @@ class _Streams:
     def __call__(self, stream, slot):
         self._key[1] = _key(self._key[0], stream, slot)
         self._bits.state = self._state
+        return self._gen
+
+    def save(self):
+        return self._bits.state
+
+    def resume(self, state):
+        self._bits.state = state
         return self._gen
 
 
@@ -439,10 +450,41 @@ def _estimator_thresholds(schedule, delta, horizon):
     return (schedule.K * j / math.log(1.0 / delta)) ** (1.0 / schedule.alpha)
 
 
+def _table(entries):
+    """upto(n): the first n or more entries of an elementwise table, where
+    entries(n) computes the first n; the table doubles as it grows."""
+    values = np.empty(0)
+
+    def upto(n):
+        nonlocal values
+        if n > len(values):
+            values = entries(max(n, 2 * len(values)))
+        return values
+
+    return upto
+
+
+def _chained_cumsum(start, mat):
+    """start[:, None] + running sums of the rows of mat, added up the way
+    a loop of _SEGMENT-round steps adds them: each segment is cumsummed on
+    its own and offset by the running total at its start, and those totals
+    chain by the same sequential additions."""
+    rows, n = mat.shape
+    if n <= _SEGMENT:
+        return start[:, None] + np.cumsum(mat, axis=1)
+    segments = -(-n // _SEGMENT)
+    padded = np.zeros((rows, segments * _SEGMENT))
+    padded[:, :n] = mat
+    within = np.cumsum(padded.reshape(rows, segments, _SEGMENT), axis=2)
+    starts = np.cumsum(np.concatenate([start[:, None], within[:, :-1, -1]],
+                                      axis=1), axis=1)
+    return (starts[:, :, None] + within).reshape(rows, -1)[:, :n]
+
+
 def successive_elimination(models, delta: float, schedule: RadiusSchedule,
                            estimator: str = "plain", seed: int = 0,
-                           pull_cap: int = 1_000_000, stream: int = 0,
-                           on_round=None) -> SelectionOutcome:
+                           pull_cap: int = 1_000_000, stream=0,
+                           on_round=None):
     """Round-robin elimination keeping arms within 2 alpha_m of the leader.
 
     Every surviving arm is pulled once per round; an arm leaves when the
@@ -450,9 +492,15 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
     running mean is the plain average, or for heavy-tailed schedules a
     truncated (zero out |X_j| > B_j) or capped (clamp to +-B_j) average
     with B_j = (K j / log(1/delta))^(1/alpha) indexed by the pull number.
-    Maximization convention: the chosen arm is the surviving leader.
-    on_round, when given, is called before each round's eliminations with
-    (m, alive mask, running means; nan for dead arms).
+    delta must be the schedule's own. Maximization convention: the chosen
+    arm is the surviving leader. on_round, for one stream only, is called
+    before each round's eliminations with (m, alive mask, running means;
+    nan for dead arms).
+
+    A range of streams returns the list of their outcomes. Replications
+    run one after another on tables of radii and thresholds built once per
+    call; each step of one covers a window of rounds that widens while no
+    arm leaves.
     """
     d = len(models)
     if d < 2:
@@ -467,64 +515,96 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
                          "heavy-tail schedule constants")
     if schedule.d != d:
         raise ValueError("schedule.d must match the number of populations")
+    if delta != schedule.delta:
+        raise ValueError("delta must match schedule.delta")
+    if (on_round is not None and isinstance(stream, range)
+            and len(stream) != 1):
+        raise ValueError("on_round needs a single stream")
 
-    rngs = [_rng(seed, stream, a) for a in range(d)]
-    block = 256
-    buffers = [np.empty(0) for _ in range(d)]
-
-    def transformed(a, upto):
-        buf = buffers[a]
-        while len(buf) < upto:
-            grow = max(block, len(buf))
-            fresh = np.asarray(models[a].draw(rngs[a], grow), dtype=float)
-            if estimator != "plain":
-                lo = len(buf)
-                bj = _estimator_thresholds(schedule, delta, lo + grow)[lo:]
-                if estimator == "truncated":
-                    fresh = np.where(np.abs(fresh) <= bj, fresh, 0.0)
-                else:
-                    fresh = np.sign(fresh) * np.minimum(np.abs(fresh), bj)
-            buf = np.concatenate([buf, fresh])
-            buffers[a] = buf
-        return buf
-
-    alive = np.ones(d, dtype=bool)
-    sums = np.zeros(d)
-    pulls = np.zeros(d, dtype=int)
-    m = 0
-    # rounds are processed in blocks: prefix means over the block locate the
-    # first round any elimination triggers, which is exact because each
-    # arm's j-th pull is the j-th entry of its own substream regardless of
-    # when other arms leave
-    while alive.sum() > 1 and m < pull_cap:
-        nb = min(512, pull_cap - m)
-        idx = np.flatnonzero(alive)
-        mat = np.stack([transformed(a, m + nb)[m:m + nb] for a in idx])
-        cums = sums[idx, None] + np.cumsum(mat, axis=1)
-        ms = np.arange(m + 1, m + nb + 1)
-        means = cums / ms
-        trig = (means.max(axis=0) - means) >= 2.0 * radius(schedule, ms)
-        hit = trig.any(axis=0)
-        j = int(np.argmax(hit)) if hit.any() else nb - 1
-        if on_round is not None:
-            for j2 in range(j + 1):
-                full = np.full(d, np.nan)
-                full[idx] = means[:, j2]
-                on_round(int(ms[j2]), alive.copy(), full)
-        m = int(ms[j])
-        sums[idx] = cums[:, j]
-        pulls[idx] = m
-        if hit.any():
-            alive[idx[trig[:, j]]] = False
-
-    live_idx = np.flatnonzero(alive)
-    chosen = int(live_idx[np.argmax(sums[live_idx] / pulls[live_idx])])
-    termination = "confidence-met" if alive.sum() == 1 else "round-cap"
+    keys = _Streams(seed)
+    radii = _table(lambda n: 2.0 * radius(schedule, np.arange(1, n + 1)))
+    thresholds = _table(
+        lambda n: _estimator_thresholds(schedule, delta, n))
     true_means = np.array([mo.mean() for mo in models])
     ties = np.flatnonzero(true_means == true_means.max())
-    fs = None if len(ties) > 1 else bool(chosen != ties[0])
-    return SelectionOutcome(chosen, [int(p) for p in pulls], m,
-                            termination, None, fs)
+
+    def one(s):
+        alive = np.ones(d, dtype=bool)
+        drawn = np.empty((d, 0))  # row a: arm a's pulls, transformed
+        states = [None] * d  # each arm's Philox state after its last chunk
+
+        def extend(upto):
+            # chunks of max(256, drawn so far), as a generator per arm
+            # draws them (a split or merged chunk gives other values for
+            # some models); the arms still alive have all drawn alike
+            nonlocal drawn
+            ends = [drawn.shape[1]]
+            while ends[-1] < upto:
+                ends.append(ends[-1] + max(256, ends[-1]))
+            grown = np.zeros((d, ends[-1]))
+            grown[:, :ends[0]] = drawn
+            if estimator != "plain":
+                bj = thresholds(ends[-1])[ends[0]:ends[-1]]
+            for a in np.flatnonzero(alive).tolist():
+                rng = (keys(s, a) if states[a] is None
+                       else keys.resume(states[a]))
+                for lo, hi in zip(ends, ends[1:]):
+                    grown[a, lo:hi] = models[a].draw(rng, hi - lo)
+                states[a] = keys.save()
+                fresh = grown[a, ends[0]:]
+                if estimator == "truncated":
+                    fresh[:] = np.where(np.abs(fresh) <= bj, fresh, 0.0)
+                elif estimator == "capped":
+                    fresh[:] = np.sign(fresh) * np.minimum(np.abs(fresh), bj)
+            drawn = grown
+
+        sums = np.zeros(d)
+        pulls = np.zeros(d, dtype=int)
+        m = 0
+        span = 1
+        # a step covers the window of rounds m + 1, ..., m + n; its running
+        # means locate the first round any elimination triggers, which is
+        # exact because each arm's j-th pull is the j-th entry of its own
+        # substream regardless of when other arms leave. The window widens
+        # while no arm leaves and starts over at the round after one does.
+        # It draws only when its first segment needs it, and then keeps to
+        # the whole segments drawn, so no chunk is drawn that a loop of
+        # single segments would not draw.
+        while alive.sum() > 1 and m < pull_cap:
+            n = min(span * _SEGMENT, pull_cap - m)
+            if drawn.shape[1] < m + min(n, _SEGMENT):
+                extend(m + min(n, _SEGMENT))
+            if drawn.shape[1] < m + n:
+                n = (drawn.shape[1] - m) // _SEGMENT * _SEGMENT
+            idx = np.flatnonzero(alive)
+            cums = _chained_cumsum(sums[idx], drawn[idx, m:m + n])
+            ms = np.arange(m + 1, m + n + 1)
+            means = cums / ms
+            trig = (means.max(axis=0) - means) >= radii(m + n)[m:m + n]
+            hits = np.flatnonzero(trig.any(axis=0))
+            j = int(hits[0]) if hits.size else n - 1
+            if on_round is not None:
+                for j2 in range(j + 1):
+                    full = np.full(d, np.nan)
+                    full[idx] = means[:, j2]
+                    on_round(int(ms[j2]), alive.copy(), full)
+            m = int(ms[j])
+            sums[idx] = cums[:, j]
+            pulls[idx] = m
+            if hits.size:
+                alive[idx[trig[:, j]]] = False
+                span = 1
+            else:
+                span = min(2 * span, _MAX_SPAN)
+
+        live_idx = np.flatnonzero(alive)
+        chosen = int(live_idx[np.argmax(sums[live_idx] / pulls[live_idx])])
+        termination = "confidence-met" if alive.sum() == 1 else "round-cap"
+        fs = None if len(ties) > 1 else bool(chosen != ties[0])
+        return SelectionOutcome(chosen, [int(p) for p in pulls], m,
+                                termination, None, fs)
+
+    return _over(stream, lambda streams: [one(s) for s in streams])
 
 
 def solve_log_fixed_point(a: float, b: float):

@@ -155,6 +155,16 @@ class TestMetaRate:
         assert meta_rate(m, 0.5, 10.0).value == math.inf
         assert meta_rate(m, 0.5, 1e-6).value == math.inf
 
+    def test_level_at_the_smallest_atom_by_np_exp(self):
+        # np.exp(1.375 * -1.5) lies an ulp below math.exp of the same
+        # product; the level is still the range's lower edge, and the one
+        # atom there has mass 1/5
+        m = Empirical(np.array([-1.5, -0.2, 0.3, 1.0, 1.7]))
+        nu = float(np.exp(1.375 * -1.5))
+        assert nu < math.exp(1.375 * -1.5)
+        assert meta_rate(m, 1.375, nu).value == pytest.approx(math.log(5.0),
+                                                              rel=1e-12)
+
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
             meta_rate(TwoPoint(1.0, 0.55), 0.5, 0.0)
@@ -232,8 +242,8 @@ def _level(model, theta, log10_q, upper=False):
     """(nu, q) with P(W <= nu) = q, or P(W >= nu) = q when upper, for
     W = exp(theta X)."""
     if isinstance(model, Empirical):
-        # math.exp, as the library's own range of W is
-        w = sorted(math.exp(theta * x) for x in model.points)
+        # np.exp, as the library's own range of W is
+        w = sorted(float(v) for v in np.exp(theta * model.points))
         k = min(int(len(w) * 10.0 ** -log10_q), len(w) - 1)
         nu = w[-1 - k] if upper else w[k]
         return nu, float(np.mean([(v >= nu) if upper else (v <= nu)
@@ -242,7 +252,7 @@ def _level(model, theta, log10_q, upper=False):
     x = (model.upper_quantile(q) if (theta < 0) != upper
          else model.quantile(q))
     log_nu = theta * float(x)
-    return (math.exp(log_nu) if log_nu < 700.0 else math.inf), q
+    return (float(np.exp(log_nu)) if log_nu < 700.0 else math.inf), q
 
 
 _KINDS = st.sampled_from(["gaussian", "mixture", "shifted-exponential",

@@ -4,16 +4,21 @@ The references below are the per-replication algorithms written out with
 scalar arithmetic only: a fresh Philox generator per (stream, slot), the
 scalar bisect_root / expand_bracket path and math.log. The engine steps
 whole blocks of replications in lock-step and re-keys one generator, and
-must reproduce these outcomes and rate estimates exactly.
+must reproduce these outcomes and rate estimates exactly. Successive
+elimination is checked against its one-replication loop of 512-round
+blocks, which the policy replaces by wider windows on shared tables.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ordopt
 from ordopt._solve import bisect_root, expand_bracket
 from ordopt.adversarial import fs_estimate, monte_carlo_fs
 from ordopt.empirical_rate import (
@@ -22,17 +27,23 @@ from ordopt.empirical_rate import (
     estimate_rates_at_zero,
 )
 from ordopt.populations import (
+    Bernoulli,
     Empirical,
     Gaussian,
+    GaussianMixture,
     Mirrored,
+    Pareto,
     ShiftedExponential,
     TwoPoint,
 )
 from ordopt.selectors import (
     _BLOCK,
+    RadiusSchedule,
     SelectionOutcome,
+    radius,
     replicate,
     sequential_select,
+    successive_elimination,
     two_phase_select,
 )
 
@@ -174,6 +185,111 @@ def test_sequential_block_matches_reference(model, seed, start, count, c1,
                      for s in streams]
 
 
+def _ref_elimination(models, delta, schedule, estimator, seed, pull_cap,
+                     stream, rows=None):
+    """One replication of successive elimination in 512-round blocks, each
+    arm drawing chunks of max(256, drawn so far) from its own generator.
+    rows, when given, collects each round's (m, alive, running means)."""
+    d = len(models)
+    rngs = [_fresh_rng(seed, stream, a) for a in range(d)]
+    buffers = [np.empty(0)] * d
+
+    def transformed(a, upto):
+        while len(buffers[a]) < upto:
+            lo = len(buffers[a])
+            grow = max(256, lo)
+            fresh = np.asarray(models[a].draw(rngs[a], grow), dtype=float)
+            if estimator != "plain":
+                j = np.arange(lo + 1, lo + grow + 1, dtype=float)
+                bj = (schedule.K * j / math.log(1.0 / delta)) \
+                    ** (1.0 / schedule.alpha)
+                if estimator == "truncated":
+                    fresh = np.where(np.abs(fresh) <= bj, fresh, 0.0)
+                else:
+                    fresh = np.sign(fresh) * np.minimum(np.abs(fresh), bj)
+            buffers[a] = np.concatenate([buffers[a], fresh])
+        return buffers[a]
+
+    alive = np.ones(d, dtype=bool)
+    sums = np.zeros(d)
+    pulls = np.zeros(d, dtype=int)
+    m = 0
+    while alive.sum() > 1 and m < pull_cap:
+        nb = min(512, pull_cap - m)
+        idx = np.flatnonzero(alive)
+        mat = np.stack([transformed(a, m + nb)[m:m + nb] for a in idx])
+        cums = sums[idx, None] + np.cumsum(mat, axis=1)
+        ms = np.arange(m + 1, m + nb + 1)
+        means = cums / ms
+        trig = (means.max(axis=0) - means) >= 2.0 * radius(schedule, ms)
+        hit = trig.any(axis=0)
+        j = int(np.argmax(hit)) if hit.any() else nb - 1
+        for j2 in range(j + 1) if rows is not None else ():
+            full = np.full(d, np.nan)
+            full[idx] = means[:, j2]
+            rows.append((int(ms[j2]), alive.copy(), full))
+        m = int(ms[j])
+        sums[idx] = cums[:, j]
+        pulls[idx] = m
+        if hit.any():
+            alive[idx[trig[:, j]]] = False
+    live = np.flatnonzero(alive)
+    chosen = int(live[np.argmax(sums[live] / pulls[live])])
+    true_means = [mo.mean() for mo in models]
+    best = [a for a in range(d) if true_means[a] == max(true_means)]
+    return SelectionOutcome(
+        chosen, [int(p) for p in pulls], m,
+        "confidence-met" if alive.sum() == 1 else "round-cap", None,
+        None if len(best) > 1 else chosen != best[0])
+
+
+ARMS = {
+    "bernoulli": [Bernoulli(0.8), Bernoulli(0.5), Bernoulli(0.45)],
+    "mixture": [GaussianMixture(0.4, 1.5), Gaussian(0.3, 1.0)],
+    "pareto": [Pareto(3.0, 0.6), Pareto(3.0, 0.4), Pareto(2.5, 0.2)],
+    "close": [Bernoulli(0.55), Bernoulli(0.5)],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(arms=st.sampled_from(sorted(ARMS)),
+       rule=st.sampled_from([("bounded", "plain"), ("heavy", "plain"),
+                             ("heavy", "truncated"), ("heavy", "capped")]),
+       delta=st.sampled_from([0.05, 0.3]), seed=st.integers(0, 2 ** 63),
+       start=st.integers(0, 2 ** 44 - 5), count=st.sampled_from([0, 1, 2, 5]),
+       pull_cap=st.sampled_from([1, 300, 512, 700, 1024, 1536, 2600, 9000]))
+@example(arms="bernoulli", rule=("bounded", "plain"), delta=0.3, seed=3,
+         start=2 ** 44 - 5, count=5, pull_cap=9000)  # keys up to 2^64 - 1
+def test_elimination_block_matches_reference(arms, rule, delta, seed, start,
+                                             count, pull_cap):
+    models = ARMS[arms]
+    kind, estimator = rule
+    schedule = (RadiusSchedule("bounded", len(models), delta, b=2.0)
+                if kind == "bounded" else
+                RadiusSchedule("heavy", len(models), delta, alpha=1.5, K=0.5))
+    streams = range(start, start + count)
+    block = successive_elimination(models, delta, schedule, estimator, seed,
+                                   pull_cap, stream=streams)
+    assert block == [_ref_elimination(models, delta, schedule, estimator,
+                                      seed, pull_cap, s) for s in streams]
+    if count:
+        # the running means of every round, not only the outcome: they
+        # show any change in the order the sums are added in
+        rows, ref_rows = [], []
+        one = successive_elimination(
+            models, delta, schedule, estimator, seed, pull_cap, stream=start,
+            on_round=lambda *row: rows.append(row))
+        _ref_elimination(models, delta, schedule, estimator, seed, pull_cap,
+                         start, ref_rows)
+        assert one == block[0]
+        assert len(rows) == len(ref_rows)
+        for (m, alive, means), (ref_m, ref_alive, ref_means) in zip(
+                rows, ref_rows):
+            assert m == ref_m
+            assert np.array_equal(alive, ref_alive)
+            assert np.array_equal(means, ref_means, equal_nan=True)
+
+
 def test_engine_blocks_do_not_change_outcomes():
     model = TwoPoint(1.0, 0.6)
     seen = []
@@ -203,3 +319,29 @@ def test_empty_stream_range_gives_no_outcomes():
     assert two_phase_select(model, 0.1, 1.0, 1.0, 0, stream=range(0)) == []
     assert sequential_select(model, 0.1, (1.0,), 5, 0,
                              stream=range(3, 3)) == []
+    schedule = RadiusSchedule("bounded", 2, 0.1, b=1.0)
+    assert successive_elimination([model, model], 0.1, schedule,
+                                  stream=range(0)) == []
+
+
+def _source_tree(name):
+    return ast.parse((Path(ordopt.__file__).parent / name).read_text())
+
+
+def test_policies_take_blocks_and_share_one_generator():
+    # the CLI hands every policy the engine's whole block of streams, and no
+    # policy builds a Philox generator per stream through _rng
+    loops = [
+        f"cli.py:{node.lineno}" for node in ast.walk(_source_tree("cli.py"))
+        if isinstance(node, (ast.For, ast.comprehension))
+        and isinstance(node.iter, ast.Name) and node.iter.id == "streams"]
+    assert loops == []
+    policies = {"two_phase_select", "sequential_select", "hoeffding_select",
+                "capped_select", "successive_elimination"}
+    found = {node.name: node for node in _source_tree("selectors.py").body
+             if isinstance(node, ast.FunctionDef) and node.name in policies}
+    assert set(found) == policies
+    calls = [f"{name}:{node.lineno}" for name, fn in sorted(found.items())
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Name) and node.id == "_rng"]
+    assert calls == []

@@ -474,6 +474,25 @@ class TestSuccessiveElimination:
         with pytest.raises(ValueError, match="match"):
             successive_elimination([const(0.0), const(1.0)], 0.1, sched)
 
+    def test_delta_must_match_schedule(self):
+        # the radii come from schedule.delta, the thresholds from delta
+        sched = RadiusSchedule("heavy", 2, 0.05, alpha=1.5, K=1.0)
+        with pytest.raises(ValueError, match="schedule.delta"):
+            successive_elimination([const(0.0), const(1.0)], 0.5, sched,
+                                   estimator="capped")
+
+    def test_on_round_takes_one_stream(self):
+        sched = RadiusSchedule("bounded", 2, 0.1, b=1.0)
+        models = [const(1.0), const(0.0)]
+        rows = []
+        out = successive_elimination(models, 0.1, sched, stream=range(4, 5),
+                                     on_round=lambda *row: rows.append(row))
+        assert out == [successive_elimination(models, 0.1, sched, stream=4)]
+        assert [m for m, _, _ in rows] == list(range(1, out[0].rounds + 1))
+        with pytest.raises(ValueError, match="single stream"):
+            successive_elimination(models, 0.1, sched, stream=range(2),
+                                   on_round=lambda *row: None)
+
     def test_deterministic_in_seed(self):
         models = [Bernoulli(0.8), Bernoulli(0.4)]
         sched = RadiusSchedule("bounded", 2, 0.2, b=1.0)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ordopt
@@ -33,24 +33,32 @@ def test_bisect_exact_endpoint():
        left=st.floats(1e-3, 1e3), right=st.floats(1e-3, 1e3),
        xtol=st.sampled_from([1e-4, 1e-9, 1e-13]),
        ftol=st.sampled_from([None, 1e-6]), max_iter=st.integers(1, 200))
+@example(r=-5e-324, a=0.0, b=0.5, sign=1.0, left=0.5, right=0.5, xtol=1e-4,
+         ftol=None, max_iter=1)
 def test_bisect_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
                                                      right, xtol, ftol,
                                                      max_iter):
     seen = []
 
+    def g(t):
+        return sign * (a * (t - r) ** 3 + b * (t - r))
+
     def f(t):
         seen.append(t)
-        return sign * (a * (t - r) ** 3 + b * (t - r))
+        return g(t)
 
     root = bisect_root(f, r - left, r + right, xtol=xtol, ftol=ftol,
                        max_iter=max_iter)
     assert 1 <= root.iterations <= max_iter
-    assert root.lo <= r <= root.hi
+    # the bracket keeps a sign change of f as computed; it holds r unless a
+    # midpoint where f rounds to exactly 0 (a subnormal r) became an end
+    assert sign * g(root.lo) <= 0.0 <= sign * g(root.hi)
+    assert root.lo <= r <= root.hi or 0.0 in (g(root.lo), g(root.hi))
     if root.iterations < max_iter:
         last = seen[-1]
         assert last in (root.lo, root.hi)
         assert root.hi - root.lo <= xtol * max(1.0, abs(last))
-        assert ftol is None or abs(f(last)) <= ftol
+        assert ftol is None or abs(g(last)) <= ftol
 
 
 def test_expand_bracket_doubles_to_cap_and_halves_to_edge():
