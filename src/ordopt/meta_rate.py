@@ -15,8 +15,9 @@ sequential stopping rule built on the proxy exp(-m I_m(0)) over-delivers
 false selections relative to its target delta.
 
 Conventions: alpha_star is reported as the maximizer of the defining sup,
-except in the sequential certificate for the shifted-exponential model,
-where the reported alpha_star multiplies z in the substituted integrals
+except in the sequential certificate for the shifted-exponential model.
+There the same maximizer alpha_W is reported in the z = exp(theta Y)
+convention, alpha_star = -alpha_W exp(-theta K), the coefficient of z in
   int_1^inf exp(-alpha z) z^{-lam/theta - 1} dz
 (the form the closed-form residual equations are written in).
 """
@@ -28,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import expit
 
 from ._solve import bisect_root, expand_bracket, grid_then_golden
@@ -450,87 +450,6 @@ def _two_phase_newton(model, law, c2, i0, max_iter=500):
     return None
 
 
-def _log_j(beta, s):
-    """log of J(beta, s) = int_1^inf e^{-beta z} z^{-s} dz for beta > 0.
-
-    The integrand peaks at z = 1 where it decays at rate beta + s;
-    substituting z = 1 + t/(beta + s) rescales that rate to exactly 1, so
-    the quadrature sees an O(1) boundary layer whether beta is 1e-8 or
-    1e8. The exp(-beta) prefactor is kept in log space.
-    """
-    kappa = beta + s
-
-    def log_f(t):
-        return -(beta / kappa) * t - s * math.log1p(t / kappa)
-
-    head, _ = integrate.quad(lambda t: math.exp(log_f(t)), 0.0, 20.0,
-                             limit=200)
-
-    # tail mass can sit out at t ~ kappa/beta when s < 1; integrating in
-    # v = log t keeps that reachable in O(log(kappa/beta)) panel widths
-    def g(v):
-        return log_f(math.exp(v)) + v if v < 700.0 else -math.inf
-
-    v_lo = math.log(20.0)
-    v, peak = v_lo, g(v_lo)
-    while True:
-        v += 2.0
-        gv = g(v)
-        peak = max(peak, gv)
-        if gv < peak - 60.0 or v > 750.0:
-            break
-    tail_q, _ = integrate.quad(lambda vv: math.exp(g(vv) - peak), v_lo, v,
-                               limit=200)
-    log_tail = peak + math.log(tail_q) if tail_q > 0 else -math.inf
-    total = float(np.logaddexp(math.log(head), log_tail))
-    return -beta - math.log(kappa) + total
-
-
-def _se_certificate_objective(theta_hat, model, c1):
-    """J_{-theta_hat}(e^{-1/c1}) for the upper-bounded exponential-tail
-    model, through the z = exp(theta_hat Y) substitution. Returns
-    (value, alpha_star) with alpha_star multiplying z in the integrals.
-
-    The root is solved to ~1e-7 in log alpha only: the reported value is
-    the Legendre transform evaluated at its own stationary point, so the
-    error it inherits is second order.
-    """
-    lam, k = model.lam, model.K
-    target = math.exp(theta_hat * k - 1.0 / c1)
-    if target <= 1.0:
-        return math.inf, None
-    s = lam / theta_hat
-
-    def h(log_beta):
-        beta = math.exp(log_beta)
-        return _log_j(beta, s) - _log_j(beta, s + 1.0) - math.log(target)
-
-    # the tilted z-mean decreases in beta and diverges as beta -> 0 when
-    # s <= 1 (infinite-mean tail), so a root always exists; for small s it
-    # can sit many orders below 1, hence the downward expansion
-    lo = math.log(1e-8)
-    f_lo = h(lo)
-    while f_lo <= 0.0 and lo > -200.0:
-        lo -= 8.0
-        f_lo = h(lo)
-    hi = lo + 2.0
-    f_hi = h(hi)
-    while f_hi > 0.0:
-        hi += 2.0
-        if hi > 60.0:
-            return math.inf, None
-        f_hi = h(hi)
-    log_beta = lo
-    if f_lo > 0.0:
-        # width 1e-7 in log beta anywhere in the bracket
-        log_beta = bisect_root(h, lo, hi, flo=f_lo, fhi=f_hi,
-                               xtol=1e-7 / max(1.0, -lo, hi)).mid
-    beta = math.exp(log_beta)
-    # J_theta value at the root: -beta target - log( s J(beta, s+1) )
-    value = -beta * target - math.log(s) - _log_j(beta, s + 1.0)
-    return max(value, 0.0), beta
-
-
 def sequential_failure_certificate(model, c1: float):
     """Certificate that the round-1 stopping proxy under-controls errors.
 
@@ -540,11 +459,12 @@ def sequential_failure_certificate(model, c1: float):
     when the minimum is strictly below 1/c1, which makes the ratio of the
     false-selection probability to its target delta blow up as delta -> 0.
 
-    Returns (theta, alpha_star, meta_rate_value, certified). For the
-    shifted-exponential model the residual equation in the substituted
-    variable z is solved directly and alpha_star is that equation's root;
-    other models go through the generic meta-rate evaluator (alpha_star is
-    then the maximizer of the defining sup).
+    Returns (theta, alpha_star, meta_rate_value, certified), found by a
+    grid-then-golden search of the meta-rate evaluator over [1e-6, 64];
+    tilts where e^{-1/c1} lies below the range of W give +inf and the grid
+    steps over them. alpha_star is the maximizer of the defining sup,
+    converted to the z-convention for the shifted-exponential model (see
+    the module docstring).
     """
     if c1 <= 0:
         raise ValueError("c1 must be positive")
@@ -556,20 +476,14 @@ def sequential_failure_certificate(model, c1: float):
             f"certificate regime needs I(0) = {i0:.6g} < 1/c1 = "
             f"{1.0 / c1:.6g}")
 
-    if isinstance(model, ShiftedExponential):
-        lo = max(1.0 / (c1 * model.K), 0.0) + 1e-6 if model.K > 0 else 1e-6
-
-        def solve(theta_hat):
-            return _se_certificate_objective(theta_hat, model, c1)
-    else:
-        lo, nu, law = 1e-6, math.exp(-1.0 / c1), _law(model)
-
-        def solve(theta_hat):
-            res = _meta_rate(model, law, -theta_hat, nu)
-            return res.value, res.alpha_star
-
-    theta_star, _ = grid_then_golden(lambda t: solve(t)[0], lo,
-                                     _THETA_BRACKET, n_grid=129, tol=1e-8)
-    value, alpha_star = solve(theta_star)
-    certified = value < 1.0 / c1 - 1e-9
-    return theta_star, alpha_star, value, certified
+    nu, law = math.exp(-1.0 / c1), _law(model)
+    theta_star, _ = grid_then_golden(
+        lambda t: _meta_rate(model, law, -t, nu).value, 1e-6,
+        _THETA_BRACKET, n_grid=129, tol=1e-8)
+    res = _meta_rate(model, law, -theta_star, nu)
+    alpha_star = res.alpha_star
+    if alpha_star is not None and isinstance(model, ShiftedExponential):
+        # W = e^{-theta K} z: the coefficient of z in exp(-alpha z)
+        alpha_star = -alpha_star * math.exp(-theta_star * model.K)
+    value = float(res.value)
+    return theta_star, alpha_star, value, value < 1.0 / c1 - 1e-9

@@ -357,6 +357,13 @@ class Bernoulli:
         return (rng.random(n) < self.q).astype(float)
 
 
+def _pareto_integral(t, p):
+    """int_0^inf e^{t v} (1 + v)^{-p} dv for t < 0, by adaptive quadrature."""
+    val, _ = integrate.quad(lambda v: math.exp(t * v) * (1.0 + v) ** (-p),
+                            0.0, math.inf, limit=200)
+    return val
+
+
 @dataclass(frozen=True)
 class Pareto:
     """P(X > x) = (scale/x)^alpha_tail for x >= scale; heavy upper tail."""
@@ -383,22 +390,14 @@ class Pareto:
             return 0.0
         a, s = self.alpha_tail, self.scale
         # x = s(1+v): E exp(theta X) = a e^{theta s} int e^{theta s v} (1+v)^{-(a+1)} dv
-        val, _ = integrate.quad(
-            lambda v: math.exp(theta * s * v) * (1.0 + v) ** (-(a + 1.0)),
-            0.0, math.inf, limit=200)
-        return theta * s + math.log(a * val)
+        return theta * s + math.log(a * _pareto_integral(theta * s, a + 1.0))
 
     def dlog_mgf(self, theta):
         if theta == 0.0:
             return self.mean()
         a, s = self.alpha_tail, self.scale
-        num, _ = integrate.quad(
-            lambda v: math.exp(theta * s * v) * (1.0 + v) ** (-a),
-            0.0, math.inf, limit=200)
-        den, _ = integrate.quad(
-            lambda v: math.exp(theta * s * v) * (1.0 + v) ** (-(a + 1.0)),
-            0.0, math.inf, limit=200)
-        return s * num / den
+        num = _pareto_integral(theta * s, a)
+        return s * num / _pareto_integral(theta * s, a + 1.0)
 
     def support(self):
         return (self.scale, math.inf)

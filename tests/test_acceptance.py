@@ -7,12 +7,12 @@ Tolerances and time limits are fixed here on purpose; loosening them is not
 a fix for a regression.
 
 Check 02 verifies the shifted-exponential certificate, the minimum over
-theta > 0 of J_{-theta}(e^{-1/c1}), along three routes: the solver's own
-z = e^{theta Y} substitution, the generic `meta_rate` node table over x,
-and a direct integral over y written out in this file with no ordopt code
-(E e^{aW} = int lam e^{-lam y} exp(a e^{theta (y - K)}) dy with the
-Legendre sup found by a bounded scalar search over a < 0). The expected
-minima come from the direct route, computed when the check runs.
+theta > 0 of J_{-theta}(e^{-1/c1}), along two routes: the certificate's
+search of the `meta_rate` node table over x, and a direct integral over y
+written out in this file with no ordopt code (E e^{aW} = int lam e^{-lam y}
+exp(a e^{theta (y - K)}) dy with the Legendre sup found by a bounded
+scalar search over a < 0). The expected minima come from the direct route,
+computed when the check runs.
 
 The three triples quoted for this certificate cannot be minima of that
 objective. At the quoted theta the direct route gives J = 0.22146, 0.12718

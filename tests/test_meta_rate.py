@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 from scipy.special import ndtr
 
+import ordopt
 from ordopt.meta_rate import (
     MetaRateResult,
     RegimeError,
@@ -468,7 +470,8 @@ def se_certificates():
 
 
 class TestSequentialFailureCertificate:
-    # exact minima of the substituted residual system, solved offline
+    # minima of J_{-theta}(e^{-1/c1}), alpha_star in the z-convention,
+    # solved offline
     FROZEN = [
         (2.0, 2.070382, 0.055624, 0.22135797, True),
         (5.0, 1.012034, 0.190850, 0.12712425, True),
@@ -487,6 +490,24 @@ class TestSequentialFailureCertificate:
         for c1, (_, _, value, certified) in se_certificates.items():
             assert certified == (value < 1.0 / c1 - 1e-9)
 
+    @pytest.mark.parametrize("model, c1, want", [
+        (TwoPoint(1.0, 0.55), 2.0, True),
+        (TwoPoint(1.0, 0.55), 5.0, False),
+        (Gaussian(-0.2, 1.0), 2.0, True),
+        (Gaussian(-0.2, 1.0), 5.0, False),
+    ])
+    def test_minimum_of_meta_rate_on_other_models(self, model, c1, want):
+        theta, alpha, value, certified = sequential_failure_certificate(
+            model, c1)
+        nu = math.exp(-1.0 / c1)
+        at_theta = meta_rate(model, -theta, nu)
+        assert value == at_theta.value and alpha == at_theta.alpha_star
+        grid = [meta_rate(model, -t, nu).value
+                for t in np.geomspace(1e-3, 64.0, 200)]
+        assert min(grid) >= value - 1e-9
+        assert certified == (value < 1.0 / c1)
+        assert certified is want
+
     def test_regime_errors(self):
         se = ShiftedExponential(0.96, 1.0)
         # I(0) = 8.22e-4, so 1/c1 dips below it around c1 = 1217
@@ -496,6 +517,12 @@ class TestSequentialFailureCertificate:
             sequential_failure_certificate(ShiftedExponential(1.5, 1.0), 2.0)
         with pytest.raises(ValueError):
             sequential_failure_certificate(se, -1.0)
+
+
+def test_no_quadrature_in_meta_rate():
+    # the node table is the only density route in meta_rate
+    source = (Path(ordopt.__file__).parent / "meta_rate.py").read_text()
+    assert "integrate" not in source and "quad(" not in source
 
 
 def test_result_containers_are_frozen():
