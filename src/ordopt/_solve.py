@@ -1,13 +1,15 @@
 """Small 1-D numeric solvers shared across the library.
 
-Everything here operates on plain callables and floats; the two root
-searches also step 1-D arrays of independent brackets in lock-step, for
-row-wise work such as a block of rate estimates. The heavy lifting
-elsewhere (rate functions, tilted-moment optimizations, quantiles, caps)
-reduces to monotone root finding or unimodal minimization on an interval,
-and this module is the only numerical machinery the optimizers use: every
-float bisection in the package runs through bisect_root, with
-expand_bracket growing its brackets.
+Everything here operates on plain callables and floats; the root searches
+also step 1-D arrays of independent brackets in lock-step, for row-wise
+work such as a block of rate estimates or of meta-rates, and the grid
+phase of grid_then_golden evaluates its whole grid in one call. The heavy
+lifting elsewhere (rate functions, tilted-moment optimizations, quantiles,
+caps) reduces to monotone root finding or unimodal minimization on an
+interval, and this module is the only numerical machinery the optimizers
+use: every float bisection in the package runs through bisect_root, with
+expand_bracket growing its brackets, and newton_root is the safeguarded
+Newton search for roots whose derivative comes cheaply with the value.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ from typing import NamedTuple
 import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class Root(NamedTuple):
+    """Last point x a Newton search evaluated and the steps it took."""
+
+    x: float
+    iterations: int
 
 
 class Bracket(NamedTuple):
@@ -120,6 +129,100 @@ def _bisect_rows(f, lo, hi, xtol, ftol, max_iter, flo, fhi):
     return Bracket(lo, hi, iterations)
 
 
+def newton_root(f, lo, hi, x0, *, xtol=1e-12, ftol=None, max_iter=200,
+                flo=None, fhi=None):
+    """Root of a monotone f in [lo, hi] by Newton steps kept in a bracket.
+
+    f(x) returns (f(x), f'(x)). Starting from x0 in [lo, hi], every
+    evaluated point replaces the end of the bracket whose sign it shares;
+    the next point is the Newton step when that is finite and inside the
+    bracket, else the bracket's midpoint (the rtsafe scheme, Press et al.,
+    Numerical Recipes, section 9.4). Stops at the first point x where the
+    Newton step s passes bisect_root's test, |s| <= xtol * max(1, |x|) and,
+    when ftol is given, |f(x)| <= ftol, or after max_iter evaluations.
+    Returns that last evaluated point, so a caller can keep what f computed
+    there. flo and fhi give the signs at the ends, as in bisect_root; an
+    exact root at an end returns it with no step.
+
+    With 1-D arrays for lo, hi and x0 (and flo, fhi, and ftol when given)
+    every row is its own search, stepped in lock-step: f(x, rows) gets the
+    points of the still-active rows and their indices (ascending) and
+    returns two arrays, and the Root holds arrays. Each row takes exactly
+    the steps its scalar call would.
+    """
+    if np.ndim(lo):
+        return _newton_rows(f, lo, hi, x0, xtol, ftol, max_iter, flo, fhi)
+    flo = f(lo)[0] if flo is None else flo
+    fhi = f(hi)[0] if fhi is None else fhi
+    if flo == 0.0:
+        return Root(lo, 0)
+    if fhi == 0.0:
+        return Root(hi, 0)
+    up = fhi > 0
+    if (flo > 0) == up:
+        raise ValueError("root not bracketed")
+    x = x0
+    for it in range(1, max_iter + 1):
+        fx, dfx = f(x)
+        if (fx > 0) == up:
+            hi = x
+        else:
+            lo = x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = float(np.divide(fx, dfx))
+        if _converged(abs(step), x, fx, xtol, ftol) or it == max_iter:
+            return Root(x, it)
+        x = x - step
+        if not lo < x < hi:          # also catches a nan step
+            x = 0.5 * (lo + hi)
+    return Root(x, 0)
+
+
+def _newton_rows(f, lo, hi, x0, xtol, ftol, max_iter, flo, fhi):
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    every = np.arange(lo.size)
+    flo = f(lo, every)[0] if flo is None else np.asarray(flo)
+    fhi = f(hi, every)[0] if fhi is None else np.asarray(fhi)
+    x = np.array(np.broadcast_to(x0, lo.shape), dtype=float)
+    at_lo = flo == 0.0
+    at_hi = (fhi == 0.0) & ~at_lo
+    x[at_lo] = lo[at_lo]
+    x[at_hi] = hi[at_hi]
+    iterations = np.zeros(lo.size, dtype=int)
+    # as in _bisect_rows, the active rows are kept compacted and leave, with
+    # their last point written back, at the step they converge
+    act = np.flatnonzero(~(at_lo | at_hi))
+    up = fhi[act] > 0
+    if np.any((flo[act] > 0) == up):
+        raise ValueError("root not bracketed")
+    tol = ftol if np.ndim(ftol) == 0 else np.asarray(ftol)[act]
+    a_lo, a_hi, a_x = lo[act], hi[act], x[act]
+    for it in range(1, max_iter + 1):
+        if not act.size:
+            break
+        fx, dfx = f(a_x, act)
+        to_hi = (fx > 0) == up
+        a_hi = np.where(to_hi, a_x, a_hi)
+        a_lo = np.where(to_hi, a_lo, a_x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = fx / dfx
+        done = _converged(abs(step), a_x, fx, xtol, tol) | (it == max_iter)
+        if done.any():
+            fin = act[done]
+            x[fin], iterations[fin] = a_x[done], it
+            keep = ~done
+            act, a_lo, a_hi, up = act[keep], a_lo[keep], a_hi[keep], up[keep]
+            a_x, step = a_x[keep], step[keep]
+            if np.ndim(tol):
+                tol = tol[keep]
+        with np.errstate(invalid="ignore"):
+            a_x = a_x - step
+            inside = (a_lo < a_x) & (a_x < a_hi)
+        a_x = np.where(inside, a_x, 0.5 * (a_lo + a_hi))
+    return Root(x, iterations)
+
+
 def expand_bracket(f, x, edge, sign, cap=math.inf):
     """Step x toward the domain edge while f(x) keeps the given sign.
 
@@ -204,16 +307,18 @@ def grid_then_golden(f, lo, hi, *, n_grid=129, tol=1e-10):
     """Coarse grid scan followed by golden refinement around the best cell.
 
     Robust against mild non-unimodality near domain edges: the grid pins the
-    basin, golden-section polishes inside it. Returns (x, f(x)).
+    basin, golden-section polishes inside it. f takes a float and, for the
+    grid, the 1-D array of the n_grid points lo + i * step, returning one
+    value per point; the first smallest non-nan value wins. Returns
+    (x, f(x)).
     """
     if hi <= lo:
         return lo, f(lo)
     step = (hi - lo) / (n_grid - 1)
-    best_i, best_v = 0, math.inf
-    for i in range(n_grid):
-        v = f(lo + i * step)
-        if v == v and v < best_v:
-            best_i, best_v = i, v
+    vals = np.asarray(f(lo + np.arange(n_grid) * step), dtype=float)
+    vals = np.where(np.isnan(vals), math.inf, vals)
+    best_i = int(np.argmin(vals))
+    best_v = float(vals[best_i])
     a = lo + max(best_i - 1, 0) * step
     b = lo + min(best_i + 1, n_grid - 1) * step
     x, v = golden_min(f, a, b, tol=tol)

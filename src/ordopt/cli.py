@@ -369,7 +369,8 @@ def _cmd_meta_rate(args):
             raise ValueError("meta-rate: --theta needs --nu")
         r = meta_rate(model, args.theta, args.nu)
         record = {"mode": "pointwise", "value": r.value,
-                  "alpha_star": r.alpha_star, "theta": r.theta, "nu": r.nu}
+                  "alpha_star": r.alpha_star, "theta": r.theta, "nu": r.nu,
+                  "status": r.status}
     elif args.a is not None:
         value, theta_star = inf_meta_rate(model, args.a)
         record = {"mode": "infimum", "value": value,
@@ -559,20 +560,21 @@ def _items_certificate():
     return out
 
 
-def _brute_worst(spec, c, u, kind, n=20001):
-    # worst case over {mass q at x >= u, rest at 0}: bias q x (truncation)
-    # or q (x - u) (capping) subject to q f(x) + (1-q) f(0) <= c
+def _brute_worst(spec, c, u, n=20001):
+    """Worst (truncation, capping) bias on a grid, independent of the closed
+    forms: over {mass q at x >= u, rest at 0}, the bias is q x (truncation)
+    or q (x - u) (capping) subject to q f(x) + (1-q) f(0) <= c."""
     f0 = spec.f(0.0)
     if isinstance(spec, PowerSpec):
         hi = 10.0 * max(u, c ** (1.0 / spec.alpha), 1.0)
     else:
         hi = u + 80.0 / spec.theta
     xs = np.geomspace(max(u, 1e-9), hi, n)
-    fx = np.array([spec.f(x) for x in xs])
+    fx = (xs ** spec.alpha if isinstance(spec, PowerSpec)
+          else np.exp(spec.theta * xs))
     with np.errstate(divide="ignore"):
         q = np.where(fx > f0, np.minimum(1.0, (c - f0) / (fx - f0)), 1.0)
-    gain = q * (xs if kind == "truncation" else xs - u)
-    return float(gain.max())
+    return float((q * xs).max()), float((q * (xs - u)).max())
 
 
 def _items_capping():
@@ -585,11 +587,10 @@ def _items_capping():
         excess = -math.inf
         for c in cs:
             for u in (0.3, 0.9):
-                for kind, fn in (("truncation", worst_truncation_error),
-                                 ("capping", worst_capping_error)):
-                    closed = fn(spec, c, u).error
-                    excess = max(excess,
-                                 _brute_worst(spec, c, u, kind) - closed)
+                brute = _brute_worst(spec, c, u)
+                for fn, worst in zip((worst_truncation_error,
+                                      worst_capping_error), brute):
+                    excess = max(excess, worst - fn(spec, c, u).error)
         out.append(_item("capping", f"grid never beats closed form, {label}",
                          excess, "<= 1e-6", "abs 1e-6", excess <= 1e-6))
 

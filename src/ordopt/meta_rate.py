@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from ._solve import bisect_root, expand_bracket, grid_then_golden
+from ._solve import (bisect_root, expand_bracket, grid_then_golden,
+                     newton_root)
 from .populations import (ShiftedExponential, _derivative_bracket,
                           rate_function)
 
@@ -44,6 +45,11 @@ __all__ = [
 
 _THETA_BRACKET = 64.0
 _ALPHA_CAP = 2.0 ** 30
+# matrix elements in one block of tilts solved in lock-step: a whole
+# 257-tilt grid over a 2192-node density table at once would add some
+# 20 MB of temporaries to each step
+_BLOCK = 2 ** 16
+_BIG = np.finfo(float).max
 
 
 class RegimeError(ValueError):
@@ -60,10 +66,21 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class MetaRateResult:
+    """J_theta(nu) and where the sup over alpha was found.
+
+    status is "interior" when alpha_star solves M'(alpha) = nu; "boundary"
+    when the sup sits on the edge of the domain of M (alpha_star = 0 with
+    value 0, or no finite maximizer, alpha_star None, with value +inf);
+    "alpha-cap" when the search stopped at |alpha| = 2^30, where value is
+    the objective at the cap, a lower bound (the limit itself for a level
+    at an atom on the edge of the range of W).
+    """
+
     value: float
     alpha_star: float | None
     theta: float
     nu: float
+    status: str
 
 
 @dataclass(frozen=True)
@@ -77,13 +94,13 @@ class TwoPhaseExponent:
 
 
 def _w_bounds(model, theta):
-    """Essential range of W = exp(theta X), by the np.exp of the tilt table
-    (math.exp can differ from it by an ulp and put a level computed the
-    table's way outside the range)."""
-    if theta == 0.0:
-        return 1.0, 1.0
-    lo, hi = np.exp(sorted(theta * x for x in model.support()))
-    return float(lo), float(hi)
+    """Essential range (lo, hi) of W = exp(theta X) for each tilt of a 1-D
+    array, by the np.exp of the tilt table (math.exp can differ from it by
+    an ulp and put a level computed the table's way outside the range)."""
+    with np.errstate(invalid="ignore"):
+        ends = np.multiply.outer(theta, model.support())
+    ends[theta == 0.0] = 0.0
+    return np.exp(ends.min(axis=1)), np.exp(ends.max(axis=1))
 
 
 _ORDER = 16
@@ -132,27 +149,46 @@ def _law(model):
 
 
 def _tilt(law, theta):
-    """(x, p, w = exp(theta x)), less the nodes where x w overflows: alpha
-    < 0 there, so they add 0 to every sum, where inf * 0 would add nan."""
+    """(x, p, w) with w[i, j] = exp(theta[i] x[j]), one row per tilt of a
+    float or 1-D array theta. Where x w overflows, w holds the largest
+    float: alpha < 0 there, so alpha w sends the node's weight to exactly
+    0 and it adds 0 to every sum, where inf * 0 would add nan."""
     x, p = law
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(theta * x)
-        keep = np.isfinite(x * w)
-    return (x, p, w) if keep.all() else (x[keep], p[keep], w[keep])
+        w = np.exp(np.asarray(theta, dtype=float).reshape(-1, 1) * x)
+        over = ~np.isfinite(x * w)
+    if over.any():
+        w[over] = _BIG
+    return x, p, w
 
 
-def _atom_moments(x, p, w, alpha):
-    """(M, T, XW/den) over the law (x, p): log E e^{aW}, tilted W-mean,
-    tilted E[X W]. Shift makes it safe for any finite alpha."""
+def _atom_moments(x, p, w, alpha, nu):
+    """(J, T, XW, V) for each row of w over the law (x, p), at one alpha
+    (or one per row): the objective J = alpha nu - M(alpha) with M(alpha)
+    = log E e^{aW}, the tilted W-mean T = M', the tilted E[X W], and the
+    tilted variance of W, V = E[W^2] - T^2 = M''. M is the row's largest
+    exponent, a shift that makes it safe for any finite alpha, plus a log
+    sum; alpha nu cancels against the shift first, which keeps J exact at
+    |alpha| = 2^30 for a level at an atom on the edge of the range of W."""
+    a = np.asarray(alpha, dtype=float).reshape(-1, 1)
     with np.errstate(over="ignore"):
-        t = alpha * w
-    hi = t.max()
-    e = p * np.exp(t - hi)
-    den = e.sum()
-    m_val = hi + math.log(den)
-    t_mean = float((w * e).sum() / den)
-    xw = float((x * w * e).sum() / den)
-    return m_val, t_mean, xw
+        e = a * w
+    hi = np.maximum.reduce(e, axis=1)
+    e -= hi[:, None]
+    np.exp(e, out=e)
+    e *= p
+    den = np.add.reduce(e, axis=1)
+    we = w * e
+    t_mean = np.add.reduce(we, axis=1) / den
+    xw = np.add.reduce(x * we, axis=1) / den
+    var = np.add.reduce(w * we, axis=1) / den - t_mean * t_mean
+    return (a[:, 0] * nu - hi) - np.log(den), t_mean, xw, var
+
+
+def _moments_at(law, theta, alpha, nu):
+    """_atom_moments at one tilt and one alpha, as floats."""
+    return tuple(float(v[0]) for v in _atom_moments(*_tilt(law, theta),
+                                                    alpha, nu))
 
 
 def tilted_log_mgf(model, alpha: float, theta: float) -> float:
@@ -167,67 +203,115 @@ def tilted_log_mgf(model, alpha: float, theta: float) -> float:
         return 0.0
     if theta == 0.0:
         return float(alpha)
-    if alpha > 0 and math.isinf(_w_bounds(model, theta)[1]):
+    if alpha > 0 and math.isinf(_w_bounds(model, np.array([theta]))[1][0]):
         return math.inf
-    return _atom_moments(*_tilt(_law(model), theta), alpha)[0]
+    return -_moments_at(_law(model), theta, alpha, 0.0)[0]
 
 
 def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
-    """J_theta(nu) = sup_alpha (alpha nu - M(alpha)) by bisection on the
-    tilted-mean equation M'(alpha) = nu.
+    """J_theta(nu) = sup_alpha (alpha nu - M(alpha)), at the root of the
+    tilted-mean equation M'(alpha) = nu, found by safeguarded Newton steps
+    with the tilted variance of W as M''.
 
     The domain of M is all of R when W = exp(theta X) is bounded above and
     (-inf, 0] otherwise; in the latter case levels nu >= E W sit at the
     boundary alpha = 0 with value 0 (no decay through that tilt). Levels at
     or below the essential infimum of W give +infinity for density models
-    and -log(mass) for an atom there; the search saturates at a huge alpha
-    in that regime and reports the boundary value. A density's node table
-    (see tilted_log_mgf) holds every level with P(W <= nu) >= 1e-300.
+    and -log(mass) for an atom there; the search saturates at |alpha| =
+    2^30 in that regime and reports the value there with status
+    "alpha-cap" (see MetaRateResult). A density's node table (see
+    tilted_log_mgf) holds every level with P(W <= nu) >= 1e-300.
     """
     return _meta_rate(model, _law(model), theta, nu)
 
 
 def _meta_rate(model, law, theta, nu):
+    """meta_rate over a law built once. theta may also be a 1-D array: its
+    tilts are solved in lock-step, in blocks of at most _BLOCK matrix
+    elements, and every field of the result is an array (alpha_star nan
+    where the float result has None). Each tilt gets exactly the result of
+    its own scalar call."""
     nu = float(nu)
     if nu <= 0:
         raise ValueError("nu must be positive")
-    w_lo, w_hi = _w_bounds(model, theta)
-    if w_lo == w_hi:
-        value = 0.0 if abs(nu - w_lo) < 1e-12 else math.inf
-        return MetaRateResult(value, 0.0 if value == 0.0 else None,
-                              theta, nu)
-    if nu < w_lo or nu > w_hi:
-        return MetaRateResult(math.inf, None, theta, nu)
+    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
+    value = np.full(thetas.size, math.inf)
+    alpha = np.full(thetas.size, math.nan)
+    status = np.full(thetas.size, "boundary", dtype=object)
+    w_lo, w_hi = _w_bounds(model, thetas)
+    flat = w_lo == w_hi
+    at_level = flat & (abs(nu - w_lo) < 1e-12)
+    value[at_level] = alpha[at_level] = 0.0
+    inside = ~flat & (w_lo <= nu) & (nu <= w_hi)
+    # W unbounded above: alpha = 0 closes the domain of M, with the
+    # sign-equal gap log E W - log nu there, as E W can overflow; nu at or
+    # above E W decays at rate 0
+    unbounded = np.isinf(w_hi)
+    gap_zero = np.ones(thetas.size)
+    for i in np.flatnonzero(inside & unbounded):
+        gap_zero[i] = model.log_mgf(float(thetas[i])) - math.log(nu)
+    at_mean = inside & (gap_zero <= 0)
+    value[at_mean] = alpha[at_mean] = 0.0
+    rows = np.flatnonzero(inside & (gap_zero > 0))
+    block = max(1, _BLOCK // law[0].size)
+    for k in range(0, rows.size, block):
+        r = rows[k:k + block]
+        value[r], alpha[r], status[r] = _solve_alpha(
+            law, thetas[r], unbounded[r], gap_zero[r], nu)
+    if np.ndim(theta):
+        return MetaRateResult(value, alpha, thetas, nu, status)
+    a = float(alpha[0])
+    return MetaRateResult(float(value[0]), None if math.isnan(a) else a,
+                          theta, nu, status[0])
 
-    tilt = _tilt(law, theta)
 
-    def gap(alpha):
-        """Tilted W-mean minus nu, increasing in alpha; at alpha = 0 the
-        sign-equal log E W - log nu, as E W can overflow."""
-        if alpha == 0.0:
-            return model.log_mgf(theta) - math.log(nu)
-        return _atom_moments(*tilt, alpha)[1] - nu
+def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
+    """(value, alpha_star, status) for one block of tilts whose level lies
+    inside the range of W and, where W is unbounded above, below E W.
 
-    if math.isfinite(w_hi):
-        hi, f_hi = expand_bracket(gap, 1.0, math.inf, -1, cap=_ALPHA_CAP)
-    else:
-        # boundary of the finite-M domain: nu at or above E W decays at
-        # rate 0
-        hi, f_hi = 0.0, gap(0.0)
-        if f_hi <= 0:
-            return MetaRateResult(0.0, 0.0, theta, nu)
-    lo, f_lo = expand_bracket(gap, -1.0, -math.inf, 1, cap=_ALPHA_CAP)
+    The sign of M'(0) - nu tells which side of 0 the root is on: gap_zero
+    holds it where W is unbounded above, and the table's own E W gives it
+    elsewhere. A tilt whose tilted mean at |alpha| = 2^30 on that side is
+    still on the same side of nu saturates there; the others run
+    newton_root in [-2^30, 0] or [0, 2^30] from alpha = -1 or 1, with the
+    tilted variance of W as the derivative."""
+    x, p, w = _tilt(law, thetas)
+    f_zero, value = gap_zero.copy(), np.zeros(thetas.size)
+    bounded = np.flatnonzero(~unbounded)
+    if bounded.size:
+        value[bounded], t_zero, _, _ = _atom_moments(x, p, w[bounded], 0.0,
+                                                     nu)
+        f_zero[bounded] = t_zero - nu
+    side = np.where(f_zero > 0, -1.0, 1.0)
+    j_cap, t_cap, _, _ = _atom_moments(x, p, w, side * _ALPHA_CAP, nu)
+    f_cap = t_cap - nu
+    capped = side * f_cap <= 0
+    alpha = np.where(capped, side * _ALPHA_CAP, 0.0)
+    value = np.where(capped, j_cap, value)
+    status = np.where(capped, "alpha-cap", "interior").astype(object)
+    solve = np.flatnonzero(~capped & (f_zero != 0))
+    if solve.size:
+        w_solve = w if solve.size == thetas.size else w[solve]
+        down = side[solve] < 0
+        j_at = np.empty(solve.size)
 
-    if f_lo > 0:
-        alpha_star = lo       # saturated toward the essential infimum
-    elif f_hi < 0:
-        alpha_star = hi
-    else:
-        alpha_star = bisect_root(gap, lo, hi, flo=f_lo, fhi=f_hi,
-                                 xtol=1e-13, ftol=1e-11 * max(1.0, nu)).mid
-    m_val, _, _ = _atom_moments(*tilt, alpha_star)
-    value = alpha_star * nu - m_val
-    return MetaRateResult(max(value, 0.0), alpha_star, theta, nu)
+        def gap(a, rows):
+            """Tilted W-mean minus nu and its slope, the tilted variance;
+            the objective at the point is kept as the value."""
+            j, t_mean, _, var = _atom_moments(
+                x, p, w_solve if rows.size == solve.size else w_solve[rows],
+                a, nu)
+            j_at[rows] = j
+            return t_mean - nu, var
+
+        end = side[solve] * _ALPHA_CAP
+        root = newton_root(
+            gap, np.minimum(end, 0.0), np.maximum(end, 0.0), side[solve],
+            flo=np.where(down, f_cap[solve], f_zero[solve]),
+            fhi=np.where(down, f_zero[solve], f_cap[solve]), xtol=1e-13,
+            ftol=1e-11 * max(1.0, nu))
+        alpha[solve], value[solve] = root.x, j_at
+    return np.maximum(value, 0.0), alpha, status
 
 
 def inf_meta_rate(model, a: float):
@@ -254,7 +338,7 @@ def _inf_meta_rate(model, law, a):
     theta_star, value = grid_then_golden(objective, -_THETA_BRACKET,
                                          _THETA_BRACKET, n_grid=257,
                                          tol=1e-7)
-    return value, theta_star
+    return float(value), float(theta_star)
 
 
 def _lambda_minimizer(model):
@@ -324,23 +408,17 @@ def sup_meta_rate_on_theta_a(model, a: float):
     nu = math.exp(-a)
     law = _law(model)
 
-    results = {}
-
-    def objective(theta):
-        res = _meta_rate(model, law, theta, nu)
-        results[theta] = res
-        return -res.value
-
-    theta_star, neg = grid_then_golden(objective, left, right, n_grid=129,
-                                       tol=1e-8)
-    value = -neg
-    res = results[theta_star]
+    theta_star, _ = grid_then_golden(
+        lambda theta: -_meta_rate(model, law, theta, nu).value, left, right,
+        n_grid=129, tol=1e-8)
+    theta_star = float(theta_star)
+    res = _meta_rate(model, law, theta_star, nu)
+    value = res.value
     interior = (left + 1e-6 < theta_star < right - 1e-6
                 and res.alpha_star is not None and value > 1e-12
                 and abs(res.alpha_star) > 1e-9)
     if interior:
-        _, t_mean, xw = _atom_moments(*_tilt(law, theta_star),
-                                      res.alpha_star)
+        _, t_mean, xw, _ = _moments_at(law, theta_star, res.alpha_star, nu)
         scale = max(abs(t_mean), 1.0)
         if abs(xw) > 1e-6 * scale:
             warnings.warn(
@@ -376,15 +454,17 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     newton = _two_phase_newton(model, law, c2, i0)
     if newton is not None:
         gamma, theta, alpha = newton
-        m_val, _, _ = _atom_moments(*_tilt(law, theta), -alpha)
-        value = -alpha * math.exp(-gamma) - m_val
+        value = _moments_at(law, theta, -alpha, math.exp(-gamma))[0]
         exponent = c2 * i0 / gamma + value
         return TwoPhaseExponent(exponent, gamma, theta, alpha, c1, c2)
 
     # fallback: outer golden-section over the level b
     def phi(b):
-        val, _ = _inf_meta_rate(model, law, b)
-        return c2 * i0 / b + val
+        # the grid phase passes its 65 levels as one array
+        levels = np.atleast_1d(b)
+        vals = c2 * i0 / levels + np.array(
+            [_inf_meta_rate(model, law, v)[0] for v in levels])
+        return vals if np.ndim(b) else float(vals[0])
 
     lo = i0 * (1.0 + 1e-7) + 1e-300
     hi = max(20.0 * i0, 0.5)
@@ -403,36 +483,35 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
 
 
 def _two_phase_newton(model, law, c2, i0, max_iter=500):
-    def residuals(v):
-        g, th, al = v
-        if g <= 0 or al <= 0:
+    def residuals(vs):
+        """Residuals at each row (g, theta, alpha) of vs, with the tilted
+        moments of every row from one call; None once a row leaves the
+        domain."""
+        g, th, al = vs.T
+        if min(g.min(), al.min()) <= 0:
             return None
-        m_val, t_mean, xw = _atom_moments(*_tilt(law, th), -al)
-        if not math.isfinite(m_val):
+        neg_m, t_mean, xw, _ = _atom_moments(*_tilt(law, th), -al, 0.0)
+        if not np.isfinite(neg_m).all():
             return None
-        return np.array([
-            t_mean - math.exp(-g),
-            xw,
-            al * math.exp(-g) - c2 * i0 / (g * g),
-        ])
+        level = np.exp(-g)
+        return np.array([t_mean - level, xw,
+                         al * level - c2 * i0 / (g * g)]).T
 
     v = np.array([2.0 * i0, _lambda_minimizer(model), 1.0])
-    r = residuals(v)
+    r = residuals(v[None])
     if r is None:
         return None
+    r = r[0]
     for _ in range(max_iter):
         norm = float(np.max(np.abs(r)))
         if norm <= 1e-11:
             return tuple(v)
-        jac = np.empty((3, 3))
-        for j in range(3):
-            h = 1e-7 * max(1.0, abs(v[j]))
-            vp = v.copy()
-            vp[j] += h
-            rp = residuals(vp)
-            if rp is None:
-                return None
-            jac[:, j] = (rp - r) / h
+        # forward differences, one row per coordinate stepped
+        h = 1e-7 * np.maximum(1.0, np.abs(v))
+        rp = residuals(v + np.diag(h))
+        if rp is None:
+            return None
+        jac = ((rp - r) / h[:, None]).T
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -440,9 +519,9 @@ def _two_phase_newton(model, law, c2, i0, max_iter=500):
         t = 1.0
         for _ in range(50):
             cand = v + t * step
-            rc = residuals(cand)
+            rc = residuals(cand[None])
             if rc is not None and float(np.max(np.abs(rc))) < norm:
-                v, r = cand, rc
+                v, r = cand, rc[0]
                 break
             t *= 0.5
         else:
@@ -477,6 +556,14 @@ def sequential_failure_certificate(model, c1: float):
             f"{1.0 / c1:.6g}")
 
     nu, law = math.exp(-1.0 / c1), _law(model)
+    # W = exp(-theta X) reaches lowest at the largest tilt; its upper end
+    # is above 1 > nu, as a negative-mean X takes negative values
+    w_lo = _w_bounds(model, np.array([-_THETA_BRACKET]))[0][0]
+    if nu < w_lo:
+        raise RegimeError(
+            f"certificate needs a tilt theta <= {_THETA_BRACKET:g} with "
+            f"e^(-1/c1) = {nu:.6g} in the range of exp(-theta X), which at "
+            f"theta = {_THETA_BRACKET:g} starts at {w_lo:.6g}")
     theta_star, _ = grid_then_golden(
         lambda t: _meta_rate(model, law, -t, nu).value, 1e-6,
         _THETA_BRACKET, n_grid=129, tol=1e-8)
@@ -485,5 +572,4 @@ def sequential_failure_certificate(model, c1: float):
     if alpha_star is not None and isinstance(model, ShiftedExponential):
         # W = e^{-theta K} z: the coefficient of z in exp(-alpha z)
         alpha_star = -alpha_star * math.exp(-theta_star * model.K)
-    value = float(res.value)
-    return theta_star, alpha_star, value, value < 1.0 / c1 - 1e-9
+    return theta_star, alpha_star, res.value, res.value < 1.0 / c1 - 1e-9

@@ -171,6 +171,26 @@ class TestMetaRate:
         code, _, _ = run_cli(capsys, ["meta-rate", "--model", "gaussian"])
         assert code == 2
 
+    def test_pointwise_status(self, capsys):
+        # P(W <= nu) = 1e-20 at theta = 3 saturates at |alpha| = 2^30
+        nu = math.exp(3.0 * float(Gaussian(-0.2, 1.0).quantile(1e-20)))
+        code, out, _ = run_cli(capsys, ["meta-rate", "--model",
+                                        "gaussian:-0.2,1", "--theta", "3",
+                                        "--nu", repr(nu), "--json"])
+        assert code == 0
+        rec = last_json(out)
+        assert rec["status"] == "alpha-cap"
+        assert rec["alpha_star"] == -2.0 ** 30
+
+    def test_certificate_without_a_finite_tilt_is_validation(self, capsys):
+        # exp(-theta X) stays above e^{-1/2} for every theta <= 64
+        code, out, err = run_cli(capsys, ["meta-rate", "--model",
+                                          "two-point:0.001,0.55",
+                                          "--certificate", "--c1", "2",
+                                          "--json"])
+        assert code == 2 and out == ""
+        assert "validation" in err and "range" in err
+
     def test_regime_error_is_validation(self, capsys):
         # a below I(0) lands in the other branch of the dichotomy
         code, _, err = run_cli(capsys, ["meta-rate", "--model",

@@ -1,6 +1,8 @@
 """Tests for the second-level rate machinery."""
 
+import importlib
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +17,8 @@ import ordopt
 from ordopt.meta_rate import (
     MetaRateResult,
     RegimeError,
+    _law,
+    _meta_rate,
     inf_meta_rate,
     meta_rate,
     sequential_failure_certificate,
@@ -74,6 +78,47 @@ def _whole_line_meta_rate(model, theta, nu):
                                       rtol=1e-14))
     return (alpha * nu - _whole_line_log_moment(model, theta, alpha, 0),
             alpha)
+
+
+def _bisection_meta_rate(model, theta, nu):
+    """J_theta(nu) by plain bisection on the tilted W-mean over the
+    library's own law (its atoms or node table), so that it checks the
+    solver and not the table: alpha is bracketed by doubling from -1 and 1
+    (or 0 where W is unbounded above) and halved until the bracket stops
+    shrinking."""
+    x, p = _law(model)
+    with np.errstate(over="ignore"):
+        w = np.exp(theta * x)
+        keep = np.isfinite(x * w)   # alpha < 0 wherever x w overflows
+    p, w = p[keep], w[keep]
+    lo_s, hi_s = model.support()
+    unbounded = math.isinf(hi_s if theta > 0 else lo_s)
+
+    def shifted(a):
+        with np.errstate(over="ignore"):
+            t = a * w
+        top = t.max()
+        return top, p * np.exp(t - top)
+
+    def mean(a):
+        _, e = shifted(a)
+        return np.sum(w * e) / np.sum(e)
+
+    lo, hi = -1.0, 0.0 if unbounded else 1.0
+    while mean(lo) > nu:
+        lo *= 2.0
+    while not unbounded and mean(hi) < nu:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if mean(mid) > nu:
+            hi = mid
+        else:
+            lo = mid
+    top, e = shifted(mid)
+    return (mid * nu - top) - math.log(np.sum(e))
 
 
 def _gaussian_cramer_cap(model, theta, nu):
@@ -210,6 +255,84 @@ class TestMetaRate:
         assert res.value == pytest.approx(want, rel=1e-8)
         assert res.alpha_star == pytest.approx(alpha, rel=1e-6)
         assert res.value < _gaussian_cramer_cap(m, -0.1, 0.3076)
+
+    @pytest.mark.parametrize("model", [
+        TwoPoint(1.0, 0.6), Empirical(np.array([-1.5, -0.2, 0.3, 1.0, 1.7])),
+        Gaussian(-0.2, 1.0), GaussianMixture(0.3, 5.0), Pareto(3.0, 0.6)],
+        ids=lambda m: type(m).__name__)
+    def test_matches_a_bisection_reference(self, model):
+        # levels between the ends of the range of W for atoms, and at lower
+        # and upper tail probabilities for densities (the upper ones only
+        # where W is bounded above, as the others decay at rate 0), all
+        # with alpha* inside |alpha| <= 2^30
+        for theta in (3.0, -3.0, 0.5, -0.5, 0.1, -0.1):
+            lo_s, hi_s = model.support()
+            bounded = math.isfinite(hi_s if theta > 0 else lo_s)
+            if model.atoms() is not None:
+                w_lo, w_hi = sorted(math.exp(theta * s)
+                                    for s in (lo_s, hi_s))
+                levels = [w_lo + f * (w_hi - w_lo)
+                          for f in (0.02, 0.3, 0.7, 0.98)]
+            else:
+                levels = [_level(model, theta, k)[0] for k in (1.0, 1.5)]
+                if bounded:
+                    levels += [_level(model, theta, k, upper=True)[0]
+                               for k in (0.5, 2.0)]
+            for nu in levels:
+                res = meta_rate(model, theta, nu)
+                assert res.status == "interior", (theta, nu)
+                want = _bisection_meta_rate(model, theta, nu)
+                assert res.value == pytest.approx(want, rel=1e-9,
+                                                  abs=1e-12), (theta, nu)
+
+    def test_lock_step_grid_equals_scalar_calls(self):
+        # the inf_meta_rate grid, with its overflowing tilts and theta = 0
+        thetas = -64.0 + np.arange(257) * 0.5
+        for model in (Gaussian(-0.2, 1.0), TwoPoint(1.0, 0.6),
+                      Pareto(3.0, 0.6)):
+            law = _law(model)
+            grid = _meta_rate(model, law, thetas, math.exp(-0.1))
+            for i, theta in enumerate(thetas):
+                one = _meta_rate(model, law, float(theta), math.exp(-0.1))
+                alpha = grid.alpha_star[i]
+                assert one.value == grid.value[i]
+                assert one.alpha_star == (None if math.isnan(alpha)
+                                          else alpha)
+                assert one.status == grid.status[i]
+
+    def test_gaussian_probe_moment_calls(self, monkeypatch):
+        # the level of test_gaussian_level_beyond_the_quantile_box, whose
+        # alpha* = -390.5: bisection inside a doubled bracket took 55
+        module = importlib.import_module("ordopt.meta_rate")
+        calls = []
+        real = module._atom_moments
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(module, "_atom_moments", counted)
+        res = meta_rate(Gaussian(-0.2, 1.0), -0.1, 0.3076)
+        assert res.value == pytest.approx(72.26880, abs=1e-5)
+        assert len(calls) <= 12
+
+    def test_status_says_how_the_value_was_reached(self):
+        m = Gaussian(-0.2, 1.0)
+        assert meta_rate(m, -0.5, 0.9).status == "interior"
+        # nu above E W with W unbounded above, and nu below the range of W
+        se = ShiftedExponential(0.96, 1.0)
+        above = meta_rate(se, -0.5, 1.5 * math.exp(se.log_mgf(-0.5)))
+        assert (above.status, above.alpha_star) == ("boundary", 0.0)
+        outside = meta_rate(TwoPoint(1.0, 0.55), 0.5, 1e-6)
+        assert (outside.status, outside.alpha_star) == ("boundary", None)
+        # P(W <= nu) = 1e-20 at theta = 3 needs |alpha| beyond 2^30: the
+        # value is the objective at the cap, a lower bound of J
+        nu = math.exp(3.0 * float(m.quantile(1e-20)))
+        capped = meta_rate(m, 3.0, nu)
+        assert capped.status == "alpha-cap"
+        assert capped.alpha_star == -2.0 ** 30
+        assert capped.value == pytest.approx(24.5997, abs=1e-4)
+        assert capped.value < _gaussian_cramer_cap(m, 3.0, nu)
 
     def test_density_moments_call_no_adaptive_quadrature(self, monkeypatch):
         calls = []
@@ -352,6 +475,17 @@ class TestInfMetaRate:
         assert theta_star == pytest.approx(0.47326, abs=1e-4)
         want, _ = _whole_line_meta_rate(m, theta_star, nu)
         assert val == pytest.approx(want, rel=1e-8)
+
+    def test_peak_memory_of_a_density_infimum(self):
+        # 257 tilts over a 2192-node table: the tilts go in blocks of rows,
+        # where one (257 x 2192) tilt would add some 17 MB at each step
+        tracemalloc.start()
+        try:
+            inf_meta_rate(Gaussian(-0.2, 1.0), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
     def test_regime_error_below_i0(self):
         m = TwoPoint(1.0, 0.6)
@@ -508,6 +642,12 @@ class TestSequentialFailureCertificate:
         assert certified == (value < 1.0 / c1)
         assert certified is want
 
+    def test_no_tilt_reaches_the_level(self):
+        # W = exp(-theta X) stays above e^{-1/2} for every theta <= 64 when
+        # the largest value of X is 0.001
+        with pytest.raises(RegimeError, match="range"):
+            sequential_failure_certificate(TwoPoint(0.001, 0.55), 2.0)
+
     def test_regime_errors(self):
         se = ShiftedExponential(0.96, 1.0)
         # I(0) = 8.22e-4, so 1/c1 dips below it around c1 = 1217
@@ -525,7 +665,21 @@ def test_no_quadrature_in_meta_rate():
     assert "integrate" not in source and "quad(" not in source
 
 
+def test_results_are_python_floats():
+    m = TwoPoint(1.0, 0.6)
+    i0 = rate_function(m, 0.0).value
+    assert [type(v) for v in inf_meta_rate(m, 2.0 * i0)] == [float, float]
+    value, theta, (lo, hi) = sup_meta_rate_on_theta_a(m, 0.5 * i0)
+    assert [type(v) for v in (value, theta, lo, hi)] == [float] * 4
+    for theta, nu in ((0.5, 1.0), (0.5, 10.0), (0.0, 1.0)):
+        res = meta_rate(m, theta, nu)
+        assert type(res.value) is float and type(res.status) is str
+        assert res.alpha_star is None or type(res.alpha_star) is float
+    res = meta_rate(Gaussian(-0.2, 1.0), 3.0, 1e-12)
+    assert type(res.value) is float and type(res.alpha_star) is float
+
+
 def test_result_containers_are_frozen():
-    r = MetaRateResult(0.1, -0.5, 0.3, 0.9)
+    r = MetaRateResult(0.1, -0.5, 0.3, 0.9, "interior")
     with pytest.raises(AttributeError):
         r.value = 2.0

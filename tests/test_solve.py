@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import ordopt
 from ordopt._solve import (bisect_root, expand_bracket, golden_min,
-                           grid_then_golden, increasing_fixed_point)
+                           grid_then_golden, increasing_fixed_point,
+                           newton_root)
 
 
 def test_bisect_root_cubic():
@@ -118,6 +119,111 @@ def test_expand_rows_walk_like_scalar_calls():
                                                -math.inf, 1, cap=64.0)
 
 
+def _overshooting(r, b, a, sign):
+    """A monotone f with its derivative whose Newton steps overshoot: the
+    arctan term flattens away from r, so a step from there lands far past
+    the root, as Newton does on a tilted mean that saturates."""
+    def f(t):
+        u = b * (t - r)
+        return (sign * (np.arctan(u) + a * u),
+                sign * b * (1.0 / (1.0 + u * u) + a))
+    return f
+
+
+_NEWTON_ROWS = st.lists(
+    st.tuples(st.floats(-10.0, 10.0), st.floats(0.1, 1e3),
+              st.floats(0.0, 1e-2), st.sampled_from([1.0, -1.0]),
+              st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+              st.floats(0.0, 1.0), st.sampled_from([None, 1e-9])),
+    min_size=1, max_size=6)
+
+
+@given(rows=_NEWTON_ROWS, xtol=st.sampled_from([1e-6, 1e-13]),
+       max_iter=st.integers(1, 200))
+def test_newton_steps_stay_inside_the_bracket(rows, xtol, max_iter):
+    for r, b, a, sign, left, right, at, ftol in rows:
+        f = _overshooting(r, b, a, sign)
+        lo, hi = r - left, r + right
+        x0 = lo + at * (hi - lo)
+        seen = []
+
+        def traced(t):
+            seen.append(t)
+            return f(t)
+
+        root = newton_root(traced, lo, hi, x0, xtol=xtol, ftol=ftol,
+                           max_iter=max_iter, flo=f(lo)[0], fhi=f(hi)[0])
+        assert seen[0] == x0 and root.x == seen[-1]
+        assert len(seen) == root.iterations <= max_iter
+        # each point after the first lies strictly inside the bracket that
+        # the earlier points' signs left
+        a_lo, a_hi = lo, hi
+        for t in seen:
+            assert a_lo <= t <= a_hi
+            if t != x0:
+                assert a_lo < t < a_hi
+            if (f(t)[0] > 0) == (sign > 0):
+                a_hi = t
+            else:
+                a_lo = t
+        if root.iterations < max_iter:
+            g, dg = f(root.x)
+            assert abs(g / dg) <= xtol * max(1.0, abs(root.x))
+            assert ftol is None or abs(g) <= ftol
+
+
+@given(rows=_NEWTON_ROWS, xtol=st.sampled_from([1e-6, 1e-13]),
+       max_iter=st.integers(1, 200))
+def test_newton_rows_take_each_scalar_search_step_for_step(rows, xtol,
+                                                            max_iter):
+    r, b, a, sign, left, right, at, ftols = (np.array(c) for c in zip(*rows))
+    ftol = None if all(f is None for f in ftols) else np.array(
+        [math.inf if f is None else f for f in ftols])
+    lo, hi = r - left, r + right
+    x0 = lo + at * (hi - lo)
+    active = []
+
+    def f(t, idx):
+        active.append(idx.tolist())
+        return _overshooting(r[idx], b[idx], a[idx], sign[idx])(t)
+
+    got = newton_root(f, lo, hi, x0, xtol=xtol, ftol=ftol,
+                      max_iter=max_iter)
+    assert all(x == sorted(set(x)) for x in active)
+    active = active[2:]     # the calls at the bracket ends
+    for i in range(len(rows)):
+        tol = None if ftol is None or ftol[i] == math.inf else ftol[i]
+        one = newton_root(_overshooting(r[i], b[i], a[i], sign[i]), lo[i],
+                          hi[i], x0[i], xtol=xtol, ftol=tol,
+                          max_iter=max_iter)
+        assert (got.x[i], got.iterations[i]) == tuple(one)
+        # row i is evaluated at exactly its own steps and no others
+        assert sum(i in x for x in active) == one.iterations
+
+
+def test_newton_exact_root_at_an_end_takes_no_step():
+    def f(t):
+        return t, 1.0
+
+    assert tuple(newton_root(f, 0.0, 1.0, 0.5)) == (0.0, 0)
+    assert tuple(newton_root(f, -1.0, 0.0, -0.5, flo=-1.0)) == (0.0, 0)
+    with pytest.raises(ValueError):
+        newton_root(f, 1.0, 2.0, 1.5)
+
+
+def test_grid_phase_is_one_call_on_the_scalar_grid_points():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return (t - 0.3) ** 2
+
+    grid_then_golden(f, -1.0, 2.0, n_grid=17)
+    step = 3.0 / 16
+    assert np.array_equal(calls[0], [-1.0 + i * step for i in range(17)])
+    assert all(np.ndim(t) == 0 for t in calls[1:])
+
+
 def test_float_bisection_only_in_solve():
     # every float bisection goes through _solve.bisect_root
     midpoint = re.compile(r"0\.5 \* \((lo|hi)")
@@ -145,9 +251,10 @@ def test_golden_handles_nan_edges():
 
 
 def test_grid_then_golden_bimodal():
-    # global minimum at 4.5, a shallower local one near -2
+    # global minimum at 4.5, a shallower local one near -2; the grid phase
+    # passes its points as one array
     def f(t):
-        return min((t + 2.0) ** 2 + 1.0, (t - 4.5) ** 2)
+        return np.minimum((t + 2.0) ** 2 + 1.0, (t - 4.5) ** 2)
 
     x, v = grid_then_golden(f, -8.0, 8.0, n_grid=101)
     assert abs(x - 4.5) < 1e-6
