@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
 from ._solve import bisect_root
 from .populations import GaussianMixture, kl_divergence, quantile
@@ -42,6 +41,7 @@ def _log_upper_tail(base, x0: float, moment: int = 0) -> float:
     Shifts by logpdf(x0) so the integrand is O(1) near the split; x0 must
     be positive when moment = 1 (tilt split points always are).
     """
+    from scipy import integrate
     l0 = float(np.asarray(base.logpdf(x0)))
     if not math.isfinite(l0):
         return -math.inf

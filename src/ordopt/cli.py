@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import os
@@ -318,11 +319,25 @@ def _write_csv(path, header, rows):
         raise
 
 
+def _strict(v):
+    """v with each non-finite float, nested in dicts and lists too,
+    written as the string "inf", "-inf" or "nan"."""
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_strict(x) for x in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return str(float(v))
+    return v
+
+
+def _json(record):
+    """Strict JSON text: no NaN or Infinity tokens."""
+    return json.dumps(_strict(record), allow_nan=False)
+
+
 def _emit(args, record, text):
-    if args.json:
-        print(json.dumps(record))
-    else:
-        print(text)
+    print(_json(record) if args.json else text)
 
 
 def _kv(record):
@@ -672,7 +687,7 @@ def _cmd_reproduce(args):
     items = run_reproduce(args.only)
     n_pass = sum(1 for it in items if it["pass"])
     if args.json:
-        print(json.dumps({"items": items, "pass": n_pass == len(items)}))
+        print(_json({"items": items, "pass": n_pass == len(items)}))
     else:
         for it in items:
             status = "PASS" if it["pass"] else "FAIL"
@@ -696,7 +711,22 @@ def _cmd_reproduce(args):
 
 # ------------------------------------------------------------------- parser
 
+def _finite(text):
+    """argparse type of every float option: nan and +-inf exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+@functools.cache
 def _build_parser():
+    """The parser, built once per process; parse_args leaves it as it
+    was, so main may be called any number of times."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="run-level RNG seed (default 0)")
@@ -715,18 +745,18 @@ def _build_parser():
     q.add_argument("--values", help="comma/space separated sample values")
     q.add_argument("--model", help="model spec to draw a batch from")
     q.add_argument("--m", type=int, help="batch size when drawing")
-    q.add_argument("--x", type=float, default=0.0, help="evaluation level")
+    q.add_argument("--x", type=_finite, default=0.0, help="evaluation level")
 
     q = sub.add_parser("meta-rate", parents=[common],
                        help="meta-rate values, exponents, certificates")
     q.add_argument("--model", required=True)
-    q.add_argument("--theta", type=float)
-    q.add_argument("--nu", type=float)
-    q.add_argument("--a", type=float, help="level for the infimum mode")
+    q.add_argument("--theta", type=_finite)
+    q.add_argument("--nu", type=_finite)
+    q.add_argument("--a", type=_finite, help="level for the infimum mode")
     q.add_argument("--exponent", action="store_true")
     q.add_argument("--certificate", action="store_true")
-    q.add_argument("--c1", type=float)
-    q.add_argument("--c2", type=float)
+    q.add_argument("--c1", type=_finite)
+    q.add_argument("--c2", type=_finite)
 
     for cmd, help_text in (("select", "run a policy and write one CSV row "
                                       "per replication"),
@@ -738,14 +768,14 @@ def _build_parser():
                                             "succ-elim"])
         q.add_argument("--config", help="experiment config (INI or JSON)")
         q.add_argument("--models", help="models config (INI or JSON)")
-        q.add_argument("--delta", type=float)
-        q.add_argument("--epsilon", type=float)
-        q.add_argument("--c1", type=float)
-        q.add_argument("--c2", type=float)
-        q.add_argument("--beta", type=float)
-        q.add_argument("--alpha", type=float)
-        q.add_argument("--K", type=float)
-        q.add_argument("--b", type=float)
+        q.add_argument("--delta", type=_finite)
+        q.add_argument("--epsilon", type=_finite)
+        q.add_argument("--c1", type=_finite)
+        q.add_argument("--c2", type=_finite)
+        q.add_argument("--beta", type=_finite)
+        q.add_argument("--alpha", type=_finite)
+        q.add_argument("--K", type=_finite)
+        q.add_argument("--b", type=_finite)
         q.add_argument("--d", type=int)
         q.add_argument("--estimator", choices=["plain", "truncated",
                                                "capped"])
@@ -756,31 +786,31 @@ def _build_parser():
     q = sub.add_parser("trunc-error", parents=[common],
                        help="worst-case truncation or capping bias")
     q.add_argument("--f", required=True, help="power:ALPHA or exp:THETA")
-    q.add_argument("--c", type=float, required=True)
-    q.add_argument("--u", type=float, required=True)
+    q.add_argument("--c", type=_finite, required=True)
+    q.add_argument("--u", type=_finite, required=True)
     q.add_argument("--kind", choices=["truncation", "capping"],
                    default="truncation")
 
     q = sub.add_parser("tilt", parents=[common],
                        help="KL-budgeted mean-lifting tilt of a model")
     q.add_argument("--model", required=True)
-    q.add_argument("--alpha-target", dest="alpha_target", type=float,
+    q.add_argument("--alpha-target", dest="alpha_target", type=_finite,
                    required=True)
-    q.add_argument("--k", type=float, required=True)
+    q.add_argument("--k", type=_finite, required=True)
 
     q = sub.add_parser("lower-bound", parents=[common],
                        help="sample-count floor from a KL dichotomy")
     q.add_argument("--model", required=True)
     q.add_argument("--model2")
-    q.add_argument("--alpha-target", dest="alpha_target", type=float)
-    q.add_argument("--k", type=float)
-    q.add_argument("--delta", type=float, required=True)
+    q.add_argument("--alpha-target", dest="alpha_target", type=_finite)
+    q.add_argument("--k", type=_finite)
+    q.add_argument("--delta", type=_finite, required=True)
 
     q = sub.add_parser("quantile-gadget", parents=[common],
                        help="mixture pair with small KL, large quantile gap")
-    q.add_argument("--p", type=float, required=True)
-    q.add_argument("--epsilon", type=float, required=True)
-    q.add_argument("--mu", type=float, required=True)
+    q.add_argument("--p", type=_finite, required=True)
+    q.add_argument("--epsilon", type=_finite, required=True)
+    q.add_argument("--mu", type=_finite, required=True)
 
     q = sub.add_parser("reproduce", parents=[common],
                        help="re-derive the reported numbers, PASS/FAIL each")

@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ._solve import (bisect_root, expand_bracket, grid_then_golden,
                      newton_root)
@@ -120,6 +119,7 @@ def _node_table(model):
     as Q(q) or Q(1 - q) from its tail probability q. Equal-width breakpoints
     across the core bound the panels where the density is low, such as
     between the modes of a mixture."""
+    from scipy.special import expit
     step = 2.0 * _CORE_LOGIT / _CORE_PANELS
     t = [-_CORE_LOGIT + step * k for k in range(_CORE_PANELS // 2 + 1)]
     edge = -_CORE_LOGIT

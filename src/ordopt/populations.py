@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import ndtr, ndtri
 
 from ._solve import bisect_root, expand_bracket
 from .empirical_rate import (RateEstimate, _tilted_mean, empirical_log_mgf,
@@ -215,12 +213,15 @@ class Gaussian:
         return _LOG_NORM_CONST - math.log(self.sigma) - 0.5 * z * z
 
     def cdf(self, x):
+        from scipy.special import ndtr
         return ndtr((np.asarray(x, dtype=float) - self.mu) / self.sigma)
 
     def quantile(self, p):
+        from scipy.special import ndtri
         return self.mu + self.sigma * ndtri(p)
 
     def upper_quantile(self, q):
+        from scipy.special import ndtri
         return self.mu - self.sigma * ndtri(q)
 
     def draw(self, rng, n):
@@ -269,6 +270,7 @@ class GaussianMixture:
         return np.logaddexp(a, b)
 
     def cdf(self, x):
+        from scipy.special import ndtr
         x = np.asarray(x, dtype=float)
         return self.p * ndtr(x) + (1.0 - self.p) * ndtr(x - self.mu)
 
@@ -284,6 +286,7 @@ class GaussianMixture:
 
         Each component's quantile, moved out by 1, brackets the root.
         """
+        from scipy.special import ndtr, ndtri
         qs = np.atleast_1d(np.asarray(q, dtype=float))
         z = -ndtri(qs) if upper else ndtri(qs)
         lo = np.minimum(z, self.mu + z) - 1.0
@@ -359,6 +362,7 @@ class Bernoulli:
 
 def _pareto_integral(t, p):
     """int_0^inf e^{t v} (1 + v)^{-p} dv for t < 0, by adaptive quadrature."""
+    from scipy import integrate
     val, _ = integrate.quad(lambda v: math.exp(t * v) * (1.0 + v) ** (-p),
                             0.0, math.inf, limit=200)
     return val
@@ -671,6 +675,7 @@ def _kl_discrete(g_atoms, gt_atoms):
 
 
 def _kl_continuous(g, gt):
+    from scipy import integrate
     g_lo, g_hi = g.support()
     t_lo, t_hi = gt.support()
     if g_lo < t_lo or g_hi > t_hi:

@@ -1,3 +1,4 @@
+import argparse
 import importlib.metadata
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from ordopt import cli
 from ordopt.cli import main, parse_model, run_reproduce
 from ordopt.populations import (
     Gaussian,
@@ -25,8 +27,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _no_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
 def last_json(out):
-    return json.loads(out.strip().splitlines()[-1])
+    # strict: NaN, Infinity and -Infinity are not JSON
+    return json.loads(out.strip().splitlines()[-1],
+                      parse_constant=_no_constant)
 
 
 @pytest.fixture
@@ -86,7 +94,7 @@ class TestRateEstimate:
                                         "--json"])
         assert code == 0
         rec = last_json(out)
-        assert math.isinf(rec["value"])
+        assert rec["value"] == "inf"
 
     def test_model_draw_is_deterministic(self, capsys):
         argv = ["rate-estimate", "--model", "two-point:1,0.6", "--m", "12",
@@ -556,6 +564,177 @@ class TestReproduce:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "group,name,computed,expected,tol,pass"
         assert len(lines) == 3
+
+
+# each argv is valid with BAD replaced by a finite number
+_FLOAT_OPTIONS = [
+    ["rate-estimate", "--values", "1,-1", "--x", "BAD"],
+    ["meta-rate", "--model", "gaussian:-0.2,1", "--theta", "BAD",
+     "--nu", "0.5"],
+    ["meta-rate", "--model", "gaussian:-0.2,1", "--theta", "0.5",
+     "--nu", "BAD"],
+    ["meta-rate", "--model", "two-point:1,0.55", "--a", "BAD"],
+    ["meta-rate", "--model", "two-point:1,0.55", "--exponent",
+     "--c1", "BAD", "--c2", "1"],
+    ["select", "--policy", "hoeffding", "--epsilon", "BAD", "--b", "1",
+     "--delta", "0.1", "--models", "models.ini"],
+    ["mc-fs", "--policy", "two-phase", "--c1", "1", "--c2", "1",
+     "--delta", "BAD", "--models", "models.ini"],
+    ["trunc-error", "--f", "power:2", "--c", "BAD", "--u", "1"],
+    ["trunc-error", "--f", "power:2", "--c", "1", "--u", "BAD"],
+    ["tilt", "--model", "mirrored:shifted-exponential:0.96,1",
+     "--alpha-target", "BAD", "--k", "10.4"],
+    ["lower-bound", "--model", "gaussian:0,1", "--model2", "gaussian:1,1",
+     "--delta", "BAD"],
+    ["quantile-gadget", "--p", "BAD", "--epsilon", "0.1", "--mu", "5"],
+]
+
+
+class TestFiniteOptions:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN",
+                                     "Infinity"])
+    @pytest.mark.parametrize("argv", _FLOAT_OPTIONS,
+                             ids=lambda a: f"{a[0]}-{a[a.index('BAD') - 1]}")
+    def test_non_finite_option_exits_2(self, capsys, argv, bad):
+        # --opt=VALUE, since argparse reads a bare "-inf" as an option
+        i = argv.index("BAD")
+        argv = argv[:i - 1] + [f"{argv[i - 1]}={bad}"] + argv[i + 1:]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"{argv[i - 1].partition('=')[0]}: must be finite" in (
+            captured.err)
+        assert captured.out == ""
+
+    def test_every_float_option_is_finite(self):
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        types = {a.type for p in sub.choices.values() for a in p._actions}
+        assert float not in types and cli._finite in types
+
+    def test_non_numbers_keep_the_float_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trunc-error", "--f", "power:2", "--c", "abc", "--u", "1"])
+        assert exc.value.code == 2
+        assert "invalid float value: 'abc'" in capsys.readouterr().err
+
+    def test_finite_values_still_parse(self, capsys):
+        code, out, _ = run_cli(capsys, ["trunc-error", "--f", "power:2",
+                                        "--c", "1e0", "--u", "-0.0",
+                                        "--json"])
+        assert code == 0 and last_json(out)["u"] == 0.0
+
+
+class TestStrictJson:
+    def test_infinite_meta_rate_is_a_string(self, capsys):
+        # P(W <= nu) = 0 here, so J = +inf is the right value
+        code, out, _ = run_cli(capsys, ["meta-rate", "--model",
+                                        "two-point:1,0.55", "--theta", "1",
+                                        "--nu", "0.1", "--json"])
+        assert code == 0
+        assert "Infinity" not in out
+        rec = last_json(out)
+        assert rec["value"] == "inf" and rec["alpha_star"] is None
+        assert rec["theta"] == 1.0 and rec["nu"] == 0.1
+
+    def test_key_value_output_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, ["meta-rate", "--model",
+                                        "two-point:1,0.55", "--theta", "1",
+                                        "--nu", "0.1"])
+        assert code == 0 and "value=inf " in out
+
+    def test_reproduce_items(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._REPRODUCE_GROUPS, "beta", lambda: [
+            cli._item("beta", "non-finite", math.nan, -math.inf, "abs 0",
+                      False),
+            cli._item("beta", "finite", np.float64(0.25), 0.25, "abs 0",
+                      True)])
+        code, out, _ = run_cli(capsys, ["reproduce", "--only", "beta",
+                                        "--json"])
+        assert code == 1
+        bad, good = last_json(out)["items"]
+        assert (bad["computed"], bad["expected"]) == ("nan", "-inf")
+        assert (good["computed"], good["expected"]) == (0.25, 0.25)
+
+    def test_nested_values(self):
+        text = cli._json({"a": [math.inf, {"b": -math.inf}], "c": math.nan,
+                          "d": 1.5, "e": None, "f": "x", "g": 3})
+        assert json.loads(text, parse_constant=_no_constant) == {
+            "a": ["inf", {"b": "-inf"}], "c": "nan", "d": 1.5, "e": None,
+            "f": "x", "g": 3}
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_calls_do_not_depend_on_earlier_calls(self, capsys):
+        trunc = ["trunc-error", "--f", "power:2", "--c", "1", "--u", "1.5",
+                 "--kind", "capping", "--json"]
+        rate = ["rate-estimate", "--model", "two-point:1,0.6", "--m", "12"]
+        seeded = rate + ["--seed", "5"]
+        outs = [run_cli(capsys, argv) for argv in
+                (rate, trunc, seeded, rate, trunc)]
+        assert all(code == 0 for code, _, _ in outs)
+        assert outs[0] == outs[3] and outs[1] == outs[4]
+        assert outs[2] != outs[0]  # the seed reached its own call only
+        # the --json call left the next call's output as key=value
+        assert outs[3][1].startswith("value=")
+        assert last_json(outs[4][1])["kind"] == "capping"
+
+    def test_help_text_unchanged(self, capsys):
+        def help_text(argv):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            return capsys.readouterr().out
+
+        before = help_text(["--help"]), help_text(["select", "--help"])
+        run_cli(capsys, ["meta-rate", "--model", "two-point:1,0.55",
+                         "--exponent", "--c1", "1", "--c2", "1", "--json"])
+        with pytest.raises(SystemExit):
+            main(["trunc-error", "--c", "nan"])
+        capsys.readouterr()
+        assert (help_text(["--help"]),
+                help_text(["select", "--help"])) == before
+        assert "quantile-gadget" in before[0] and "--delta" in before[1]
+
+
+_COLD_START = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import ordopt, ordopt.cli
+seen = {"import": scipy_modules()}
+assert ordopt.cli.main(["select", "--policy", "two-phase", "--c1", "1",
+                        "--c2", "1", "--delta", "0.1", "--models", sys.argv[1],
+                        "--replications", "4"]) == 0
+seen["select"] = scipy_modules()
+assert ordopt.cli.main(["meta-rate", "--model", "gaussian:-0.2,1",
+                        "--theta", "-0.5", "--nu", "0.9"]) == 0
+seen["meta-rate"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_on_first_use(tmp_path):
+    models = tmp_path / "models.ini"
+    models.write_text("[a0]\nspec = two-point:1,0.55\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = [os.path.join(root, "src")] + [
+        p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(models)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["import"] == []
+    assert seen["select"] == []
+    assert "scipy.special" in seen["meta-rate"]
 
 
 class TestEntryPoints:

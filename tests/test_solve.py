@@ -144,7 +144,8 @@ def test_newton_steps_stay_inside_the_bracket(rows, xtol, max_iter):
     for r, b, a, sign, left, right, at, ftol in rows:
         f = _overshooting(r, b, a, sign)
         lo, hi = r - left, r + right
-        x0 = lo + at * (hi - lo)
+        # clipped: lo + 1.0 * (hi - lo) can round past hi
+        x0 = min(max(lo + at * (hi - lo), lo), hi)
         seen = []
 
         def traced(t):
