@@ -146,9 +146,12 @@ def _fparam(params, key, where, default=None):
     if raw is None:
         raise ValueError(f"{where}.{key}: required for this policy")
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ValueError(f"{where}.{key}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}.{key}: must be finite, got {raw!r}")
+    return value
 
 
 def _build_adapter(name, params, d, delta):

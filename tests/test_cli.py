@@ -607,6 +607,21 @@ class TestFiniteOptions:
             captured.err)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("key,bad", [("b", "inf"), ("epsilon", "nan"),
+                                         ("b", "-inf")])
+    def test_non_finite_config_value_is_validation(self, capsys, tmp_path,
+                                                   key, bad):
+        policy = {"epsilon": "0.2", "b": "1", key: bad}
+        p = tmp_path / "exp.ini"
+        p.write_text("[model:a0]\nspec = bernoulli:0.3\n\n"
+                     "[model:a1]\nspec = bernoulli:0.5\n\n"
+                     "[policy]\nname = hoeffding\n"
+                     + "".join(f"{k} = {v}\n" for k, v in policy.items())
+                     + "\n[run]\ndelta = 0.1\nreplications = 3\n")
+        code, out, err = run_cli(capsys, ["select", "--config", str(p)])
+        assert code == 2 and out == ""
+        assert f"policy.{key}: must be finite" in err
+
     def test_every_float_option_is_finite(self):
         sub = next(a for a in cli._build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
