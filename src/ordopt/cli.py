@@ -726,6 +726,20 @@ def _finite(text):
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads an argument made of a dash and then a
+    digit, a point and a digit, "inf" or "nan" as a value, never as an
+    option. Plain argparse reads only -5 and -.5 that way, so
+    "--theta -5e-1", "--theta -inf" and "--values -1,1,1" stopped with
+    "expected one argument" where "--theta=-5e-1" parsed. No option of
+    the CLI is spelt like a negative number, so none is shadowed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)",
+                                                   re.IGNORECASE)
+
+
 @functools.cache
 def _build_parser():
     """The parser, built once per process; parse_args leaves it as it
@@ -737,7 +751,7 @@ def _build_parser():
     common.add_argument("--json", action="store_true",
                         help="print a JSON record instead of key=value")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ordopt",
         description="Mean-selection toolkit: rate estimators, selection "
                     "policies, truncation bounds, lower-bound gadgets.")

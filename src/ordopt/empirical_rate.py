@@ -10,20 +10,20 @@ of P(mean <= 0) for a negative-mean population is
     I_m(0) = -inf_theta L_m(theta),
 
 and the rate at a general point x is the same quantity for the shifted
-batch (X_i - x). The infimum is found by bisecting the strictly increasing
-derivative L_m'(theta); when every sample sits strictly on one side of zero
-the infimum is -inf and the estimate is +infinity.
+batch (X_i - x). The infimum is the root of the strictly increasing
+derivative L_m'(theta), found by safeguarded Newton steps with L_m''(theta),
+the tilted variance, as the slope; when every sample sits strictly on one
+side of zero the infimum is -inf and the estimate is +infinity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from ._solve import bisect_root, expand_bracket
+from ._solve import expand_bracket, newton_root
 
 _THETA_CAP = 2.0 ** 10
 
@@ -90,32 +90,51 @@ def _log_mgf(x: np.ndarray, theta):
                                             mean_w.tolist())]
 
 
-def _tilted_mean(x: np.ndarray, theta):
-    """L_m'(theta): the batch mean under the theta-tilt (row-wise for a
-    matrix x and one theta per row, as in _tilt)."""
+def _tilted_moments(x: np.ndarray, theta):
+    """(L_m'(theta), L_m''(theta)): the batch mean under the theta-tilt and
+    its tilted variance E_w[X^2] - (E_w X)^2, from one exp pass (row-wise
+    for a matrix x and one theta per row, as in _tilt)."""
     t, hi = _tilt(x, theta)
     w = np.exp(t - hi)
-    mean = np.add.reduce(x * w, axis=-1) / np.add.reduce(w, axis=-1)
-    return mean if np.ndim(theta) else float(mean)
+    total = np.add.reduce(w, axis=-1)
+    xw = x * w
+    mean = np.add.reduce(xw, axis=-1) / total
+    var = np.add.reduce(x * xw, axis=-1) / total - mean * mean
+    return (mean, var) if np.ndim(theta) else (float(mean), float(var))
 
 
-def _row_derivative(x):
-    """L_m' of the rows of x as f(theta, rows), for the lock-step solvers."""
+def _tilted_mean(x: np.ndarray, theta):
+    """L_m'(theta) alone, for the bracket walks and Empirical.dlog_mgf."""
+    return _tilted_moments(x, theta)[0]
+
+
+def _row_derivative(x, moments=_tilted_mean):
+    """L_m' (or, with moments=_tilted_moments, L_m' and L_m'') of the rows
+    of x as f(theta, rows), for the lock-step solvers."""
     def deriv(theta, rows):
-        return _tilted_mean(x if rows.size == len(x) else x[rows], theta)
+        return moments(x if rows.size == len(x) else x[rows], theta)
     return deriv
 
 
+def _rate(lm):
+    """-L_m(theta*) as a rate: +0.0, never -0.0, where L_m(theta*) = 0."""
+    return -lm if lm < 0 else 0.0
+
+
 def estimate_rate_at_zero(batch) -> RateEstimate:
-    """I_m(0) = -inf_theta L_m(theta) by bisection on L_m'.
+    """I_m(0) = -inf_theta L_m(theta) at the root of L_m'.
 
     L_m' is strictly increasing when the batch has at least two distinct
     points, so a sign change of the derivative brackets the optimum. The
-    bracket expands geometrically from [-1, 1] up to |theta| = 2^10; if the
-    derivative never changes sign inside that range the infimum is either
-    -inf (all samples strictly one-signed, value +infinity) or attained in
-    the limit because the batch has mass exactly at zero, in which case the
-    boundary value at the cap already matches the limit to double precision.
+    bracket expands geometrically from [-1, 1] up to |theta| = 2^10, and
+    safeguarded Newton steps (newton_root) from theta = 0 locate the root
+    inside it, with L_m'', the tilted variance, as the slope; iterations
+    counts the derivative evaluations of that search. If the derivative
+    never changes sign inside that range the infimum is either -inf (all
+    samples strictly one-signed, value +infinity) or attained in the limit
+    because the batch has mass exactly at zero, in which case the boundary
+    value at the cap already matches the limit to double precision. The
+    rate at the batch mean is +0.0.
     """
     return estimate_rates_at_zero(_values(batch)[None, :])[0]
 
@@ -157,14 +176,14 @@ def estimate_rates_at_zero(batches) -> list[RateEstimate]:
     if free.size:
         xf = x[free]
         tol = 1e-10 * np.maximum(1.0, np.abs(xf).mean(axis=1))
-        root = bisect_root(_row_derivative(xf), lo[free], hi[free],
-                           flo=dlo[free], fhi=dhi[free], xtol=1e-12,
-                           ftol=tol, max_iter=199)
-        theta[free] = root.mid
+        root = newton_root(_row_derivative(xf, _tilted_moments), lo[free],
+                           hi[free], 0.0, flo=dlo[free], fhi=dhi[free],
+                           xtol=1e-12, ftol=tol, max_iter=199)
+        theta[free] = root.x
         iterations[free] = root.iterations
     for i, lm, th, it in zip(rows, _log_mgf(x, theta), theta.tolist(),
                              iterations.tolist()):
-        out[i] = RateEstimate(max(-lm, 0.0), th, "interior", it)
+        out[i] = RateEstimate(_rate(lm), th, "interior", it)
     return out
 
 
@@ -179,7 +198,8 @@ def restricted_inf_log_mgf(batch, theta_lo: float, theta_hi: float):
 
     Returns (value, theta_star). Convexity puts the infimum at an endpoint
     or at the interior derivative root, whichever the derivative signs at
-    the endpoints select.
+    the endpoints select; the root search is estimate_rate_at_zero's
+    Newton search, started at 0 clipped into the interval.
     """
     if theta_lo > theta_hi:
         raise ValueError("theta_lo must not exceed theta_hi")
@@ -191,6 +211,8 @@ def restricted_inf_log_mgf(batch, theta_lo: float, theta_hi: float):
     if d_hi <= 0:
         return float(_log_mgf(x, theta_hi)), theta_hi
     tol = 1e-10 * max(1.0, float(np.abs(x).mean()))
-    theta_star = bisect_root(partial(_tilted_mean, x), theta_lo, theta_hi,
-                             flo=d_lo, fhi=d_hi, xtol=1e-12, ftol=tol).mid
+    theta_star = newton_root(lambda theta: _tilted_moments(x, theta),
+                             theta_lo, theta_hi,
+                             min(max(0.0, theta_lo), theta_hi), flo=d_lo,
+                             fhi=d_hi, xtol=1e-12, ftol=tol).x
     return float(_log_mgf(x, theta_star)), theta_star

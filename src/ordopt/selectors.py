@@ -18,8 +18,11 @@ policy blocks of consecutive streams. Every policy takes a range of streams
 for `stream` and returns the list of outcomes, each identical to its
 one-stream call, and draws through one re-keyed generator. The sign
 procedures step a block in lock-step, stacking its batches into one matrix
-for the rate estimate; successive elimination runs a block's replications
-one after another on radius and threshold tables built once per call.
+for the rate estimate. The fixed-budget comparisons decide a block at
+once: per arm, the streams' draws stack into matrices of bounded size,
+one row-wise mean each, and one argmin over the arms picks every stream's
+choice. Successive elimination runs a block's replications one after
+another on radius and threshold tables built once per call.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ _SUBSTREAM = 1 << 20
 _KEY_LIMIT = 1 << 64
 _SAMPLE_CAP = 1 << 20  # two-phase decision batch ceiling
 _BLOCK = 256  # replications per engine block: bounds the stacked batches
+_ELEMENTS = 2 ** 16  # most draws a fixed-budget policy stacks at once
 _SEGMENT = 512  # elimination rounds per cumulative-sum segment
 _MAX_SPAN = 8  # most segments one elimination step covers
 
@@ -293,14 +297,40 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
     return _over(stream, block)
 
 
-def _argmin_outcome(models, means, n, termination):
-    arr = np.asarray(means, dtype=float)
-    chosen = int(np.argmin(arr))
-    true_means = np.array([m.mean() for m in models])
-    ties = np.flatnonzero(true_means == true_means.min())
-    fs = None if len(ties) > 1 else bool(chosen != ties[0])
-    return SelectionOutcome(chosen, [int(n)] * len(models), 1,
-                            termination, None, fs)
+def _budget_block(models, n, seed, cap=None):
+    """block(streams) of a fixed-budget minimum selection: every arm's n
+    draws on each stream, clamped above at cap when one is given, and the
+    argmin of the means.
+
+    Per arm, the streams' draws stack as the rows of one matrix of at most
+    _ELEMENTS entries (one row when n is larger), reduced by one row-wise
+    mean; each row's mean is exactly that of its 1-D draw.
+    """
+    d = len(models)
+    keys = _Streams(seed)
+    true_means = np.array([model.mean() for model in models])
+    ties = np.flatnonzero(true_means == true_means.min()).tolist()
+    best = ties[0] if len(ties) == 1 else None  # None: no false selection
+    per = max(1, _ELEMENTS // n)
+
+    def block(streams):
+        means = np.empty((d, len(streams)))
+        mat = np.empty((min(per, len(streams)), n))
+        for a, model in enumerate(models):
+            for k in range(0, len(streams), per):
+                chunk = streams[k:k + per]
+                rows = mat[:len(chunk)]
+                for j, s in enumerate(chunk):
+                    rows[j] = model.draw(keys(s, a), n)
+                if cap is not None:
+                    np.minimum(rows, cap, out=rows)
+                means[a, k:k + len(chunk)] = np.mean(rows, axis=1)
+        chosen = np.argmin(means, axis=0).tolist()
+        return [SelectionOutcome(c, [n] * d, 1, "budget-exhausted", None,
+                                 None if best is None else c != best)
+                for c in chosen]
+
+    return block
 
 
 def hoeffding_select(models, epsilon: float, delta: float, b: float,
@@ -316,14 +346,7 @@ def hoeffding_select(models, epsilon: float, delta: float, b: float,
     if epsilon <= 0 or b <= 0:
         raise ValueError("epsilon and b must be positive")
     n = math.ceil((2.0 * b * b / epsilon ** 2) * math.log((d - 1) / delta))
-    keys = _Streams(seed)
-
-    def one(s):
-        means = [float(np.mean(model.draw(keys(s, a), n)))
-                 for a, model in enumerate(models)]
-        return _argmin_outcome(models, means, n, "budget-exhausted")
-
-    return _over(stream, lambda streams: [one(s) for s in streams])
+    return _over(stream, _budget_block(models, n, seed))
 
 
 def capping_bias(f_spec, c: float, u: float) -> float:
@@ -392,14 +415,7 @@ def capped_select(models, epsilon: float, delta: float,
     u = capping_radius(bounds, beta * epsilon)
     n = math.ceil(2.0 * u * u / (epsilon ** 2 * (1.0 - beta) ** 2)
                   * math.log((d - 1) / delta))
-    keys = _Streams(seed)
-
-    def one(s):
-        means = [float(np.mean(np.minimum(model.draw(keys(s, a), n), u)))
-                 for a, model in enumerate(models)]
-        return _argmin_outcome(models, means, n, "budget-exhausted")
-
-    return _over(stream, lambda streams: [one(s) for s in streams])
+    return _over(stream, _budget_block(models, n, seed, u))
 
 
 def optimal_beta(bounds: MomentBound) -> float:

@@ -596,7 +596,7 @@ class TestFiniteOptions:
     @pytest.mark.parametrize("argv", _FLOAT_OPTIONS,
                              ids=lambda a: f"{a[0]}-{a[a.index('BAD') - 1]}")
     def test_non_finite_option_exits_2(self, capsys, argv, bad):
-        # --opt=VALUE, since argparse reads a bare "-inf" as an option
+        # the --opt=VALUE spelling; TestNegativeValues has the spaced one
         i = argv.index("BAD")
         argv = argv[:i - 1] + [f"{argv[i - 1]}={bad}"] + argv[i + 1:]
         with pytest.raises(SystemExit) as exc:
@@ -639,6 +639,47 @@ class TestFiniteOptions:
                                         "--c", "1e0", "--u", "-0.0",
                                         "--json"])
         assert code == 0 and last_json(out)["u"] == 0.0
+
+
+class TestNegativeValues:
+    """A negative value after a space parses as it does after "="."""
+
+    @pytest.mark.parametrize("argv", [
+        ["meta-rate", "--model", "gaussian:-0.2,1", "--theta", "-5e-1",
+         "--nu", "0.9"],
+        ["rate-estimate", "--values", "1,-1,-1,-1", "--x", "-5e-1"],
+        ["rate-estimate", "--values", "-1,1,1"],
+        ["rate-estimate", "--values", "-.5,1", "--x", "-1E-3"],
+    ], ids=lambda a: " ".join(a[-2:]))
+    def test_spaced_form_parses_as_equals_form(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv + ["--json"])
+        assert code == 0 and err == ""
+        joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+        assert run_cli(capsys, joined + ["--json"]) == (code, out, err)
+
+    @pytest.mark.parametrize("bad", ["-inf", "-Infinity", "-nan"])
+    def test_spaced_non_finite_value_exits_2(self, capsys, bad):
+        with pytest.raises(SystemExit) as exc:
+            main(["meta-rate", "--model", "gaussian:-0.2,1", "--theta", bad,
+                  "--nu", "0.9"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "--theta: must be finite" in captured.err
+
+    @pytest.mark.parametrize("argv", _FLOAT_OPTIONS,
+                             ids=lambda a: f"{a[0]}-{a[a.index('BAD') - 1]}")
+    def test_every_float_option_takes_a_spaced_negative(self, capsys, argv):
+        argv = [("-inf" if a == "BAD" else a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be finite, got '-inf'" in capsys.readouterr().err
+
+    def test_batch_mean_rate_prints_plus_zero(self, capsys):
+        code, out, _ = run_cli(capsys, ["rate-estimate", "--values",
+                                        "1,-1,-1,-1", "--x", "-0.5"])
+        assert code == 0
+        assert out.split()[0] == "value=0"
 
 
 class TestStrictJson:

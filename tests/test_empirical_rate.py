@@ -71,7 +71,11 @@ def test_estimate_rate_at_examples():
     batch = [1.0, -1.0, -1.0, -1.0]
     assert estimate_rate_at(batch, -0.5).value == pytest.approx(
         estimate_rate_at_zero([1.5, -0.5, -0.5, -0.5]).value, abs=1e-12)
-    assert estimate_rate_at(batch, -0.5).value > 0
+    # -0.5 is the batch mean: the optimum is theta = 0, where L_m is 0, and
+    # the rate is exactly +0.0 (not -0.0, which printed as "value=-0")
+    at_mean = estimate_rate_at(batch, -0.5)
+    assert at_mean.value == 0.0 and math.copysign(1.0, at_mean.value) == 1.0
+    assert at_mean.theta_star == 0.0
     assert estimate_rate_at(batch, np.mean(batch)).value < 1e-10
     got = estimate_rate_at([0.0, 1.0], 0.9)
     assert got.value == pytest.approx(0.3680642071684971, abs=1e-10)

@@ -2,9 +2,13 @@
 
 The references below are the per-replication algorithms written out with
 scalar arithmetic only: a fresh Philox generator per (stream, slot), the
-scalar bisect_root / expand_bracket path and math.log. The engine steps
-whole blocks of replications in lock-step and re-keys one generator, and
-must reproduce these outcomes and rate estimates exactly. Successive
+scalar expand_bracket path, a safeguarded Newton search written out here
+and math.log. The engine steps whole blocks of replications in lock-step
+and re-keys one generator, and must reproduce these outcomes and rate
+estimates exactly. A bisection route checks the rate estimates
+independently, to a tolerance fixed up front. The fixed-budget policies
+are checked against one fresh generator and one 1-D mean per (stream,
+arm). Successive
 elimination is checked against its one-replication loop of 512-round
 blocks, which the policy replaces by wider windows on shared tables.
 """
@@ -38,14 +42,21 @@ from ordopt.populations import (
 )
 from ordopt.selectors import (
     _BLOCK,
+    _ELEMENTS,
+    MomentBound,
     RadiusSchedule,
     SelectionOutcome,
+    _budget_block,
+    capped_select,
+    capping_radius,
+    hoeffding_select,
     radius,
     replicate,
     sequential_select,
     successive_elimination,
     two_phase_select,
 )
+from ordopt.truncation import PowerSpec
 
 MODELS = [TwoPoint(1.0, 0.55), Gaussian(-0.2, 1.0),
           Mirrored(ShiftedExponential(0.96, 1.0)),
@@ -63,14 +74,27 @@ def _ref_tilted_mean(x, theta):
     return float((x * w).sum() / w.sum())
 
 
+def _ref_tilted_moments(x, theta):
+    """L_m'(theta) and L_m''(theta) = E_w[X^2] - (E_w X)^2."""
+    t = theta * x
+    w = np.exp(t - t.max())
+    total = w.sum()
+    xw = x * w
+    mean = xw.sum() / total
+    return float(mean), float((x * xw).sum() / total - mean * mean)
+
+
 def _ref_log_mgf(x, theta):
     t = theta * x
     hi = t.max()
     return float(hi + math.log(np.exp(t - hi).sum() / x.size))
 
 
-def _ref_rate(x):
-    """I_m(0) of one batch with scalar searches, as before batching."""
+def _ref_rate(x, root=None):
+    """I_m(0) of one batch with scalar searches. root(deriv, lo, hi, dlo,
+    dhi, tol) gives (theta*, iterations) inside the bracket; by default a
+    Newton search from theta = 0 with L_m'' as the slope, each step kept
+    inside the bracket (rtsafe)."""
     x = np.asarray(x, dtype=float)
     if np.all(x == x[0]):
         if x[0] == 0.0:
@@ -88,14 +112,41 @@ def _ref_rate(x):
     lo, dlo = expand_bracket(deriv, -1.0, -math.inf, 1, cap=2.0 ** 10)
     hi, dhi = expand_bracket(deriv, 1.0, math.inf, -1, cap=2.0 ** 10)
     if dlo > 0:
-        return RateEstimate(max(-_ref_log_mgf(x, lo), 0.0), lo, "interior", 0)
-    if dhi < 0:
-        return RateEstimate(max(-_ref_log_mgf(x, hi), 0.0), hi, "interior", 0)
-    tol = 1e-10 * max(1.0, float(np.abs(x).mean()))
-    root = bisect_root(deriv, lo, hi, flo=dlo, fhi=dhi, xtol=1e-12,
-                       ftol=tol, max_iter=199)
-    return RateEstimate(max(-_ref_log_mgf(x, root.mid), 0.0), root.mid,
-                        "interior", root.iterations)
+        theta, it = lo, 0
+    elif dhi < 0:
+        theta, it = hi, 0
+    else:
+        tol = 1e-10 * max(1.0, float(np.abs(x).mean()))
+        theta, it = (root or _ref_newton)(x, lo, hi, dlo, dhi, tol)
+    lm = _ref_log_mgf(x, theta)
+    return RateEstimate(-lm if lm < 0 else 0.0, theta, "interior", it)
+
+
+def _ref_newton(x, lo, hi, dlo, dhi, tol):
+    if dlo == 0.0:
+        return lo, 0
+    if dhi == 0.0:
+        return hi, 0
+    theta = 0.0
+    for it in range(1, 200):
+        d1, d2 = _ref_tilted_moments(x, theta)
+        if d1 > 0:
+            hi = theta
+        else:
+            lo = theta
+        step = d1 / d2 if d2 != 0.0 else math.nan
+        if (abs(step) <= 1e-12 * max(1.0, abs(theta))
+                and abs(d1) <= tol) or it == 199:
+            return theta, it
+        theta -= step
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+
+
+def _ref_bisect(x, lo, hi, dlo, dhi, tol):
+    root = bisect_root(lambda theta: _ref_tilted_mean(x, theta), lo, hi,
+                       flo=dlo, fhi=dhi, xtol=1e-12, ftol=tol, max_iter=199)
+    return root.mid, root.iterations
 
 
 def _ref_sign(mean, total, rounds, termination, truth):
@@ -149,12 +200,45 @@ def test_rate_rows_match_one_batch_reference(model, seed, start, count, m,
     batches *= scales[::-1, None]
     rows = estimate_rates_at_zero(batches)
     for x, est in zip(batches, rows):
-        ref = _ref_rate(x)
-        assert est == ref
-        assert estimate_rate_at_zero(x) == ref
+        # value, theta*, status and iterations alike
+        assert estimate_rate_at_zero(x) == est
+        assert est == _ref_rate(x)
         assert type(est.value) is float
         assert est.theta_star is None or type(est.theta_star) is float
         assert type(est.iterations) is int
+
+
+# a bisection on L_m' is an independent route to the same rates; the
+# tolerance is fixed, not fitted: |dI| <= 1e-14 max(1, I)
+BISECTION_MODELS = MODELS + [Bernoulli(0.3), Mirrored(Pareto(3.0, 0.6))]
+
+
+@pytest.mark.parametrize("model", BISECTION_MODELS, ids=repr)
+def test_newton_rates_match_bisection(model):
+    for m in (2, 7, 30, 120, 350):
+        for scale in (1.0, 30.0, 1e3):
+            batches = scale * np.stack([
+                model.draw(_fresh_rng(2024, s, m), m) for s in range(12)])
+            for x, est in zip(batches, estimate_rates_at_zero(batches)):
+                ref = _ref_rate(x, _ref_bisect)
+                assert est.status == ref.status
+                if math.isinf(ref.value):
+                    assert est.value == ref.value
+                    continue
+                assert abs(est.value - ref.value) <= 1e-14 * max(1.0,
+                                                                 ref.value)
+                assert abs(est.theta_star - ref.theta_star) <= 1e-10 * max(
+                    1.0, abs(ref.theta_star))
+
+
+def test_check10_pilots_take_few_newton_steps():
+    # the pilot block of acceptance check 10 (m = ceil(log 1000) = 7):
+    # bisection took 41 steps on every interior row
+    model = TwoPoint(1.0, 0.55)
+    pilots = np.stack([model.draw(_fresh_rng(10, s, 0), 7)
+                       for s in range(250)])
+    steps = [est.iterations for est in estimate_rates_at_zero(pilots)]
+    assert 0 < max(steps) <= 6
 
 
 @settings(max_examples=25, deadline=None)
@@ -290,6 +374,61 @@ def test_elimination_block_matches_reference(arms, rule, delta, seed, start,
             assert np.array_equal(means, ref_means, equal_nan=True)
 
 
+def _ref_budget(models, n, seed, stream, cap=None):
+    """One replication of a fixed-budget minimum selection: a fresh
+    generator and one 1-D mean per arm."""
+    means = []
+    for a, model in enumerate(models):
+        x = model.draw(_fresh_rng(seed, stream, a), n)
+        means.append(float(np.mean(x if cap is None else np.minimum(x, cap))))
+    chosen = int(np.argmin(means))
+    true_means = [mo.mean() for mo in models]
+    best = [a for a in range(len(models)) if true_means[a] == min(true_means)]
+    return SelectionOutcome(chosen, [n] * len(models), 1, "budget-exhausted",
+                            None, None if len(best) > 1 else chosen != best[0])
+
+
+BUDGET_ARMS = dict(ARMS, tied=[TwoPoint(1, 0.55), TwoPoint(1, 0.55)])
+
+
+# n = 8 and 128 are the edges of numpy's pairwise summation (unrolled by
+# 8, blocks of 128); 5000 splits 20 streams at _ELEMENTS // 5000 = 13 rows
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 450, 5000])
+@pytest.mark.parametrize("arms", sorted(BUDGET_ARMS))
+def test_budget_block_matches_reference(arms, n):
+    models = BUDGET_ARMS[arms]
+    streams = range(2 ** 40, 2 ** 40 + 20)
+    for cap in (None, 1.25):
+        block = _budget_block(models, n, 9, cap)(streams)
+        assert block == [_ref_budget(models, n, 9, s, cap) for s in streams]
+        assert all(type(o.chosen) is int and type(o.false_selection)
+                   in (bool, type(None)) for o in block)
+
+
+def test_budget_block_holds_one_row_past_the_element_bound():
+    models = ARMS["mixture"]
+    n = _ELEMENTS + 3
+    block = _budget_block(models, n, 5, 0.5)(range(2))
+    assert block == [_ref_budget(models, n, 5, s, 0.5) for s in range(2)]
+
+
+def test_fixed_budget_policies_run_the_block():
+    models = ARMS["pareto"]
+    streams = range(7, 30)
+    block = hoeffding_select(models, 0.4, 0.1, 1.0, 3, stream=streams)
+    n = block[0].per_arm_samples[0]
+    assert n == math.ceil(2.0 / 0.4 ** 2 * math.log(2 / 0.1))
+    assert block == [_ref_budget(models, n, 3, s) for s in streams]
+    assert hoeffding_select(models, 0.4, 0.1, 1.0, 3, stream=7) == block[0]
+    bounds = MomentBound(PowerSpec(2.0), [1.0, 1.0, 1.0])
+    block = capped_select(models, 0.3, 0.1, bounds, 0.5, 3, stream=streams)
+    u = capping_radius(bounds, 0.15)
+    n = block[0].per_arm_samples[0]
+    assert block == [_ref_budget(models, n, 3, s, u) for s in streams]
+    assert capped_select(models, 0.3, 0.1, bounds, 0.5, 3,
+                         stream=7) == block[0]
+
+
 def test_engine_blocks_do_not_change_outcomes():
     model = TwoPoint(1.0, 0.6)
     seen = []
@@ -345,3 +484,12 @@ def test_policies_take_blocks_and_share_one_generator():
              for node in ast.walk(fn)
              if isinstance(node, ast.Name) and node.id == "_rng"]
     assert calls == []
+
+
+def test_empirical_rate_searches_by_newton_only():
+    tree = _source_tree("empirical_rate.py")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "newton_root" in names
+    assert "bisect_root" not in names
