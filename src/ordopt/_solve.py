@@ -7,9 +7,11 @@ phase of grid_then_golden evaluates its whole grid in one call. The heavy
 lifting elsewhere (rate functions, tilted-moment optimizations, quantiles,
 caps) reduces to monotone root finding or unimodal minimization on an
 interval, and this module is the only numerical machinery the optimizers
-use: every float bisection in the package runs through bisect_root, with
-expand_bracket growing its brackets, and newton_root is the safeguarded
-Newton search for roots whose derivative comes cheaply with the value.
+use: every search loop in the numeric modules runs here. Every float
+bisection runs through bisect_root, with expand_bracket growing its
+brackets; newton_root is the safeguarded Newton search for roots whose
+derivative comes cheaply with the value, and newton_system the damped
+Newton solver for a small square system of equations.
 """
 
 from __future__ import annotations
@@ -269,6 +271,51 @@ def _expand_rows(f, x, edge, sign, cap):
         fx[act] = f(x[act], act)
         act = act[sign * fx[act] > 0]
     return x, fx
+
+
+def newton_system(residuals, v0, *, tol=1e-11, max_iter=500):
+    """Root of a square system r(v) = 0 by damped Newton steps.
+
+    residuals(vs) takes a 2-D array with one point per row and returns the
+    residual vector of each row, or None once a row leaves the domain. The
+    Jacobian comes from forward differences of relative size 1e-7, with
+    every stepped point in one call; each Newton step is halved, up to 50
+    times, until the max-norm of the residual falls (Dennis and Schnabel,
+    Numerical Methods for Unconstrained Optimization and Nonlinear
+    Equations, ch. 6). Returns the first point whose residual max-norm is
+    at most tol, as a tuple of floats, or None when a point leaves the
+    domain, the Jacobian is singular, the line search fails or max_iter
+    steps pass.
+    """
+    v = np.array(v0, dtype=float)
+    r = residuals(v[None])
+    if r is None:
+        return None
+    r = r[0]
+    for _ in range(max_iter):
+        norm = float(np.max(np.abs(r)))
+        if norm <= tol:
+            return tuple(float(x) for x in v)
+        h = 1e-7 * np.maximum(1.0, np.abs(v))
+        rp = residuals(v + np.diag(h))
+        if rp is None:
+            return None
+        jac = ((rp - r) / h[:, None]).T
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            return None
+        t = 1.0
+        for _ in range(50):
+            cand = v + t * step
+            rc = residuals(cand[None])
+            if rc is not None and float(np.max(np.abs(rc))) < norm:
+                v, r = cand, rc[0]
+                break
+            t *= 0.5
+        else:
+            return None
+    return None
 
 
 def golden_min(f, lo, hi, *, tol=1e-10, max_iter=300):

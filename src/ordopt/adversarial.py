@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._solve import bisect_root
+from ._solve import bisect_root, expand_bracket
 from .populations import GaussianMixture, kl_divergence, quantile
 from .selectors import replicate
 
@@ -31,9 +31,6 @@ __all__ = [
     "tilt", "lower_bound_samples", "quantile_gadget", "fs_estimate",
     "monte_carlo_fs",
 ]
-
-_MAX_DOUBLINGS = 60
-
 
 def _log_upper_tail(base, x0: float, moment: int = 0) -> float:
     """log of int_{x0}^inf x^moment g(x) dx, stable when the tail underflows.
@@ -140,11 +137,9 @@ class TiltedDistribution:
         def excess(x):
             return _log_sf(self.base, x) - target
 
-        lo, hi = self.b, 2.0 * abs(self.b) + 1.0
-        f_hi = excess(hi)
-        while f_hi > 0:
-            lo, hi = hi, 2.0 * hi
-            f_hi = excess(hi)
+        start = 2.0 * abs(self.b) + 1.0
+        hi, f_hi = expand_bracket(excess, start, math.inf, 1)
+        lo = self.b if hi == start else 0.5 * hi
         return bisect_root(excess, lo, hi, fhi=f_hi, xtol=1e-12).mid
 
     def mean(self) -> float:
@@ -194,15 +189,23 @@ def tilt(base, alpha_target: float, k: float) -> TiltedDistribution:
         raise ValueError("trivial request: k must exceed the base mean")
     gamma = -math.expm1(-alpha_target / 2.0)
     damp = math.exp(-alpha_target / 2.0)
-    b = 2.0 * abs(mu) + 1.0
-    for _ in range(_MAX_DOUBLINGS):
+    tilted = None
+
+    def shortfall(b):
+        # k less the certified mean bound, or once that reaches k, less
+        # the exact mean of the distribution built at b, which is kept
+        nonlocal tilted
         cert = damp * mu + gamma * float(np.asarray(base.cdf(b))) * b
-        if cert >= k:
-            tilted = _make_tilted(base, gamma, b)
-            if tilted.mean() >= k:
-                break
-        b *= 2.0
-    else:
+        if cert < k:
+            return k - cert
+        tilted = _make_tilted(base, gamma, b)
+        return k - tilted.mean()
+
+    # at most 60 splits, b0 * 2^j for j < 60
+    b0 = 2.0 * abs(mu) + 1.0
+    _, short = expand_bracket(shortfall, b0, math.inf, 1,
+                              cap=b0 * 2.0 ** 59)
+    if not short <= 0.0:
         raise RuntimeError("no split point certified the requested mean "
                            "within the doubling budget")
     if tilted.kl_from_base() > alpha_target + 1e-12:

@@ -48,8 +48,7 @@ class RateEstimate:
 
 
 def _values(batch):
-    vals = getattr(batch, "values", batch)
-    arr = np.asarray(vals, dtype=float)
+    arr = np.asarray(batch, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("batch must be a nonempty 1-D collection of reals")
     if not np.isfinite(arr).all():

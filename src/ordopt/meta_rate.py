@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._solve import (bisect_root, expand_bracket, grid_then_golden,
-                     newton_root)
+                     newton_root, newton_system)
 from .populations import (ShiftedExponential, _derivative_bracket,
                           rate_function)
 
@@ -438,9 +438,12 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         a e^{-g} = c2 I(0) / g^2                  (outer stationarity)
 
     (written in the negated-alpha family) is tried first from
-    (g, theta, a) = (2 I(0), Lambda-minimizer, 1); if it fails to converge
-    the outer one-dimensional minimization over b is used instead. Both
-    failing raises NumericalError with the best iterate attached.
+    (g, theta, a) = (2 I(0), Lambda-minimizer, 1) by _solve.newton_system;
+    if it fails to converge the outer one-dimensional minimization over b
+    is used instead. Both failing, or the fallback's best tilt sitting on
+    an edge of its window [-64, 64] (where the minimum lies outside the
+    search, as when it is only approached as b grows without bound),
+    raises NumericalError with the best iterate attached.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
@@ -467,22 +470,26 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         return vals if np.ndim(b) else float(vals[0])
 
     lo = i0 * (1.0 + 1e-7) + 1e-300
-    hi = max(20.0 * i0, 0.5)
-    for _ in range(60):
-        if phi(hi) > phi(0.5 * hi) or hi > 1e3:
-            break
-        hi *= 2.0
+    # double hi while phi still falls from hi / 2 to hi
+    hi, _ = expand_bracket(lambda b: phi(0.5 * b) - phi(b),
+                           max(20.0 * i0, 0.5), math.inf, 1, cap=2e3)
     b_star, exponent = grid_then_golden(phi, lo, hi, n_grid=65, tol=1e-9)
     val, theta_star = _inf_meta_rate(model, law, b_star)
     res = _meta_rate(model, law, theta_star, math.exp(-b_star))
+    best = (b_star, theta_star, res.alpha_star)
     if res.alpha_star is None or not math.isfinite(exponent):
         raise NumericalError("two-phase exponent failed to converge",
-                             best=(b_star, theta_star, res.alpha_star))
+                             best=best)
+    if abs(theta_star) == _THETA_BRACKET:
+        raise NumericalError(
+            f"two-phase exponent: the tilt search ended at the edge "
+            f"theta = {theta_star:g} of its window, so the minimum over "
+            f"the level lies outside the search", best=best)
     return TwoPhaseExponent(exponent, b_star, theta_star,
                             -res.alpha_star, c1, c2)
 
 
-def _two_phase_newton(model, law, c2, i0, max_iter=500):
+def _two_phase_newton(model, law, c2, i0):
     def residuals(vs):
         """Residuals at each row (g, theta, alpha) of vs, with the tilted
         moments of every row from one call; None once a row leaves the
@@ -497,36 +504,8 @@ def _two_phase_newton(model, law, c2, i0, max_iter=500):
         return np.array([t_mean - level, xw,
                          al * level - c2 * i0 / (g * g)]).T
 
-    v = np.array([2.0 * i0, _lambda_minimizer(model), 1.0])
-    r = residuals(v[None])
-    if r is None:
-        return None
-    r = r[0]
-    for _ in range(max_iter):
-        norm = float(np.max(np.abs(r)))
-        if norm <= 1e-11:
-            return tuple(v)
-        # forward differences, one row per coordinate stepped
-        h = 1e-7 * np.maximum(1.0, np.abs(v))
-        rp = residuals(v + np.diag(h))
-        if rp is None:
-            return None
-        jac = ((rp - r) / h[:, None]).T
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        for _ in range(50):
-            cand = v + t * step
-            rc = residuals(cand[None])
-            if rc is not None and float(np.max(np.abs(rc))) < norm:
-                v, r = cand, rc[0]
-                break
-            t *= 0.5
-        else:
-            return None
-    return None
+    return newton_system(residuals,
+                         [2.0 * i0, _lambda_minimizer(model), 1.0])
 
 
 def sequential_failure_certificate(model, c1: float):

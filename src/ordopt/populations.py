@@ -2,13 +2,15 @@
 
 Each model knows its mean, exact log-MGF Lambda(theta) = log E exp(theta X)
 with domain, sampler, CDF/quantile, the upper-tail quantile Q(1 - q)
-computed from q itself, and either a discrete atom list or a log-density. On top of that the module provides the Legendre-transform rate
-function I(a) = sup_theta (theta a - Lambda(theta)), KL divergence between
-models, and an exact finite-sample law for the two-point rate estimator that
-the test harnesses use as an oracle.
+computed from q itself, and either a discrete atom list or a log-density.
+On top of that the module provides the Legendre-transform rate function
+I(a) = sup_theta (theta a - Lambda(theta)), KL divergence between models,
+and an exact finite-sample law for the two-point rate estimator that the
+test harnesses use as an oracle.
 
-Sampling is keyed by (seed, stream) through a counter-based Philox
-generator, so any replication is reproducible in isolation.
+A model draws from the generator it is handed, model.draw(rng, n); the
+selectors key those generators by (seed, stream) through a counter-based
+Philox generator, so any replication is reproducible in isolation.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .empirical_rate import (RateEstimate, _tilted_mean, empirical_log_mgf,
                              estimate_rate_at)
 
 __all__ = [
-    "SupportError", "SampleBatch", "TwoPoint", "ShiftedExponential",
-    "Gaussian", "GaussianMixture", "Bernoulli", "Pareto", "Empirical",
-    "Mirrored", "sample", "log_mgf", "rate_function", "kl_divergence",
-    "quantile", "two_point_rate_law", "model_to_dict", "model_from_dict",
+    "SupportError", "TwoPoint", "ShiftedExponential", "Gaussian",
+    "GaussianMixture", "Bernoulli", "Pareto", "Empirical", "Mirrored",
+    "log_mgf", "rate_function", "kl_divergence", "quantile",
+    "two_point_rate_law",
 ]
 
 _THETA_CAP = 2.0 ** 10
@@ -35,26 +37,6 @@ _LOG_NORM_CONST = -0.5 * math.log(2.0 * math.pi)
 
 class SupportError(ValueError):
     """Two models whose supports cannot be compared (discrete vs density)."""
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """An ordered i.i.d. batch with its seed lineage."""
-
-    values: np.ndarray
-    model_id: str | None = None
-    seed: int = 0
-    stream_index: int = 0
-
-    def __post_init__(self):
-        arr = np.array(self.values, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("batch must hold at least one real value")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self):
-        return self.values.size
 
 
 def _check_prob(name, value):
@@ -442,8 +424,7 @@ class Empirical:
     points: np.ndarray = field(default_factory=lambda: np.zeros(1))
 
     def __post_init__(self):
-        arr = np.asarray(getattr(self.points, "values", self.points),
-                         dtype=float)
+        arr = np.asarray(self.points, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("empirical model needs at least one point")
         arr = arr.copy()
@@ -537,19 +518,6 @@ class Mirrored:
 
     def draw(self, rng, n):
         return -self.base.draw(rng, n)
-
-
-def sample(model, seed: int, stream: int, n: int) -> SampleBatch:
-    """n i.i.d. draws keyed by (seed, stream); identical keys, identical batch."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not 0 <= seed < 2 ** 64 or not 0 <= stream < 2 ** 64:
-        raise ValueError("seed and stream must fit in 64 bits")
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([seed, stream], dtype=np.uint64)))
-    values = model.draw(rng, int(n))
-    return SampleBatch(values, model_id=str(model), seed=seed,
-                       stream_index=stream)
 
 
 def log_mgf(model, theta: float) -> float:
@@ -753,6 +721,7 @@ def two_point_rate_law(m: int, p_minus: float):
     return out
 
 
+# the parametric models by the type names of model strings and files
 _VARIANTS = {
     "two-point": (TwoPoint, ("b", "p_minus")),
     "shifted-exponential": (ShiftedExponential, ("K", "lam")),
@@ -761,34 +730,3 @@ _VARIANTS = {
     "bernoulli": (Bernoulli, ("q",)),
     "pareto": (Pareto, ("alpha_tail", "scale")),
 }
-
-
-def model_to_dict(model) -> dict:
-    """Serializable {variant, params} form; inverse of model_from_dict."""
-    if isinstance(model, Mirrored):
-        inner = model_to_dict(model.base)
-        return {"variant": "mirrored", "base": inner}
-    if isinstance(model, Empirical):
-        return {"variant": "empirical",
-                "points": [float(v) for v in model.points]}
-    for name, (cls, fields) in _VARIANTS.items():
-        if type(model) is cls:
-            return {"variant": name,
-                    **{f: getattr(model, f) for f in fields}}
-    raise ValueError(f"unknown model type {type(model).__name__}")
-
-
-def model_from_dict(spec: dict):
-    spec = dict(spec)
-    variant = spec.pop("variant", None)
-    if variant == "mirrored":
-        return Mirrored(model_from_dict(spec["base"]))
-    if variant == "empirical":
-        return Empirical(np.asarray(spec["points"], dtype=float))
-    if variant not in _VARIANTS:
-        raise ValueError(f"unknown model variant {variant!r}")
-    cls, fields = _VARIANTS[variant]
-    unknown = set(spec) - set(fields)
-    if unknown:
-        raise ValueError(f"unknown parameters for {variant}: {sorted(unknown)}")
-    return cls(**{f: float(spec[f]) for f in fields if f in spec})

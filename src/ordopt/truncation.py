@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._solve import bisect_root
+from ._solve import bisect_root, expand_bracket
 
 __all__ = [
     "PowerSpec", "ExponentialSpec", "CustomSpec",
@@ -149,15 +149,16 @@ def solve_x_u(f_spec, u: float) -> float:
     def g(x):
         return (x - u) * f_spec.df(x) - (f_spec.f(x) - f0)
 
-    hi = u * 2.0
-    while g(hi) <= 0:
-        hi = u + 2.0 * (hi - u)
-        if hi > u * 1e12:
-            raise ValueError("no stationary point found; f may not be "
-                             "strictly convex")
+    # the distance of hi from u doubles, from u up to at most 1e12 u
+    span, g_hi = expand_bracket(lambda d: g(u + d), u, math.inf, -1,
+                                cap=u * 1e12)
+    if not g_hi >= 0:
+        raise ValueError("no stationary point found; f may not be "
+                         "strictly convex")
     # width alone stops the search: g carries terms of size f(x), whose
     # rounding can exceed any fixed residual tolerance
-    return bisect_root(g, u, hi, xtol=1e-12 * max(1.0, u)).mid
+    return bisect_root(g, u, u + span, fhi=g_hi,
+                       xtol=1e-12 * max(1.0, u)).mid
 
 
 def worst_capping_error(f_spec, c: float, u: float) -> WorstCaseSolution:

@@ -346,6 +346,20 @@ class TestSelect:
                                         "--replications", "3"])
         assert code == 2 and "policy.name" in err
 
+    @pytest.mark.parametrize("block, message", [
+        ("type = no-such\n", "unknown type 'no-such'"),
+        ("type = gaussian\nmu = -0.2\nbogus = 1\n",
+         "unexpected fields ['bogus']")],
+        ids=["unknown-type", "unexpected-field"])
+    def test_bad_models_file_entry_is_validation(self, capsys, tmp_path,
+                                                 block, message):
+        p = tmp_path / "m.ini"
+        p.write_text("[only]\n" + block)
+        code, _, err = run_cli(capsys, [
+            "select", "--policy", "two-phase", "--c1", "1", "--c2", "1",
+            "--delta", "0.1", "--models", str(p), "--replications", "2"])
+        assert code == 2 and "model:only" in err and message in err
+
     @pytest.mark.parametrize("policy, params", [
         ("hoeffding", ["--epsilon", "0.5", "--b", "1"]),
         ("two-phase", ["--c1", "1", "--c2", "1"])])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from ordopt.empirical_rate import (empirical_log_mgf, estimate_rate_at,
                                    estimate_rate_at_zero,
                                    restricted_inf_log_mgf)
-from ordopt.populations import TwoPoint, sample, two_point_rate_law
+from ordopt.populations import TwoPoint, two_point_rate_law
+from ordopt.selectors import _rng
 
 batches = st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=40)
 
@@ -154,8 +155,8 @@ def test_empirical_log_mgf_convex(batch, t1, t2):
 @pytest.mark.parametrize("stream", range(25))
 def test_two_point_oracle_equivalence(stream):
     model = TwoPoint(1.0, 0.55)
-    batch = sample(model, 4242, stream, 12)
-    k = int((batch.values > 0).sum())
+    batch = model.draw(_rng(4242, stream, 0), 12)
+    k = int((batch > 0).sum())
     oracle = dict((kk, v) for kk, _, v in two_point_rate_law(12, 0.55))
     got = estimate_rate_at_zero(batch)
     if oracle[k] == math.inf:
@@ -174,7 +175,7 @@ def test_consistency_two_point():
     hits = 0
     model = TwoPoint(1.0, 0.55)
     for rep in range(200):
-        batch = sample(model, 777, rep, 10 ** 5)
+        batch = model.draw(_rng(777, rep, 0), 10 ** 5)
         est = estimate_rate_at_zero(batch).value
         if abs(est - target) <= 0.2 * target:
             hits += 1

@@ -16,6 +16,7 @@ from scipy.special import ndtr
 import ordopt
 from ordopt.meta_rate import (
     MetaRateResult,
+    NumericalError,
     RegimeError,
     _law,
     _meta_rate,
@@ -27,6 +28,7 @@ from ordopt.meta_rate import (
     two_phase_exponent,
 )
 from ordopt.populations import (
+    Bernoulli,
     Empirical,
     Gaussian,
     GaussianMixture,
@@ -594,6 +596,61 @@ class TestTwoPhaseExponent:
             two_phase_exponent(TwoPoint(1.0, 0.4), 1.0, 1.0)
         with pytest.raises(ValueError):
             two_phase_exponent(TwoPoint(1.0, 0.55), 0.0, 1.0)
+
+
+class TestTwoPhaseFallback:
+    """The outer search over the level b, taken when newton_system fails."""
+
+    FIELDS = ("exponent", "gamma_star", "theta_star", "alpha_star")
+
+    def test_infinite_optimal_tilt(self, monkeypatch):
+        # X in {-1, 0} with P(X = 0) = 0.7: W = e^{theta X} tends to a
+        # Bernoulli(0.7) law as theta grows, so the inner infimum is only
+        # reached at theta = inf, where it is KL(Bern(e^{-b}) || Bern(0.7)),
+        # and Newton has no finite point to converge to
+        module = importlib.import_module("ordopt.meta_rate")
+        solve, newton = module.newton_system, []
+
+        def spy(*args):
+            newton.append(solve(*args))
+            return newton[-1]
+
+        monkeypatch.setattr(module, "newton_system", spy)
+        r = two_phase_exponent(Mirrored(Bernoulli(0.3)), 1.0, 1.0)
+        assert newton == [None]
+
+        def phi(b):
+            s = math.exp(-b)
+            return (-math.log(0.7) / b + s * math.log(s / 0.7)
+                    + (1.0 - s) * math.log((1.0 - s) / 0.3))
+
+        best = optimize.minimize_scalar(phi, bounds=(0.2, 5.0),
+                                        method="bounded",
+                                        options={"xatol": 1e-12})
+        assert r.exponent == pytest.approx(best.fun, rel=1e-9)
+        assert r.gamma_star == pytest.approx(best.x, rel=1e-6)
+        assert all(type(getattr(r, f)) is float for f in self.FIELDS)
+
+    def test_matches_the_newton_route(self, monkeypatch):
+        model = TwoPoint(1.0, 0.55)
+        newton = two_phase_exponent(model, 1.0, 1.0)
+        module = importlib.import_module("ordopt.meta_rate")
+        monkeypatch.setattr(module, "newton_system", lambda *a: None)
+        fallback = two_phase_exponent(model, 1.0, 1.0)
+        assert fallback.exponent == pytest.approx(newton.exponent,
+                                                  rel=1e-12)
+        assert fallback.gamma_star == pytest.approx(newton.gamma_star,
+                                                    rel=1e-7)
+        for r in (newton, fallback):
+            assert all(type(getattr(r, f)) is float for f in self.FIELDS)
+
+    def test_minimum_outside_the_search_raises(self):
+        # TwoPoint(1, 0.9): phi(b) falls toward -log 0.9 as b grows and
+        # never reaches it; the search ends on the tilt window's edge
+        with pytest.raises(NumericalError, match="edge") as info:
+            two_phase_exponent(TwoPoint(1.0, 0.9), 1.0, 1.0)
+        b_star, theta_star, _ = info.value.best
+        assert theta_star == 64.0 and b_star > 60.0
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ordopt
 from ordopt._solve import (bisect_root, expand_bracket, golden_min,
                            grid_then_golden, increasing_fixed_point,
-                           newton_root)
+                           newton_root, newton_system)
 
 
 def test_bisect_root_cubic():
@@ -235,6 +235,41 @@ def test_float_bisection_only_in_solve():
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if midpoint.search(line)]
     assert offenders == []
+
+
+# the one loop in these modules that searches nothing: _node_table steps
+# its tail breakpoints out to a fixed reach, building a fixed table
+_LOOP_EXEMPT = {("meta_rate.py", "while edge > -_REACH_LOGIT:")}
+
+
+def test_search_loops_only_in_solve():
+    # every iterative search in these modules runs through _solve
+    loop = re.compile(r"^\s*while\b|for _ in range\(")
+    src = Path(ordopt.__file__).parent
+    offenders = [
+        (name, line.strip())
+        for name in ("meta_rate.py", "adversarial.py", "truncation.py",
+                     "populations.py")
+        for line in (src / name).read_text().splitlines()
+        if loop.search(line)]
+    assert [o for o in offenders if o not in _LOOP_EXEMPT] == []
+
+
+def test_newton_system_solves_a_square_system():
+    # x^2 + y^2 = 4 and x = y, from (1, 2): the root (sqrt 2, sqrt 2)
+    def residuals(vs):
+        x, y = vs.T
+        return np.array([x * x + y * y - 4.0, x - y]).T
+
+    root = newton_system(residuals, [1.0, 2.0])
+    assert root == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)),
+                                 abs=1e-10)
+    assert all(type(v) is float for v in root)
+    # a residual function that leaves its domain stops the search
+    assert newton_system(lambda vs: None, [1.0, 2.0]) is None
+    # so does a singular Jacobian: r(x, y) = (x + y, x + y) - (1, 2)
+    assert newton_system(lambda vs: np.array(
+        [vs.sum(1) - 1.0, vs.sum(1) - 2.0]).T, [0.0, 0.0]) is None
 
 
 def test_golden_quadratic():
