@@ -3,7 +3,7 @@
 Everything here operates on plain callables and floats; the root searches
 also step 1-D arrays of independent brackets in lock-step, for row-wise
 work such as a block of rate estimates or of meta-rates, and the grid
-phase of grid_then_golden evaluates its whole grid in one call. The heavy
+phase of grid_then_brent evaluates its whole grid in one call. The heavy
 lifting elsewhere (rate functions, tilted-moment optimizations, quantiles,
 caps) reduces to monotone root finding or unimodal minimization on an
 interval, and this module is the only numerical machinery the optimizers
@@ -11,7 +11,9 @@ use: every search loop in the numeric modules runs here. Every float
 bisection runs through bisect_root, with expand_bracket growing its
 brackets; newton_root is the safeguarded Newton search for roots whose
 derivative comes cheaply with the value, and newton_system the damped
-Newton solver for a small square system of equations.
+Newton solver for a small square system of equations. Every minimization
+runs through brent_min, Brent's parabolic-plus-golden-section search,
+which grid_then_brent starts from the best cell of a coarse grid.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the golden-section step, as a fraction of the larger side of the bracket
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class Root(NamedTuple):
@@ -318,12 +322,31 @@ def newton_system(residuals, v0, *, tol=1e-11, max_iter=500):
     return None
 
 
-def golden_min(f, lo, hi, *, tol=1e-10, max_iter=300):
-    """Golden-section minimizer of a unimodal f on [lo, hi].
+def _parabola(x, fx, w, fw, v, fv):
+    """Vertex of the parabola through (x, fx), (w, fw), (v, fv) as the
+    offset p / q from x, with q >= 0."""
+    r = (x - w) * (fx - fv)
+    q = (x - v) * (fx - fw)
+    p = (x - v) * q - (x - w) * r
+    q = 2.0 * (q - r)
+    return (-p, q) if q > 0.0 else (p, -q)
 
-    Returns (x, f(x)). The interval shrinks by the golden ratio each step;
-    non-finite values are treated as +inf so domain edges never poison the
-    search.
+
+def brent_min(f, lo, hi, *, tol=1e-10, max_iter=300):
+    """Minimizer of a unimodal f on [lo, hi] by Brent's method.
+
+    Returns (x, f(x)) at the best point evaluated. Each step fits a
+    parabola through the three best points and takes its vertex when that
+    falls inside the bracket and moves less than half the step before
+    last; otherwise it takes a golden-section step into the larger side
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5, procedure localmin). With tol1 = sqrt(eps) |x| + tol * max(1,
+    |a| + |b|) / 4 on the current bracket [a, b], no step is shorter than
+    tol1, and the search stops once x is within 2 tol1 of both ends, so
+    the final bracket is about tol * max(1, |a| + |b|) wide and no steps
+    are spent below the resolution of f. Non-finite values are treated as
+    +inf, so domain edges never poison the search, and never enter a
+    parabola.
     """
 
     def safe(x):
@@ -331,30 +354,52 @@ def golden_min(f, lo, hi, *, tol=1e-10, max_iter=300):
         return v if v == v and v < math.inf else math.inf
 
     a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = safe(x1), safe(x2)
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    fx = fw = fv = safe(x)
+    d = e = 0.0
     for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
+        m = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + 0.25 * tol * max(1.0, abs(a) + abs(b))
+        tol2 = 2.0 * tol1
+        if abs(x - m) <= tol2 - 0.5 * (b - a):
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = safe(x1)
+        parabolic = False
+        if abs(e) > tol1 and fw < math.inf and fv < math.inf:
+            p, q = _parabola(x, fx, w, fw, v, fv)
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                parabolic = True
+                # keep the vertex at least tol2 inside the bracket
+                if x + d - a < tol2 or b - x - d < tol2:
+                    d = tol1 if x < m else -tol1
+        if not parabolic:
+            e = (b if x < m else a) - x
+            d = _GOLDEN_STEP * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = safe(u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = safe(x2)
-    if f1 <= f2:
-        return x1, f1
-    return x2, f2
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
 
 
-def grid_then_golden(f, lo, hi, *, n_grid=129, tol=1e-10):
-    """Coarse grid scan followed by golden refinement around the best cell.
+def grid_then_brent(f, lo, hi, *, n_grid=129, tol=1e-10):
+    """Coarse grid scan followed by Brent refinement around the best cell.
 
     Robust against mild non-unimodality near domain edges: the grid pins the
-    basin, golden-section polishes inside it. f takes a float and, for the
+    basin, brent_min polishes inside it. f takes a float and, for the
     grid, the 1-D array of the n_grid points lo + i * step, returning one
     value per point; the first smallest non-nan value wins. Returns
     (x, f(x)).
@@ -368,7 +413,7 @@ def grid_then_golden(f, lo, hi, *, n_grid=129, tol=1e-10):
     best_v = float(vals[best_i])
     a = lo + max(best_i - 1, 0) * step
     b = lo + min(best_i + 1, n_grid - 1) * step
-    x, v = golden_min(f, a, b, tol=tol)
+    x, v = brent_min(f, a, b, tol=tol)
     if best_v < v:
         return lo + best_i * step, best_v
     return x, v

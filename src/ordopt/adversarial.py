@@ -213,12 +213,16 @@ def tilt(base, alpha_target: float, k: float) -> TiltedDistribution:
     return tilted
 
 
-def lower_bound_samples(g, g_tilde, delta: float) -> float:
+def lower_bound_samples(g, g_tilde, delta: float, *, kl=None) -> float:
     """Sample floor log(1/delta)/(3 KL(g, g_tilde)) for delta-correct
-    policies facing the g versus g_tilde dichotomy."""
+    policies facing the g versus g_tilde dichotomy.
+
+    kl is KL(g, g_tilde) when the caller has it already; it is computed
+    otherwise."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    kl = kl_divergence(g, g_tilde)
+    if kl is None:
+        kl = kl_divergence(g, g_tilde)
     if kl <= 0.0 or math.isinf(kl):
         raise ValueError("degenerate bound: KL must be finite and positive")
     return math.log(1.0 / delta) / (3.0 * kl)

@@ -518,7 +518,7 @@ def _cmd_lower_bound(args):
         gt = adversarial.tilt(g, args.alpha_target, args.k)
     from .populations import kl_divergence
     kl = kl_divergence(g, gt)
-    samples = adversarial.lower_bound_samples(g, gt, args.delta)
+    samples = adversarial.lower_bound_samples(g, gt, args.delta, kl=kl)
     record = {"kl": kl, "samples": samples, "delta": args.delta}
     if args.out:
         _write_csv(args.out, ["kl", "samples", "delta"],

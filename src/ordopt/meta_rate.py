@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solve import (bisect_root, expand_bracket, grid_then_golden,
+from ._solve import (bisect_root, expand_bracket, grid_then_brent,
                      newton_root, newton_system)
 from .populations import (ShiftedExponential, _derivative_bracket,
                           rate_function)
@@ -318,8 +318,9 @@ def inf_meta_rate(model, a: float):
     """inf over theta of J_theta(e^{-a}) for a above I(0).
 
     Returns (value, theta_star). This is the decay rate of the upward error
-    P(I_m(0) >= a). Search is a coarse grid over [-64, 64] refined by
-    golden section.
+    P(I_m(0) >= a). Search is a coarse grid of 257 tilts over [-64, 64],
+    solved in one array call, refined by Brent's method around the best
+    grid cell.
     """
     i0 = rate_function(model, 0.0).value
     if not a > i0:
@@ -335,9 +336,9 @@ def _inf_meta_rate(model, law, a):
     def objective(theta):
         return _meta_rate(model, law, theta, nu).value
 
-    theta_star, value = grid_then_golden(objective, -_THETA_BRACKET,
-                                         _THETA_BRACKET, n_grid=257,
-                                         tol=1e-7)
+    theta_star, value = grid_then_brent(objective, -_THETA_BRACKET,
+                                        _THETA_BRACKET, n_grid=257,
+                                        tol=1e-7)
     return float(value), float(theta_star)
 
 
@@ -408,7 +409,7 @@ def sup_meta_rate_on_theta_a(model, a: float):
     nu = math.exp(-a)
     law = _law(model)
 
-    theta_star, _ = grid_then_golden(
+    theta_star, _ = grid_then_brent(
         lambda theta: -_meta_rate(model, law, theta, nu).value, left, right,
         n_grid=129, tol=1e-8)
     theta_star = float(theta_star)
@@ -440,10 +441,12 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     (written in the negated-alpha family) is tried first from
     (g, theta, a) = (2 I(0), Lambda-minimizer, 1) by _solve.newton_system;
     if it fails to converge the outer one-dimensional minimization over b
-    is used instead. Both failing, or the fallback's best tilt sitting on
-    an edge of its window [-64, 64] (where the minimum lies outside the
-    search, as when it is only approached as b grows without bound),
-    raises NumericalError with the best iterate attached.
+    is used instead: grid_then_brent over 65 levels, each level's value an
+    inner grid-then-Brent search over theta. Both failing, or the
+    fallback's best tilt sitting on an edge of its window [-64, 64] (where
+    the minimum lies outside the search, as when it is only approached as
+    b grows without bound), raises NumericalError with the best iterate
+    attached.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
@@ -461,7 +464,7 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         exponent = c2 * i0 / gamma + value
         return TwoPhaseExponent(exponent, gamma, theta, alpha, c1, c2)
 
-    # fallback: outer golden-section over the level b
+    # fallback: outer grid-then-Brent search over the level b
     def phi(b):
         # the grid phase passes its 65 levels as one array
         levels = np.atleast_1d(b)
@@ -473,7 +476,7 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     # double hi while phi still falls from hi / 2 to hi
     hi, _ = expand_bracket(lambda b: phi(0.5 * b) - phi(b),
                            max(20.0 * i0, 0.5), math.inf, 1, cap=2e3)
-    b_star, exponent = grid_then_golden(phi, lo, hi, n_grid=65, tol=1e-9)
+    b_star, exponent = grid_then_brent(phi, lo, hi, n_grid=65, tol=1e-9)
     val, theta_star = _inf_meta_rate(model, law, b_star)
     res = _meta_rate(model, law, theta_star, math.exp(-b_star))
     best = (b_star, theta_star, res.alpha_star)
@@ -518,7 +521,7 @@ def sequential_failure_certificate(model, c1: float):
     false-selection probability to its target delta blow up as delta -> 0.
 
     Returns (theta, alpha_star, meta_rate_value, certified), found by a
-    grid-then-golden search of the meta-rate evaluator over [1e-6, 64];
+    grid-then-Brent search of the meta-rate evaluator over [1e-6, 64];
     tilts where e^{-1/c1} lies below the range of W give +inf and the grid
     steps over them. alpha_star is the maximizer of the defining sup,
     converted to the z-convention for the shifted-exponential model (see
@@ -543,7 +546,7 @@ def sequential_failure_certificate(model, c1: float):
             f"certificate needs a tilt theta <= {_THETA_BRACKET:g} with "
             f"e^(-1/c1) = {nu:.6g} in the range of exp(-theta X), which at "
             f"theta = {_THETA_BRACKET:g} starts at {w_lo:.6g}")
-    theta_star, _ = grid_then_golden(
+    theta_star, _ = grid_then_brent(
         lambda t: _meta_rate(model, law, -t, nu).value, 1e-6,
         _THETA_BRACKET, n_grid=129, tol=1e-8)
     res = _meta_rate(model, law, -theta_star, nu)

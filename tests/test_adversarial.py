@@ -191,6 +191,14 @@ class TestLowerBoundSamples:
             with pytest.raises(ValueError, match="delta"):
                 lower_bound_samples(g, gt, bad)
 
+    def test_a_given_kl_gives_the_same_floor(self):
+        g, gt = Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)
+        kl = kl_divergence(g, gt)
+        assert (lower_bound_samples(g, gt, 1e-3, kl=kl)
+                == lower_bound_samples(g, gt, 1e-3))
+        with pytest.raises(ValueError, match="degenerate"):
+            lower_bound_samples(g, gt, 0.1, kl=0.0)
+
 
 class TestQuantileGadget:
     def test_frozen_bound_and_fields(self):

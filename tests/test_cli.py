@@ -501,6 +501,23 @@ class TestLowerBoundCommand:
         assert rec["samples"] == pytest.approx(460.517, abs=0.05)
         assert rec["samples"] >= 230.26
 
+    def test_kl_is_computed_once(self, capsys, monkeypatch):
+        populations = importlib.import_module("ordopt.populations")
+        adversarial = importlib.import_module("ordopt.adversarial")
+        kl_divergence, calls = populations.kl_divergence, []
+
+        def counted(g, gt):
+            calls.append((g, gt))
+            return kl_divergence(g, gt)
+
+        for module in (populations, adversarial):
+            monkeypatch.setattr(module, "kl_divergence", counted)
+        code, out, _ = run_cli(capsys, [
+            "lower-bound", "--model", "gaussian:0,1", "--model2",
+            "gaussian:1,1", "--delta", "0.01", "--json"])
+        assert code == 0 and len(calls) == 1
+        assert last_json(out)["kl"] == kl_divergence(*calls[0])
+
     def test_exactly_one_route(self, capsys):
         code, _, _ = run_cli(capsys, ["lower-bound", "--model",
                                       "gaussian:0,1", "--delta", "0.1"])

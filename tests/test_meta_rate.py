@@ -20,6 +20,7 @@ from ordopt.meta_rate import (
     RegimeError,
     _law,
     _meta_rate,
+    _moments_at,
     inf_meta_rate,
     meta_rate,
     sequential_failure_certificate,
@@ -714,6 +715,70 @@ class TestSequentialFailureCertificate:
             sequential_failure_certificate(ShiftedExponential(1.5, 1.0), 2.0)
         with pytest.raises(ValueError):
             sequential_failure_certificate(se, -1.0)
+
+
+@pytest.fixture
+def meta_rate_calls(monkeypatch):
+    """Counts of _meta_rate calls on an array of tilts and on one tilt."""
+    module = importlib.import_module("ordopt.meta_rate")
+    solve, calls = module._meta_rate, {"array": 0, "scalar": 0}
+
+    def counted(model, law, theta, nu):
+        calls["array" if np.ndim(theta) else "scalar"] += 1
+        return solve(model, law, theta, nu)
+
+    monkeypatch.setattr(module, "_meta_rate", counted)
+    return calls
+
+
+class TestThetaSearchEvaluations:
+    """Each theta search solves its grid in one array call, then refines by
+    Brent's method one tilt at a time. The counts do not depend on the
+    machine."""
+
+    def test_sup(self, meta_rate_calls):
+        sup_meta_rate_on_theta_a(TwoPoint(1.0, 0.6), 0.01)
+        assert meta_rate_calls["array"] == 1
+        assert meta_rate_calls["scalar"] <= 15
+
+    @pytest.mark.parametrize("a", [0.03, 0.04, 0.06])
+    def test_inf(self, meta_rate_calls, a):
+        inf_meta_rate(TwoPoint(1.0, 0.6), a)
+        assert meta_rate_calls["array"] == 1
+        assert meta_rate_calls["scalar"] <= 15
+
+    @pytest.mark.parametrize("c1", [2.0, 5.0, 100.0])
+    def test_certificate(self, meta_rate_calls, c1):
+        sequential_failure_certificate(ShiftedExponential(0.96, 1.0), c1)
+        assert meta_rate_calls["array"] == 1
+        assert meta_rate_calls["scalar"] <= 20
+
+
+def _first_order_residual(model, theta, nu):
+    """|E[X W e^{alpha W}]| under the tilt, relative to max(|E W|, 1).
+
+    By the envelope theorem dJ_theta(nu)/dtheta is -alpha times this
+    moment at the maximizing alpha, so it vanishes at an interior optimum
+    over theta, whichever search found it."""
+    law = _law(model)
+    alpha = _meta_rate(model, law, theta, nu).alpha_star
+    _, t_mean, xw, _ = _moments_at(law, theta, alpha, nu)
+    return abs(xw) / max(abs(t_mean), 1.0)
+
+
+class TestFirstOrderCondition:
+    @pytest.mark.parametrize("a", [0.03, 0.04, 0.06])
+    def test_at_the_infimum(self, a):
+        m = TwoPoint(1.0, 0.6)
+        _, theta_star = inf_meta_rate(m, a)
+        assert _first_order_residual(m, theta_star, math.exp(-a)) <= 1e-6
+
+    def test_at_the_supremum(self):
+        m = TwoPoint(1.0, 0.6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, theta_star, _ = sup_meta_rate_on_theta_a(m, 0.01)
+        assert _first_order_residual(m, theta_star, math.exp(-0.01)) <= 1e-6
 
 
 def test_no_quadrature_in_meta_rate():

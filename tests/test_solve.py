@@ -8,8 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ordopt
-from ordopt._solve import (bisect_root, expand_bracket, golden_min,
-                           grid_then_golden, increasing_fixed_point,
+import ordopt._solve
+from ordopt._solve import (bisect_root, brent_min, expand_bracket,
+                           grid_then_brent, increasing_fixed_point,
                            newton_root, newton_system)
 
 
@@ -219,7 +220,7 @@ def test_grid_phase_is_one_call_on_the_scalar_grid_points():
         calls.append(t)
         return (t - 0.3) ** 2
 
-    grid_then_golden(f, -1.0, 2.0, n_grid=17)
+    grid_then_brent(f, -1.0, 2.0, n_grid=17)
     step = 3.0 / 16
     assert np.array_equal(calls[0], [-1.0 + i * step for i in range(17)])
     assert all(np.ndim(t) == 0 for t in calls[1:])
@@ -272,27 +273,65 @@ def test_newton_system_solves_a_square_system():
         [vs.sum(1) - 1.0, vs.sum(1) - 2.0]).T, [0.0, 0.0]) is None
 
 
-def test_golden_quadratic():
-    x, v = golden_min(lambda t: (t - 1.3) ** 2 + 0.25, -4.0, 6.0)
+def _counted(f):
+    def g(t):
+        g.calls += 1
+        return f(t)
+
+    g.calls = 0
+    return g
+
+
+def test_brent_quadratic():
+    f = _counted(lambda t: (t - 1.3) ** 2 + 0.25)
+    x, v = brent_min(f, -4.0, 6.0)
     assert abs(x - 1.3) < 1e-7
     assert abs(v - 0.25) < 1e-13
+    # the first parabola through three points lands on the vertex
+    assert f.calls <= 8
 
 
-def test_golden_handles_nan_edges():
+def test_brent_evaluations_on_a_smooth_asymmetric_minimum():
+    # minimum where sinh(t - 0.7) = -0.1
+    f = _counted(lambda t: math.cosh(t - 0.7) + 0.1 * t)
+    x, _ = brent_min(f, -4.0, 6.0)
+    assert abs(x - (0.7 - math.asinh(0.1))) < 1e-7
+    assert f.calls <= 15
+
+
+def test_brent_handles_nan_edges():
     def f(t):
         return math.sqrt(t) + (t - 1.0) ** 2 if t >= 0 else float("nan")
 
-    x, _ = golden_min(f, -0.5, 3.0)
+    x, _ = brent_min(f, -0.5, 3.0)
     assert x >= 0.0
 
 
-def test_grid_then_golden_bimodal():
+def test_brent_keeps_an_infinite_side_out_of_every_parabola(monkeypatch):
+    # f is +inf left of 0.5; the search starts there and must walk out by
+    # golden steps, fitting parabolas through finite values only
+    fitted = []
+
+    def spy(*args):
+        fitted.append(args)
+        return parabola(*args)
+
+    parabola = ordopt._solve._parabola
+    monkeypatch.setattr(ordopt._solve, "_parabola", spy)
+    x, v = brent_min(lambda t: (t - 1.0) ** 2 if t >= 0.5 else math.inf,
+                     -3.0, 2.0)
+    assert abs(x - 1.0) < 1e-7 and math.isfinite(v)
+    assert fitted
+    assert all(math.isfinite(y) for args in fitted for y in args)
+
+
+def test_grid_then_brent_bimodal():
     # global minimum at 4.5, a shallower local one near -2; the grid phase
     # passes its points as one array
     def f(t):
         return np.minimum((t + 2.0) ** 2 + 1.0, (t - 4.5) ** 2)
 
-    x, v = grid_then_golden(f, -8.0, 8.0, n_grid=101)
+    x, v = grid_then_brent(f, -8.0, 8.0, n_grid=101)
     assert abs(x - 4.5) < 1e-6
     assert v < 1e-10
 
