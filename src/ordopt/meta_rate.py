@@ -342,6 +342,22 @@ def _inf_meta_rate(model, law, a):
     return float(value), float(theta_star)
 
 
+def _kept(solve):
+    """solve, keeping the result at every scalar argument, so a search
+    needs no second solve at a point it has evaluated, its answer among
+    them. Array arguments are solved each time."""
+    kept = {}
+
+    def solved(x):
+        if np.ndim(x):
+            return solve(x)
+        if x not in kept:
+            kept[x] = solve(x)
+        return kept[x]
+
+    return solved
+
+
 def _lambda_minimizer(model):
     (lo, f_lo), (hi, f_hi) = _derivative_bracket(model, model.dlog_mgf,
                                                  _ALPHA_CAP)
@@ -409,11 +425,12 @@ def sup_meta_rate_on_theta_a(model, a: float):
     nu = math.exp(-a)
     law = _law(model)
 
+    solved = _kept(lambda theta: _meta_rate(model, law, theta, nu))
     theta_star, _ = grid_then_brent(
-        lambda theta: -_meta_rate(model, law, theta, nu).value, left, right,
+        lambda theta: -solved(theta).value, left, right,
         n_grid=129, tol=1e-8)
     theta_star = float(theta_star)
-    res = _meta_rate(model, law, theta_star, nu)
+    res = solved(theta_star)
     value = res.value
     interior = (left + 1e-6 < theta_star < right - 1e-6
                 and res.alpha_star is not None and value > 1e-12
@@ -465,11 +482,12 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         return TwoPhaseExponent(exponent, gamma, theta, alpha, c1, c2)
 
     # fallback: outer grid-then-Brent search over the level b
+    inner = _kept(lambda b: _inf_meta_rate(model, law, b))
+
     def phi(b):
         # the grid phase passes its 65 levels as one array
         levels = np.atleast_1d(b)
-        vals = c2 * i0 / levels + np.array(
-            [_inf_meta_rate(model, law, v)[0] for v in levels])
+        vals = c2 * i0 / levels + np.array([inner(v)[0] for v in levels])
         return vals if np.ndim(b) else float(vals[0])
 
     lo = i0 * (1.0 + 1e-7) + 1e-300
@@ -477,7 +495,7 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     hi, _ = expand_bracket(lambda b: phi(0.5 * b) - phi(b),
                            max(20.0 * i0, 0.5), math.inf, 1, cap=2e3)
     b_star, exponent = grid_then_brent(phi, lo, hi, n_grid=65, tol=1e-9)
-    val, theta_star = _inf_meta_rate(model, law, b_star)
+    _, theta_star = inner(b_star)
     res = _meta_rate(model, law, theta_star, math.exp(-b_star))
     best = (b_star, theta_star, res.alpha_star)
     if res.alpha_star is None or not math.isfinite(exponent):
@@ -546,10 +564,11 @@ def sequential_failure_certificate(model, c1: float):
             f"certificate needs a tilt theta <= {_THETA_BRACKET:g} with "
             f"e^(-1/c1) = {nu:.6g} in the range of exp(-theta X), which at "
             f"theta = {_THETA_BRACKET:g} starts at {w_lo:.6g}")
+    solved = _kept(lambda t: _meta_rate(model, law, -t, nu))
     theta_star, _ = grid_then_brent(
-        lambda t: _meta_rate(model, law, -t, nu).value, 1e-6,
-        _THETA_BRACKET, n_grid=129, tol=1e-8)
-    res = _meta_rate(model, law, -theta_star, nu)
+        lambda t: solved(t).value, 1e-6, _THETA_BRACKET, n_grid=129,
+        tol=1e-8)
+    res = solved(theta_star)
     alpha_star = res.alpha_star
     if alpha_star is not None and isinstance(model, ShiftedExponential):
         # W = e^{-theta K} z: the coefficient of z in exp(-alpha z)

@@ -16,13 +16,15 @@ stream indices stay below 2^44; anything outside raises ValueError.
 Replications: replicate() runs replication r on stream r, handing the
 policy blocks of consecutive streams. Every policy takes a range of streams
 for `stream` and returns the list of outcomes, each identical to its
-one-stream call, and draws through one re-keyed generator. The sign
-procedures step a block in lock-step, stacking its batches into one matrix
-for the rate estimate. The fixed-budget comparisons decide a block at
-once: per arm, the streams' draws stack into matrices of bounded size,
-one row-wise mean each, and one argmin over the arms picks every stream's
-choice. Successive elimination runs a block's replications one after
-another on radius and threshold tables built once per call.
+one-stream call, and draws through re-keyed generators: one per call, or
+one per arm for successive elimination. The sign procedures step a block
+in lock-step, stacking its batches into one matrix for the rate estimate.
+The fixed-budget comparisons decide a block at once: per arm, the streams'
+draws stack into matrices of bounded size, one row-wise mean each, and one
+argmin over the arms picks every stream's choice. Successive elimination
+runs a block's replications one after another on radius and threshold
+tables built once per call, each replication drawing into the one draw
+buffer of the call.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ class RadiusSchedule:
     b: float | None = None
     alpha: float | None = None
     K: float | None = None
-    c_norm: float = _C_NORM
 
     def __post_init__(self):
         if self.kind not in ("bounded", "heavy"):
@@ -104,8 +105,6 @@ class RadiusSchedule:
             raise ValueError("heavy schedule needs alpha > 1 and K > 0")
         if self.d < 2 or not 0 < self.delta < 1:
             raise ValueError("need d >= 2 and delta in (0, 1)")
-        if abs(self.c_norm - _C_NORM) > 1e-12:
-            raise ValueError("c_norm must be 6/pi^2")
 
 
 def _key(seed, stream, slot):
@@ -129,9 +128,10 @@ class _Streams:
 
     Setting the key resets the bit generator to the state a new Philox
     keyed (seed, stream * 2^20 + slot) starts in, so the draws are the
-    same, at a fraction of the cost of building one. Each call re-keys the single
-    shared generator: finish drawing from one before asking for the next,
-    or save() its state and resume() it to continue that stream later.
+    same, at a fraction of the cost of building one. Each call re-keys the
+    one generator this object holds and returns it: finish drawing from a
+    stream before asking for the next, or hold one _Streams per stream
+    that is drawn from alongside others.
     """
 
     def __init__(self, seed):
@@ -146,13 +146,6 @@ class _Streams:
     def __call__(self, stream, slot):
         self._key[1] = _key(self._key[0], stream, slot)
         self._bits.state = self._state
-        return self._gen
-
-    def save(self):
-        return self._bits.state
-
-    def resume(self, state):
-        self._bits.state = state
         return self._gen
 
 
@@ -448,7 +441,7 @@ def radius(schedule: RadiusSchedule, m) -> float:
     m_arr = np.asarray(m, dtype=float)
     if np.any(m_arr < 1):
         raise ValueError("m must be at least 1")
-    d, delta, c = schedule.d, schedule.delta, schedule.c_norm
+    d, delta, c = schedule.d, schedule.delta, _C_NORM
     if schedule.kind == "bounded":
         out = schedule.b * np.sqrt(
             (2.0 / m_arr) * np.log(d * m_arr ** 2 / (c * delta)))
@@ -461,20 +454,23 @@ def radius(schedule: RadiusSchedule, m) -> float:
     return float(out) if np.ndim(m) == 0 else out
 
 
-def _estimator_thresholds(schedule, delta, horizon):
-    j = np.arange(1, horizon + 1, dtype=float)
+def _estimator_thresholds(schedule, delta, lo, hi):
+    """B_j for pulls j = lo + 1, ..., hi."""
+    j = np.arange(lo + 1, hi + 1, dtype=float)
     return (schedule.K * j / math.log(1.0 / delta)) ** (1.0 / schedule.alpha)
 
 
 def _table(entries):
     """upto(n): the first n or more entries of an elementwise table, where
-    entries(n) computes the first n; the table doubles as it grows."""
+    entries(lo, hi) computes entries lo, ..., hi - 1; the table doubles as
+    it grows, computing only its new entries."""
     values = np.empty(0)
 
     def upto(n):
         nonlocal values
         if n > len(values):
-            values = entries(max(n, 2 * len(values)))
+            size = max(n, 2 * len(values))
+            values = np.concatenate([values, entries(len(values), size)])
         return values
 
     return upto
@@ -489,9 +485,11 @@ def _chained_cumsum(start, mat):
     if n <= _SEGMENT:
         return start[:, None] + np.cumsum(mat, axis=1)
     segments = -(-n // _SEGMENT)
-    padded = np.zeros((rows, segments * _SEGMENT))
-    padded[:, :n] = mat
-    within = np.cumsum(padded.reshape(rows, segments, _SEGMENT), axis=2)
+    if n % _SEGMENT:
+        padded = np.zeros((rows, segments * _SEGMENT))
+        padded[:, :n] = mat
+        mat = padded
+    within = np.cumsum(mat.reshape(rows, segments, _SEGMENT), axis=2)
     starts = np.cumsum(np.concatenate([start[:, None], within[:, :-1, -1]],
                                       axis=1), axis=1)
     return (starts[:, :, None] + within).reshape(rows, -1)[:, :n]
@@ -515,8 +513,11 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
 
     A range of streams returns the list of their outcomes. Replications
     run one after another on tables of radii and thresholds built once per
-    call; each step of one covers a window of rounds that widens while no
-    arm leaves.
+    call. Each arm draws from its own re-keyed generator, keyed once per
+    replication, into its row of one draw buffer that every replication of
+    the call reuses; the buffer grows only when a replication draws past
+    all earlier ones. Each step of a replication covers a window of rounds
+    that widens while no arm leaves.
     """
     d = len(models)
     if d < 2:
@@ -537,43 +538,49 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
             and len(stream) != 1):
         raise ValueError("on_round needs a single stream")
 
-    keys = _Streams(seed)
-    radii = _table(lambda n: 2.0 * radius(schedule, np.arange(1, n + 1)))
+    arm_keys = [_Streams(seed) for _ in range(d)]
+    radii = _table(
+        lambda lo, hi: 2.0 * radius(schedule, np.arange(lo + 1, hi + 1)))
     thresholds = _table(
-        lambda n: _estimator_thresholds(schedule, delta, n))
+        lambda lo, hi: _estimator_thresholds(schedule, delta, lo, hi))
     true_means = np.array([mo.mean() for mo in models])
     ties = np.flatnonzero(true_means == true_means.max())
+    # row a: arm a's pulls, transformed; only the first `drawn` columns of
+    # the live arms' rows belong to the replication running now
+    buffer = np.empty((d, 0))
+
+    def extend(rngs, idx, drawn, upto):
+        """Draw the live arms idx from pull drawn to at least upto, in
+        chunks of max(256, drawn so far), as a generator per arm draws
+        them (a split or merged chunk gives other values for some models);
+        returns the new count."""
+        nonlocal buffer
+        ends = [drawn]
+        while ends[-1] < upto:
+            ends.append(ends[-1] + max(256, ends[-1]))
+        if ends[-1] > buffer.shape[1]:
+            grown = np.empty((d, ends[-1]))
+            grown[:, :drawn] = buffer[:, :drawn]
+            buffer = grown
+        if estimator != "plain":
+            bj = thresholds(ends[-1])[drawn:ends[-1]]
+        for a in idx.tolist():
+            for lo, hi in zip(ends, ends[1:]):
+                buffer[a, lo:hi] = models[a].draw(rngs[a], hi - lo)
+            fresh = buffer[a, drawn:ends[-1]]
+            if estimator == "truncated":
+                fresh[~(np.abs(fresh) <= bj)] = 0.0
+            elif estimator == "capped":
+                # sign(x) min(|x|, B_j), except that a -0.0 stays -0.0:
+                # no running sum, which starts at +0.0, tells them apart
+                np.clip(fresh, -bj, bj, out=fresh)
+        return ends[-1]
 
     def one(s):
+        rngs = [keys(s, a) for a, keys in enumerate(arm_keys)]
         alive = np.ones(d, dtype=bool)
-        drawn = np.empty((d, 0))  # row a: arm a's pulls, transformed
-        states = [None] * d  # each arm's Philox state after its last chunk
-
-        def extend(upto):
-            # chunks of max(256, drawn so far), as a generator per arm
-            # draws them (a split or merged chunk gives other values for
-            # some models); the arms still alive have all drawn alike
-            nonlocal drawn
-            ends = [drawn.shape[1]]
-            while ends[-1] < upto:
-                ends.append(ends[-1] + max(256, ends[-1]))
-            grown = np.zeros((d, ends[-1]))
-            grown[:, :ends[0]] = drawn
-            if estimator != "plain":
-                bj = thresholds(ends[-1])[ends[0]:ends[-1]]
-            for a in np.flatnonzero(alive).tolist():
-                rng = (keys(s, a) if states[a] is None
-                       else keys.resume(states[a]))
-                for lo, hi in zip(ends, ends[1:]):
-                    grown[a, lo:hi] = models[a].draw(rng, hi - lo)
-                states[a] = keys.save()
-                fresh = grown[a, ends[0]:]
-                if estimator == "truncated":
-                    fresh[:] = np.where(np.abs(fresh) <= bj, fresh, 0.0)
-                elif estimator == "capped":
-                    fresh[:] = np.sign(fresh) * np.minimum(np.abs(fresh), bj)
-            drawn = grown
-
+        idx = np.arange(d)
+        drawn = 0  # pulls drawn by every live arm
         sums = np.zeros(d)
         pulls = np.zeros(d, dtype=int)
         m = 0
@@ -586,14 +593,15 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
         # It draws only when its first segment needs it, and then keeps to
         # the whole segments drawn, so no chunk is drawn that a loop of
         # single segments would not draw.
-        while alive.sum() > 1 and m < pull_cap:
+        while idx.size > 1 and m < pull_cap:
             n = min(span * _SEGMENT, pull_cap - m)
-            if drawn.shape[1] < m + min(n, _SEGMENT):
-                extend(m + min(n, _SEGMENT))
-            if drawn.shape[1] < m + n:
-                n = (drawn.shape[1] - m) // _SEGMENT * _SEGMENT
-            idx = np.flatnonzero(alive)
-            cums = _chained_cumsum(sums[idx], drawn[idx, m:m + n])
+            if drawn < m + min(n, _SEGMENT):
+                drawn = extend(rngs, idx, drawn, m + min(n, _SEGMENT))
+            if drawn < m + n:
+                n = (drawn - m) // _SEGMENT * _SEGMENT
+            window = (buffer[:, m:m + n] if idx.size == d
+                      else buffer[idx, m:m + n])
+            cums = _chained_cumsum(sums[idx], window)
             ms = np.arange(m + 1, m + n + 1)
             means = cums / ms
             trig = (means.max(axis=0) - means) >= radii(m + n)[m:m + n]
@@ -609,13 +617,13 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
             pulls[idx] = m
             if hits.size:
                 alive[idx[trig[:, j]]] = False
+                idx = np.flatnonzero(alive)
                 span = 1
             else:
                 span = min(2 * span, _MAX_SPAN)
 
-        live_idx = np.flatnonzero(alive)
-        chosen = int(live_idx[np.argmax(sums[live_idx] / pulls[live_idx])])
-        termination = "confidence-met" if alive.sum() == 1 else "round-cap"
+        chosen = int(idx[np.argmax(sums[idx] / pulls[idx])])
+        termination = "confidence-met" if idx.size == 1 else "round-cap"
         fs = None if len(ties) > 1 else bool(chosen != ties[0])
         return SelectionOutcome(chosen, [int(p) for p in pulls], m,
                                 termination, None, fs)
@@ -647,7 +655,7 @@ class PullsBound:
 
 
 def _fixed_point_params(schedule, gap):
-    d, delta, c = schedule.d, schedule.delta, schedule.c_norm
+    d, delta, c = schedule.d, schedule.delta, _C_NORM
     if schedule.kind == "bounded":
         lead = 32.0 * schedule.b ** 2 / gap ** 2
         a = lead * math.log(d / (c * delta))
@@ -701,13 +709,12 @@ def expected_pulls_bound(gaps, schedule: RadiusSchedule) -> PullsBound:
 
     if schedule.kind == "bounded":
         dom = (64.0 * schedule.b ** 2
-               * math.log(schedule.d / (schedule.c_norm * schedule.delta))
+               * math.log(schedule.d / (_C_NORM * schedule.delta))
                * sum(1.0 / g ** 2 for g in gaps))
     else:
         al = schedule.alpha
         dom = (2.0 * (4.0 * capped_concentration_constant(al)
                       * schedule.K ** (1.0 / al)) ** (al / (al - 1.0))
-               * math.log(2.0 * schedule.d
-                          / (schedule.c_norm * schedule.delta))
+               * math.log(2.0 * schedule.d / (_C_NORM * schedule.delta))
                * sum((1.0 / g) ** (al / (al - 1.0)) for g in gaps))
     return PullsBound(taus, closed, dom)

@@ -719,12 +719,16 @@ class TestSequentialFailureCertificate:
 
 @pytest.fixture
 def meta_rate_calls(monkeypatch):
-    """Counts of _meta_rate calls on an array of tilts and on one tilt."""
+    """Counts of _meta_rate calls on an array of tilts and on one tilt,
+    and the (tilt, level) of each call on one tilt."""
     module = importlib.import_module("ordopt.meta_rate")
-    solve, calls = module._meta_rate, {"array": 0, "scalar": 0}
+    solve = module._meta_rate
+    calls = {"array": 0, "scalar": 0, "points": []}
 
     def counted(model, law, theta, nu):
         calls["array" if np.ndim(theta) else "scalar"] += 1
+        if not np.ndim(theta):
+            calls["points"].append((float(theta), float(nu)))
         return solve(model, law, theta, nu)
 
     monkeypatch.setattr(module, "_meta_rate", counted)
@@ -733,25 +737,33 @@ def meta_rate_calls(monkeypatch):
 
 class TestThetaSearchEvaluations:
     """Each theta search solves its grid in one array call, then refines by
-    Brent's method one tilt at a time. The counts do not depend on the
-    machine."""
+    Brent's method one tilt at a time, and solves no tilt twice: the
+    answer reuses the solve the search made there. The counts do not
+    depend on the machine."""
+
+    @staticmethod
+    def _solved_once(calls):
+        assert len(set(calls["points"])) == len(calls["points"])
 
     def test_sup(self, meta_rate_calls):
         sup_meta_rate_on_theta_a(TwoPoint(1.0, 0.6), 0.01)
         assert meta_rate_calls["array"] == 1
-        assert meta_rate_calls["scalar"] <= 15
+        assert meta_rate_calls["scalar"] <= 11
+        self._solved_once(meta_rate_calls)
 
     @pytest.mark.parametrize("a", [0.03, 0.04, 0.06])
     def test_inf(self, meta_rate_calls, a):
         inf_meta_rate(TwoPoint(1.0, 0.6), a)
         assert meta_rate_calls["array"] == 1
         assert meta_rate_calls["scalar"] <= 15
+        self._solved_once(meta_rate_calls)
 
     @pytest.mark.parametrize("c1", [2.0, 5.0, 100.0])
     def test_certificate(self, meta_rate_calls, c1):
         sequential_failure_certificate(ShiftedExponential(0.96, 1.0), c1)
         assert meta_rate_calls["array"] == 1
-        assert meta_rate_calls["scalar"] <= 20
+        assert meta_rate_calls["scalar"] <= {2.0: 11, 5.0: 18, 100.0: 15}[c1]
+        self._solved_once(meta_rate_calls)
 
 
 def _first_order_residual(model, theta, nu):

@@ -374,6 +374,71 @@ def test_elimination_block_matches_reference(arms, rule, delta, seed, start,
             assert np.array_equal(means, ref_means, equal_nan=True)
 
 
+class _Logged:
+    """A model whose draws append (stream, arm, n) to a log, read off the
+    Philox key stream * 2^20 + slot of the generator drawn from."""
+
+    def __init__(self, model, log):
+        self.model, self.log = model, log
+
+    def mean(self):
+        return self.model.mean()
+
+    def draw(self, rng, n):
+        key = int(rng.bit_generator.state["state"]["key"][1])
+        self.log.append((key >> 20, key % 2 ** 20, n))
+        return self.model.draw(rng, n)
+
+
+def _elimination_draws(models, schedule, estimator, seed, pull_cap, streams):
+    """The outcomes and draw logs of the policy on a block of streams and
+    of the reference, one stream at a time."""
+    log, ref_log = [], []
+    block = successive_elimination(
+        [_Logged(mo, log) for mo in models], schedule.delta, schedule,
+        estimator, seed, pull_cap, stream=streams)
+    ref = [_ref_elimination([_Logged(mo, ref_log) for mo in models],
+                            schedule.delta, schedule, estimator, seed,
+                            pull_cap, s) for s in streams]
+    return block, ref, log, ref_log
+
+
+@pytest.mark.parametrize("arms,rule", [
+    ("pareto", ("heavy", "capped")), ("pareto", ("heavy", "truncated")),
+    ("bernoulli", ("bounded", "plain"))])
+def test_elimination_draws_match_reference(arms, rule):
+    # every draw call, not only the outcomes: the same (stream, arm, n)
+    # sequence pins the chunk rule max(256, drawn so far) of each arm
+    kind, estimator = rule
+    models = ARMS[arms]
+    schedule = (RadiusSchedule("bounded", len(models), 0.3, b=2.0)
+                if kind == "bounded" else
+                RadiusSchedule("heavy", len(models), 0.3, alpha=1.5, K=0.5))
+    block, ref, log, ref_log = _elimination_draws(
+        models, schedule, estimator, 11, 9000, range(2 ** 40, 2 ** 40 + 6))
+    assert block == ref
+    assert log == ref_log
+
+
+def test_elimination_block_reuses_its_buffer_over_many_streams():
+    # 24 streams share one draw buffer: some replication draws past every
+    # earlier one and regrows it mid-block, and a shorter one follows a
+    # longer one over columns an earlier replication left behind
+    models = ARMS["pareto"]
+    # K = 0.07 ends the replications on either side of 1024 pulls, the
+    # edge of a chunk, so they draw 1024 or 2048 pulls of an arm
+    schedule = RadiusSchedule("heavy", len(models), 0.05, alpha=1.5, K=0.07)
+    streams = range(5, 29)
+    block, ref, log, ref_log = _elimination_draws(
+        models, schedule, "capped", 7, 9000, streams)
+    assert block == ref
+    assert log == ref_log
+    drawn = [max(sum(n for s2, a2, n in log if (s2, a2) == (s, a))
+                 for a in range(len(models))) for s in streams]
+    assert any(drawn[i] > max(drawn[:i]) for i in range(1, len(drawn)))
+    assert any(drawn[i] < max(drawn[:i]) for i in range(1, len(drawn)))
+
+
 def _ref_budget(models, n, seed, stream, cap=None):
     """One replication of a fixed-budget minimum selection: a fresh
     generator and one 1-D mean per arm."""

@@ -95,7 +95,8 @@ class TestDomainTypes:
             RadiusSchedule("bounded", 2, 1.5, b=1.0)
         with pytest.raises(ValueError, match="d >= 2"):
             RadiusSchedule("bounded", 1, 0.1, b=1.0)
-        with pytest.raises(ValueError, match="6/pi"):
+        # the radius normalizer is the constant 6/pi^2, not a field
+        with pytest.raises(TypeError, match="c_norm"):
             RadiusSchedule("bounded", 2, 0.1, b=1.0, c_norm=0.61)
 
 
