@@ -125,15 +125,18 @@ def estimate_rate_at_zero(batch) -> RateEstimate:
 
     L_m' is strictly increasing when the batch has at least two distinct
     points, so a sign change of the derivative brackets the optimum. The
-    bracket expands geometrically from [-1, 1] up to |theta| = 2^10, and
-    safeguarded Newton steps (newton_root) from theta = 0 locate the root
-    inside it, with L_m'', the tilted variance, as the slope; iterations
-    counts the derivative evaluations of that search. If the derivative
-    never changes sign inside that range the infimum is either -inf (all
-    samples strictly one-signed, value +infinity) or attained in the limit
-    because the batch has mass exactly at zero, in which case the boundary
-    value at the cap already matches the limit to double precision. The
-    rate at the batch mean is +0.0.
+    search runs on the batch scaled by the power of two that puts its
+    largest |X_i| in [1, 2), which leaves I_m(0) unchanged and makes it
+    independent of the batch's units; theta_star is scaled back. The
+    bracket expands geometrically from [-1, 1] up to |theta| = 2^10 in
+    scaled units, and safeguarded Newton steps (newton_root) from
+    theta = 0 locate the root inside it, with L_m'', the tilted variance,
+    as the slope; iterations counts the derivative evaluations of that
+    search. If the derivative never changes sign inside that range the
+    infimum is either -inf (all samples strictly one-signed, value
+    +infinity) or attained in the limit because the batch has mass exactly
+    at zero, in which case the boundary value at the cap already matches
+    the limit to double precision. The rate at the batch mean is +0.0.
     """
     return estimate_rates_at_zero(_values(batch)[None, :])[0]
 
@@ -163,7 +166,12 @@ def estimate_rates_at_zero(batches) -> list[RateEstimate]:
     rows = np.flatnonzero(~(equal | above | below))
     if not rows.size:
         return out
+    # each row times the power of two that puts its largest |x| in [1, 2):
+    # exact (barring entries pushed below the normal range), so the rate
+    # is that of the row as given, and theta* scales back by that power
     x = x[rows]
+    shift = 1 - np.frexp(np.abs(x).max(axis=1))[1]
+    x = np.ldexp(x, shift[:, None])
     lo, dlo = expand_bracket(_row_derivative(x), np.full(len(x), -1.0),
                              -math.inf, 1, cap=_THETA_CAP)
     hi, dhi = expand_bracket(_row_derivative(x), np.full(len(x), 1.0),
@@ -180,7 +188,8 @@ def estimate_rates_at_zero(batches) -> list[RateEstimate]:
                            xtol=1e-12, ftol=tol, max_iter=199)
         theta[free] = root.x
         iterations[free] = root.iterations
-    for i, lm, th, it in zip(rows, _log_mgf(x, theta), theta.tolist(),
+    for i, lm, th, it in zip(rows, _log_mgf(x, theta),
+                             np.ldexp(theta, shift).tolist(),
                              iterations.tolist()):
         out[i] = RateEstimate(_rate(lm), th, "interior", it)
     return out

@@ -11,6 +11,14 @@ test harnesses use as an oracle.
 A model draws from the generator it is handed, model.draw(rng, n); the
 selectors key those generators by (seed, stream) through a counter-based
 Philox generator, so any replication is reproducible in isolation.
+
+A model whose draws are one transform of rng.random(n) also has
+from_uniform(u): the draws for an array u of uniforms in [0, 1), of u's
+shape, elementwise, so that draw(rng, n) is from_uniform(rng.random(n))
+and a transform over many streams' uniforms at once gives each stream's
+draws exactly. TwoPoint, Bernoulli and Pareto have it; the models that
+draw normals, exponentials, integers or two streams (Gaussian,
+ShiftedExponential, GaussianMixture, Empirical, Mirrored) have draw only.
 """
 
 from __future__ import annotations
@@ -102,9 +110,11 @@ class TwoPoint:
     def upper_quantile(self, q):
         return self.quantile(1.0 - q)
 
-    def draw(self, rng, n):
-        u = rng.random(n)
+    def from_uniform(self, u):
         return np.where(u < self.p_minus, -self.b, self.b)
+
+    def draw(self, rng, n):
+        return self.from_uniform(rng.random(n))
 
 
 def _logit(p):
@@ -338,8 +348,11 @@ class Bernoulli:
     def upper_quantile(self, q):
         return self.quantile(1.0 - q)
 
+    def from_uniform(self, u):
+        return (u < self.q).astype(float)
+
     def draw(self, rng, n):
-        return (rng.random(n) < self.q).astype(float)
+        return self.from_uniform(rng.random(n))
 
 
 def _pareto_integral(t, p):
@@ -413,8 +426,11 @@ class Pareto:
     def upper_quantile(self, q):
         return self.scale * q ** (-1.0 / self.alpha_tail)
 
+    def from_uniform(self, u):
+        return self.scale * (1.0 - u) ** (-1.0 / self.alpha_tail)
+
     def draw(self, rng, n):
-        return self.scale * (1.0 - rng.random(n)) ** (-1.0 / self.alpha_tail)
+        return self.from_uniform(rng.random(n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,10 +25,23 @@ argmin over the arms picks every stream's choice. Successive elimination
 runs a block's replications one after another on radius and threshold
 tables built once per call, each replication drawing into the one draw
 buffer of the call.
+
+Block sampling: every draw site fills a preallocated block through
+_draws(model, fills, out), one view of the block per generator. For a
+model with from_uniform (populations), each generator writes its uniforms
+into its view with Generator.random(out=view) and one from_uniform call
+transforms the whole block; Philox is counter-based, so a stream's j-th
+uniform does not depend on how its draws are split, and the block holds
+exactly what model.draw would give view by view. Any other model draws
+into each view with model.draw. _draws takes the (generator, view) pairs
+lazily, one at a time: a _Streams re-keys its one generator on every
+call, so a list of keys(s, slot) built up front would leave every pair on
+the last key.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,7 +65,8 @@ __all__ = [
 _C_NORM = 6.0 / math.pi ** 2
 _SUBSTREAM = 1 << 20
 _KEY_LIMIT = 1 << 64
-_SAMPLE_CAP = 1 << 20  # two-phase decision batch ceiling
+_SAMPLE_CAP = 1 << 20  # two-phase decision batch ceiling; largest pilot
+_DECISIONS = 1 << 12  # most draws consecutive decision batches share
 _BLOCK = 256  # replications per engine block: bounds the stacked batches
 _ELEMENTS = 2 ** 16  # most draws a fixed-budget policy stacks at once
 _SEGMENT = 512  # elimination rounds per cumulative-sum segment
@@ -149,6 +163,26 @@ class _Streams:
         return self._gen
 
 
+def _draws(model, fills, out):
+    """Draws of model for every (generator, view) pair of fills, where each
+    view is a C-contiguous piece of out; returns the draws in out's shape,
+    as float64.
+
+    Each view holds the draws model.draw(generator, view.size) would make.
+    A model with from_uniform takes each generator's uniforms into its
+    view and transforms the whole of out at once; any other model draws
+    into each view in turn. fills is consumed lazily, so its generators
+    may come from one _Streams re-keyed pair by pair.
+    """
+    if not hasattr(model, "from_uniform"):
+        for g, view in fills:
+            view[...] = model.draw(g, view.size)
+        return out
+    for g, view in fills:
+        g.random(out=view)
+    return model.from_uniform(out).astype(float, copy=False)
+
+
 def _over(stream, block):
     """block(streams) for a range of streams; its one outcome for one."""
     if isinstance(stream, range):
@@ -183,6 +217,12 @@ def _check_delta(delta):
         raise ValueError("delta must lie in (0, 1)")
 
 
+def _row_means(mat):
+    """The mean of each row of a C-contiguous matrix, each exactly np.mean
+    of the row alone: one row-wise pairwise sum."""
+    return np.add.reduce(mat, axis=1) / mat.shape[1]
+
+
 def _sign_outcome(mean, total, rounds, termination, truth_mean):
     sign = "negative" if mean < 0 else "positive"
     fs = None
@@ -190,6 +230,19 @@ def _sign_outcome(mean, total, rounds, termination, truth_mean):
         true_sign = "negative" if truth_mean < 0 else "positive"
         fs = sign != true_sign
     return SelectionOutcome(0, [total], rounds, termination, sign, fs)
+
+
+def _runs(sizes, limit):
+    """(lo, hi) of the runs of consecutive sizes, each summing to at most
+    limit or holding one larger size alone."""
+    lo, total = 0, 0
+    for i, n in enumerate(sizes):
+        if i > lo and total + n > limit:
+            yield lo, i
+            lo, total = i, 0
+        total += n
+    if sizes:
+        yield lo, len(sizes)
 
 
 def _decision_size(rate, m, c2):
@@ -213,25 +266,43 @@ def two_phase_select(model, delta: float, c1: float, c2: float,
     tiny rate estimate that asks for more draws 2^20 and ends with
     termination "sample-cap" instead of "budget-exhausted".
 
+    The pilot m may not exceed 2^20 (ValueError, before any draw).
+
     With a range of streams the pilots of all of them form one matrix for
-    a lock-step rate estimate; decision batches are drawn and reduced one
-    replication at a time. Returns the list of outcomes.
+    a lock-step rate estimate. The decision batches of consecutive
+    replications share one buffer of at most 2^12 draws, and a larger
+    batch has a buffer of its own; each mean is the pairwise sum of the
+    replication's own draws over N, exactly np.mean of them. Returns the
+    list of outcomes.
     """
     _check_delta(delta)
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
+    if c1 * math.log(1.0 / delta) > _SAMPLE_CAP:
+        raise ValueError("the pilot m = ceil(c1 log(1/delta)) must not "
+                         "exceed 2^20")
     m = math.ceil(c1 * math.log(1.0 / delta))
     keys = _Streams(seed)
     truth = model.mean()
 
     def block(streams):
-        pilots = np.stack([model.draw(keys(s, 0), m) for s in streams])
+        pilots = np.empty((len(streams), m))
+        pilots = _draws(model, ((keys(s, 0), row)
+                                for s, row in zip(streams, pilots)), pilots)
+        sizes = [_decision_size(est.value, m, c2)
+                 for est in estimate_rates_at_zero(pilots)]
         outcomes = []
-        for s, est in zip(streams, estimate_rates_at_zero(pilots)):
-            n2, termination = _decision_size(est.value, m, c2)
-            decision = model.draw(keys(s, 1), n2)
-            outcomes.append(_sign_outcome(float(np.mean(decision)), m + n2,
-                                          2, termination, truth))
+        for lo, hi in _runs([n2 for n2, _ in sizes], _DECISIONS):
+            ends = [0, *itertools.accumulate(n2 for n2, _ in sizes[lo:hi])]
+            spans = list(zip(ends, ends[1:]))
+            draws = np.empty(ends[-1])
+            draws = _draws(model, ((keys(s, 1), draws[a:b]) for s, (a, b)
+                                   in zip(streams[lo:hi], spans)), draws)
+            for (a, b), (n2, termination) in zip(spans, sizes[lo:hi]):
+                # np.mean's own arithmetic: the pairwise sum over n2
+                mean = float(np.add.reduce(draws[a:b])) / n2
+                outcomes.append(_sign_outcome(mean, m + n2, 2, termination,
+                                              truth))
         return outcomes
 
     return _over(stream, block)
@@ -244,7 +315,8 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
     Round k holds m_k = ceil((c_1 + ... + c_k) log(1/delta)) cumulative
     samples (the schedule repeats its last entry past the end); the
     procedure stops at the first round with m_k * I_{m_k}(0) >= log(1/delta)
-    and decides by the sign of the cumulative mean.
+    and decides by the sign of the cumulative mean. The first round's m_1
+    may not exceed 2^20 (ValueError, before any draw).
 
     With a range of streams, each round estimates the rates of all
     replications still running as one matrix (m_k depends on k only) and
@@ -257,6 +329,9 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
     if round_cap < 1:
         raise ValueError("round_cap must be at least 1")
     log_inv = math.log(1.0 / delta)
+    if c_schedule[0] * log_inv > _SAMPLE_CAP:
+        raise ValueError("the first round's m_1 = ceil(c_1 log(1/delta)) "
+                         "must not exceed 2^20")
     keys = _Streams(seed)
     truth = model.mean()
 
@@ -269,21 +344,20 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
             total_c += c_schedule[min(k - 1, len(c_schedule) - 1)]
             m_k = max(math.ceil(total_c * log_inv), 1)
             if m_k > values.shape[1]:
-                grow = m_k - values.shape[1]
-                fresh = np.stack([model.draw(keys(streams[i], k - 1), grow)
-                                  for i in live])
+                fresh = np.empty((live.size, m_k - values.shape[1]))
+                fresh = _draws(model, ((keys(streams[i], k - 1), row)
+                                       for i, row in zip(live, fresh)), fresh)
                 values = np.concatenate([values, fresh], axis=1)
             met = np.array([m_k * est.value >= log_inv
                             for est in estimate_rates_at_zero(values)])
-            for j in np.flatnonzero(met):
-                outcomes[live[j]] = _sign_outcome(
-                    float(values[j].mean()), m_k, k, "confidence-met", truth)
+            for i, mean in zip(live[met], _row_means(values[met])):
+                outcomes[i] = _sign_outcome(mean, m_k, k, "confidence-met",
+                                            truth)
             live, values = live[~met], values[~met]
             if not live.size:
                 return outcomes
-        for j, i in enumerate(live):
-            outcomes[i] = _sign_outcome(float(values[j].mean()),
-                                        values.shape[1], round_cap,
+        for i, mean in zip(live, _row_means(values)):
+            outcomes[i] = _sign_outcome(mean, values.shape[1], round_cap,
                                         "round-cap", truth)
         return outcomes
 
@@ -313,11 +387,11 @@ def _budget_block(models, n, seed, cap=None):
             for k in range(0, len(streams), per):
                 chunk = streams[k:k + per]
                 rows = mat[:len(chunk)]
-                for j, s in enumerate(chunk):
-                    rows[j] = model.draw(keys(s, a), n)
+                rows = _draws(model, ((keys(s, a), row)
+                                      for s, row in zip(chunk, rows)), rows)
                 if cap is not None:
                     np.minimum(rows, cap, out=rows)
-                means[a, k:k + len(chunk)] = np.mean(rows, axis=1)
+                means[a, k:k + len(chunk)] = _row_means(rows)
         chosen = np.argmin(means, axis=0).tolist()
         return [SelectionOutcome(c, [n] * d, 1, "budget-exhausted", None,
                                  None if best is None else c != best)
@@ -565,9 +639,10 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
         if estimator != "plain":
             bj = thresholds(ends[-1])[drawn:ends[-1]]
         for a in idx.tolist():
-            for lo, hi in zip(ends, ends[1:]):
-                buffer[a, lo:hi] = models[a].draw(rngs[a], hi - lo)
             fresh = buffer[a, drawn:ends[-1]]
+            fresh[...] = _draws(models[a], ((rngs[a], buffer[a, lo:hi])
+                                            for lo, hi in zip(ends, ends[1:])),
+                                fresh)
             if estimator == "truncated":
                 fresh[~(np.abs(fresh) <= bj)] = 0.0
             elif estimator == "capped":

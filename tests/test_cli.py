@@ -317,6 +317,20 @@ class TestSelect:
             "2", "--json"])
         assert code == 2 and "round_cap" in err
 
+    @pytest.mark.parametrize("policy, extra", [
+        ("two-phase", ["--c2", "1"]), ("sequential", [])])
+    def test_oversized_pilot_is_validation_error(self, capsys, tmp_path,
+                                                 policy, extra):
+        # m = ceil(1e12 log 10) would need a pilot matrix of terabytes
+        p = tmp_path / "m.ini"
+        p.write_text("[only]\nspec = two-point:1,0.55\n")
+        code, out, err = run_cli(capsys, [
+            "select", "--policy", policy, "--c1", "1e12", *extra,
+            "--delta", "0.1", "--models", str(p), "--replications", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: validation:") and "2^20" in err
+        assert err.count("\n") == 1
+
     def test_succ_elim_policy(self, capsys, tmp_path):
         p = tmp_path / "m.ini"
         p.write_text("[g]\nspec = bernoulli:0.9\n\n[w]\nspec = "

@@ -62,6 +62,18 @@ def test_rate_at_zero_degenerate_zero():
     assert r.value == 0.0 and r.status == "at-mean"
 
 
+@pytest.mark.parametrize("scale", [2.0 ** k for k in range(-600, 601, 75)]
+                         + [3.0, 1e-5, 1e-20, 1e160])
+def test_rate_at_zero_does_not_depend_on_units(scale):
+    # the search runs on the batch scaled to a largest |x| in [1, 2), so a
+    # tiny or huge batch neither stops at the theta cap nor overflows L''
+    unit = estimate_rate_at_zero([1.0, -1.0, -1.0])
+    r = estimate_rate_at_zero([scale, -scale, -scale])
+    assert r.status == "interior"
+    assert abs(r.value - unit.value) <= 1e-12 * unit.value
+    assert r.theta_star * scale == pytest.approx(unit.theta_star, rel=1e-9)
+
+
 def test_rate_at_zero_mass_at_zero_boundary():
     # minimum of the support is exactly 0: the infimum is -log of its mass
     r = estimate_rate_at_zero([0.0, 0.0, 1.0])

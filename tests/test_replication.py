@@ -15,6 +15,7 @@ blocks, which the policy replaces by wider windows on shared tables.
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,9 @@ from ordopt.selectors import (
     MomentBound,
     RadiusSchedule,
     SelectionOutcome,
+    _Streams,
     _budget_block,
+    _draws,
     capped_select,
     capping_radius,
     hoeffding_select,
@@ -105,6 +108,10 @@ def _ref_rate(x, root=None):
         return RateEstimate(math.inf, None, "diverges-left", 0)
     if np.all(x < 0):
         return RateEstimate(math.inf, None, "diverges-right", 0)
+    # the search runs on x scaled by the power of two that puts its largest
+    # |x| in [1, 2), and theta* scales back
+    shift = 1 - math.frexp(float(np.abs(x).max()))[1]
+    x = np.ldexp(x, shift)
 
     def deriv(theta):
         return _ref_tilted_mean(x, theta)
@@ -119,7 +126,8 @@ def _ref_rate(x, root=None):
         tol = 1e-10 * max(1.0, float(np.abs(x).mean()))
         theta, it = (root or _ref_newton)(x, lo, hi, dlo, dhi, tol)
     lm = _ref_log_mgf(x, theta)
-    return RateEstimate(-lm if lm < 0 else 0.0, theta, "interior", it)
+    return RateEstimate(-lm if lm < 0 else 0.0, math.ldexp(theta, shift),
+                        "interior", it)
 
 
 def _ref_newton(x, lo, hi, dlo, dhi, tol):
@@ -267,6 +275,72 @@ def test_sequential_block_matches_reference(model, seed, start, count, c1,
                               stream=streams)
     assert block == [_ref_sequential(model, 0.05, c1, round_cap, seed, s)
                      for s in streams]
+
+
+# one model of every class; TwoPoint with an integer b draws int64
+DRAW_MODELS = [TwoPoint(1.0, 0.55), TwoPoint(1, 0.55), Bernoulli(0.3),
+               Pareto(3.0, 0.6), Gaussian(-0.2, 1.0),
+               ShiftedExponential(0.96, 1.0), GaussianMixture(0.4, 1.5),
+               Empirical(np.array([-1.0, 0.0, 0.0, 1.5])),
+               Mirrored(Pareto(3.0, 0.6))]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 128, 129, 5000])
+@pytest.mark.parametrize("model", DRAW_MODELS, ids=repr)
+def test_draws_match_per_view_draws(model, n):
+    assert hasattr(model, "from_uniform") == isinstance(
+        model, (TwoPoint, Bernoulli, Pareto))
+    # rows on three streams of one re-keyed generator, as the sign
+    # procedures and the fixed-budget block fill them
+    keys = _Streams(5)
+    out = np.empty((3, n))
+    got = _draws(model, ((keys(s, 2), row) for s, row in zip(range(3), out)),
+                 out)
+    ref = np.stack([model.draw(_fresh_rng(5, s, 2), n) for s in range(3)])
+    assert got.dtype == np.float64 and got.shape == (3, n)
+    assert got.tobytes() == ref.astype(float).tobytes()
+    # uneven chunks of one stream in one flat buffer, some empty when n is
+    # small, as elimination fills an arm's row
+    cuts = [0, n // 3, n // 2, n]
+    out = np.empty(n)
+    g, ref_g = keys(9, 0), _fresh_rng(5, 9, 0)
+    got = _draws(model, ((g, out[a:b]) for a, b in zip(cuts, cuts[1:])),
+                 out)
+    ref = np.concatenate([model.draw(ref_g, b - a)
+                          for a, b in zip(cuts, cuts[1:])])
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == ref.astype(float).tobytes()
+
+
+class _Balanced:
+    """+1, -1, +1, ... from the start of every draw; mean reported 0. A
+    draw holds no array but its result, so a peak counts the policy's."""
+
+    def draw(self, rng, n):
+        out = np.ones(n)
+        out[1::2] = -1.0
+        return out
+
+    def mean(self):
+        return 0.0
+
+
+def test_two_phase_decision_buffers_stay_bounded():
+    # balanced pilots of m = ceil(1.5 log 10) = 4 have rate 0, so every
+    # decision batch is the 2^20 cap; a block of them must not hold all
+    # its batches at once
+    model = _Balanced()
+    streams = range(64)
+    tracemalloc.start()
+    try:
+        block = two_phase_select(model, 0.1, 1.5, 1.0, 3, stream=streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(o.termination == "sample-cap" for o in block)
+    assert block == [two_phase_select(model, 0.1, 1.5, 1.0, 3, stream=s)
+                     for s in streams]
+    assert peak < 3 * 2 ** 20 * 8, peak
 
 
 def _ref_elimination(models, delta, schedule, estimator, seed, pull_cap,
