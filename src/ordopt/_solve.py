@@ -11,7 +11,8 @@ use: every search loop in the numeric modules runs here. Every float
 bisection runs through bisect_root, with expand_bracket growing its
 brackets; newton_root is the safeguarded Newton search for roots whose
 derivative comes cheaply with the value, and newton_system the damped
-Newton solver for a small square system of equations. Every minimization
+Newton solver for a small square system of equations whose caller
+returns the exact Jacobian with the residuals. Every minimization
 runs through brent_min, Brent's parabolic-plus-golden-section search,
 which grid_then_brent starts from the best cell of a coarse grid.
 """
@@ -277,34 +278,28 @@ def _expand_rows(f, x, edge, sign, cap):
     return x, fx
 
 
-def newton_system(residuals, v0, *, tol=1e-11, max_iter=500):
+def newton_system(system, v0, *, tol=1e-11, max_iter=500):
     """Root of a square system r(v) = 0 by damped Newton steps.
 
-    residuals(vs) takes a 2-D array with one point per row and returns the
-    residual vector of each row, or None once a row leaves the domain. The
-    Jacobian comes from forward differences of relative size 1e-7, with
-    every stepped point in one call; each Newton step is halved, up to 50
-    times, until the max-norm of the residual falls (Dennis and Schnabel,
-    Numerical Methods for Unconstrained Optimization and Nonlinear
-    Equations, ch. 6). Returns the first point whose residual max-norm is
-    at most tol, as a tuple of floats, or None when a point leaves the
-    domain, the Jacobian is singular, the line search fails or max_iter
-    steps pass.
+    system(v) takes one point, a 1-D array, and returns the residual vector
+    r and its exact Jacobian J (J[i, j] = dr_i / dv_j) there, or None once
+    v leaves the domain. Each Newton step solves J s = -r and is halved, up
+    to 50 times, until the max-norm of the residual falls (Dennis and
+    Schnabel, Numerical Methods for Unconstrained Optimization and
+    Nonlinear Equations, ch. 5-6). Returns the first point whose residual
+    max-norm is at most tol, as a tuple of floats, or None when a point
+    leaves the domain, the Jacobian is singular, the line search fails or
+    max_iter steps pass.
     """
     v = np.array(v0, dtype=float)
-    r = residuals(v[None])
-    if r is None:
+    at = system(v)
+    if at is None:
         return None
-    r = r[0]
+    r, jac = at
     for _ in range(max_iter):
-        norm = float(np.max(np.abs(r)))
+        norm = float(np.abs(r).max())
         if norm <= tol:
             return tuple(float(x) for x in v)
-        h = 1e-7 * np.maximum(1.0, np.abs(v))
-        rp = residuals(v + np.diag(h))
-        if rp is None:
-            return None
-        jac = ((rp - r) / h[:, None]).T
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError:
@@ -312,9 +307,9 @@ def newton_system(residuals, v0, *, tol=1e-11, max_iter=500):
         t = 1.0
         for _ in range(50):
             cand = v + t * step
-            rc = residuals(cand[None])
-            if rc is not None and float(np.max(np.abs(rc))) < norm:
-                v, r = cand, rc[0]
+            at = system(cand)
+            if at is not None and float(np.abs(at[0]).max()) < norm:
+                v, (r, jac) = cand, at
                 break
             t *= 0.5
         else:

@@ -170,19 +170,25 @@ def _atom_moments(x, p, w, alpha, nu):
     exponent, a shift that makes it safe for any finite alpha, plus a log
     sum; alpha nu cancels against the shift first, which keeps J exact at
     |alpha| = 2^30 for a level at an atom on the edge of the range of W."""
-    a = np.asarray(alpha, dtype=float).reshape(-1, 1)
-    with np.errstate(over="ignore"):
-        e = a * w
-    hi = np.maximum.reduce(e, axis=1)
-    e -= hi[:, None]
-    np.exp(e, out=e)
-    e *= p
-    den = np.add.reduce(e, axis=1)
+    hi, e, den = _shifted(p, w, alpha)
     we = w * e
     t_mean = np.add.reduce(we, axis=1) / den
     xw = np.add.reduce(x * we, axis=1) / den
     var = np.add.reduce(w * we, axis=1) / den - t_mean * t_mean
-    return (a[:, 0] * nu - hi) - np.log(den), t_mean, xw, var
+    return (alpha * nu - hi) - np.log(den), t_mean, xw, var
+
+
+def _shifted(p, w, alpha):
+    """(hi, e, den) for each row of w at one alpha (or one per row): hi is
+    the row's largest exponent alpha w, e = p e^{alpha w - hi} and den its
+    row sum, so M(alpha) = hi + log den."""
+    with np.errstate(over="ignore"):
+        e = np.asarray(alpha, dtype=float).reshape(-1, 1) * w
+    hi = np.maximum.reduce(e, axis=1)
+    e -= hi[:, None]
+    np.exp(e, out=e)
+    e *= p
+    return hi, e, np.add.reduce(e, axis=1)
 
 
 def _moments_at(law, theta, alpha, nu):
@@ -456,8 +462,10 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         a e^{-g} = c2 I(0) / g^2                  (outer stationarity)
 
     (written in the negated-alpha family) is tried first from
-    (g, theta, a) = (2 I(0), Lambda-minimizer, 1) by _solve.newton_system;
-    if it fails to converge the outer one-dimensional minimization over b
+    (g, theta, a) = (2 I(0), Lambda-minimizer, 1) by _solve.newton_system,
+    each evaluation taking the residuals and their exact Jacobian from one
+    pass of tilted moments over the law (see _two_phase_newton); if it
+    fails to converge the outer one-dimensional minimization over b
     is used instead: grid_then_brent over 65 levels, each level's value an
     inner grid-then-Brent search over theta. Both failing, or the
     fallback's best tilt sitting on an edge of its window [-64, 64] (where
@@ -511,22 +519,48 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
 
 
 def _two_phase_newton(model, law, c2, i0):
-    def residuals(vs):
-        """Residuals at each row (g, theta, alpha) of vs, with the tilted
-        moments of every row from one call; None once a row leaves the
-        domain."""
-        g, th, al = vs.T
-        if min(g.min(), al.min()) <= 0:
-            return None
-        neg_m, t_mean, xw, _ = _atom_moments(*_tilt(law, th), -al, 0.0)
-        if not np.isfinite(neg_m).all():
-            return None
-        level = np.exp(-g)
-        return np.array([t_mean - level, xw,
-                         al * level - c2 * i0 / (g * g)]).T
+    """(g, theta, a) solving two_phase_exponent's stationarity system, or
+    None. With q proportional to p e^{-a W}, W = e^{theta X}, and E, Var
+    and Cov under q, the residuals and their exact Jacobian are
 
-    return newton_system(residuals,
-                         [2.0 * i0, _lambda_minimizer(model), 1.0])
+        r1 = E W - e^{-g}:  d/dg = e^{-g},  d/dtheta = E[XW] - a Cov(W, XW),
+                            d/da = -Var W
+        r2 = E[XW]:         d/dg = 0,  d/dtheta = E[X^2 W] - a Var(XW),
+                            d/da = -Cov(XW, W)
+        r3 = a e^{-g} - c2 I(0) / g^2:  d/dg = -a e^{-g} + 2 c2 I(0) / g^3,
+                            d/dtheta = 0,  d/da = e^{-g}
+
+    all from one tilt and one shifted exp pass per point."""
+    x, p = law
+    c = c2 * i0
+
+    def system(v):
+        g, theta, a = v
+        if g <= 0 or a <= 0:
+            return None
+        _, _, w = _tilt(law, theta)
+        hi, e, den = _shifted(p, w, -a)
+        if not (math.isfinite(hi[0]) and math.isfinite(den[0])):
+            return None
+        # each product takes the weight e first, so a node whose w is _BIG
+        # (e exactly 0) adds exactly 0 to every sum
+        w = w[0]
+        we = w * e[0]
+        xwe = x * we
+        wxwe = w * xwe
+        ew, exw, ew2, exw2, ex2w, ex2w2 = np.add.reduce(
+            [we, xwe, w * we, wxwe, x * xwe, x * wxwe], axis=1) / den
+        var_w = ew2 - ew * ew
+        cov = exw2 - ew * exw
+        var_xw = ex2w2 - exw * exw
+        level = math.exp(-g)
+        r = np.array([ew - level, exw, a * level - c / (g * g)])
+        jac = np.array([[level, exw - a * cov, -var_w],
+                        [0.0, ex2w - a * var_xw, -cov],
+                        [2.0 * c / g ** 3 - a * level, 0.0, level]])
+        return r, jac
+
+    return newton_system(system, [2.0 * i0, _lambda_minimizer(model), 1.0])
 
 
 def sequential_failure_certificate(model, c1: float):

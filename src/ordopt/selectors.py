@@ -318,8 +318,11 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
     and decides by the sign of the cumulative mean. The first round's m_1
     may not exceed 2^20 (ValueError, before any draw).
 
-    With a range of streams, each round estimates the rates of all
-    replications still running as one matrix (m_k depends on k only) and
+    With a range of streams, each round estimates the rates of the
+    replications still running as one matrix (m_k depends on k only), in
+    groups of at most max(1, 2^16 // m_k) rows taken one at a time, each
+    group on to the last round it runs before the next starts, so a block
+    holds about 2^16 draws at once (or one replication's m_k, when more);
     returns the list of outcomes.
     """
     _check_delta(delta)
@@ -337,28 +340,40 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
 
     def block(streams):
         outcomes = [None] * len(streams)
-        live = np.arange(len(streams))
-        values = np.empty((len(streams), 0))
-        total_c = 0.0
-        for k in range(1, round_cap + 1):
-            total_c += c_schedule[min(k - 1, len(c_schedule) - 1)]
+        # depth first, one group of rows at a time: (rows, their draws
+        # before round k, k, c_1 + ... + c_k). A group of more than
+        # _ELEMENTS // m_k rows splits, and the rows still running go on
+        # to round k + 1 at once
+        groups = [(np.arange(len(streams)), np.empty((len(streams), 0)), 1,
+                   float(c_schedule[0]))]
+        while groups:
+            rows, values, k, total_c = groups.pop()
             m_k = max(math.ceil(total_c * log_inv), 1)
+            per = max(1, _ELEMENTS // m_k)
+            if rows.size > per:
+                groups += [(rows[lo:lo + per], values[lo:lo + per], k,
+                            total_c) for lo in range(0, rows.size, per)][::-1]
+                continue
             if m_k > values.shape[1]:
-                fresh = np.empty((live.size, m_k - values.shape[1]))
-                fresh = _draws(model, ((keys(streams[i], k - 1), row)
-                                       for i, row in zip(live, fresh)), fresh)
-                values = np.concatenate([values, fresh], axis=1)
+                n, old = values.shape[1], values
+                values = np.empty((rows.size, m_k))
+                values[:, :n] = old
+                fresh = values[:, n:]
+                fresh[...] = _draws(model, ((keys(streams[i], k - 1), row)
+                                            for i, row in zip(rows, fresh)),
+                                    fresh)
             met = np.array([m_k * est.value >= log_inv
                             for est in estimate_rates_at_zero(values)])
-            for i, mean in zip(live[met], _row_means(values[met])):
-                outcomes[i] = _sign_outcome(mean, m_k, k, "confidence-met",
-                                            truth)
-            live, values = live[~met], values[~met]
-            if not live.size:
-                return outcomes
-        for i, mean in zip(live, _row_means(values)):
-            outcomes[i] = _sign_outcome(mean, values.shape[1], round_cap,
-                                        "round-cap", truth)
+            done = met | (k == round_cap)
+            for i, mean, stop in zip(rows[done], _row_means(values[done]),
+                                     met[done]):
+                outcomes[i] = _sign_outcome(
+                    mean, m_k, k, "confidence-met" if stop else "round-cap",
+                    truth)
+            if not done.all():
+                c_next = c_schedule[min(k, len(c_schedule) - 1)]
+                groups.append((rows[~done], values[~done], k + 1,
+                               total_c + c_next))
         return outcomes
 
     return _over(stream, block)

@@ -21,6 +21,7 @@ from ordopt.meta_rate import (
     _law,
     _meta_rate,
     _moments_at,
+    _tilt,
     inf_meta_rate,
     meta_rate,
     sequential_failure_certificate,
@@ -652,6 +653,84 @@ class TestTwoPhaseFallback:
             two_phase_exponent(TwoPoint(1.0, 0.9), 1.0, 1.0)
         b_star, theta_star, _ = info.value.best
         assert theta_star == 64.0 and b_star > 60.0
+
+
+@pytest.fixture
+def newton_calls(monkeypatch):
+    """Each newton_system call of two_phase_exponent: its system, start
+    point and root, and the number of times the search evaluated the
+    system."""
+    module = importlib.import_module("ordopt.meta_rate")
+    solve, calls = module.newton_system, []
+
+    def spy(system, v0):
+        call = {"system": system, "v0": v0, "evals": 0}
+
+        def counted(v):
+            call["evals"] += 1
+            return system(v)
+
+        call["root"] = solve(counted, v0)
+        calls.append(call)
+        return call["root"]
+
+    monkeypatch.setattr(module, "newton_system", spy)
+    return calls
+
+
+class TestTwoPhaseNewton:
+    """The stationarity system's exact Jacobian, and the evaluations the
+    Newton search spends with it. The counts do not depend on the
+    machine."""
+
+    # the models of the benchmark's exponent ops, and a density model
+    MODELS = [TwoPoint(1.0, 0.55), TwoPoint(1.0, 0.52), TwoPoint(1.0, 0.51),
+              TwoPoint(4.0, 0.55), TwoPoint(1.0, 0.6), TwoPoint(1.0, 0.7),
+              Gaussian(-0.2, 1.0)]
+
+    @staticmethod
+    def _central_differences(system, v):
+        v = np.asarray(v, dtype=float)
+        cols = []
+        for j in range(v.size):
+            h = 1e-6 * max(1.0, abs(v[j]))
+            up, down = v.copy(), v.copy()
+            up[j] += h
+            down[j] -= h
+            cols.append((system(up)[0] - system(down)[0]) / (2.0 * h))
+        return np.array(cols).T
+
+    @pytest.mark.parametrize("model", [TwoPoint(1.0, 0.55),
+                                       Gaussian(-0.2, 1.0)], ids=str)
+    def test_jacobian_matches_central_differences(self, newton_calls,
+                                                  model):
+        two_phase_exponent(model, 1.0, 1.0)
+        (call,) = newton_calls
+        assert call["root"] is not None
+        for v in (call["v0"], call["root"]):
+            _, jac = call["system"](np.asarray(v, dtype=float))
+            np.testing.assert_allclose(
+                jac, self._central_differences(call["system"], v),
+                rtol=1e-6, atol=1e-8)
+
+    def test_finite_where_the_node_table_overflows(self, newton_calls):
+        model = Gaussian(-0.2, 1.0)
+        two_phase_exponent(model, 1.0, 1.0)
+        (call,) = newton_calls
+        # at theta = 40, x W overflows on the upper tail of the table
+        assert (_tilt(_law(model), 40.0)[2] == np.finfo(float).max).any()
+        g, _, a = call["root"]
+        # -a W is finite at a < 1 and -inf at a > 1 on those nodes
+        for alpha in (a, 2.0):
+            r, jac = call["system"](np.array([g, 40.0, alpha]))
+            assert np.isfinite(r).all() and np.isfinite(jac).all()
+
+    @pytest.mark.parametrize("model", MODELS, ids=str)
+    def test_evaluations_per_exponent(self, newton_calls, model):
+        two_phase_exponent(model, 1.0, 1.0)
+        (call,) = newton_calls
+        assert call["root"] is not None
+        assert call["evals"] <= 16
 
 
 @pytest.fixture(scope="module")

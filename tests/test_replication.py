@@ -343,6 +343,38 @@ def test_two_phase_decision_buffers_stay_bounded():
     assert peak < 3 * 2 ** 20 * 8, peak
 
 
+def test_sequential_rounds_stay_bounded():
+    # balanced draws of m_1 = 2^14 have rate 0 at every round, so no row
+    # stops before the round cap: at m_4 = 4 * 2^14 the 64 rows alone
+    # would be 32 MiB, and a block must not hold them all at once
+    model, c1 = _Balanced(), 2 ** 14 / math.log(10.0)
+    streams = range(64)
+    tracemalloc.start()
+    try:
+        block = sequential_select(model, 0.1, (c1,), 4, 3, stream=streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(o.termination == "round-cap"
+               and o.per_arm_samples == [4 * 2 ** 14] for o in block)
+    assert block == [sequential_select(model, 0.1, (c1,), 4, 3, stream=s)
+                     for s in streams]
+    assert peak <= 16 * 2 ** 20, peak
+
+
+def test_sequential_row_groups_match_the_reference():
+    # m_k = k * 2^13: groups of 8, 4 and then 2 rows, with rows stopping
+    # in each round and some running to the cap
+    model, delta = TwoPoint(1.0, 0.52), math.exp(-10.0)
+    c1 = 2 ** 13 / 10.0
+    block = sequential_select(model, delta, (c1,), 3, 11, stream=range(20))
+    assert block == [_ref_sequential(model, delta, c1, 3, 11, s)
+                     for s in range(20)]
+    assert {(o.rounds, o.termination) for o in block} == {
+        (1, "confidence-met"), (2, "confidence-met"), (3, "confidence-met"),
+        (3, "round-cap")}
+
+
 def _ref_elimination(models, delta, schedule, estimator, seed, pull_cap,
                      stream, rows=None):
     """One replication of successive elimination in 512-round blocks, each

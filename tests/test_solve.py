@@ -258,19 +258,21 @@ def test_search_loops_only_in_solve():
 
 def test_newton_system_solves_a_square_system():
     # x^2 + y^2 = 4 and x = y, from (1, 2): the root (sqrt 2, sqrt 2)
-    def residuals(vs):
-        x, y = vs.T
-        return np.array([x * x + y * y - 4.0, x - y]).T
+    def system(v):
+        x, y = v
+        return (np.array([x * x + y * y - 4.0, x - y]),
+                np.array([[2.0 * x, 2.0 * y], [1.0, -1.0]]))
 
-    root = newton_system(residuals, [1.0, 2.0])
+    root = newton_system(system, [1.0, 2.0])
     assert root == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)),
                                  abs=1e-10)
     assert all(type(v) is float for v in root)
-    # a residual function that leaves its domain stops the search
-    assert newton_system(lambda vs: None, [1.0, 2.0]) is None
+    # a system that leaves its domain stops the search
+    assert newton_system(lambda v: None, [1.0, 2.0]) is None
     # so does a singular Jacobian: r(x, y) = (x + y, x + y) - (1, 2)
-    assert newton_system(lambda vs: np.array(
-        [vs.sum(1) - 1.0, vs.sum(1) - 2.0]).T, [0.0, 0.0]) is None
+    assert newton_system(lambda v: (
+        np.array([v.sum() - 1.0, v.sum() - 2.0]), np.ones((2, 2))),
+        [0.0, 0.0]) is None
 
 
 def _counted(f):
