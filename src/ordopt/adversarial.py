@@ -10,7 +10,7 @@ the log-density at the split.
 
 fs_estimate is the measurement shared by every selection policy: it
 aggregates the outcomes of the replication engine (selectors.replicate)
-into the false-selection rate with a normal-approximation confidence band;
+into the false-selection rate with its 99% Wilson score interval;
 monte_carlo_fs replays a one-stream policy through that engine.
 """
 
@@ -66,21 +66,10 @@ class TiltedDistribution:
     base: object
     b: float
     gamma: float
-    beta_factor: float
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        expected = self._log_beta
-        if math.isinf(self.beta_factor):
-            ok = expected > 700.0
-        else:
-            ok = (self.beta_factor >= 1.0
-                  and abs(self.beta_factor - math.exp(expected))
-                  <= 1e-6 * self.beta_factor)
-        if not ok:
-            raise ValueError("beta_factor is inconsistent with gamma and "
-                             "the base mass split at b")
 
     @cached_property
     def _g_below(self) -> float:
@@ -100,6 +89,11 @@ class TiltedDistribution:
         if r_log > 36.0:  # log1p(e^r) = r beyond double resolution
             return r_log
         return math.log1p(math.exp(r_log))
+
+    @cached_property
+    def beta_factor(self) -> float:
+        """1 + gamma G(b)/Gbar(b), the tail's lift; inf when it overflows."""
+        return math.exp(self._log_beta) if self._log_beta < 709.0 else math.inf
 
     def support(self):
         return self.base.support()
@@ -160,16 +154,6 @@ class TiltedDistribution:
         return max(kl, 0.0)
 
 
-def _make_tilted(base, gamma: float, b: float) -> TiltedDistribution:
-    probe = TiltedDistribution.__new__(TiltedDistribution)
-    object.__setattr__(probe, "base", base)
-    object.__setattr__(probe, "b", b)
-    object.__setattr__(probe, "gamma", gamma)
-    log_beta = probe._log_beta
-    beta = math.exp(log_beta) if log_beta < 709.0 else math.inf
-    return TiltedDistribution(base, b, gamma, beta)
-
-
 def tilt(base, alpha_target: float, k: float) -> TiltedDistribution:
     """KL-budgeted mean lift: KL(base, result) <= alpha_target, mean >= k.
 
@@ -198,7 +182,7 @@ def tilt(base, alpha_target: float, k: float) -> TiltedDistribution:
         cert = damp * mu + gamma * float(np.asarray(base.cdf(b))) * b
         if cert < k:
             return k - cert
-        tilted = _make_tilted(base, gamma, b)
+        tilted = TiltedDistribution(base, b, gamma)
         return k - tilted.mean()
 
     # at most 60 splits, b0 * 2^j for j < 60

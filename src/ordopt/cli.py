@@ -9,12 +9,14 @@ each policy whole blocks of streams; no adapter loops over streams itself.
 
 Experiment configs come either as a flat INI file with [model:NAME],
 [policy] and [run] sections, or as a JSON object {"models": .., "policy":
-.., "run": ..}. Models are also writable as compact strings, e.g.
+.., "run": ..}. parse_model decodes a model from a compact string, e.g.
 "two-point:1,0.6", "bernoulli:0.3", "mirrored:shifted-exponential:0.96,1",
-"empirical:0.2;0.8". CSV output is UTF-8 with a header row and 17
-significant digits, written to a temp file and renamed so a failed run
-never leaves a partial file. The per-replication `select` CSV ends each row
-with the replication's rounds and termination.
+"empirical:0.2;0.8", or from a mapping: {"spec": STRING}, or {"type": NAME}
+plus that type's fields, e.g. {"type": "pareto", "alpha_tail": 3}. CSV
+output is UTF-8 with a header row and 17 significant digits, written to a
+temp file and renamed so a failed run never leaves a partial file. The
+per-replication `select` CSV ends each row with the replication's rounds
+and termination.
 
 Exit codes: 0 success, 1 reproduce found a failing item, 2 validation
 error, 3 numerical (solver) failure.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -44,9 +47,12 @@ from .meta_rate import (
     two_phase_exponent,
 )
 from .populations import (
-    _VARIANTS,
+    Bernoulli,
     Empirical,
+    Gaussian,
+    GaussianMixture,
     Mirrored,
+    Pareto,
     ShiftedExponential,
     TwoPoint,
 )
@@ -61,58 +67,72 @@ from .truncation import (
 
 __all__ = ["ExperimentConfig", "main", "parse_model", "run_reproduce"]
 
-def parse_model(spec: str):
-    """Model from a compact string like "pareto:3,0.55"."""
-    name, sep, rest = str(spec).strip().partition(":")
-    name = name.strip().lower()
-    if name == "mirrored":
-        if not rest.strip():
-            raise ValueError("model: mirrored needs a base model after ':'")
-        return Mirrored(parse_model(rest))
-    if name == "empirical":
-        pts = [float(t) for t in re.split(r"[;,\s]+", rest.strip()) if t]
-        if not pts:
-            raise ValueError("model: empirical needs sample points")
-        return Empirical(np.asarray(pts, dtype=float))
-    if name not in _VARIANTS:
-        raise ValueError(f"model: unknown type '{name}'")
-    cls, fields = _VARIANTS[name]
-    args = [float(t) for t in rest.split(",") if t.strip()] if sep else []
-    if len(args) > len(fields):
-        raise ValueError(
-            f"model: '{name}' takes at most {len(fields)} parameters "
-            f"({', '.join(fields)})")
-    return cls(*args)
+# the parametric models by the type names of model strings and files; a
+# type's parameters are its dataclass fields, in order
+_MODEL_TYPES = {
+    "two-point": TwoPoint,
+    "shifted-exponential": ShiftedExponential,
+    "gaussian": Gaussian,
+    "gaussian-mixture": GaussianMixture,
+    "bernoulli": Bernoulli,
+    "pareto": Pareto,
+}
 
 
-def _model_from_mapping(m, where):
-    if "spec" in m:
-        return parse_model(m["spec"])
-    t = str(m.get("type", "")).strip().lower()
-    if not t:
-        raise ValueError(f"{where}: needs a 'type' or 'spec' entry")
-    if t == "mirrored":
-        base = m.get("base")
-        if base is None:
-            raise ValueError(f"{where}: mirrored needs a 'base' entry")
-        inner = (parse_model(base) if isinstance(base, str)
-                 else _model_from_mapping(base, where + ".base"))
-        return Mirrored(inner)
-    if t == "empirical":
-        pts = m.get("points")
-        if isinstance(pts, str):
-            pts = [float(x) for x in re.split(r"[;,\s]+", pts.strip()) if x]
+def _split(text):
+    """The items of a list written with ';', ',' or white space between."""
+    return [t for t in re.split(r"[;,\s]+", text.strip()) if t]
+
+
+def parse_model(spec, where="model"):
+    """Model from a compact string like "pareto:3,0.55", or from a models-file
+    mapping: {"spec": STRING}, or {"type": NAME} plus that type's fields.
+
+    A mirrored model's "base" is a string or a mapping; an empirical
+    model's "points" are a list or a string. Every number must be finite.
+    Each error message starts with `where`.
+    """
+    if isinstance(spec, dict) and "spec" in spec:
+        return parse_model(spec["spec"], where)
+    if isinstance(spec, dict):
+        entry = dict(spec)
+        kind = str(entry.pop("type", ""))
+        if not kind.strip():
+            raise ValueError(f"{where}: needs a 'type' or 'spec' entry")
+    else:
+        kind, _, rest = str(spec).strip().partition(":")
+        entry = {"base": rest, "points": rest}  # mirrored, empirical
+    kind = kind.strip().lower()
+    if kind == "mirrored":
+        if not entry.get("base"):
+            raise ValueError(f"{where}: mirrored needs a base model")
+        return Mirrored(parse_model(entry["base"], where + ".base"))
+    if kind == "empirical":
+        pts = entry.get("points", [])
+        pts = dict(enumerate(_split(pts) if isinstance(pts, str)
+                             else np.atleast_1d(pts).tolist()))
         if not pts:
-            raise ValueError(f"{where}: empirical needs 'points'")
-        return Empirical(np.asarray(pts, dtype=float))
-    if t not in _VARIANTS:
-        raise ValueError(f"{where}: unknown type '{t}'")
-    cls, fields = _VARIANTS[t]
-    extra = set(m) - {"type"} - set(fields)
+            raise ValueError(f"{where}: empirical needs sample points")
+        return Empirical(np.array([_fparam(pts, i, where + ".points")
+                                   for i in pts]))
+    if kind not in _MODEL_TYPES:
+        raise ValueError(f"{where}: unknown type '{kind}'")
+    cls = _MODEL_TYPES[kind]
+    names = [f.name for f in dataclasses.fields(cls)]
+    if not isinstance(spec, dict):
+        args = [t for t in rest.split(",") if t.strip()]
+        if len(args) > len(names):
+            raise ValueError(f"{where}: '{kind}' takes at most {len(names)} "
+                             f"parameters ({', '.join(names)})")
+        entry = dict(zip(names, args))
+    extra = set(entry) - set(names)
     if extra:
         raise ValueError(f"{where}: unexpected fields {sorted(extra)}")
-    kwargs = {f: float(m[f]) for f in fields if f in m}
-    return cls(**kwargs)
+    params = {k: _fparam(entry, k, where) for k in entry}
+    try:
+        return cls(**params)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
 
 
 class ExperimentConfig:
@@ -144,7 +164,7 @@ class ExperimentConfig:
 def _fparam(params, key, where, default=None):
     raw = params.get(key, default)
     if raw is None:
-        raise ValueError(f"{where}.{key}: required for this policy")
+        raise ValueError(f"{where}.{key}: required")
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -237,8 +257,7 @@ def _load_experiment_file(path):
     raw, is_json = _read_sections(path)
     models, policy, run = [], {}, {}
     if is_json:
-        for nm, entry in dict(raw.get("models", {})).items():
-            models.append((nm, entry))
+        models = list(dict(raw.get("models", {})).items())
         policy = dict(raw.get("policy", {}))
         run = dict(raw.get("run", {}))
     else:
@@ -261,19 +280,13 @@ def _load_models_file(path):
     return [(sec, dict(raw[sec])) for sec in raw.sections()]
 
 
-def _resolve_model(entry, where):
-    if isinstance(entry, str):
-        return parse_model(entry)
-    return _model_from_mapping(entry, where)
-
-
 def _experiment_from_args(args):
     models_raw, policy, run = [], {}, {}
     if args.config:
         models_raw, policy, run = _load_experiment_file(args.config)
     if args.models:
         models_raw = _load_models_file(args.models)
-    models = [(nm, _resolve_model(entry, f"model:{nm}"))
+    models = [(nm, parse_model(entry, f"model:{nm}"))
               for nm, entry in models_raw]
 
     for key in ("epsilon", "c1", "c2", "beta", "alpha", "K", "b",
@@ -339,13 +352,22 @@ def _json(record):
     return json.dumps(_strict(record), allow_nan=False)
 
 
-def _emit(args, record, text):
-    print(_json(record) if args.json else text)
+def _emit(args, record):
+    print(_json(record) if args.json else " ".join(
+        f"{k}={v:.10g}" if isinstance(v, float) else f"{k}={v}"
+        for k, v in record.items()))
 
 
-def _kv(record):
-    return " ".join(f"{k}={v:.10g}" if isinstance(v, float) else f"{k}={v}"
-                    for k, v in record.items())
+def _emit_row(args, record):
+    """The end of a one-row command: with --out, the record as a CSV of its
+    keys and one row of its values (each float as %.17g, None as an empty
+    cell); then the record printed. Returns the exit code 0."""
+    if args.out:
+        _write_csv(args.out, list(record),
+                   [[_fmt(v) if isinstance(v, float) else v
+                     for v in record.values()]])
+    _emit(args, record)
+    return 0
 
 
 # -------------------------------------------------------------- subcommands
@@ -355,24 +377,16 @@ def _cmd_rate_estimate(args):
         raise ValueError(
             "rate-estimate: give exactly one of --values or --model")
     if args.values is not None:
-        batch = np.asarray(
-            [float(t) for t in re.split(r"[;,\s]+", args.values.strip())
-             if t], dtype=float)
+        batch = np.asarray([float(t) for t in _split(args.values)])
     else:
         if args.m is None or args.m < 1:
             raise ValueError("rate-estimate: --m must be a positive count")
         model = parse_model(args.model)
         batch = model.draw(_rng(args.seed or 0, 0, 0), args.m)
     est = estimate_rate_at(batch, args.x)
-    record = {"value": est.value, "theta_star": est.theta_star,
-              "status": est.status, "iterations": est.iterations}
-    if args.out:
-        _write_csv(args.out, ["value", "theta_star", "status", "iterations"],
-                   [[_fmt(est.value),
-                     "" if est.theta_star is None else _fmt(est.theta_star),
-                     est.status, est.iterations]])
-    _emit(args, record, _kv(record))
-    return 0
+    return _emit_row(args, {"value": est.value, "theta_star": est.theta_star,
+                            "status": est.status,
+                            "iterations": est.iterations})
 
 
 def _cmd_meta_rate(args):
@@ -408,14 +422,7 @@ def _cmd_meta_rate(args):
         record = {"mode": "certificate", "theta": theta,
                   "alpha_star": alpha_star, "value": value,
                   "certified": bool(certified)}
-    if args.out:
-        keys = list(record)
-        _write_csv(args.out, keys,
-                   [[record[k] if isinstance(record[k], str)
-                     else _fmt(record[k]) if isinstance(record[k], float)
-                     else record[k] for k in keys]])
-    _emit(args, record, _kv(record))
-    return 0
+    return _emit_row(args, record)
 
 
 def _replicate(cfg):
@@ -439,25 +446,17 @@ def _cmd_select(args):
         rows.append(["summary", _fmt(est.fs_rate), _fmt(est.mean_samples),
                      _fmt(est.ci_low), _fmt(est.ci_high)] + [""] * (d + 1))
         _write_csv(cfg.out, header, rows)
-    record = {"fs_rate": est.fs_rate, "ci_low": est.ci_low,
-              "ci_high": est.ci_high, "mean_samples": est.mean_samples,
-              "replications": cfg.replications, "out": cfg.out}
-    _emit(args, record, _kv(record))
+    _emit(args, {**dataclasses.asdict(est), "replications": cfg.replications,
+                 "out": cfg.out})
     return 0
 
 
 def _cmd_mc_fs(args):
     cfg = _experiment_from_args(args)
-    _, est = _replicate(cfg)
+    fs = dataclasses.asdict(_replicate(cfg)[1])
     if cfg.out:
-        _write_csv(cfg.out, ["fs_rate", "ci_low", "ci_high",
-                             "mean_samples"],
-                   [[_fmt(est.fs_rate), _fmt(est.ci_low), _fmt(est.ci_high),
-                     _fmt(est.mean_samples)]])
-    record = {"fs_rate": est.fs_rate, "ci_low": est.ci_low,
-              "ci_high": est.ci_high, "mean_samples": est.mean_samples,
-              "replications": cfg.replications}
-    _emit(args, record, _kv(record))
+        _write_csv(cfg.out, list(fs), [[_fmt(v) for v in fs.values()]])
+    _emit(args, {**fs, "replications": cfg.replications})
     return 0
 
 
@@ -482,27 +481,16 @@ def _cmd_trunc_error(args):
                    "high": sol.support.high, "p_high": sol.support.p_high}
     else:
         support = {"branch": "degenerate", "point": sol.support.point}
-    record = {"kind": args.kind, "error": sol.error, "c": args.c,
-              "u": args.u, **support}
-    if args.out:
-        keys = list(record)
-        _write_csv(args.out, keys,
-                   [[record[k] if isinstance(record[k], str) else
-                     _fmt(record[k]) for k in keys]])
-    _emit(args, record, _kv(record))
-    return 0
+    return _emit_row(args, {"kind": args.kind, "error": sol.error,
+                            "c": args.c, "u": args.u, **support})
 
 
 def _cmd_tilt(args):
     model = parse_model(args.model)
     td = adversarial.tilt(model, args.alpha_target, args.k)
-    record = {"b": td.b, "gamma": td.gamma, "beta_factor": td.beta_factor,
-              "mean": td.mean(), "kl": td.kl_from_base()}
-    if args.out:
-        keys = list(record)
-        _write_csv(args.out, keys, [[_fmt(record[k]) for k in keys]])
-    _emit(args, record, _kv(record))
-    return 0
+    return _emit_row(args, {"b": td.b, "gamma": td.gamma,
+                            "beta_factor": td.beta_factor, "mean": td.mean(),
+                            "kl": td.kl_from_base()})
 
 
 def _cmd_lower_bound(args):
@@ -511,7 +499,7 @@ def _cmd_lower_bound(args):
         raise ValueError("lower-bound: give either --model2 or a tilt "
                          "request (--alpha-target with --k)")
     if args.model2 is not None:
-        gt = parse_model(args.model2)
+        gt = parse_model(args.model2, "model2")
     else:
         if args.k is None:
             raise ValueError("lower-bound: --alpha-target needs --k")
@@ -519,23 +507,15 @@ def _cmd_lower_bound(args):
     from .populations import kl_divergence
     kl = kl_divergence(g, gt)
     samples = adversarial.lower_bound_samples(g, gt, args.delta, kl=kl)
-    record = {"kl": kl, "samples": samples, "delta": args.delta}
-    if args.out:
-        _write_csv(args.out, ["kl", "samples", "delta"],
-                   [[_fmt(kl), _fmt(samples), _fmt(args.delta)]])
-    _emit(args, record, _kv(record))
-    return 0
+    return _emit_row(args, {"kl": kl, "samples": samples,
+                            "delta": args.delta})
 
 
 def _cmd_quantile_gadget(args):
     qg = adversarial.quantile_gadget(args.p, args.epsilon, args.mu)
-    record = {"kl_bound": qg.kl_bound, "quantile_gap": qg.quantile_gap,
-              "p": args.p, "epsilon": args.epsilon, "mu": args.mu}
-    if args.out:
-        keys = list(record)
-        _write_csv(args.out, keys, [[_fmt(record[k]) for k in keys]])
-    _emit(args, record, _kv(record))
-    return 0
+    return _emit_row(args, {"kl_bound": qg.kl_bound,
+                            "quantile_gap": qg.quantile_gap, "p": args.p,
+                            "epsilon": args.epsilon, "mu": args.mu})
 
 
 # ---------------------------------------------------------------- reproduce

@@ -200,27 +200,3 @@ def estimate_rate_at(batch, x: float) -> RateEstimate:
     vals = _values(batch)
     return estimate_rate_at_zero(vals - x)
 
-
-def restricted_inf_log_mgf(batch, theta_lo: float, theta_hi: float):
-    """inf of L_m over the closed interval [theta_lo, theta_hi].
-
-    Returns (value, theta_star). Convexity puts the infimum at an endpoint
-    or at the interior derivative root, whichever the derivative signs at
-    the endpoints select; the root search is estimate_rate_at_zero's
-    Newton search, started at 0 clipped into the interval.
-    """
-    if theta_lo > theta_hi:
-        raise ValueError("theta_lo must not exceed theta_hi")
-    x = _values(batch)
-    d_lo = _tilted_mean(x, theta_lo)
-    if theta_lo == theta_hi or d_lo >= 0:
-        return float(_log_mgf(x, theta_lo)), theta_lo
-    d_hi = _tilted_mean(x, theta_hi)
-    if d_hi <= 0:
-        return float(_log_mgf(x, theta_hi)), theta_hi
-    tol = 1e-10 * max(1.0, float(np.abs(x).mean()))
-    theta_star = newton_root(lambda theta: _tilted_moments(x, theta),
-                             theta_lo, theta_hi,
-                             min(max(0.0, theta_lo), theta_hi), flo=d_lo,
-                             fhi=d_hi, xtol=1e-12, ftol=tol).x
-    return float(_log_mgf(x, theta_star)), theta_star

@@ -736,13 +736,3 @@ def two_point_rate_law(m: int, p_minus: float):
         out.append((k, prob, max(value, 0.0)))
     return out
 
-
-# the parametric models by the type names of model strings and files
-_VARIANTS = {
-    "two-point": (TwoPoint, ("b", "p_minus")),
-    "shifted-exponential": (ShiftedExponential, ("K", "lam")),
-    "gaussian": (Gaussian, ("mu", "sigma")),
-    "gaussian-mixture": (GaussianMixture, ("p", "mu")),
-    "bernoulli": (Bernoulli, ("q",)),
-    "pareto": (Pareto, ("alpha_tail", "scale")),
-}

@@ -147,13 +147,12 @@ class TestTilt:
     def test_field_consistency_enforced(self):
         base = Gaussian(0.0, 1.0)
         g_b = float(base.cdf(1.0))
-        beta = 1.0 + 0.5 * g_b / (1.0 - g_b)
-        td = TiltedDistribution(base, 1.0, 0.5, beta)
+        td = TiltedDistribution(base, 1.0, 0.5)
+        assert td.beta_factor == pytest.approx(1.0 + 0.5 * g_b / (1.0 - g_b),
+                                               rel=1e-12)
         assert td.total_mass() == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(ValueError, match="inconsistent"):
-            TiltedDistribution(base, 1.0, 0.5, 2.0)
         with pytest.raises(ValueError, match="gamma"):
-            TiltedDistribution(base, 1.0, 1.5, beta)
+            TiltedDistribution(base, 1.0, 1.5)
 
 
 class TestLowerBoundSamples:

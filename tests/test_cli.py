@@ -1,8 +1,11 @@
 import argparse
+import csv
 import importlib.metadata
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -686,6 +689,60 @@ class TestFiniteOptions:
         assert code == 0 and last_json(out)["u"] == 0.0
 
 
+# a non-finite model in its compact-string and its mapping form, the
+# meta-rate request it went through before the codec checked for it, and
+# the message after the entry's name
+_NON_FINITE_MODELS = [
+    ("pareto:nan,1", {"type": "pareto", "alpha_tail": math.nan, "scale": 1},
+     ["--theta", "-0.5", "--nu", "0.5"], ".alpha_tail: must be finite"),
+    ("empirical:nan;1", {"type": "empirical", "points": [math.nan, 1.0]},
+     ["--theta", "1", "--nu", "0.5"], ".points.0: must be finite"),
+    ("gaussian:nan", {"type": "gaussian", "mu": math.nan}, ["--a", "0.1"],
+     ".mu: must be finite"),
+    ("two-point:inf,0.5", {"type": "two-point", "b": math.inf,
+                           "p_minus": 0.5}, ["--a", "0.1"],
+     ".b: must be finite"),
+]
+
+
+def _ini_section(mapping):
+    """An INI section body of a mapping; a list is written ';'-separated."""
+    return "".join(
+        f"{k} = {';'.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for k, v in mapping.items())
+
+
+class TestNonFiniteModels:
+    """Every number of a model must be finite; otherwise exit 2 naming it."""
+
+    @pytest.mark.parametrize("spec, mapping, query, message",
+                             _NON_FINITE_MODELS, ids=lambda p: str(p)[:20])
+    def test_meta_rate_model(self, capsys, spec, mapping, query, message):
+        code, out, err = run_cli(capsys, ["meta-rate", "--model", spec,
+                                          *query])
+        assert code == 2 and out == ""
+        assert f"error: validation: model{message}" in err
+
+    @pytest.mark.parametrize("spec, mapping, query, message",
+                             _NON_FINITE_MODELS, ids=lambda p: str(p)[:20])
+    def test_select_models_file(self, capsys, tmp_path, spec, mapping,
+                                query, message):
+        ini, js = tmp_path / "m.ini", tmp_path / "m.json"
+        for path, text in (
+                (ini, f"[a0]\nspec = {spec}\n"),
+                (ini, "[a0]\n" + _ini_section(mapping)),
+                (js, json.dumps({"a0": spec})),
+                (js, json.dumps({"a0": mapping}))):
+            path.write_text(text + "\n[a1]\nspec = bernoulli:0.5\n"
+                            if path is ini else text)
+            code, out, err = run_cli(capsys, [
+                "select", "--policy", "hoeffding", "--epsilon", "0.5", "--b",
+                "1", "--delta", "0.1", "--models", str(path),
+                "--replications", "2"])
+            assert code == 2 and out == "", text
+            assert f"error: validation: model:a0{message}" in err, text
+
+
 class TestNegativeValues:
     """A negative value after a space parses as it does after "="."""
 
@@ -725,6 +782,58 @@ class TestNegativeValues:
                                         "1,-1,-1,-1", "--x", "-0.5"])
         assert code == 0
         assert out.split()[0] == "value=0"
+
+
+_ONE_ROW = [
+    ["rate-estimate", "--values", "1,2,3"],
+    ["rate-estimate", "--values", "1,-1,-1,-1"],
+    ["meta-rate", "--model", "two-point:1,0.6", "--theta", "1", "--nu",
+     "0.1"],
+    ["meta-rate", "--model", "two-point:1,0.55", "--a", "0.01"],
+    ["meta-rate", "--model", "two-point:1,0.55", "--exponent", "--c1", "1",
+     "--c2", "1"],
+    ["meta-rate", "--model", "shifted-exponential:0.96,1", "--certificate",
+     "--c1", "2"],
+    ["trunc-error", "--f", "power:2", "--c", "1", "--u", "1.5"],
+    ["trunc-error", "--f", "power:2", "--c", "1", "--u", "0.3", "--kind",
+     "capping"],
+    ["tilt", "--model", "gaussian:0,1", "--alpha-target", "0.5", "--k", "2"],
+    ["lower-bound", "--model", "gaussian:0,1", "--model2", "gaussian:1,1",
+     "--delta", "0.01"],
+    ["quantile-gadget", "--p", "0.3", "--epsilon", "0.1", "--mu", "5"],
+]
+
+
+def _one_row(capsys, tmp_path, argv):
+    """The --json record of argv and the header and row of its --out CSV."""
+    path = tmp_path / "row.csv"
+    code, out, err = run_cli(capsys, argv + ["--json", "--out", str(path)])
+    assert code == 0, err
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, row = csv.reader(fh)
+    return last_json(out), header, row
+
+
+class TestOneRowCsv:
+    """A one-row command's CSV is its record: the keys as the header, each
+    float as %.17g, None as an empty cell, any other value as it prints."""
+
+    @pytest.mark.parametrize("argv", _ONE_ROW, ids=" ".join)
+    def test_row_is_the_json_record(self, capsys, tmp_path, argv):
+        record, header, row = _one_row(capsys, tmp_path, argv)
+        assert header == list(record)
+        # strict JSON writes inf as "inf", which is also its %.17g cell
+        assert row == ["" if v is None else format(v, ".17g")
+                       if isinstance(v, float) else str(v)
+                       for v in record.values()]
+
+    def test_cell_rules(self, capsys, tmp_path):
+        _, _, row = _one_row(capsys, tmp_path, _ONE_ROW[0])
+        assert ",".join(row) == "inf,,diverges-left,0"
+        record, _, row = _one_row(capsys, tmp_path, _ONE_ROW[5])
+        assert row[1] == format(record["theta"], ".17g")
+        assert float(row[1]) == record["theta"]
+        assert row[-1] == "True"
 
 
 class TestStrictJson:
@@ -800,6 +909,45 @@ class TestParserReuse:
         assert (help_text(["--help"]),
                 help_text(["select", "--help"])) == before
         assert "quantile-gadget" in before[0] and "--delta" in before[1]
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
+
+
+def _readme_blocks(lang):
+    with open(README, encoding="utf-8") as fh:
+        return re.findall(rf"^```{lang}\n(.*?)^```", fh.read(), re.M | re.S)
+
+
+def _readme_commands(n):
+    """The argv lists of the n-th README shell block of ordopt commands."""
+    block = [b for b in _readme_blocks("sh") if b.startswith("ordopt ")][n]
+    lines = block.replace("\\\n", " ").splitlines()
+    assert all(line.startswith("ordopt ") for line in lines)
+    return [shlex.split(line)[1:] for line in lines]
+
+
+class TestReadme:
+    """The README's command-line examples run as written."""
+
+    def test_first_example_block(self, capsys):
+        for argv in _readme_commands(0):
+            code, _, err = run_cli(capsys, argv)
+            assert code == 0, (argv, err)
+
+    def test_config_files(self, capsys, tmp_path, monkeypatch):
+        experiment, models = _readme_blocks("ini")
+        (tmp_path / "experiment.ini").write_text(experiment)
+        (tmp_path / "models.ini").write_text(models)
+        monkeypatch.chdir(tmp_path)
+        runs = []
+        for argv in _readme_commands(1):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 0, (argv, err)
+            runs.append((out, (tmp_path / "run.csv").read_text()))
+        # the models file and the experiment's model sections agree
+        assert len(runs) == 2 and runs[0] == runs[1]
 
 
 _COLD_START = """

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordopt.empirical_rate import (empirical_log_mgf, estimate_rate_at,
-                                   estimate_rate_at_zero,
-                                   restricted_inf_log_mgf)
+                                   estimate_rate_at_zero)
 from ordopt.populations import TwoPoint, two_point_rate_law
 from ordopt.selectors import _rng
 
@@ -99,29 +98,6 @@ def test_interior_derivative_residual():
     x = np.array([1.0, -1.0, -1.0, -1.0])
     w = np.exp(r.theta_star * x)
     assert abs((x * w).sum() / w.sum()) <= 1e-8
-
-
-def test_restricted_inf():
-    val, theta = restricted_inf_log_mgf([1.0, -1.0], 0.0, 0.0)
-    assert val == 0.0 and theta == 0.0
-    val, theta = restricted_inf_log_mgf([1.0, -1.0, -1.0, -1.0], -10.0, 10.0)
-    assert val == pytest.approx(-math.log(2.0 / math.sqrt(3.0)), abs=1e-10)
-    assert theta == pytest.approx(0.5 * math.log(3.0), abs=1e-6)
-    # all-positive batch: log-MGF increasing, boundary optimum at the left end
-    val, theta = restricted_inf_log_mgf([2.0, 3.0, 5.0], -5.0, -1.0)
-    assert theta == -5.0
-    assert val == pytest.approx(empirical_log_mgf([2.0, 3.0, 5.0], -5.0))
-    with pytest.raises(ValueError):
-        restricted_inf_log_mgf([1.0, -1.0], 2.0, 1.0)
-
-
-def test_restricted_matches_grid():
-    batch = [0.3, -1.2, 2.2, -0.4]
-    lo, hi = -3.0, 1.5
-    val, _ = restricted_inf_log_mgf(batch, lo, hi)
-    grid = min(empirical_log_mgf(batch, t)
-               for t in np.linspace(lo, hi, 2001))
-    assert val <= grid + 1e-9
 
 
 @given(batches, st.floats(-5.0, 5.0))

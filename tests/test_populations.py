@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from ordopt.cli import _model_from_mapping
-from ordopt.populations import (_VARIANTS, Bernoulli, Empirical, Gaussian,
+from ordopt.cli import _MODEL_TYPES, parse_model
+from ordopt.populations import (Bernoulli, Empirical, Gaussian,
                                 GaussianMixture, Mirrored, Pareto,
                                 ShiftedExponential, SupportError, TwoPoint,
                                 kl_divergence, log_mgf, quantile,
@@ -320,25 +321,99 @@ def test_two_point_law_probabilities():
 
 
 def _mapping(model):
-    """The models-file mapping of a model, keyed by type."""
+    """The models-file mapping of a model: its type name and its fields."""
     if isinstance(model, Mirrored):
         return {"type": "mirrored", "base": _mapping(model.base)}
     if isinstance(model, Empirical):
         return {"type": "empirical", "points": model.points.tolist()}
-    name = next(n for n, (cls, _) in _VARIANTS.items() if type(model) is cls)
-    return {"type": name, **{f: getattr(model, f) for f in _VARIANTS[name][1]}}
+    name = next(n for n, cls in _MODEL_TYPES.items() if type(model) is cls)
+    return {"type": name, **asdict(model)}
+
+
+def _compact(model):
+    """The compact model string of a model."""
+    if isinstance(model, Mirrored):
+        return "mirrored:" + _compact(model.base)
+    if isinstance(model, Empirical):
+        return "empirical:" + ";".join(map(repr, model.points.tolist()))
+    name, *params = _mapping(model).values()
+    return f"{name}:" + ",".join(map(repr, params))
+
+
+def _assert_same(decoded, model):
+    assert type(decoded) is type(model)
+    if isinstance(model, Empirical):
+        assert np.array_equal(decoded.points, model.points)
+    else:
+        assert decoded == model
 
 
 def test_config_roundtrip():
     # every model survives the models-file codec of the CLI; its errors
     # are checked through `ordopt select --models` in test_cli.py
     for model in ALL_MODELS:
-        again = _model_from_mapping(_mapping(model), "model:m")
-        assert type(again) is type(model)
-        if isinstance(model, Empirical):
-            assert np.array_equal(again.points, model.points)
-        else:
-            assert again == model
+        _assert_same(parse_model(_mapping(model), "model:m"), model)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=str)
+def test_string_and_mapping_decode_alike(model):
+    _assert_same(parse_model(_compact(model)), model)
+    _assert_same(parse_model(_mapping(model)), model)
+    _assert_same(parse_model({"spec": _compact(model)}), model)
+
+
+def test_mapping_base_and_points_forms():
+    m = parse_model({"type": "mirrored", "base": "shifted-exponential:1.5"})
+    assert m == Mirrored(ShiftedExponential(1.5, 1.0))
+    for points, want in (("-1;0.5 2,2", [-1.0, 0.5, 2.0, 2.0]),
+                         (["-1", 0.5], [-1.0, 0.5]), (0.5, [0.5]),
+                         (np.array([2.0, 3.0]), [2.0, 3.0])):
+        m = parse_model({"type": "empirical", "points": points})
+        assert m.points.tolist() == want
+
+
+# each error in its compact-string and its mapping form, with what the
+# message says after the entry's name
+CODEC_ERRORS = [
+    ("weibull:2", ": unknown type 'weibull'"),
+    ({"type": "weibull"}, ": unknown type 'weibull'"),
+    ("bernoulli:0.3,0.4", ": 'bernoulli' takes at most 1 parameters (q)"),
+    ({"type": "bernoulli", "q": 0.3, "r": 0.4}, ": unexpected fields ['r']"),
+    ("mirrored:", ": mirrored needs a base model"),
+    ({"type": "mirrored"}, ": mirrored needs a base model"),
+    ("mirrored:weibull", ".base: unknown type 'weibull'"),
+    ({"type": "mirrored", "base": {"type": "weibull"}},
+     ".base: unknown type 'weibull'"),
+    ("empirical:", ": empirical needs sample points"),
+    ({"type": "empirical", "points": []}, ": empirical needs sample points"),
+    ("empirical:0.5;nan;1", ".points.1: must be finite, got 'nan'"),
+    ({"type": "empirical", "points": [0.5, math.nan]},
+     ".points.1: must be finite, got nan"),
+    ("empirical:1,x", ".points.1: not a number: 'x'"),
+    ({"type": "empirical", "points": [1, "x"]},
+     ".points.1: not a number: 'x'"),
+    ("pareto:nan,1", ".alpha_tail: must be finite, got 'nan'"),
+    ({"type": "pareto", "alpha_tail": "nan"},
+     ".alpha_tail: must be finite, got 'nan'"),
+    ("two-point:inf,0.5", ".b: must be finite, got 'inf'"),
+    ({"type": "two-point", "b": math.inf}, ".b: must be finite, got inf"),
+    ("gaussian:-inf", ".mu: must be finite, got '-inf'"),
+    ({"type": "gaussian", "mu": "-inf"}, ".mu: must be finite, got '-inf'"),
+    ("gaussian:0,x", ".sigma: not a number: 'x'"),
+    ({"type": "gaussian", "sigma": "x"}, ".sigma: not a number: 'x'"),
+    ("gaussian:0,-1", ": sigma must be positive"),
+    ({"type": "gaussian", "sigma": -1}, ": sigma must be positive"),
+    ({"mu": 1.0}, ": needs a 'type' or 'spec' entry"),
+]
+
+
+@pytest.mark.parametrize("spec, message", CODEC_ERRORS, ids=str)
+def test_codec_errors_name_the_entry(spec, message):
+    forms = [spec, {"spec": spec}] if isinstance(spec, str) else [spec]
+    for form in forms:
+        with pytest.raises(ValueError) as exc:
+            parse_model(form, "model:m")
+        assert str(exc.value) == "model:m" + message
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
