@@ -175,7 +175,7 @@ def newton_root(f, lo, hi, x0, *, xtol=1e-12, ftol=None, max_iter=200,
             hi = x
         else:
             lo = x
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = float(np.divide(fx, dfx))
         if _converged(abs(step), x, fx, xtol, ftol) or it == max_iter:
             return Root(x, it)
@@ -212,7 +212,7 @@ def _newton_rows(f, lo, hi, x0, xtol, ftol, max_iter, flo, fhi):
         to_hi = (fx > 0) == up
         a_hi = np.where(to_hi, a_x, a_hi)
         a_lo = np.where(to_hi, a_lo, a_x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = fx / dfx
         done = _converged(abs(step), a_x, fx, xtol, tol) | (it == max_iter)
         if done.any():

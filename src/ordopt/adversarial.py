@@ -5,8 +5,9 @@ close-in-KL distribution with a much larger mean, by down-weighting mass
 below a split point b and lifting the tail above it. Split points land far
 out in the tail (the flagship instance has b around 2200 where survival
 probabilities underflow), so the class keeps its tail bookkeeping in log
-space: the survival mass and tail moments come from quadrature shifted by
-the log-density at the split.
+space: the survival mass and tail moments come from one tail quadrature
+(geometric panels from the split, see _quad), shifted by the largest
+log-density at its nodes.
 
 fs_estimate is the measurement shared by every selection policy: it
 aggregates the outcomes of the replication engine (selectors.replicate)
@@ -22,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._quad import log_tail_integral, table_cuts, tail_cuts
 from ._solve import bisect_root, expand_bracket
 from .populations import GaussianMixture, kl_divergence, quantile
 from .selectors import replicate
@@ -35,21 +37,18 @@ __all__ = [
 def _log_upper_tail(base, x0: float, moment: int = 0) -> float:
     """log of int_{x0}^inf x^moment g(x) dx, stable when the tail underflows.
 
-    Shifts by logpdf(x0) so the integrand is O(1) near the split; x0 must
-    be positive when moment = 1 (tilt split points always are).
+    One tail quadrature (_quad.log_tail_integral) of the log-integrand,
+    shifted by its largest value, on geometric panels from x0 and the
+    base's node-table cuts past x0; x0 must be positive when moment = 1
+    (tilt split points always are).
     """
-    from scipy import integrate
-    l0 = float(np.asarray(base.logpdf(x0)))
-    if not math.isfinite(l0):
-        return -math.inf
+    def log_integrand(x):
+        lp = base.logpdf(x)
+        return lp + np.log(x) if moment else lp
 
-    def h(t):
-        lp = float(np.asarray(base.logpdf(x0 + t))) - l0
-        v = math.exp(min(lp, 700.0))
-        return v * (x0 + t) if moment else v
-
-    val, _ = integrate.quad(h, 0.0, math.inf, limit=200)
-    return l0 + math.log(val) if val > 0 else -math.inf
+    return log_tail_integral(log_integrand, x0,
+                             f"upper tail of {base!r} from {x0!r}",
+                             table_cuts(base))[0]
 
 
 def _log_sf(base, x: float) -> float:
@@ -97,6 +96,19 @@ class TiltedDistribution:
 
     def support(self):
         return self.base.support()
+
+    @property
+    def jumps(self):
+        """Where the density jumps: the split b."""
+        return (self.b,)
+
+    def table_cuts(self):
+        """Node-table cuts: the base's, and tail panels from b, which hold
+        the mass lifted past b, far out beyond the base's own table (none
+        when b lies outside the base's support)."""
+        table = table_cuts(self.base)
+        tail = tail_cuts(self.base.logpdf, self.b, table)
+        return table if tail is None else np.union1d(table, tail)
 
     def atoms(self):
         return None

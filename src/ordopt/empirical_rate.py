@@ -35,10 +35,13 @@ class RateEstimate:
     status is one of "interior" (finite optimum located), "diverges-left" /
     "diverges-right" (the defining infimum runs away to -inf as theta goes
     to -inf / +inf, value is +infinity), or "at-mean" (the evaluation point
-    is the mean and the rate is exactly zero). populations.rate_function
-    also reports "theta-cap" (the search for the optimizer stopped at the
-    edge of its theta range; the value there is a lower bound). theta_star
-    is None whenever value is +infinity.
+    is the mean and the rate is exactly zero). The estimates of
+    empirical_rate also report "theta-overflow": the value is exact, but
+    the optimizer, scaled back to the batch's units, lies beyond the float
+    range (a batch of subnormal magnitude), and theta_star is None.
+    populations.rate_function also reports "theta-cap" (the search for the
+    optimizer stopped at the edge of its theta range; the value there is a
+    lower bound). theta_star is None whenever value is +infinity.
     """
 
     value: float
@@ -132,11 +135,13 @@ def estimate_rate_at_zero(batch) -> RateEstimate:
     scaled units, and safeguarded Newton steps (newton_root) from
     theta = 0 locate the root inside it, with L_m'', the tilted variance,
     as the slope; iterations counts the derivative evaluations of that
-    search. If the derivative never changes sign inside that range the
-    infimum is either -inf (all samples strictly one-signed, value
-    +infinity) or attained in the limit because the batch has mass exactly
-    at zero, in which case the boundary value at the cap already matches
-    the limit to double precision. The rate at the batch mean is +0.0.
+    search. Where theta_star scaled back overflows, the status is
+    "theta-overflow" (see RateEstimate). If the derivative never changes
+    sign inside that range the infimum is either -inf (all samples strictly
+    one-signed, value +infinity) or attained in the limit because the batch
+    has mass exactly at zero, in which case the boundary value at the cap
+    already matches the limit to double precision. The rate at the batch
+    mean is +0.0.
     """
     return estimate_rates_at_zero(_values(batch)[None, :])[0]
 
@@ -188,10 +193,14 @@ def estimate_rates_at_zero(batches) -> list[RateEstimate]:
                            xtol=1e-12, ftol=tol, max_iter=199)
         theta[free] = root.x
         iterations[free] = root.iterations
-    for i, lm, th, it in zip(rows, _log_mgf(x, theta),
-                             np.ldexp(theta, shift).tolist(),
+    with np.errstate(over="ignore"):
+        theta_star = np.ldexp(theta, shift)
+    for i, lm, th, it in zip(rows, _log_mgf(x, theta), theta_star.tolist(),
                              iterations.tolist()):
-        out[i] = RateEstimate(_rate(lm), th, "interior", it)
+        if math.isfinite(th):
+            out[i] = RateEstimate(_rate(lm), th, "interior", it)
+        else:
+            out[i] = RateEstimate(_rate(lm), None, "theta-overflow", it)
     return out
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._quad import node_table
 from ._solve import (bisect_root, expand_bracket, grid_then_brent,
                      newton_root, newton_system)
 from .populations import (ShiftedExponential, _derivative_bracket,
@@ -102,48 +103,11 @@ def _w_bounds(model, theta):
     return np.exp(ends.min(axis=1)), np.exp(ends.max(axis=1))
 
 
-_ORDER = 16
-_CORE_PANELS = 48
-_SPAN_PANELS = 48
-_CORE_LOGIT = math.log(1e14)
-_TAIL_GROWTH = 1.25
-_REACH_LOGIT = math.log(1e300)
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_ORDER)
-
-
-def _node_table(model):
-    """Nodes x and weights p = (Gauss-Legendre weight) * pdf(x) > 0 of a
-    density model, on panels between breakpoints. Quantile breakpoints sit
-    at logit-spaced probabilities in the core [1e-14, 1 - 1e-14] and widen
-    geometrically in logit out to tail probabilities of 1e-300, each taken
-    as Q(q) or Q(1 - q) from its tail probability q. Equal-width breakpoints
-    across the core bound the panels where the density is low, such as
-    between the modes of a mixture."""
-    from scipy.special import expit
-    step = 2.0 * _CORE_LOGIT / _CORE_PANELS
-    t = [-_CORE_LOGIT + step * k for k in range(_CORE_PANELS // 2 + 1)]
-    edge = -_CORE_LOGIT
-    while edge > -_REACH_LOGIT:
-        step *= _TAIL_GROWTH
-        edge = max(edge - step, -_REACH_LOGIT)
-        t.append(edge)
-    q = expit(np.array(t))
-    lower, upper = model.quantile(q), model.upper_quantile(q)
-    span = np.linspace(lower[0], upper[0], _SPAN_PANELS + 1)
-    cuts = np.unique(np.clip(np.concatenate([lower, upper, span]),
-                             *model.support()))
-    half = 0.5 * np.diff(cuts)[:, None]
-    x = (cuts[:-1, None] + half * (1.0 + _GL_X)).ravel()
-    with np.errstate(under="ignore"):
-        p = (half * _GL_W).ravel() * np.exp(model.logpdf(x))
-    return x[p > 0], p[p > 0]
-
-
 def _law(model):
     """(x, p): the atoms of positive mass, or a density's node table."""
     atoms = model.atoms()
     if atoms is None:
-        return _node_table(model)
+        return node_table(model)
     x, p = np.array(atoms, dtype=float).T
     return x[p > 0], p[p > 0]
 

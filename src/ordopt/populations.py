@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solve import bisect_root, expand_bracket
+from ._quad import integrate, log_tail_integral, table_cuts
+from ._solve import bisect_root, expand_bracket, newton_root
 from .empirical_rate import (RateEstimate, _tilted_mean, empirical_log_mgf,
                              estimate_rate_at)
 
@@ -274,27 +275,33 @@ class GaussianMixture:
 
     def _invert(self, q, upper):
         """Q(q), or Q(1 - q) from q when upper, for a float or an array:
-        one lock-step bisection over the cdf or the survival function.
+        safeguarded Newton steps (newton_root, row form) on log F(x) - log q,
+        or on log S(x) - log q, with slope pdf/F or -pdf/S.
 
         Each component's quantile, moved out by 1, brackets the root.
         """
-        from scipy.special import ndtr, ndtri
+        from scipy.special import log_ndtr, ndtri
         qs = np.atleast_1d(np.asarray(q, dtype=float))
         z = -ndtri(qs) if upper else ndtri(qs)
         lo = np.minimum(z, self.mu + z) - 1.0
         hi = np.maximum(z, self.mu + z) + 1.0
+        # F(x) = p Phi(x) + (1 - p) Phi(x - mu), S(x) = 1 - F(x), both
+        # through Phi(sign x) and Phi(sign (x - mu))
+        sign = -1.0 if upper else 1.0
+        log_p, log_rest = math.log(self.p), math.log1p(-self.p)
+        log_q = np.log(qs)
 
-        def shortfall(x, rows):
-            # falls through 0 as x grows, on either side
-            if upper:
-                return (self.p * ndtr(-x) + (1.0 - self.p) * ndtr(self.mu - x)
-                        - qs[rows])
-            return qs[rows] - self.cdf(x)
+        def gap(x, rows):
+            # log F - log q rises through 0, log S - log q falls through it
+            log_c = np.logaddexp(log_p + log_ndtr(sign * x),
+                                 log_rest + log_ndtr(sign * (x - self.mu)))
+            return log_c - log_q[rows], sign * np.exp(self.logpdf(x) - log_c)
 
-        # the relative width is scaled so every bracket ends within 1e-10
-        width = max(1.0, float(np.abs(lo).max()), float(np.abs(hi).max()))
-        mid = bisect_root(shortfall, lo, hi, xtol=1e-10 / width).mid
-        return mid if np.ndim(q) else float(mid[0])
+        # start between the components' quantiles, at their mean's shift
+        x = newton_root(gap, lo, hi, z + (1.0 - self.p) * self.mu,
+                        flo=np.full_like(lo, -sign),
+                        fhi=np.full_like(hi, sign), xtol=1e-13).x
+        return x if np.ndim(q) else float(x[0])
 
     def draw(self, rng, n):
         x = rng.standard_normal(n)
@@ -355,12 +362,11 @@ class Bernoulli:
         return self.from_uniform(rng.random(n))
 
 
-def _pareto_integral(t, p):
-    """int_0^inf e^{t v} (1 + v)^{-p} dv for t < 0, by adaptive quadrature."""
-    from scipy import integrate
-    val, _ = integrate.quad(lambda v: math.exp(t * v) * (1.0 + v) ** (-p),
-                            0.0, math.inf, limit=200)
-    return val
+def _log_pareto_integral(t, p):
+    """log of int_0^inf e^{t v} (1 + v)^{-p} dv for t < 0, by one tail
+    quadrature."""
+    return log_tail_integral(lambda v: t * v - p * np.log1p(v), 0.0,
+                             f"Pareto integral at t={t!r}, p={p!r}")[0]
 
 
 @dataclass(frozen=True)
@@ -389,14 +395,15 @@ class Pareto:
             return 0.0
         a, s = self.alpha_tail, self.scale
         # x = s(1+v): E exp(theta X) = a e^{theta s} int e^{theta s v} (1+v)^{-(a+1)} dv
-        return theta * s + math.log(a * _pareto_integral(theta * s, a + 1.0))
+        return (theta * s + math.log(a)
+                + _log_pareto_integral(theta * s, a + 1.0))
 
     def dlog_mgf(self, theta):
         if theta == 0.0:
             return self.mean()
         a, s = self.alpha_tail, self.scale
-        num = _pareto_integral(theta * s, a)
-        return s * num / _pareto_integral(theta * s, a + 1.0)
+        return s * math.exp(_log_pareto_integral(theta * s, a)
+                            - _log_pareto_integral(theta * s, a + 1.0))
 
     def support(self):
         return (self.scale, math.inf)
@@ -659,25 +666,24 @@ def _kl_discrete(g_atoms, gt_atoms):
 
 
 def _kl_continuous(g, gt):
-    from scipy import integrate
+    """KL(g || gt) as the sum of p (log g - log gt) over g's node table,
+    with the points where gt's density jumps (gt.jumps, when it has them)
+    inside the table added as cuts."""
     g_lo, g_hi = g.support()
     t_lo, t_hi = gt.support()
     if g_lo < t_lo or g_hi > t_hi:
         return math.inf
+    cuts = table_cuts(g)
+    jumps = np.asarray(getattr(gt, "jumps", ()), dtype=float)
+    cuts = np.union1d(cuts, jumps[(cuts[0] < jumps) & (jumps < cuts[-1])])
 
     def integrand(x):
-        arr = np.asarray(x, dtype=float)
-        lg = g.logpdf(arr)
-        lt = gt.logpdf(arr)
-        out = np.where(np.isfinite(lg), np.exp(lg) * (lg - lt), 0.0)
-        return out
+        lg = g.logpdf(x)
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isfinite(lg), np.exp(lg) * (lg - gt.logpdf(x)),
+                            0.0)
 
-    # clip infinite endpoints at extreme quantiles; the integrand decays
-    # like the g-density there, so the truncation is far below tolerance
-    lo = g_lo if math.isfinite(g_lo) else g.quantile(1e-14)
-    hi = g_hi if math.isfinite(g_hi) else g.quantile(1.0 - 1e-14)
-    val, _ = integrate.quad(integrand, lo, hi, limit=400, epsabs=1e-13,
-                            epsrel=1e-10)
+    val, _ = integrate(integrand, cuts, f"KL({g!r} || {gt!r})")
     return max(val, 0.0)
 
 
@@ -685,7 +691,8 @@ def kl_divergence(g, g_tilde) -> float:
     """KL(g || g_tilde); +inf when absolute continuity fails.
 
     Gaussian and Bernoulli pairs use closed forms; any discrete pair reduces
-    to an atom sum; density pairs go through adaptive quadrature. Mixing a
+    to an atom sum; density pairs sum p (log g - log g_tilde) over g's node
+    table (see _quad), with g_tilde's jumps added as panel cuts. Mixing a
     discrete model with a density model raises SupportError.
     """
     if isinstance(g, Gaussian) and isinstance(g_tilde, Gaussian):

@@ -962,6 +962,15 @@ assert ordopt.cli.main(["select", "--policy", "two-phase", "--c1", "1",
                         "--c2", "1", "--delta", "0.1", "--models", sys.argv[1],
                         "--replications", "4"]) == 0
 seen["select"] = scipy_modules()
+# exit 1: 12/15 items pass, the three certificate triples being a known
+# discrepancy with their published values
+assert ordopt.cli.main(["reproduce"]) == 1
+seen["reproduce"] = scipy_modules()
+tilt = ["--model", "mirrored:shifted-exponential:0.96,1", "--alpha-target",
+        "0.01", "--k", "29.6"]
+assert ordopt.cli.main(["tilt", *tilt]) == 0
+assert ordopt.cli.main(["lower-bound", *tilt, "--delta", "1e-3"]) == 0
+seen["tilt"] = scipy_modules()
 assert ordopt.cli.main(["meta-rate", "--model", "gaussian:-0.2,1",
                         "--theta", "-0.5", "--nu", "0.9"]) == 0
 seen["meta-rate"] = scipy_modules()
@@ -983,6 +992,8 @@ def test_cold_start_loads_scipy_on_first_use(tmp_path):
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen["import"] == []
     assert seen["select"] == []
+    assert seen["reproduce"] == []
+    assert seen["tilt"] == []
     assert "scipy.special" in seen["meta-rate"]
 
 

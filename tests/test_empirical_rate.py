@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,22 @@ def test_scale_covariance(rest, neg, pos, c):
     if base.value > 1e-12:
         assert scaled.theta_star == pytest.approx(base.theta_star / c,
                                                   rel=1e-5, abs=1e-9)
+
+
+def test_subnormal_batch_reports_theta_overflow():
+    # the optimizer of a batch of subnormal magnitude lies beyond the float
+    # range: the value is that of the unit batch, theta_star is None, and
+    # scaling back raises no overflow warning
+    unit = estimate_rate_at_zero([1.0, -1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tiny = estimate_rate_at_zero([5e-324, -5e-324, -5e-324])
+        small = estimate_rate_at_zero([1e-300, -1e-300, -1e-300])
+    assert tiny.status == "theta-overflow" and tiny.theta_star is None
+    assert tiny.value == unit.value
+    assert small.status == "interior"
+    assert small.theta_star == pytest.approx(unit.theta_star * 1e300,
+                                             rel=1e-12)
 
 
 @given(batches, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))

@@ -238,9 +238,9 @@ def test_float_bisection_only_in_solve():
     assert offenders == []
 
 
-# the one loop in these modules that searches nothing: _node_table steps
-# its tail breakpoints out to a fixed reach, building a fixed table
-_LOOP_EXEMPT = {("meta_rate.py", "while edge > -_REACH_LOGIT:")}
+# the one loop in these modules that searches nothing: the node table's
+# tail breakpoints step out to a fixed reach, once, at import
+_LOOP_EXEMPT = {("_quad.py", "while edge > -_REACH_LOGIT:")}
 
 
 def test_search_loops_only_in_solve():
@@ -250,7 +250,7 @@ def test_search_loops_only_in_solve():
     offenders = [
         (name, line.strip())
         for name in ("meta_rate.py", "adversarial.py", "truncation.py",
-                     "populations.py")
+                     "populations.py", "_quad.py")
         for line in (src / name).read_text().splitlines()
         if loop.search(line)]
     assert [o for o in offenders if o not in _LOOP_EXEMPT] == []
