@@ -33,8 +33,7 @@ import numpy as np
 from ._quad import node_table
 from ._solve import (bisect_root, expand_bracket, grid_then_brent,
                      newton_root, newton_system)
-from .populations import (ShiftedExponential, _derivative_bracket,
-                          rate_function)
+from .populations import ShiftedExponential, rate_function
 
 __all__ = [
     "RegimeError", "NumericalError", "MetaRateResult", "TwoPhaseExponent",
@@ -292,7 +291,7 @@ def inf_meta_rate(model, a: float):
     solved in one array call, refined by Brent's method around the best
     grid cell.
     """
-    i0 = rate_function(model, 0.0).value
+    i0 = _rate_at_zero(model).value
     if not a > i0:
         raise RegimeError(
             f"inf_meta_rate needs a > I(0) = {i0:.6g}; for a below I(0) "
@@ -328,27 +327,28 @@ def _kept(solve):
     return solved
 
 
-def _lambda_minimizer(model):
-    (lo, f_lo), (hi, f_hi) = _derivative_bracket(model, model.dlog_mgf,
-                                                 _ALPHA_CAP)
-    if (f_lo > 0) == (f_hi > 0):
-        # Lambda' keeps one sign: the infimum sits at the reachable edge
-        return lo if f_lo > 0 else hi
-    return bisect_root(model.dlog_mgf, lo, hi, flo=f_lo, fhi=f_hi,
-                       xtol=1e-13).mid
+def _rate_at_zero(model):
+    """rate_function(model, 0.0): I(0) and theta_star, the minimizer of
+    Lambda, from each entry point's one Lambda' = 0 search. Raises
+    NumericalError where theta_star is no minimizer: at "theta-cap", where
+    the value is only a lower bound on I(0), and at "theta-overflow"."""
+    rate = rate_function(model, 0.0)
+    if rate.status in ("theta-cap", "theta-overflow"):
+        raise NumericalError(f"I(0) of {model!r} is unresolved "
+                             f"({rate.status})", best=rate)
+    return rate
 
 
-def _theta_a_interval(model, a):
-    """[theta_lo, theta_hi] where Lambda <= -a, for 0 < a < I(0).
+def _theta_a_interval(model, a, theta_m):
+    """[theta_lo, theta_hi] where Lambda <= -a, for 0 < a < I(0), given
+    theta_m, the minimizer of Lambda (rate_function's theta_star at 0).
 
-    Each endpoint is bracketed between the Lambda-minimizer and a point
-    outside Theta_a on that side: 0 when it lies there (Lambda(0) = 0 >
-    -a), else a probe stepped toward the domain edge, and the end of the
-    final bracket inside Theta_a is returned. If Theta_a runs past
-    |theta| = 4 * 64 the last probe stands in for the endpoint.
+    Each endpoint is bracketed between theta_m and a point outside Theta_a
+    on that side: 0 when it lies there (Lambda(0) = 0 > -a), else a probe
+    stepped toward the domain edge, and the end of the final bracket
+    inside Theta_a is returned. If Theta_a runs past |theta| = 4 * 64 the
+    last probe stands in for the endpoint.
     """
-    theta_m = _lambda_minimizer(model)
-
     def excess(t):
         return model.log_mgf(t) + a     # <= 0 exactly on Theta_a
 
@@ -385,13 +385,14 @@ def sup_meta_rate_on_theta_a(model, a: float):
     maximum exists the first-order residual E[X W exp(alpha* W)] is checked
     and a failure emits a warning rather than an exception.
     """
-    i0 = rate_function(model, 0.0).value
+    rate = _rate_at_zero(model)
+    i0 = rate.value
     if not 0.0 < a < i0:
         raise RegimeError(
             f"sup_meta_rate_on_theta_a needs 0 < a < I(0) = {i0:.6g}")
     if math.isinf(i0):
         raise RegimeError("degenerate model: I(0) is infinite")
-    left, right = _theta_a_interval(model, a)
+    left, right = _theta_a_interval(model, a, rate.theta_star)
     nu = math.exp(-a)
     law = _law(model)
 
@@ -426,7 +427,8 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         a e^{-g} = c2 I(0) / g^2                  (outer stationarity)
 
     (written in the negated-alpha family) is tried first from
-    (g, theta, a) = (2 I(0), Lambda-minimizer, 1) by _solve.newton_system,
+    (g, theta, a) = (2 I(0), theta*, 1), with theta* the minimizer of
+    Lambda that rate_function(model, 0) returns, by _solve.newton_system,
     each evaluation taking the residuals and their exact Jacobian from one
     pass of tilted moments over the law (see _two_phase_newton); if it
     fails to converge the outer one-dimensional minimization over b
@@ -441,12 +443,13 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         raise ValueError("c1 and c2 must be positive")
     if model.mean() >= 0:
         raise RegimeError("two-phase exponent needs a negative-mean model")
-    i0 = rate_function(model, 0.0).value
+    rate = _rate_at_zero(model)
+    i0 = rate.value
     if not math.isfinite(i0) or i0 <= 0:
         raise RegimeError("degenerate model: I(0) must be finite positive")
 
     law = _law(model)
-    newton = _two_phase_newton(model, law, c2, i0)
+    newton = _two_phase_newton(law, c2, i0, rate.theta_star)
     if newton is not None:
         gamma, theta, alpha = newton
         value = _moments_at(law, theta, -alpha, math.exp(-gamma))[0]
@@ -482,10 +485,11 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
                             -res.alpha_star, c1, c2)
 
 
-def _two_phase_newton(model, law, c2, i0):
-    """(g, theta, a) solving two_phase_exponent's stationarity system, or
-    None. With q proportional to p e^{-a W}, W = e^{theta X}, and E, Var
-    and Cov under q, the residuals and their exact Jacobian are
+def _two_phase_newton(law, c2, i0, theta0):
+    """(g, theta, a) solving two_phase_exponent's stationarity system from
+    (2 I(0), theta0, 1), or None. With q proportional to p e^{-a W},
+    W = e^{theta X}, and E, Var and Cov under q, the residuals and their
+    exact Jacobian are
 
         r1 = E W - e^{-g}:  d/dg = e^{-g},  d/dtheta = E[XW] - a Cov(W, XW),
                             d/da = -Var W
@@ -524,7 +528,7 @@ def _two_phase_newton(model, law, c2, i0):
                         [2.0 * c / g ** 3 - a * level, 0.0, level]])
         return r, jac
 
-    return newton_system(system, [2.0 * i0, _lambda_minimizer(model), 1.0])
+    return newton_system(system, [2.0 * i0, theta0, 1.0])
 
 
 def sequential_failure_certificate(model, c1: float):
@@ -547,7 +551,7 @@ def sequential_failure_certificate(model, c1: float):
         raise ValueError("c1 must be positive")
     if model.mean() >= 0:
         raise RegimeError("certificate needs a negative-mean model")
-    i0 = rate_function(model, 0.0).value
+    i0 = _rate_at_zero(model).value
     if not i0 < 1.0 / c1:
         raise RegimeError(
             f"certificate regime needs I(0) = {i0:.6g} < 1/c1 = "

@@ -275,8 +275,8 @@ class GaussianMixture:
 
     def _invert(self, q, upper):
         """Q(q), or Q(1 - q) from q when upper, for a float or an array:
-        safeguarded Newton steps (newton_root, row form) on log F(x) - log q,
-        or on log S(x) - log q, with slope pdf/F or -pdf/S.
+        safeguarded Newton steps (newton_root, one row per probability) on
+        log F(x) - log q, or on log S(x) - log q, with slope pdf/F or -pdf/S.
 
         Each component's quantile, moved out by 1, brackets the root.
         """
@@ -615,7 +615,7 @@ def rate_function(model, a: float) -> RateEstimate:
     def deriv(theta):
         return model.dlog_mgf(theta) - a
 
-    (lo, f_lo), (hi, f_hi) = _derivative_bracket(model, deriv, _THETA_CAP)
+    (lo, f_lo), (hi, f_hi) = _derivative_bracket(model, deriv)
     if f_hi <= 0 or f_lo >= 0:
         # the search stopped at an end of the reachable domain, on an exact
         # root of Lambda' - a or short of one
@@ -631,12 +631,12 @@ def rate_function(model, a: float) -> RateEstimate:
     return RateEstimate(max(val, 0.0), theta, "interior", root.iterations)
 
 
-def _derivative_bracket(model, deriv, cap):
+def _derivative_bracket(model, deriv):
     """Ends ((lo, deriv(lo)), (hi, deriv(hi))) of a search for the root of
     an increasing deriv over the MGF domain.
 
     Each domain edge is either infinite (step geometrically, capped at
-    |theta| = cap), an open pole where Lambda' blows up (start halfway to
+    |theta| = 2^10), an open pole where Lambda' blows up (start halfway to
     it, then halve toward it), or a closed finite endpoint (evaluate
     there). An end whose deriv keeps the wrong sign is the last point
     reached.
@@ -646,8 +646,8 @@ def _derivative_bracket(model, deriv, cap):
     hi = 1.0 if math.isinf(d_hi) else d_hi
     if not math.isfinite(model.log_mgf(hi)):
         hi = 0.5 * d_hi if d_hi != 0.0 else -1e-8
-    return (expand_bracket(deriv, lo, d_lo, 1, cap=cap),
-            expand_bracket(deriv, hi, d_hi, -1, cap=cap))
+    return (expand_bracket(deriv, lo, d_lo, 1, cap=_THETA_CAP),
+            expand_bracket(deriv, hi, d_hi, -1, cap=_THETA_CAP))
 
 
 def _kl_discrete(g_atoms, gt_atoms):

@@ -21,6 +21,7 @@ from ordopt.meta_rate import (
     _law,
     _meta_rate,
     _moments_at,
+    _rate_at_zero,
     _tilt,
     inf_meta_rate,
     meta_rate,
@@ -870,6 +871,79 @@ class TestFirstOrderCondition:
             warnings.simplefilter("error")
             _, theta_star, _ = sup_meta_rate_on_theta_a(m, 0.01)
         assert _first_order_residual(m, theta_star, math.exp(-0.01)) <= 1e-6
+
+
+def _models_and_mirrors():
+    from test_populations import ALL_MODELS
+    return [m for base in ALL_MODELS for m in (base, Mirrored(base))]
+
+
+class TestRateAtZero:
+    """I(0) and the minimizer of Lambda come from one rate_function(model,
+    0) call per entry point, and a capped search there raises."""
+
+    # ShiftedExponential(1e-5, 1): Lambda' = 0 at theta = 99999, past the
+    # search's cap 2^10, where -Lambda = 6.92 is only a lower bound on
+    # I(0) = 10.52
+    CAPPED = ShiftedExponential(1e-5, 1.0)
+
+    @pytest.mark.parametrize("model", _models_and_mirrors(), ids=str)
+    def test_theta_star_is_the_root_of_lambda_prime(self, model):
+        rate = _rate_at_zero(model)
+        assert rate == rate_function(model, 0.0)
+        if not math.isfinite(rate.value):
+            return
+        base = getattr(model, "base", model)
+        if isinstance(base, Bernoulli):
+            # Lambda' keeps one sign: the optimizer saturates at the cap
+            sign = -1.0 if model is base else 1.0
+            assert rate.theta_star == sign * 1024.0
+            return
+        d_lo, d_hi = model.theta_domain()
+        lo = max(-8.0, 0.99 * d_lo)
+        hi = min(8.0, 0.99 * d_hi)
+        want = optimize.brentq(model.dlog_mgf, lo, hi, xtol=1e-15,
+                               rtol=1e-15)
+        # relative on the scale max(1, |theta|) of the solvers' stop test
+        assert abs(rate.theta_star - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_exponent_makes_no_lambda_prime_search(self):
+        calls = []
+
+        class Counted(TwoPoint):
+            def dlog_mgf(self, theta):
+                calls.append(theta)
+                return super().dlog_mgf(theta)
+
+        r = two_phase_exponent(Counted(1.0, 0.55), 1.0, 1.0)
+        assert calls == []
+        assert r == two_phase_exponent(TwoPoint(1.0, 0.55), 1.0, 1.0)
+
+    def test_capped_rate_at_zero_raises_at_every_entry_point(self):
+        assert rate_function(self.CAPPED, 0.0).status == "theta-cap"
+        calls = (lambda m: inf_meta_rate(m, 12.0),
+                 lambda m: sup_meta_rate_on_theta_a(m, 1.0),
+                 lambda m: two_phase_exponent(m, 1.0, 1.0),
+                 lambda m: sequential_failure_certificate(m, 0.05))
+        for call in calls:
+            with pytest.raises(NumericalError) as info:
+                call(self.CAPPED)
+            assert info.value.best.status == "theta-cap"
+
+    def test_capped_rate_at_zero_exits_3(self, capsys):
+        from ordopt.cli import main
+        code = main(["meta-rate", "--model", "shifted-exponential:1e-5,1",
+                     "--exponent", "--c1", "1", "--c2", "1"])
+        assert code == 3
+        assert "theta-cap" in capsys.readouterr().err
+
+    def test_overflowing_minimizer_raises(self):
+        # the minimizer of a batch of subnormal points overflows when
+        # scaled back (status theta-overflow), so Theta_a has no centre
+        model = Empirical(np.array([5e-324, -5e-324, -5e-324]))
+        assert rate_function(model, 0.0).status == "theta-overflow"
+        with pytest.raises(NumericalError):
+            sup_meta_rate_on_theta_a(model, 0.01)
 
 
 def test_no_quadrature_in_meta_rate():
