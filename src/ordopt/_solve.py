@@ -7,9 +7,11 @@ blocks of rate estimates, meta-rates or quantiles, and serves roots whose
 derivative comes cheaply with the value. expand_bracket grows the brackets
 of both, as floats or as rows. newton_system is the damped Newton solver
 for a small square system whose caller returns the exact Jacobian with the
-residuals. Every minimization runs through brent_min, Brent's
-parabolic-plus-golden-section search, which grid_then_brent starts from
-the best cell of a coarse grid evaluated in one call. The rate functions,
+residuals; the theta searches of meta_rate solve their stationarity
+systems with it. brent_min, Brent's parabolic-plus-golden-section search,
+is the one-dimensional minimizer: those searches fall back on it where
+Newton fails, and grid_then_brent starts it from the best cell of a
+coarse grid evaluated in one call. The rate functions,
 tilted-moment optimizations, quantiles and caps elsewhere reduce to these
 searches, and every search loop in the numeric modules runs here.
 """

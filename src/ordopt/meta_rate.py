@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _solve
 from ._quad import node_table
-from ._solve import (bisect_root, expand_bracket, grid_then_brent,
-                     newton_root, newton_system)
+from ._solve import (bisect_root, brent_min, expand_bracket,
+                     grid_then_brent, newton_root, newton_system)
 from .populations import ShiftedExponential, rate_function
 
 __all__ = [
@@ -45,10 +46,14 @@ __all__ = [
 _THETA_BRACKET = 64.0
 _ALPHA_CAP = 2.0 ** 30
 # matrix elements in one block of tilts solved in lock-step: a whole
-# 257-tilt grid over a 2192-node density table at once would add some
-# 20 MB of temporaries to each step
+# 257-tilt grid over a density table of up to 2208 nodes at once would add
+# some 20 MB of temporaries to each step
 _BLOCK = 2 ** 16
 _BIG = np.finfo(float).max
+# points outside its cells that a tilt search's Newton may try before it
+# gives up for Brent: converging searches over ten model classes and their
+# mirrors, at several levels each, tried at most 2, failing ones 50 to 7000
+_OUTSIDE = 3
 
 
 class RegimeError(ValueError):
@@ -154,6 +159,27 @@ def _shifted(p, w, alpha):
     return hi, e, np.add.reduce(e, axis=1)
 
 
+def _tilted_moments(law, theta, alpha):
+    """(E W, E[XW], E[X^2 W], Var W, Cov(W, XW), Var XW) under q
+    proportional to p e^{alpha W}, W = e^{theta X}, at one tilt and one
+    alpha, from one tilt and one shifted exp pass over the law; None where
+    the shift or its sum is not finite. These are the residuals and the
+    exact Jacobian of every stationarity system in theta and alpha."""
+    x, p, w = _tilt(law, theta)
+    hi, e, den = _shifted(p, w, alpha)
+    if not (math.isfinite(hi[0]) and math.isfinite(den[0])):
+        return None
+    # each product takes the weight e first, so a node whose w is _BIG
+    # (e exactly 0) adds exactly 0 to every sum
+    w = w[0]
+    we = w * e[0]
+    xwe = x * we
+    wxwe = w * xwe
+    ew, exw, ew2, exw2, ex2w, ex2w2 = np.add.reduce(
+        [we, xwe, w * we, wxwe, x * xwe, x * wxwe], axis=1) / den
+    return ew, exw, ex2w, ew2 - ew * ew, exw2 - ew * exw, ex2w2 - exw * exw
+
+
 def _moments_at(law, theta, alpha, nu):
     """_atom_moments at one tilt and one alpha, as floats."""
     return tuple(float(v[0]) for v in _atom_moments(*_tilt(law, theta),
@@ -242,14 +268,22 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
     holds it where W is unbounded above, and the table's own E W gives it
     elsewhere. A tilt whose tilted mean at |alpha| = 2^30 on that side is
     still on the same side of nu saturates there; the others run
-    newton_root in [-2^30, 0] or [0, 2^30] from alpha = -1 or 1, with the
-    tilted variance of W as the derivative."""
+    newton_root in [-2^30, 0] or [0, 2^30], with the tilted variance of W
+    as the derivative. One pass evaluates each row's first two points:
+    alpha = -1 or 1 and, where W is bounded above so that M''(0) = Var W is
+    finite, one Newton step from alpha = 0. Both narrow the row's bracket,
+    and the row steps on from the one whose tilted mean is nearer nu in
+    ratio. Neither start serves alone: the Newton step lands some 25
+    decades short of the root on the steep rows of a density table
+    (ShiftedExponential(0.96, 1) at theta = 55), and +-1 lands as far past
+    it on the far tilts of a two-point law."""
     x, p, w = _tilt(law, thetas)
     f_zero, value = gap_zero.copy(), np.zeros(thetas.size)
+    var_zero = np.full(thetas.size, math.inf)
     bounded = np.flatnonzero(~unbounded)
     if bounded.size:
-        value[bounded], t_zero, _, _ = _atom_moments(x, p, w[bounded], 0.0,
-                                                     nu)
+        value[bounded], t_zero, _, var_zero[bounded] = _atom_moments(
+            x, p, w[bounded], 0.0, nu)
         f_zero[bounded] = t_zero - nu
     side = np.where(f_zero > 0, -1.0, 1.0)
     j_cap, t_cap, _, _ = _atom_moments(x, p, w, side * _ALPHA_CAP, nu)
@@ -261,24 +295,49 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
     solve = np.flatnonzero(~capped & (f_zero != 0))
     if solve.size:
         w_solve = w if solve.size == thetas.size else w[solve]
-        down = side[solve] < 0
-        j_at = np.empty(solve.size)
+        n, unit = solve.size, side[solve]
+        end = unit * _ALPHA_CAP
+        lo, hi = np.minimum(end, 0.0), np.maximum(end, 0.0)
+        down = unit < 0
+        flo = np.where(down, f_cap[solve], f_zero[solve])
+        fhi = np.where(down, f_zero[solve], f_cap[solve])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -f_zero[solve] / var_zero[solve]
+        warm = np.flatnonzero((unit * step > 0) & (abs(step) < _ALPHA_CAP))
+        x0, j_at = unit.copy(), np.empty(n)
+        if warm.size:
+            pts = np.stack([unit[warm], step[warm]])
+            first = _atom_moments(x, p, np.tile(w_solve[warm], (2, 1)),
+                                  pts.ravel(), nu)
+            j, gaps, slopes = (v.reshape(2, -1) for v in (
+                first[0], first[1] - nu, first[3]))
+            b_lo, b_hi, f_lo, f_hi = lo[warm], hi[warm], flo[warm], fhi[warm]
+            for at, f in zip(pts, gaps):
+                # the gap M'(alpha) - nu increases with alpha
+                up, down = (f > 0) & (at < b_hi), (f <= 0) & (at > b_lo)
+                b_hi[up], f_hi[up] = at[up], f[up]
+                b_lo[down], f_lo[down] = at[down], f[down]
+            lo[warm], hi[warm], flo[warm], fhi[warm] = b_lo, b_hi, f_lo, f_hi
+            with np.errstate(divide="ignore", invalid="ignore"):
+                off = abs(np.log1p(gaps / nu))
+            best = ((off[1] < off[0]).astype(int), np.arange(warm.size))
+            j_at[warm] = j[best]
+            # newton_root's next point from there when it lies inside the
+            # bracket; else newton_root starts at that point itself
+            with np.errstate(divide="ignore", invalid="ignore"):
+                nxt = pts[best] - gaps[best] / slopes[best]
+            x0[warm] = np.where((b_lo < nxt) & (nxt < b_hi), nxt, pts[best])
 
         def gap(a, rows):
             """Tilted W-mean minus nu and its slope, the tilted variance;
             the objective at the point is kept as the value."""
             j, t_mean, _, var = _atom_moments(
-                x, p, w_solve if rows.size == solve.size else w_solve[rows],
-                a, nu)
+                x, p, w_solve if rows.size == n else w_solve[rows], a, nu)
             j_at[rows] = j
             return t_mean - nu, var
 
-        end = side[solve] * _ALPHA_CAP
-        root = newton_root(
-            gap, np.minimum(end, 0.0), np.maximum(end, 0.0), side[solve],
-            flo=np.where(down, f_cap[solve], f_zero[solve]),
-            fhi=np.where(down, f_zero[solve], f_cap[solve]), xtol=1e-13,
-            ftol=1e-11 * max(1.0, nu))
+        root = newton_root(gap, lo, hi, x0, flo=flo, fhi=fhi, xtol=1e-13,
+                           ftol=1e-11 * max(1.0, nu))
         alpha[solve], value[solve] = root.x, j_at
     return np.maximum(value, 0.0), alpha, status
 
@@ -287,9 +346,10 @@ def inf_meta_rate(model, a: float):
     """inf over theta of J_theta(e^{-a}) for a above I(0).
 
     Returns (value, theta_star). This is the decay rate of the upward error
-    P(I_m(0) >= a). Search is a coarse grid of 257 tilts over [-64, 64],
-    solved in one array call, refined by Brent's method around the best
-    grid cell.
+    P(I_m(0) >= a). A coarse grid of 257 tilts over [-64, 64], solved in
+    one array call, finds the basin; the stationarity Newton of _tilt_search
+    then solves for the minimizing tilt within the cells next to the best
+    grid tilt, and Brent's method refines in those cells where it cannot.
     """
     i0 = _rate_at_zero(model).value
     if not a > i0:
@@ -300,15 +360,82 @@ def inf_meta_rate(model, a: float):
 
 
 def _inf_meta_rate(model, law, a):
-    nu = math.exp(-a)
+    grid = np.linspace(-_THETA_BRACKET, _THETA_BRACKET, 257)
+    theta_star, res, _ = _tilt_search(model, law, math.exp(-a), grid,
+                                      tol=1e-7)
+    return res.value, theta_star
 
-    def objective(theta):
-        return _meta_rate(model, law, theta, nu).value
 
-    theta_star, value = grid_then_brent(objective, -_THETA_BRACKET,
-                                        _THETA_BRACKET, n_grid=257,
-                                        tol=1e-7)
-    return float(value), float(theta_star)
+class _LeftCell(Exception):
+    """_tilt_search's Newton tried more than _OUTSIDE points outside its
+    cells."""
+
+
+def _tilt_search(model, law, nu, grid, *, tol, sign=1.0):
+    """(theta, result, by_newton): the tilt where sign * J_theta(nu) is
+    least, sign = -1 seeking the supremum, with _meta_rate's result there.
+
+    The tilts of grid, evenly spaced in either direction, are solved in one
+    lock-step call to find the basin. From the best of them, where its
+    alpha is interior, newton_system solves the stationarity system
+
+        r1 = E_q W - nu:   d/dtheta = E[XW] + alpha Cov(W, XW),
+                           d/dalpha = Var W
+        r2 = E_q[XW]:      d/dtheta = E[X^2 W] + alpha Var(XW),
+                           d/dalpha = Cov(W, XW)
+
+    in (theta, alpha), with q proportional to p e^{alpha W}, W = e^{theta
+    X}, the moments under q, and each step's residuals and Jacobian from
+    one pass of _tilted_moments. A point outside the cells next to the
+    best grid tilt, or where alpha changes sign, lies outside the system's
+    domain, so Newton's line search keeps within them; Newton gives up at
+    the first point past _OUTSIDE such points, as a root beyond the cells
+    only draws it against their edge. Its tilt is the answer when it
+    converges and does no worse than the best grid tilt.
+    Otherwise brent_min, to tol, runs in those cells (by_newton False), and
+    the best grid tilt stands if Brent finds nothing better. The answer's
+    result is the one scalar _meta_rate solve of the Newton route.
+    """
+    res = _meta_rate(model, law, grid, nu)
+    vals = sign * res.value
+    vals[np.isnan(vals)] = math.inf
+    i = int(np.argmin(vals))
+    lo, hi = sorted(float(grid[k])
+                    for k in (max(i - 1, 0), min(i + 1, grid.size - 1)))
+    alpha0 = res.alpha_star[i]
+    if res.status[i] == "interior" and alpha0 != 0.0:
+        outside = 0
+
+        def system(v):
+            nonlocal outside
+            theta, alpha = v
+            if not (lo <= theta <= hi and alpha * alpha0 > 0.0):
+                outside += 1
+                if outside > _OUTSIDE:
+                    raise _LeftCell
+                return None
+            moments = _tilted_moments(law, theta, alpha)
+            if moments is None:
+                return None
+            ew, exw, ex2w, var_w, cov, var_xw = moments
+            return (np.array([ew - nu, exw]),
+                    np.array([[exw + alpha * cov, var_w],
+                              [ex2w + alpha * var_xw, cov]]))
+
+        try:
+            root = _solve.newton_system(system, [grid[i], alpha0])
+        except _LeftCell:
+            root = None
+        if root is not None:
+            at = _meta_rate(model, law, root[0], nu)
+            if sign * at.value <= vals[i]:
+                return root[0], at, True
+    solved = _kept(lambda theta: _meta_rate(model, law, theta, nu))
+    theta, value = brent_min(lambda t: sign * solved(t).value, lo, hi,
+                             tol=tol)
+    if vals[i] < value:
+        theta = float(grid[i])
+    return theta, solved(theta), False
 
 
 def _kept(solve):
@@ -381,9 +508,13 @@ def sup_meta_rate_on_theta_a(model, a: float):
     Returns (value, theta_star, (theta_lo, theta_hi)). At the interval
     endpoints Lambda = -a makes the level equal E W and the rate vanish, so
     any positive supremum is interior; a heavy upper tail of W forces the
-    supremum to 0 everywhere on the interval. When an interior positive
-    maximum exists the first-order residual E[X W exp(alpha* W)] is checked
-    and a failure emits a warning rather than an exception.
+    supremum to 0 everywhere on the interval. A grid of 129 tilts across
+    Theta_a finds the basin, and the stationarity Newton of _tilt_search
+    solves for the maximizer, which makes the first-order residual
+    E[X W exp(alpha* W)] its convergence test. Where Newton cannot, Brent's
+    method refines in the cells next to the best grid tilt; then, when an
+    interior positive maximum exists, that residual is checked and a
+    failure emits a warning rather than an exception.
     """
     rate = _rate_at_zero(model)
     i0 = rate.value
@@ -395,18 +526,13 @@ def sup_meta_rate_on_theta_a(model, a: float):
     left, right = _theta_a_interval(model, a, rate.theta_star)
     nu = math.exp(-a)
     law = _law(model)
-
-    solved = _kept(lambda theta: _meta_rate(model, law, theta, nu))
-    theta_star, _ = grid_then_brent(
-        lambda theta: -solved(theta).value, left, right,
-        n_grid=129, tol=1e-8)
-    theta_star = float(theta_star)
-    res = solved(theta_star)
+    theta_star, res, by_newton = _tilt_search(
+        model, law, nu, np.linspace(left, right, 129), tol=1e-8, sign=-1.0)
     value = res.value
     interior = (left + 1e-6 < theta_star < right - 1e-6
                 and res.alpha_star is not None and value > 1e-12
                 and abs(res.alpha_star) > 1e-9)
-    if interior:
+    if interior and not by_newton:
         _, t_mean, xw, _ = _moments_at(law, theta_star, res.alpha_star, nu)
         scale = max(abs(t_mean), 1.0)
         if abs(xw) > 1e-6 * scale:
@@ -433,7 +559,7 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     pass of tilted moments over the law (see _two_phase_newton); if it
     fails to converge the outer one-dimensional minimization over b
     is used instead: grid_then_brent over 65 levels, each level's value an
-    inner grid-then-Brent search over theta. Both failing, or the
+    inner tilt search as in inf_meta_rate. Both failing, or the
     fallback's best tilt sitting on an edge of its window [-64, 64] (where
     the minimum lies outside the search, as when it is only approached as
     b grows without bound), raises NumericalError with the best iterate
@@ -498,29 +624,17 @@ def _two_phase_newton(law, c2, i0, theta0):
         r3 = a e^{-g} - c2 I(0) / g^2:  d/dg = -a e^{-g} + 2 c2 I(0) / g^3,
                             d/dtheta = 0,  d/da = e^{-g}
 
-    all from one tilt and one shifted exp pass per point."""
-    x, p = law
+    all from one _tilted_moments pass per point (at alpha = -a)."""
     c = c2 * i0
 
     def system(v):
         g, theta, a = v
         if g <= 0 or a <= 0:
             return None
-        _, _, w = _tilt(law, theta)
-        hi, e, den = _shifted(p, w, -a)
-        if not (math.isfinite(hi[0]) and math.isfinite(den[0])):
+        moments = _tilted_moments(law, theta, -a)
+        if moments is None:
             return None
-        # each product takes the weight e first, so a node whose w is _BIG
-        # (e exactly 0) adds exactly 0 to every sum
-        w = w[0]
-        we = w * e[0]
-        xwe = x * we
-        wxwe = w * xwe
-        ew, exw, ew2, exw2, ex2w, ex2w2 = np.add.reduce(
-            [we, xwe, w * we, wxwe, x * xwe, x * wxwe], axis=1) / den
-        var_w = ew2 - ew * ew
-        cov = exw2 - ew * exw
-        var_xw = ex2w2 - exw * exw
+        ew, exw, ex2w, var_w, cov, var_xw = moments
         level = math.exp(-g)
         r = np.array([ew - level, exw, a * level - c / (g * g)])
         jac = np.array([[level, exw - a * cov, -var_w],
@@ -540,10 +654,11 @@ def sequential_failure_certificate(model, c1: float):
     when the minimum is strictly below 1/c1, which makes the ratio of the
     false-selection probability to its target delta blow up as delta -> 0.
 
-    Returns (theta, alpha_star, meta_rate_value, certified), found by a
-    grid-then-Brent search of the meta-rate evaluator over [1e-6, 64];
-    tilts where e^{-1/c1} lies below the range of W give +inf and the grid
-    steps over them. alpha_star is the maximizer of the defining sup,
+    Returns (theta, alpha_star, meta_rate_value, certified), found by the
+    tilt search of inf_meta_rate on 129 tilts over [1e-6, 64] (the
+    stationarity Newton of _tilt_search at -theta, Brent's method where it
+    fails); tilts where e^{-1/c1} lies below the range of W give +inf and
+    the grid steps over them. alpha_star is the maximizer of the defining sup,
     converted to the z-convention for the shifted-exponential model (see
     the module docstring).
     """
@@ -566,11 +681,11 @@ def sequential_failure_certificate(model, c1: float):
             f"certificate needs a tilt theta <= {_THETA_BRACKET:g} with "
             f"e^(-1/c1) = {nu:.6g} in the range of exp(-theta X), which at "
             f"theta = {_THETA_BRACKET:g} starts at {w_lo:.6g}")
-    solved = _kept(lambda t: _meta_rate(model, law, -t, nu))
-    theta_star, _ = grid_then_brent(
-        lambda t: solved(t).value, 1e-6, _THETA_BRACKET, n_grid=129,
-        tol=1e-8)
-    res = solved(theta_star)
+    # the tilts t of [1e-6, 64], searched as theta = -t
+    step = (_THETA_BRACKET - 1e-6) / 128
+    theta, res, _ = _tilt_search(model, law, nu,
+                                 -(1e-6 + np.arange(129) * step), tol=1e-8)
+    theta_star = -theta
     alpha_star = res.alpha_star
     if alpha_star is not None and isinstance(model, ShiftedExponential):
         # W = e^{-theta K} z: the coefficient of z in exp(-alpha z)

@@ -798,52 +798,72 @@ class TestSequentialFailureCertificate:
 
 
 @pytest.fixture
-def meta_rate_calls(monkeypatch):
-    """Counts of _meta_rate calls on an array of tilts and on one tilt,
-    and the (tilt, level) of each call on one tilt."""
+def search_calls(monkeypatch):
+    """What a theta search spends: its _meta_rate calls on an array of
+    tilts and on one tilt, the _atom_moments passes inside the array call
+    (the grid's lock-step alpha solve), and its newton_system evaluations."""
     module = importlib.import_module("ordopt.meta_rate")
-    solve = module._meta_rate
-    calls = {"array": 0, "scalar": 0, "points": []}
+    solver = importlib.import_module("ordopt._solve")
+    solve, moments, newton = (module._meta_rate, module._atom_moments,
+                              solver.newton_system)
+    calls = {"array": 0, "scalar": 0, "grid_passes": 0, "system": 0,
+             "in_grid": False}
 
     def counted(model, law, theta, nu):
-        calls["array" if np.ndim(theta) else "scalar"] += 1
-        if not np.ndim(theta):
-            calls["points"].append((float(theta), float(nu)))
-        return solve(model, law, theta, nu)
+        grid = bool(np.ndim(theta))
+        calls["array" if grid else "scalar"] += 1
+        calls["in_grid"] = grid
+        try:
+            return solve(model, law, theta, nu)
+        finally:
+            calls["in_grid"] = False
+
+    def counted_moments(*args):
+        calls["grid_passes"] += calls["in_grid"]
+        return moments(*args)
+
+    def counted_newton(system, v0):
+        def counted_system(v):
+            calls["system"] += 1
+            return system(v)
+        return newton(counted_system, v0)
 
     monkeypatch.setattr(module, "_meta_rate", counted)
+    monkeypatch.setattr(module, "_atom_moments", counted_moments)
+    monkeypatch.setattr(solver, "newton_system", counted_newton)
     return calls
 
 
 class TestThetaSearchEvaluations:
-    """Each theta search solves its grid in one array call, then refines by
-    Brent's method one tilt at a time, and solves no tilt twice: the
-    answer reuses the solve the search made there. The counts do not
-    depend on the machine."""
+    """Each theta search solves its grid in one lock-step array call, then
+    solves the stationarity system by newton_system from the best grid
+    tilt, and makes one scalar _meta_rate solve, at its answer. The bounds
+    are the evaluation counts measured when the Newton route came in; they
+    do not depend on the machine."""
 
     @staticmethod
-    def _solved_once(calls):
-        assert len(set(calls["points"])) == len(calls["points"])
+    def _check(calls, system_evals):
+        assert calls["array"] == 1
+        assert calls["scalar"] == 1
+        assert 0 < calls["system"] <= system_evals
 
-    def test_sup(self, meta_rate_calls):
+    def test_sup(self, search_calls):
         sup_meta_rate_on_theta_a(TwoPoint(1.0, 0.6), 0.01)
-        assert meta_rate_calls["array"] == 1
-        assert meta_rate_calls["scalar"] <= 11
-        self._solved_once(meta_rate_calls)
+        self._check(search_calls, 3)
+        # the passes at alpha = 0 and at the cap, the first pass of the
+        # warm start and two Newton steps; from alpha = +-1 the grid took
+        # those two passes and six Newton steps
+        assert search_calls["grid_passes"] < 2 + 6
 
     @pytest.mark.parametrize("a", [0.03, 0.04, 0.06])
-    def test_inf(self, meta_rate_calls, a):
+    def test_inf(self, search_calls, a):
         inf_meta_rate(TwoPoint(1.0, 0.6), a)
-        assert meta_rate_calls["array"] == 1
-        assert meta_rate_calls["scalar"] <= 15
-        self._solved_once(meta_rate_calls)
+        self._check(search_calls, 6)
 
     @pytest.mark.parametrize("c1", [2.0, 5.0, 100.0])
-    def test_certificate(self, meta_rate_calls, c1):
+    def test_certificate(self, search_calls, c1):
         sequential_failure_certificate(ShiftedExponential(0.96, 1.0), c1)
-        assert meta_rate_calls["array"] == 1
-        assert meta_rate_calls["scalar"] <= {2.0: 11, 5.0: 18, 100.0: 15}[c1]
-        self._solved_once(meta_rate_calls)
+        self._check(search_calls, {2.0: 4, 5.0: 4, 100.0: 9}[c1])
 
 
 def _first_order_residual(model, theta, nu):
@@ -859,23 +879,98 @@ def _first_order_residual(model, theta, nu):
 
 
 class TestFirstOrderCondition:
+    """The optimum of each theta search solves E_q[XW] = 0 to 1e-10; the
+    grid-then-Brent route left residuals of 2.9e-10 to 2.5e-8 at these
+    searches."""
+
+    BOUND = 1e-10
+
     @pytest.mark.parametrize("a", [0.03, 0.04, 0.06])
     def test_at_the_infimum(self, a):
         m = TwoPoint(1.0, 0.6)
         _, theta_star = inf_meta_rate(m, a)
-        assert _first_order_residual(m, theta_star, math.exp(-a)) <= 1e-6
+        assert _first_order_residual(m, theta_star,
+                                     math.exp(-a)) <= self.BOUND
 
-    def test_at_the_supremum(self):
-        m = TwoPoint(1.0, 0.6)
+    @pytest.mark.parametrize("model, a", [
+        (TwoPoint(1.0, 0.6), 0.01),
+        (Mirrored(TwoPoint(1.0, 0.51)), None),
+    ], ids=["two-point-a-0.01", "mirrored-two-point-a-half-i0"])
+    def test_at_the_supremum(self, model, a):
+        if a is None:
+            a = 0.5 * rate_function(model, 0.0).value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, theta_star, _ = sup_meta_rate_on_theta_a(m, 0.01)
-        assert _first_order_residual(m, theta_star, math.exp(-0.01)) <= 1e-6
+            _, theta_star, _ = sup_meta_rate_on_theta_a(model, a)
+        assert _first_order_residual(model, theta_star,
+                                     math.exp(-a)) <= self.BOUND
+
+    @pytest.mark.parametrize("c1", [2.0, 5.0, 100.0])
+    def test_at_the_certificate(self, se_certificates, c1):
+        theta = se_certificates[c1][0]
+        assert _first_order_residual(ShiftedExponential(0.96, 1.0), -theta,
+                                     math.exp(-1.0 / c1)) <= self.BOUND
 
 
 def _models_and_mirrors():
     from test_populations import ALL_MODELS
     return [m for base in ALL_MODELS for m in (base, Mirrored(base))]
+
+
+# the grid-then-Brent route's values at commit eccf8f5, for each model of
+# test_populations.ALL_MODELS (by position) and its mirror whose I(0) is
+# finite and positive: (index, mirrored, sup at a = I(0)/2, inf at
+# a = 1.5 I(0)); a supremum of 0 is the heavy-upper-tail collapse
+GRID_THEN_BRENT = [
+    (0, False, 0.00042985941575293674, 0.0002520310673151116),
+    (0, True, 0.00042985941575286735, 0.00025203106731512895),
+    (1, False, 0.01679140331023521, 0.008131575070067378),
+    (1, True, 0.016791403310235375, 0.008131575070067454),
+    (2, False, 7.182111565877045e-05, 4.282073836175959e-05),
+    (2, True, 7.18211156588034e-05, 4.282073836184286e-05),
+    (5, False, 0.0, 0.006792488130947126),
+    (5, True, 0.0, 0.006792488130947277),
+    (6, False, 0.0, 0.0355033042470673),
+    (6, True, 0.0, 0.035503304247067574),
+    (7, False, 0.0, 0.004765094465963043),
+    (7, True, 0.0, 0.004765094465963127),
+    (8, False, 0.04990550637155297, 0.029344062424765005),
+    (8, True, 0.04990550637155297, 0.02934406242476495),
+    (10, False, 0.01972130727986332, 0.010216348725605659),
+    (10, True, 0.01972130727986332, 0.010216348725605673),
+    (11, False, 0.0, 0.0025019109923608354),
+    (11, True, 0.0, 0.002501910992360877),
+]
+
+
+def _battery_model(index, mirrored):
+    from test_populations import ALL_MODELS
+    base = ALL_MODELS[index]
+    return Mirrored(base) if mirrored else base
+
+
+@pytest.mark.parametrize("index, mirrored, sup_value, inf_value",
+                         GRID_THEN_BRENT,
+                         ids=[f"{i}{'-mirrored' if m else ''}"
+                              for i, m, _, _ in GRID_THEN_BRENT])
+def test_searches_agree_with_grid_then_brent(index, mirrored, sup_value,
+                                             inf_value):
+    model = _battery_model(index, mirrored)
+    i0 = rate_function(model, 0.0).value
+    value, _, _ = sup_meta_rate_on_theta_a(model, 0.5 * i0)
+    assert value == pytest.approx(sup_value, rel=1e-8, abs=0.0)
+    value, _ = inf_meta_rate(model, 1.5 * i0)
+    assert value == pytest.approx(inf_value, rel=1e-8, abs=0.0)
+
+
+def test_battery_covers_every_model_with_a_finite_positive_rate():
+    covered = {(i, m) for i, m, _, _ in GRID_THEN_BRENT}
+    from test_populations import ALL_MODELS
+    for index in range(len(ALL_MODELS)):
+        for mirrored in (False, True):
+            i0 = rate_function(_battery_model(index, mirrored), 0.0).value
+            assert ((index, mirrored) in covered) == (
+                math.isfinite(i0) and i0 > 0)
 
 
 class TestRateAtZero:
