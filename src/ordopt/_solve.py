@@ -26,6 +26,11 @@ import numpy as np
 # the golden-section step, as a fraction of the larger side of the bracket
 _GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# the stop rules of newton_system (residual max-norm) and of
+# increasing_fixed_point (relative step), and the step limit of both
+_SYSTEM_TOL = 1e-11
+_FIXED_POINT_TOL = 1e-12
+_MAX_STEPS = 500
 
 
 class Root(NamedTuple):
@@ -105,11 +110,13 @@ def newton_root(f, lo, hi, x0, *, xtol=1e-12, ftol=None, max_iter=200,
     bracket's midpoint (the rtsafe scheme, Press et al., Numerical Recipes,
     section 9.4). A row stops at the first point x where its Newton step s
     passes bisect_root's test, |s| <= xtol * max(1, |x|) and, when ftol is
-    given, |f(x)| <= ftol, or after max_iter evaluations, and leaves the
-    active rows then, so each row takes exactly the steps its own one-row
-    call would. Returns each row's last evaluated point, so a caller can
-    keep what f computed there. flo and fhi give the signs at the ends, as
-    in bisect_root; an exact root at an end returns it with no step.
+    given, |f(x)| <= ftol, or once no float lies strictly inside its
+    bracket (rounding noise in f can keep s above xtol), or after max_iter
+    evaluations, and leaves the active rows then, so each row takes
+    exactly the steps its own one-row call would. Returns each row's last
+    evaluated point, so a caller can keep what f computed there. flo and
+    fhi give the signs at the ends, as in bisect_root; an exact root at an
+    end returns it with no step.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -139,19 +146,21 @@ def newton_root(f, lo, hi, x0, *, xtol=1e-12, ftol=None, max_iter=200,
         a_lo = np.where(to_hi, a_lo, a_x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             step = fx / dfx
-        done = _converged(abs(step), a_x, fx, xtol, tol) | (it == max_iter)
+        mid = 0.5 * (a_lo + a_hi)
+        done = (_converged(abs(step), a_x, fx, xtol, tol) | (it == max_iter)
+                | (mid == a_lo) | (mid == a_hi))
         if done.any():
             fin = act[done]
             x[fin], iterations[fin] = a_x[done], it
             keep = ~done
             act, a_lo, a_hi, up = act[keep], a_lo[keep], a_hi[keep], up[keep]
-            a_x, step = a_x[keep], step[keep]
+            a_x, step, mid = a_x[keep], step[keep], mid[keep]
             if np.ndim(tol):
                 tol = tol[keep]
         with np.errstate(invalid="ignore"):
             a_x = a_x - step
             inside = (a_lo < a_x) & (a_x < a_hi)
-        a_x = np.where(inside, a_x, 0.5 * (a_lo + a_hi))
+        a_x = np.where(inside, a_x, mid)
     return Root(x, iterations)
 
 
@@ -206,7 +215,7 @@ def _expand_rows(f, x, edge, sign, cap):
     return x, fx
 
 
-def newton_system(system, v0, *, tol=1e-11, max_iter=500):
+def newton_system(system, v0):
     """Root of a square system r(v) = 0 by damped Newton steps.
 
     system(v) takes one point, a 1-D array, and returns the residual vector
@@ -215,18 +224,18 @@ def newton_system(system, v0, *, tol=1e-11, max_iter=500):
     to 50 times, until the max-norm of the residual falls (Dennis and
     Schnabel, Numerical Methods for Unconstrained Optimization and
     Nonlinear Equations, ch. 5-6). Returns the first point whose residual
-    max-norm is at most tol, as a tuple of floats, or None when a point
-    leaves the domain, the Jacobian is singular, the line search fails or
-    max_iter steps pass.
+    max-norm is at most _SYSTEM_TOL, as a tuple of floats, or None when a
+    point leaves the domain, the Jacobian is singular, the line search
+    fails or _MAX_STEPS steps pass.
     """
     v = np.array(v0, dtype=float)
     at = system(v)
     if at is None:
         return None
     r, jac = at
-    for _ in range(max_iter):
+    for _ in range(_MAX_STEPS):
         norm = float(np.abs(r).max())
-        if norm <= tol:
+        if norm <= _SYSTEM_TOL:
             return tuple(float(x) for x in v)
         try:
             step = np.linalg.solve(jac, -r)
@@ -342,16 +351,16 @@ def grid_then_brent(f, lo, hi, *, n_grid=129, tol=1e-10):
     return x, v
 
 
-def increasing_fixed_point(g, t0, *, tol=1e-12, max_iter=500):
+def increasing_fixed_point(g, t0):
     """Fixed point of t = g(t) for increasing g with g'(t) < 1 near the root.
 
     Iterates from t0; monotone convergence under the contraction condition.
     Returns (t, iterations).
     """
     t = t0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_STEPS + 1):
         t_next = g(t)
-        if abs(t_next - t) <= tol * max(1.0, abs(t_next)):
+        if abs(t_next - t) <= _FIXED_POINT_TOL * max(1.0, abs(t_next)):
             return t_next, it
         t = t_next
-    return t, max_iter
+    return t, _MAX_STEPS

@@ -52,8 +52,9 @@ def _log_upper_tail(base, x0: float, moment: int = 0) -> float:
 
 
 def _log_sf(base, x: float) -> float:
+    """log(1 - G(x)), by _log_upper_tail where 1 - G(x) <= 1e-3."""
     sf = 1.0 - float(np.asarray(base.cdf(x)))
-    if sf > 1e-250:
+    if sf > 1e-3:
         return math.log(sf)
     return _log_upper_tail(base, x, 0)
 

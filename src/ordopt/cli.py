@@ -725,11 +725,12 @@ def _build_parser():
     """The parser, built once per process; parse_args leaves it as it
     was, so main may be called any number of times."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="run-level RNG seed (default 0)")
     common.add_argument("--out", default=None, help="CSV output path")
     common.add_argument("--json", action="store_true",
                         help="print a JSON record instead of key=value")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None,
+                        help="run-level RNG seed (default 0)")
 
     parser = _Parser(
         prog="ordopt",
@@ -737,7 +738,7 @@ def _build_parser():
                     "policies, truncation bounds, lower-bound gadgets.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    q = sub.add_parser("rate-estimate", parents=[common],
+    q = sub.add_parser("rate-estimate", parents=[seeded],
                        help="empirical rate of a batch at a level x")
     q.add_argument("--values", help="comma/space separated sample values")
     q.add_argument("--model", help="model spec to draw a batch from")
@@ -759,7 +760,7 @@ def _build_parser():
                                       "per replication"),
                            ("mc-fs", "false-selection rate of a policy "
                                      "over replications")):
-        q = sub.add_parser(cmd, parents=[common], help=help_text)
+        q = sub.add_parser(cmd, parents=[seeded], help=help_text)
         q.add_argument("--policy", choices=["two-phase", "sequential",
                                             "hoeffding", "capped",
                                             "succ-elim"])

@@ -50,6 +50,8 @@ _ALPHA_CAP = 2.0 ** 30
 # some 20 MB of temporaries to each step
 _BLOCK = 2 ** 16
 _BIG = np.finfo(float).max
+# the largest b whose e^{-b} is a normal float, about 708.4
+_LEVEL_MAX = -math.log(np.finfo(float).tiny)
 # points outside its cells that a tilt search's Newton may try before it
 # gives up for Brent: converging searches over ten model classes and their
 # mirrors, at several levels each, tried at most 2, failing ones 50 to 7000
@@ -131,19 +133,18 @@ def _tilt(law, theta):
 
 
 def _atom_moments(x, p, w, alpha, nu):
-    """(J, T, XW, V) for each row of w over the law (x, p), at one alpha
-    (or one per row): the objective J = alpha nu - M(alpha) with M(alpha)
-    = log E e^{aW}, the tilted W-mean T = M', the tilted E[X W], and the
-    tilted variance of W, V = E[W^2] - T^2 = M''. M is the row's largest
-    exponent, a shift that makes it safe for any finite alpha, plus a log
-    sum; alpha nu cancels against the shift first, which keeps J exact at
-    |alpha| = 2^30 for a level at an atom on the edge of the range of W."""
+    """(J, T, V) for each row of w over the law (x, p), at one alpha (or
+    one per row): the objective J = alpha nu - M(alpha) with M(alpha) =
+    log E e^{aW}, the tilted W-mean T = M', and the tilted variance of W,
+    V = E[W^2] - T^2 = M''. M is the row's largest exponent, a shift that
+    makes it safe for any finite alpha, plus a log sum; alpha nu cancels
+    against the shift first, which keeps J exact at |alpha| = 2^30 for a
+    level at an atom on the edge of the range of W."""
     hi, e, den = _shifted(p, w, alpha)
     we = w * e
     t_mean = np.add.reduce(we, axis=1) / den
-    xw = np.add.reduce(x * we, axis=1) / den
     var = np.add.reduce(w * we, axis=1) / den - t_mean * t_mean
-    return (alpha * nu - hi) - np.log(den), t_mean, xw, var
+    return (alpha * nu - hi) - np.log(den), t_mean, var
 
 
 def _shifted(p, w, alpha):
@@ -180,12 +181,6 @@ def _tilted_moments(law, theta, alpha):
     return ew, exw, ex2w, ew2 - ew * ew, exw2 - ew * exw, ex2w2 - exw * exw
 
 
-def _moments_at(law, theta, alpha, nu):
-    """_atom_moments at one tilt and one alpha, as floats."""
-    return tuple(float(v[0]) for v in _atom_moments(*_tilt(law, theta),
-                                                    alpha, nu))
-
-
 def tilted_log_mgf(model, alpha: float, theta: float) -> float:
     """M(alpha, theta) = log E exp(alpha exp(theta X)); +inf on divergence.
 
@@ -200,7 +195,7 @@ def tilted_log_mgf(model, alpha: float, theta: float) -> float:
         return float(alpha)
     if alpha > 0 and math.isinf(_w_bounds(model, np.array([theta]))[1][0]):
         return math.inf
-    return -_moments_at(_law(model), theta, alpha, 0.0)[0]
+    return -float(_atom_moments(*_tilt(_law(model), theta), alpha, 0.0)[0][0])
 
 
 def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
@@ -282,11 +277,11 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
     var_zero = np.full(thetas.size, math.inf)
     bounded = np.flatnonzero(~unbounded)
     if bounded.size:
-        value[bounded], t_zero, _, var_zero[bounded] = _atom_moments(
+        value[bounded], t_zero, var_zero[bounded] = _atom_moments(
             x, p, w[bounded], 0.0, nu)
         f_zero[bounded] = t_zero - nu
     side = np.where(f_zero > 0, -1.0, 1.0)
-    j_cap, t_cap, _, _ = _atom_moments(x, p, w, side * _ALPHA_CAP, nu)
+    j_cap, t_cap, _ = _atom_moments(x, p, w, side * _ALPHA_CAP, nu)
     f_cap = t_cap - nu
     capped = side * f_cap <= 0
     alpha = np.where(capped, side * _ALPHA_CAP, 0.0)
@@ -310,7 +305,7 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
             first = _atom_moments(x, p, np.tile(w_solve[warm], (2, 1)),
                                   pts.ravel(), nu)
             j, gaps, slopes = (v.reshape(2, -1) for v in (
-                first[0], first[1] - nu, first[3]))
+                first[0], first[1] - nu, first[2]))
             b_lo, b_hi, f_lo, f_hi = lo[warm], hi[warm], flo[warm], fhi[warm]
             for at, f in zip(pts, gaps):
                 # the gap M'(alpha) - nu increases with alpha
@@ -331,7 +326,7 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
         def gap(a, rows):
             """Tilted W-mean minus nu and its slope, the tilted variance;
             the objective at the point is kept as the value."""
-            j, t_mean, _, var = _atom_moments(
+            j, t_mean, var = _atom_moments(
                 x, p, w_solve if rows.size == n else w_solve[rows], a, nu)
             j_at[rows] = j
             return t_mean - nu, var
@@ -356,14 +351,13 @@ def inf_meta_rate(model, a: float):
         raise RegimeError(
             f"inf_meta_rate needs a > I(0) = {i0:.6g}; for a below I(0) "
             "use sup_meta_rate_on_theta_a")
-    return _inf_meta_rate(model, _law(model), a)
+    theta_star, res, _ = _inf_meta_rate(model, _law(model), a)
+    return res.value, theta_star
 
 
 def _inf_meta_rate(model, law, a):
     grid = np.linspace(-_THETA_BRACKET, _THETA_BRACKET, 257)
-    theta_star, res, _ = _tilt_search(model, law, math.exp(-a), grid,
-                                      tol=1e-7)
-    return res.value, theta_star
+    return _tilt_search(model, law, math.exp(-a), grid, tol=1e-7)
 
 
 class _LeftCell(Exception):
@@ -393,8 +387,8 @@ def _tilt_search(model, law, nu, grid, *, tol, sign=1.0):
     only draws it against their edge. Its tilt is the answer when it
     converges and does no worse than the best grid tilt.
     Otherwise brent_min, to tol, runs in those cells (by_newton False), and
-    the best grid tilt stands if Brent finds nothing better. The answer's
-    result is the one scalar _meta_rate solve of the Newton route.
+    the best grid tilt stands if Brent finds nothing better. On either
+    route the answer's result is one more scalar _meta_rate solve there.
     """
     res = _meta_rate(model, law, grid, nu)
     vals = sign * res.value
@@ -430,28 +424,12 @@ def _tilt_search(model, law, nu, grid, *, tol, sign=1.0):
             at = _meta_rate(model, law, root[0], nu)
             if sign * at.value <= vals[i]:
                 return root[0], at, True
-    solved = _kept(lambda theta: _meta_rate(model, law, theta, nu))
-    theta, value = brent_min(lambda t: sign * solved(t).value, lo, hi,
-                             tol=tol)
+    theta, value = brent_min(
+        lambda t: sign * _meta_rate(model, law, t, nu).value, lo, hi,
+        tol=tol)
     if vals[i] < value:
         theta = float(grid[i])
-    return theta, solved(theta), False
-
-
-def _kept(solve):
-    """solve, keeping the result at every scalar argument, so a search
-    needs no second solve at a point it has evaluated, its answer among
-    them. Array arguments are solved each time."""
-    kept = {}
-
-    def solved(x):
-        if np.ndim(x):
-            return solve(x)
-        if x not in kept:
-            kept[x] = solve(x)
-        return kept[x]
-
-    return solved
+    return theta, _meta_rate(model, law, theta, nu), False
 
 
 def _rate_at_zero(model):
@@ -533,7 +511,7 @@ def sup_meta_rate_on_theta_a(model, a: float):
                 and res.alpha_star is not None and value > 1e-12
                 and abs(res.alpha_star) > 1e-9)
     if interior and not by_newton:
-        _, t_mean, xw, _ = _moments_at(law, theta_star, res.alpha_star, nu)
+        t_mean, xw = _tilted_moments(law, theta_star, res.alpha_star)[:2]
         scale = max(abs(t_mean), 1.0)
         if abs(xw) > 1e-6 * scale:
             warnings.warn(
@@ -556,14 +534,17 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     (g, theta, a) = (2 I(0), theta*, 1), with theta* the minimizer of
     Lambda that rate_function(model, 0) returns, by _solve.newton_system,
     each evaluation taking the residuals and their exact Jacobian from one
-    pass of tilted moments over the law (see _two_phase_newton); if it
-    fails to converge the outer one-dimensional minimization over b
-    is used instead: grid_then_brent over 65 levels, each level's value an
-    inner tilt search as in inf_meta_rate. Both failing, or the
-    fallback's best tilt sitting on an edge of its window [-64, 64] (where
-    the minimum lies outside the search, as when it is only approached as
-    b grows without bound), raises NumericalError with the best iterate
-    attached.
+    pass of tilted moments over the law (see _two_phase_newton). Its root
+    counts only when g lies in the level window, from I(0)(1 + 1e-7) up to
+    _LEVEL_MAX, where e^{-g} is still a normal float (past it the level
+    and outer residuals vanish for want of digits); otherwise
+    grid_then_brent over s = log b on the window, with 65 levels, each
+    level's value an inner tilt search as in inf_meta_rate, is used. An
+    empty window, the fallback failing, or its minimum on an edge of the
+    search (the tilt at an edge of [-64, 64], or b at the top of the
+    window, as when the minimum is only approached as b grows without
+    bound) raises NumericalError, with the best iterate where there is
+    one.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
@@ -574,39 +555,40 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     if not math.isfinite(i0) or i0 <= 0:
         raise RegimeError("degenerate model: I(0) must be finite positive")
 
+    lo = i0 * (1.0 + 1e-7)
+    if not lo < _LEVEL_MAX:
+        raise NumericalError(f"two-phase exponent: no level b in (I(0), "
+                             f"{_LEVEL_MAX:.6g}] for I(0) = {i0:.6g}")
     law = _law(model)
     newton = _two_phase_newton(law, c2, i0, rate.theta_star)
-    if newton is not None:
+    if newton is not None and lo <= newton[0] <= _LEVEL_MAX:
         gamma, theta, alpha = newton
-        value = _moments_at(law, theta, -alpha, math.exp(-gamma))[0]
-        exponent = c2 * i0 / gamma + value
+        value = _atom_moments(*_tilt(law, theta), -alpha, math.exp(-gamma))[0]
+        exponent = c2 * i0 / gamma + float(value[0])
         return TwoPhaseExponent(exponent, gamma, theta, alpha, c1, c2)
 
-    # fallback: outer grid-then-Brent search over the level b
-    inner = _kept(lambda b: _inf_meta_rate(model, law, b))
-
-    def phi(b):
+    # fallback: grid_then_brent over s = log b on the level window
+    def phi(s):
         # the grid phase passes its 65 levels as one array
-        levels = np.atleast_1d(b)
-        vals = c2 * i0 / levels + np.array([inner(v)[0] for v in levels])
-        return vals if np.ndim(b) else float(vals[0])
+        levels = np.exp(np.atleast_1d(s))
+        vals = c2 * i0 / levels + np.array(
+            [_inf_meta_rate(model, law, b)[1].value for b in levels])
+        return vals if np.ndim(s) else float(vals[0])
 
-    lo = i0 * (1.0 + 1e-7) + 1e-300
-    # double hi while phi still falls from hi / 2 to hi
-    hi, _ = expand_bracket(lambda b: phi(0.5 * b) - phi(b),
-                           max(20.0 * i0, 0.5), math.inf, 1, cap=2e3)
-    b_star, exponent = grid_then_brent(phi, lo, hi, n_grid=65, tol=1e-9)
-    _, theta_star = inner(b_star)
-    res = _meta_rate(model, law, theta_star, math.exp(-b_star))
+    s_star, exponent = grid_then_brent(
+        phi, math.log(lo), math.log(_LEVEL_MAX), n_grid=65, tol=1e-9)
+    b_star = math.exp(s_star)
+    theta_star, res, _ = _inf_meta_rate(model, law, b_star)
     best = (b_star, theta_star, res.alpha_star)
     if res.alpha_star is None or not math.isfinite(exponent):
         raise NumericalError("two-phase exponent failed to converge",
                              best=best)
-    if abs(theta_star) == _THETA_BRACKET:
+    if (abs(theta_star) == _THETA_BRACKET
+            or b_star >= _LEVEL_MAX * (1.0 - 1e-6)):
         raise NumericalError(
-            f"two-phase exponent: the tilt search ended at the edge "
-            f"theta = {theta_star:g} of its window, so the minimum over "
-            f"the level lies outside the search", best=best)
+            f"two-phase exponent: the search ended on an edge of its "
+            f"window (theta = {theta_star:g}, b = {b_star:.6g}), so the "
+            f"minimum over the level lies outside the search", best=best)
     return TwoPhaseExponent(exponent, b_star, theta_star,
                             -res.alpha_star, c1, c2)
 

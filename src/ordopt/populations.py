@@ -278,27 +278,41 @@ class GaussianMixture:
         safeguarded Newton steps (newton_root, one row per probability) on
         log F(x) - log q, or on log S(x) - log q, with slope pdf/F or -pdf/S.
 
-        Each component's quantile, moved out by 1, brackets the root.
+        Each component's quantile, moved out by 1, brackets the root. The
+        gap is log1p((F - q) / q), with F - q summed from each component's
+        smaller tail Phi(-|t|) so that no terms near 1 cancel: between two
+        far modes F stays within 1e-17 of q, below the resolution of F.
         """
         from scipy.special import log_ndtr, ndtri
         qs = np.atleast_1d(np.asarray(q, dtype=float))
         z = -ndtri(qs) if upper else ndtri(qs)
         lo = np.minimum(z, self.mu + z) - 1.0
         hi = np.maximum(z, self.mu + z) + 1.0
-        # F(x) = p Phi(x) + (1 - p) Phi(x - mu), S(x) = 1 - F(x), both
-        # through Phi(sign x) and Phi(sign (x - mu))
+        # F(x) = p Phi(x) + (1 - p) Phi(x - mu), S(x) = 1 - F(x) =
+        # p Phi(-x) + (1 - p) Phi(mu - x): the components' Phi(sign t)
         sign = -1.0 if upper else 1.0
-        log_p, log_rest = math.log(self.p), math.log1p(-self.p)
+        rest = 1.0 - self.p
+        log_weight = np.array([[math.log(self.p)], [math.log1p(-self.p)]])
         log_q = np.log(qs)
+        # (weight of the components with t > 0, less q) / q for each row
+        # and each set of them (none, the first, the second, both), with
+        # the rounding of 1 - p added back
+        offset = np.stack([-qs, self.p - qs,
+                         (rest - qs) + ((1.0 - rest) - self.p), 1.0 - qs],
+                        axis=1) / qs[:, None]
 
         def gap(x, rows):
             # log F - log q rises through 0, log S - log q falls through it
-            log_c = np.logaddexp(log_p + log_ndtr(sign * x),
-                                 log_rest + log_ndtr(sign * (x - self.mu)))
-            return log_c - log_q[rows], sign * np.exp(self.logpdf(x) - log_c)
+            t = sign * np.stack([x, x - self.mu])
+            past = t > 0
+            tail = np.exp(log_weight + log_ndtr(-abs(t)) - log_q[rows])
+            excess = (offset[rows, past[0] + 2 * past[1]]
+                      + np.where(past, -tail, tail).sum(axis=0))
+            slope = sign * np.exp(self.logpdf(x) - log_q[rows])
+            return np.log1p(excess), slope / (1.0 + excess)
 
         # start between the components' quantiles, at their mean's shift
-        x = newton_root(gap, lo, hi, z + (1.0 - self.p) * self.mu,
+        x = newton_root(gap, lo, hi, z + rest * self.mu,
                         flo=np.full_like(lo, -sign),
                         fhi=np.full_like(hi, sign), xtol=1e-13).x
         return x if np.ndim(q) else float(x[0])

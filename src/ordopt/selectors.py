@@ -763,7 +763,8 @@ def expected_pulls_bound(gaps, schedule: RadiusSchedule) -> PullsBound:
     tau* is found exactly by integer search (small m scanned directly, the
     monotone region bisected); closed_form carries the fixed-point bound
     when its preconditions hold (else the exact tau*), and dominant_total
-    is the leading-order total pull count over the suboptimal arms.
+    is the leading-order total pull count over the suboptimal arms, 2 a_i
+    summed over the gaps with a_i the fixed point's constant term.
     """
     gaps = [float(g) for g in gaps]
     if not gaps or any(g <= 0 for g in gaps):
@@ -772,7 +773,7 @@ def expected_pulls_bound(gaps, schedule: RadiusSchedule) -> PullsBound:
     def ok(m, gap):
         return 4.0 * radius(schedule, m) <= gap
 
-    taus, closed = [], []
+    taus, closed, dom = [], [], 0.0
     for gap in gaps:
         tau = None
         for m in range(1, 65):
@@ -796,15 +797,5 @@ def expected_pulls_bound(gaps, schedule: RadiusSchedule) -> PullsBound:
             closed.append(solve_log_fixed_point(a, b)[1])
         else:
             closed.append(float(tau))
-
-    if schedule.kind == "bounded":
-        dom = (64.0 * schedule.b ** 2
-               * math.log(schedule.d / (_C_NORM * schedule.delta))
-               * sum(1.0 / g ** 2 for g in gaps))
-    else:
-        al = schedule.alpha
-        dom = (2.0 * (4.0 * capped_concentration_constant(al)
-                      * schedule.K ** (1.0 / al)) ** (al / (al - 1.0))
-               * math.log(2.0 * schedule.d / (_C_NORM * schedule.delta))
-               * sum((1.0 / g) ** (al / (al - 1.0)) for g in gaps))
+        dom += 2.0 * a
     return PullsBound(taus, closed, dom)

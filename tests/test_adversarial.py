@@ -7,6 +7,7 @@ from scipy import integrate
 from ordopt.adversarial import (
     FsEstimate,
     TiltedDistribution,
+    _log_sf,
     lower_bound_samples,
     monte_carlo_fs,
     quantile_gadget,
@@ -33,6 +34,13 @@ def _tail_moment(base, b, moment):
         lambda x: x ** moment * math.exp(float(np.asarray(base.logpdf(x)))),
         b, math.inf, limit=200)
     return val
+
+
+def test_log_sf_matches_the_closed_form():
+    # 1 - cdf loses digits well above 1e-250: at x = 30 it gave -30.959148
+    base = Mirrored(ShiftedExponential(0.96, 1.0))
+    for x in (-0.5, 2.0, 6.0, 20.0, 30.0, 100.0, 2211.84):
+        assert _log_sf(base, x) == pytest.approx(-(x + 0.96), rel=1e-13)
 
 
 class TestTilt:

@@ -202,6 +202,22 @@ class TestMetaRate:
         assert code == 2 and out == ""
         assert "validation" in err and "range" in err
 
+    def test_exponent_without_a_normal_level_is_numerical(self, capsys):
+        # I(0) = 800: e^{-b} underflows at every level b above it
+        code, out, err = run_cli(capsys, ["meta-rate", "--model",
+                                          "gaussian:-40,1", "--exponent",
+                                          "--c1", "1", "--c2", "1"])
+        assert code == 3 and out == ""
+        assert "numerical" in err
+
+    def test_seed_is_not_an_option(self, capsys):
+        # meta-rate draws no samples
+        with pytest.raises(SystemExit) as exc:
+            main(["meta-rate", "--seed", "1", "--model", "two-point:1,0.55",
+                  "--exponent", "--c1", "1", "--c2", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_regime_error_is_validation(self, capsys):
         # a below I(0) lands in the other branch of the dichotomy
         code, _, err = run_cli(capsys, ["meta-rate", "--model",

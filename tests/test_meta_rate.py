@@ -20,9 +20,9 @@ from ordopt.meta_rate import (
     RegimeError,
     _law,
     _meta_rate,
-    _moments_at,
     _rate_at_zero,
     _tilt,
+    _tilted_moments,
     inf_meta_rate,
     meta_rate,
     sequential_failure_certificate,
@@ -656,6 +656,55 @@ class TestTwoPhaseFallback:
         assert theta_star == 64.0 and b_star > 60.0
 
 
+class TestTwoPhaseLevelWindow:
+    """Both routes of two_phase_exponent search levels b from just above
+    I(0) up to _LEVEL_MAX, where e^{-b} is still a normal float. The
+    fallback's tilt searches are replaced here: on these densities they
+    take seconds before the search raises."""
+
+    def test_newton_root_past_the_window_is_rejected(self, monkeypatch,
+                                                      newton_calls):
+        # the root at b = 516146, where e^{-b} = 0 zeroes the level and
+        # outer residuals, was once returned as the exponent
+        module = importlib.import_module("ordopt.meta_rate")
+
+        class Fallback(Exception):
+            pass
+
+        def fallback(model, law, b):
+            raise Fallback
+
+        monkeypatch.setattr(module, "_inf_meta_rate", fallback)
+        with pytest.raises(Fallback):
+            two_phase_exponent(Gaussian(-1.0, 0.5), 1.0, 1.0)
+        assert newton_calls[0]["root"][0] > module._LEVEL_MAX
+
+    def test_fallback_levels_stay_in_the_window(self, monkeypatch):
+        # the doubling walk once took the levels to e^{-b} = 0, which
+        # exited as a validation error
+        module = importlib.import_module("ordopt.meta_rate")
+        levels = []
+
+        def flat(model, law, b):
+            # an inner infimum of 0 leaves phi = c2 I(0) / b falling
+            # across the whole window
+            levels.append(b)
+            return 0.0, MetaRateResult(0.0, 0.0, 0.0, math.exp(-b),
+                                       "interior"), False
+
+        monkeypatch.setattr(module, "_inf_meta_rate", flat)
+        model = Mirrored(GaussianMixture(0.3, 10.0))
+        with pytest.raises(NumericalError, match="edge"):
+            two_phase_exponent(model, 1.0, 1.0)
+        i0 = rate_function(model, 0.0).value
+        assert i0 < min(levels) and max(levels) <= module._LEVEL_MAX
+
+    def test_empty_window_raises(self):
+        # I(0) = 800: e^{-b} underflows at every level above it
+        with pytest.raises(NumericalError, match="no level"):
+            two_phase_exponent(Gaussian(-40.0, 1.0), 1.0, 1.0)
+
+
 @pytest.fixture
 def newton_calls(monkeypatch):
     """Each newton_system call of two_phase_exponent: its system, start
@@ -866,6 +915,24 @@ class TestThetaSearchEvaluations:
         self._check(search_calls, {2.0: 4, 5.0: 4, 100.0: 9}[c1])
 
 
+def test_alpha_solves_stop_short_of_the_step_limit(monkeypatch):
+    # on this supremum's grid, at two rows' roots |M' - nu| is about 1e-16
+    # and M'' about 5e-4, so the Newton step, about 2e-13, never passed
+    # xtol = 1e-13 and both rows ran all 200 steps
+    module = importlib.import_module("ordopt.meta_rate")
+    solve, steps = module.newton_root, []
+
+    def spy(*args, **kwargs):
+        root = solve(*args, **kwargs)
+        steps.append(int(root.iterations.max()))
+        return root
+
+    monkeypatch.setattr(module, "newton_root", spy)
+    model = ShiftedExponential(0.96, 1.0)
+    sup_meta_rate_on_theta_a(model, 0.5 * rate_function(model, 0.0).value)
+    assert steps and max(steps) < 200
+
+
 def _first_order_residual(model, theta, nu):
     """|E[X W e^{alpha W}]| under the tilt, relative to max(|E W|, 1).
 
@@ -874,7 +941,7 @@ def _first_order_residual(model, theta, nu):
     over theta, whichever search found it."""
     law = _law(model)
     alpha = _meta_rate(model, law, theta, nu).alpha_star
-    _, t_mean, xw, _ = _moments_at(law, theta, alpha, nu)
+    t_mean, xw = _tilted_moments(law, theta, alpha)[:2]
     return abs(xw) / max(abs(t_mean), 1.0)
 
 

@@ -250,6 +250,23 @@ def test_mixture_quantiles_in_lock_step_match_scalar_calls():
         [m.upper_quantile(float(p)) for p in ps], abs=2e-10)
 
 
+def test_mixture_quantile_between_far_modes():
+    # F stays within 1e-17 of the level over [8.3, 11.4], below the
+    # resolution of F or log F; the reference solves F - p in the form
+    # (1 - p) Phi(x - mu) - p Phi(-x), which has no cancellation
+    from scipy.optimize import brentq
+    p, mu = 0.01, 20.0
+    want = brentq(lambda x: (1 - p) * ndtr(x - mu) - p * ndtr(-x), 5.0,
+                  15.0, xtol=1e-14, rtol=1e-15)
+    assert GaussianMixture(p, mu).quantile(p) == pytest.approx(want,
+                                                                rel=1e-12)
+    # an equal mixture's median is halfway between the modes, from either
+    # tail
+    m = GaussianMixture(0.5, 30.0)
+    assert m.quantile(0.5) == pytest.approx(15.0, rel=1e-12)
+    assert m.upper_quantile(0.5) == pytest.approx(15.0, rel=1e-12)
+
+
 def test_quantile_domain_error():
     with pytest.raises(ValueError):
         quantile(Gaussian(0.0, 1.0), 0.0)

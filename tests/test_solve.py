@@ -187,6 +187,21 @@ def test_newton_exact_root_at_an_end_takes_no_step():
         newton_root(f, [1.0], [2.0], 1.5)
 
 
+def test_newton_stops_where_its_bracket_holds_no_float():
+    # f carries rounding noise of 1e-16 around its root, so the Newton
+    # step there, 1e-16 / 1e-4, never passes xtol = 1e-13: the row stops
+    # once its bracket closes on the root, not at the step limit
+    r = 1.0 / 3.0
+
+    def f(t, rows):
+        return (1e-4 * (t - r) + np.where(t < r, -1e-16, 1e-16),
+                np.full_like(t, 1e-4))
+
+    root = newton_root(f, [0.0], [1.0], 0.5, xtol=1e-13)
+    assert root.iterations[0] < 100
+    assert abs(root.x[0] - r) <= np.spacing(r)
+
+
 def test_grid_phase_is_one_call_on_the_scalar_grid_points():
     calls = []
 
