@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quad import log_tail_integral, table_cuts, tail_cuts
+from ._quad import log_tail_integral, sorted_unique, table_cuts, tail_cuts
 from ._solve import bisect_root, expand_bracket
 from .populations import GaussianMixture, kl_divergence, quantile
 from .selectors import replicate
@@ -109,7 +109,7 @@ class TiltedDistribution:
         when b lies outside the base's support)."""
         table = table_cuts(self.base)
         tail = tail_cuts(self.base.logpdf, self.b, table)
-        return table if tail is None else np.union1d(table, tail)
+        return table if tail is None else sorted_unique(table, tail)
 
     def atoms(self):
         return None

@@ -377,6 +377,10 @@ def _cmd_rate_estimate(args):
         raise ValueError(
             "rate-estimate: give exactly one of --values or --model")
     if args.values is not None:
+        for flag in ("m", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(
+                    f"rate-estimate: --values does not read --{flag}")
         batch = np.asarray([float(t) for t in _split(args.values)])
     else:
         if args.m is None or args.m < 1:
@@ -391,14 +395,22 @@ def _cmd_rate_estimate(args):
 
 def _cmd_meta_rate(args):
     model = parse_model(args.model)
-    modes = [args.a is not None, args.theta is not None, args.exponent,
-             args.certificate]
-    if sum(bool(m) for m in modes) != 1:
+    # each mode: whether it is given, and the value flags it needs and reads
+    modes = {"--a": (args.a is not None, ()),
+             "--theta": (args.theta is not None, ("nu",)),
+             "--exponent": (args.exponent, ("c1", "c2")),
+             "--certificate": (args.certificate, ("c1",))}
+    chosen = [(mode, needs) for mode, (on, needs) in modes.items() if on]
+    if len(chosen) != 1:
         raise ValueError("meta-rate: give exactly one of --a, --theta "
                          "(with --nu), --exponent, or --certificate")
+    [(mode, needs)] = chosen
+    for flag in ("nu", "c1", "c2"):
+        given = getattr(args, flag) is not None
+        if given != (flag in needs):
+            verb = "does not read" if given else "needs"
+            raise ValueError(f"meta-rate: {mode} {verb} --{flag}")
     if args.theta is not None:
-        if args.nu is None:
-            raise ValueError("meta-rate: --theta needs --nu")
         r = meta_rate(model, args.theta, args.nu)
         record = {"mode": "pointwise", "value": r.value,
                   "alpha_star": r.alpha_star, "theta": r.theta, "nu": r.nu,
@@ -408,15 +420,11 @@ def _cmd_meta_rate(args):
         record = {"mode": "infimum", "value": value,
                   "theta_star": theta_star, "a": args.a}
     elif args.exponent:
-        if args.c1 is None or args.c2 is None:
-            raise ValueError("meta-rate: --exponent needs --c1 and --c2")
         r = two_phase_exponent(model, args.c1, args.c2)
         record = {"mode": "exponent", "exponent": r.exponent,
                   "gamma_star": r.gamma_star, "theta_star": r.theta_star,
                   "alpha_star": r.alpha_star}
     else:
-        if args.c1 is None:
-            raise ValueError("meta-rate: --certificate needs --c1")
         theta, alpha_star, value, certified = (
             sequential_failure_certificate(model, args.c1))
         record = {"mode": "certificate", "theta": theta,

@@ -25,6 +25,8 @@ import numpy as np
 
 from ._solve import expand_bracket, newton_root
 
+# the largest |theta| of a tilt search: an estimate saturates here, so the
+# closed-form two-atom rate in populations reports this tilt at an atom
 _THETA_CAP = 2.0 ** 10
 
 

@@ -91,6 +91,8 @@ class MetaRateResult:
 
 @dataclass(frozen=True)
 class TwoPhaseExponent:
+    """two_phase_exponent's result, a rate per pilot sample; c1 is echoed."""
+
     exponent: float
     gamma_star: float
     theta_star: float
@@ -522,6 +524,12 @@ def sup_meta_rate_on_theta_a(model, a: float):
 
 def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     """Optimal failure exponent of the two-phase budget split.
+
+    It is the decay rate of P(FS) per pilot sample m, for the decision
+    batch N = c2 m / I_m(0) of two_phase_select. c1 only sets m =
+    ceil(c1 log(1/delta)), so it is validated and echoed but never read:
+    P(FS) decays like delta^(c1 exponent), at c1 = 1 with the exponent as
+    the slope of -log P(FS) against log(1/delta).
 
     Minimizes phi(b) = c2 I(0) / b + inf_theta J_theta(e^{-b}) over the
     phase-1 level b. A damped Newton iteration on the stationarity system

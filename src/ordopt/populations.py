@@ -3,6 +3,8 @@
 Each model knows its mean, exact log-MGF Lambda(theta) = log E exp(theta X)
 with domain, sampler, CDF/quantile, the upper-tail quantile Q(1 - q)
 computed from q itself, and either a discrete atom list or a log-density.
+TwoPoint and Bernoulli share one two-atom law, _TwoAtoms, which each fills
+in from its atoms and masses; the closed-form rate of that law serves both.
 On top of that the module provides the Legendre-transform rate function
 I(a) = sup_theta (theta a - Lambda(theta)), KL divergence between models,
 and an exact finite-sample law for the two-point rate estimator that the
@@ -28,10 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import integrate, log_tail_integral, table_cuts
+from ._quad import integrate, log_tail_integral, sorted_unique, table_cuts
 from ._solve import bisect_root, expand_bracket, newton_root
-from .empirical_rate import (RateEstimate, _tilted_mean, empirical_log_mgf,
-                             estimate_rate_at)
+from .empirical_rate import (_THETA_CAP, RateEstimate, _tilted_mean,
+                             empirical_log_mgf, estimate_rate_at)
 
 __all__ = [
     "SupportError", "TwoPoint", "ShiftedExponential", "Gaussian",
@@ -40,7 +42,6 @@ __all__ = [
     "two_point_rate_law",
 ]
 
-_THETA_CAP = 2.0 ** 10
 _LOG_NORM_CONST = -0.5 * math.log(2.0 * math.pi)
 
 
@@ -53,8 +54,68 @@ def _check_prob(name, value):
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
+def _log_masses(p):
+    """(log p, log(1 - p)), each -inf where its mass is zero."""
+    return (math.log(p) if p > 0.0 else -math.inf,
+            math.log1p(-p) if p < 1.0 else -math.inf)
+
+
+class _TwoAtoms:
+    """A two-atom law from the model's _atoms() = (lo, hi, p_lo, p_hi,
+    log p_lo, log p_hi), atoms lo < hi with each mass and its log taken the
+    accurate way for the model's parameter (a zero mass's log, -inf, is
+    never read). The model keeps its fields, mean and from_uniform."""
+
+    def theta_domain(self):
+        return (-math.inf, math.inf)
+
+    def log_mgf(self, theta):
+        lo, hi, p_lo, p_hi, log_lo, log_hi = self._atoms()
+        if p_lo == 0.0:
+            return theta * hi
+        if p_hi == 0.0:
+            return theta * lo
+        return float(np.logaddexp(log_lo + theta * lo, log_hi + theta * hi))
+
+    def dlog_mgf(self, theta):
+        lo, hi, p_lo, p_hi, log_lo, log_hi = self._atoms()
+        if p_lo == 0.0:
+            return hi
+        if p_hi == 0.0:
+            return lo
+        # weight of hi under the tilted law
+        z = (log_lo - log_hi) - theta * (hi - lo)
+        w = 1.0 / (1.0 + math.exp(z)) if z < 700 else 0.0
+        return lo + (hi - lo) * w
+
+    def support(self):
+        return self._atoms()[:2]
+
+    def atoms(self):
+        lo, hi, p_lo, p_hi = self._atoms()[:4]
+        return [(lo, p_lo), (hi, p_hi)]
+
+    def logpdf(self, x):
+        return None
+
+    def cdf(self, x):
+        lo, hi, p_lo = self._atoms()[:3]
+        x = np.asarray(x, dtype=float)
+        return np.where(x < lo, 0.0, np.where(x < hi, p_lo, 1.0))
+
+    def quantile(self, p):
+        lo, hi, p_lo = self._atoms()[:3]
+        return lo if p <= p_lo else hi
+
+    def upper_quantile(self, q):
+        return self.quantile(1.0 - q)
+
+    def draw(self, rng, n):
+        return self.from_uniform(rng.random(n))
+
+
 @dataclass(frozen=True)
-class TwoPoint:
+class TwoPoint(_TwoAtoms):
     """X = -b with probability p_minus, +b otherwise."""
 
     b: float = 1.0
@@ -65,61 +126,36 @@ class TwoPoint:
             raise ValueError("b must be positive")
         _check_prob("p_minus", self.p_minus)
 
+    def _atoms(self):
+        p = self.p_minus
+        return (-self.b, self.b, p, 1.0 - p, *_log_masses(p))
+
     def mean(self):
         return self.b * (1.0 - 2.0 * self.p_minus)
-
-    def theta_domain(self):
-        return (-math.inf, math.inf)
-
-    def log_mgf(self, theta):
-        p = self.p_minus
-        if p == 0.0:
-            return theta * self.b
-        if p == 1.0:
-            return -theta * self.b
-        return float(np.logaddexp(math.log(p) - theta * self.b,
-                                  math.log1p(-p) + theta * self.b))
-
-    def dlog_mgf(self, theta):
-        p = self.p_minus
-        if p == 0.0:
-            return self.b
-        if p == 1.0:
-            return -self.b
-        # weight of +b under the tilted law
-        z = -2.0 * theta * self.b + _logit(p)
-        w = 1.0 / (1.0 + math.exp(z)) if z < 700 else 0.0
-        return self.b * (2.0 * w - 1.0)
-
-    def support(self):
-        return (-self.b, self.b)
-
-    def atoms(self):
-        return [(-self.b, self.p_minus), (self.b, 1.0 - self.p_minus)]
-
-    def logpdf(self, x):
-        return None
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < -self.b, 0.0,
-                        np.where(x < self.b, self.p_minus, 1.0))
-
-    def quantile(self, p):
-        return -self.b if p <= self.p_minus else self.b
-
-    def upper_quantile(self, q):
-        return self.quantile(1.0 - q)
 
     def from_uniform(self, u):
         return np.where(u < self.p_minus, -self.b, self.b)
 
-    def draw(self, rng, n):
-        return self.from_uniform(rng.random(n))
 
+@dataclass(frozen=True)
+class Bernoulli(_TwoAtoms):
+    """X = 1 with probability q, 0 otherwise."""
 
-def _logit(p):
-    return math.log(p) - math.log1p(-p)
+    q: float = 0.5
+
+    def __post_init__(self):
+        _check_prob("q", self.q)
+
+    def _atoms(self):
+        q = self.q
+        log_q, log_rest = _log_masses(q)
+        return (0.0, 1.0, 1.0 - q, q, log_rest, log_q)
+
+    def mean(self):
+        return self.q
+
+    def from_uniform(self, u):
+        return (u < self.q).astype(float)
 
 
 @dataclass(frozen=True)
@@ -323,59 +359,6 @@ class GaussianMixture:
         return x + self.mu * shift
 
 
-@dataclass(frozen=True)
-class Bernoulli:
-    q: float = 0.5
-
-    def __post_init__(self):
-        _check_prob("q", self.q)
-
-    def mean(self):
-        return self.q
-
-    def theta_domain(self):
-        return (-math.inf, math.inf)
-
-    def log_mgf(self, theta):
-        if self.q == 0.0:
-            return 0.0
-        if self.q == 1.0:
-            return theta
-        return float(np.logaddexp(math.log1p(-self.q),
-                                  math.log(self.q) + theta))
-
-    def dlog_mgf(self, theta):
-        if self.q in (0.0, 1.0):
-            return self.q
-        z = -theta - _logit(self.q)
-        return 1.0 / (1.0 + math.exp(z)) if z < 700 else 0.0
-
-    def support(self):
-        return (0.0, 1.0)
-
-    def atoms(self):
-        return [(0.0, 1.0 - self.q), (1.0, self.q)]
-
-    def logpdf(self, x):
-        return None
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < 0.0, 0.0, np.where(x < 1.0, 1.0 - self.q, 1.0))
-
-    def quantile(self, p):
-        return 0.0 if p <= 1.0 - self.q else 1.0
-
-    def upper_quantile(self, q):
-        return self.quantile(1.0 - q)
-
-    def from_uniform(self, u):
-        return (u < self.q).astype(float)
-
-    def draw(self, rng, n):
-        return self.from_uniform(rng.random(n))
-
-
 def _log_pareto_integral(t, p):
     """log of int_0^inf e^{t v} (1 + v)^{-p} dv for t < 0, by one tail
     quadrature."""
@@ -564,29 +547,19 @@ def log_mgf(model, theta: float) -> float:
 
 def _rate_two_atoms(lo, hi, p_lo, a):
     """Closed-form rate for a two-atom law at 'a', with optimizer."""
-    if a < lo:
+    p_hi = 1.0 - p_lo
+    # all mass on one atom: every other a diverges, a NaN a included
+    if a < lo or (p_lo == 0.0 and not a >= hi):
         return RateEstimate(math.inf, None, "diverges-left", 0)
-    if a > hi:
+    if a > hi or (p_hi == 0.0 and not a <= lo):
         return RateEstimate(math.inf, None, "diverges-right", 0)
+    if (a == lo and p_lo == 1.0) or (a == hi and p_hi == 1.0):
+        return RateEstimate(0.0, 0.0, "at-mean", 0)
     if a == lo:
-        if p_lo == 1.0:
-            return RateEstimate(0.0, 0.0, "at-mean", 0)
-        if p_lo == 0.0:
-            return RateEstimate(math.inf, None, "diverges-left", 0)
         return RateEstimate(-math.log(p_lo), -_THETA_CAP, "interior", 0)
     if a == hi:
-        p_hi = 1.0 - p_lo
-        if p_hi == 1.0:
-            return RateEstimate(0.0, 0.0, "at-mean", 0)
-        if p_hi == 0.0:
-            return RateEstimate(math.inf, None, "diverges-right", 0)
         return RateEstimate(-math.log(p_hi), _THETA_CAP, "interior", 0)
-    if p_lo == 0.0:
-        return RateEstimate(math.inf, None, "diverges-left", 0)
-    if p_lo == 1.0:
-        return RateEstimate(math.inf, None, "diverges-right", 0)
     s = (a - lo) / (hi - lo)        # required mass on the upper atom
-    p_hi = 1.0 - p_lo
     val = s * math.log(s / p_hi) + (1.0 - s) * math.log((1.0 - s) / p_lo)
     theta = (math.log(s / p_hi) - math.log((1.0 - s) / p_lo)) / (hi - lo)
     status = "at-mean" if val <= 1e-15 else "interior"
@@ -606,10 +579,8 @@ def rate_function(model, a: float) -> RateEstimate:
     I(a).
     """
     a = float(a)
-    if isinstance(model, TwoPoint):
-        return _rate_two_atoms(-model.b, model.b, model.p_minus, a)
-    if isinstance(model, Bernoulli):
-        return _rate_two_atoms(0.0, 1.0, 1.0 - model.q, a)
+    if isinstance(model, _TwoAtoms):
+        return _rate_two_atoms(*model._atoms()[:3], a)
     if isinstance(model, Gaussian):
         theta = (a - model.mu) / model.sigma ** 2
         val = 0.5 * ((a - model.mu) / model.sigma) ** 2
@@ -689,7 +660,7 @@ def _kl_continuous(g, gt):
         return math.inf
     cuts = table_cuts(g)
     jumps = np.asarray(getattr(gt, "jumps", ()), dtype=float)
-    cuts = np.union1d(cuts, jumps[(cuts[0] < jumps) & (jumps < cuts[-1])])
+    cuts = sorted_unique(cuts, jumps[(cuts[0] < jumps) & (jumps < cuts[-1])])
 
     def integrand(x):
         lg = g.logpdf(x)
@@ -704,10 +675,11 @@ def _kl_continuous(g, gt):
 def kl_divergence(g, g_tilde) -> float:
     """KL(g || g_tilde); +inf when absolute continuity fails.
 
-    Gaussian and Bernoulli pairs use closed forms; any discrete pair reduces
-    to an atom sum; density pairs sum p (log g - log g_tilde) over g's node
-    table (see _quad), with g_tilde's jumps added as panel cuts. Mixing a
-    discrete model with a density model raises SupportError.
+    Gaussian pairs use a closed form; any discrete pair, Bernoulli and
+    two-point included, reduces to an atom sum; density pairs sum
+    p (log g - log g_tilde) over g's node table (see _quad), with g_tilde's
+    jumps added as panel cuts. Mixing a discrete model with a density model
+    raises SupportError.
     """
     if isinstance(g, Gaussian) and isinstance(g_tilde, Gaussian):
         r = g.sigma / g_tilde.sigma

@@ -134,6 +134,14 @@ class TestRateEstimate:
         code, _, _ = run_cli(capsys, ["rate-estimate", "--model", "gaussian"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra,flag", [
+        (["--m", "5", "--seed", "3"], "--m"), (["--seed", "3"], "--seed")])
+    def test_values_reject_the_draw_flags(self, capsys, extra, flag):
+        code, out, err = run_cli(capsys, ["rate-estimate", "--values",
+                                          "1,-1,-1", *extra])
+        assert code == 2 and out == ""
+        assert f"does not read {flag}" in err
+
 
 class TestMetaRate:
     def test_exponent_mode(self, capsys):
@@ -217,6 +225,38 @@ class TestMetaRate:
                   "--exponent", "--c1", "1", "--c2", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["two-point:1,0.6", "--a", "0.05", "--nu", "0.3"],
+         "--a does not read --nu"),
+        (["two-point:1,0.6", "--theta", "0.5", "--nu", "0.8", "--c1", "3"],
+         "--theta does not read --c1"),
+        (["shifted-exponential:0.96,1", "--certificate", "--c1", "5",
+          "--c2", "7"], "--certificate does not read --c2"),
+        (["two-point:1,0.55", "--exponent", "--c1", "1", "--c2", "1",
+          "--nu", "0.5"], "--exponent does not read --nu"),
+        (["two-point:1,0.6", "--theta", "0.5"], "--theta needs --nu"),
+        (["two-point:1,0.55", "--exponent", "--c2", "1"],
+         "--exponent needs --c1"),
+        (["two-point:1,0.55", "--exponent", "--c1", "1"],
+         "--exponent needs --c2"),
+        (["shifted-exponential:0.96,1", "--certificate"],
+         "--certificate needs --c1")])
+    def test_each_mode_reads_exactly_its_flags(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, ["meta-rate", "--model", *argv])
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_exponent_does_not_read_c1(self, capsys):
+        # the exponent is per pilot sample; c1 only sizes the pilot
+        recs = []
+        for c1 in ("1", "7"):
+            code, out, _ = run_cli(capsys, [
+                "meta-rate", "--model", "two-point:1,0.55", "--exponent",
+                "--c1", c1, "--c2", "1", "--json"])
+            assert code == 0
+            recs.append(last_json(out))
+        assert recs[0] == recs[1]
 
     def test_regime_error_is_validation(self, capsys):
         # a below I(0) lands in the other branch of the dichotomy
@@ -972,21 +1012,29 @@ import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+import numpy
+# numpy 1.x may import numpy.ma with numpy itself; nothing after may add it
+bare_ma = "numpy.ma" in sys.modules
+ma = {}
 import ordopt, ordopt.cli
 seen = {"import": scipy_modules()}
 assert ordopt.cli.main(["select", "--policy", "two-phase", "--c1", "1",
                         "--c2", "1", "--delta", "0.1", "--models", sys.argv[1],
                         "--replications", "4"]) == 0
 seen["select"] = scipy_modules()
+ma["select"] = "numpy.ma" in sys.modules
 # exit 1: 12/15 items pass, the three certificate triples being a known
 # discrepancy with their published values
 assert ordopt.cli.main(["reproduce"]) == 1
 seen["reproduce"] = scipy_modules()
+ma["reproduce"] = "numpy.ma" in sys.modules
 tilt = ["--model", "mirrored:shifted-exponential:0.96,1", "--alpha-target",
         "0.01", "--k", "29.6"]
 assert ordopt.cli.main(["tilt", *tilt]) == 0
 assert ordopt.cli.main(["lower-bound", *tilt, "--delta", "1e-3"]) == 0
 seen["tilt"] = scipy_modules()
+ma["tilt"] = "numpy.ma" in sys.modules
+seen["numpy.ma"] = {k: v == bare_ma for k, v in ma.items()}
 assert ordopt.cli.main(["meta-rate", "--model", "gaussian:-0.2,1",
                         "--theta", "-0.5", "--nu", "0.9"]) == 0
 seen["meta-rate"] = scipy_modules()
@@ -1011,6 +1059,9 @@ def test_cold_start_loads_scipy_on_first_use(tmp_path):
     assert seen["reproduce"] == []
     assert seen["tilt"] == []
     assert "scipy.special" in seen["meta-rate"]
+    # np.unique imports numpy.ma; the node tables and tail cuts avoid it
+    assert seen["numpy.ma"] == {"select": True, "reproduce": True,
+                                "tilt": True}
 
 
 class TestEntryPoints:

@@ -147,6 +147,40 @@ def test_mirrored_rate_reflects():
             rate_function(base, -a).value, abs=1e-9)
 
 
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_bernoulli_is_the_shifted_two_point_law(q):
+    # Bernoulli(q) is TwoPoint(1/2, 1 - q) moved up by 1/2; the grids are
+    # dyadic, so every shift by 1/2 is exact
+    b, t = Bernoulli(q), TwoPoint(0.5, 1.0 - q)
+    for theta in np.linspace(-40.0, 40.0, 161):
+        assert b.log_mgf(theta) == pytest.approx(
+            theta / 2 + t.log_mgf(theta), rel=1e-12, abs=1e-15)
+        assert b.dlog_mgf(theta) == pytest.approx(
+            0.5 + t.dlog_mgf(theta), rel=1e-12, abs=1e-15)
+    xs = np.arange(-16, 33) / 16.0
+    np.testing.assert_array_equal(b.cdf(xs), t.cdf(xs - 0.5))
+    (x0, p0), (x1, p1) = t.atoms()
+    assert b.atoms()[0] == (x0 + 0.5, p0)
+    assert b.atoms()[1][0] == x1 + 0.5
+    assert b.atoms()[1][1] == pytest.approx(p1, rel=1e-12)
+    for a in np.arange(-8, 73) / 64.0:
+        rb, rt = rate_function(b, a), rate_function(t, a - 0.5)
+        assert (rb.value, rb.theta_star, rb.status) == (
+            rt.value, rt.theta_star, rt.status)
+
+
+@pytest.mark.parametrize("mass", [5e-324, 1e-300, 1e-20, 0.3, 1.0 - 1e-12])
+def test_two_atom_masses_are_exact(mass):
+    # each model puts its own parameter on its atom, never 1 - (1 - q)
+    assert Bernoulli(mass).atoms()[1] == (1.0, mass)
+    assert TwoPoint(2.0, mass).atoms()[0] == (-2.0, mass)
+    if mass > 1e-300:
+        assert Bernoulli(mass).dlog_mgf(0.0) == pytest.approx(mass,
+                                                              rel=1e-12)
+        assert Bernoulli(mass).log_mgf(1.0) == pytest.approx(
+            math.log1p(mass * math.expm1(1.0)), rel=1e-12)
+
+
 def test_kl_bernoulli_closed_form():
     got = kl_divergence(Bernoulli(0.5), Bernoulli(0.25))
     assert got == pytest.approx(0.5 * math.log(2.0)
