@@ -1,19 +1,19 @@
-"""Small 1-D numeric solvers shared across the library.
+"""Small numeric root searches shared across the library.
 
-Each search takes one form, the one its callers use. bisect_root is a
-float search, and every float bisection runs through it. newton_root is a
-row search: it steps 1-D arrays of independent brackets in lock-step, for
-blocks of rate estimates, meta-rates or quantiles, and serves roots whose
-derivative comes cheaply with the value. expand_bracket grows the brackets
-of both, as floats or as rows. newton_system is the damped Newton solver
-for a small square system whose caller returns the exact Jacobian with the
+Every search here finds a root; none minimizes. An optimum elsewhere is
+found as the root of its first-order condition. Each search takes one
+form, the one its callers use. bisect_root is a float search, and every
+float bisection runs through it. newton_root is a row search: it steps
+1-D arrays of independent brackets in lock-step, for blocks of rate
+estimates, meta-rates or quantiles, and serves roots whose derivative
+comes cheaply with the value. expand_bracket grows the brackets of both,
+as floats or as rows. newton_system is the damped Newton solver for a
+small square system whose caller returns the exact Jacobian with the
 residuals; the theta searches of meta_rate solve their stationarity
-systems with it. brent_min, Brent's parabolic-plus-golden-section search,
-is the one-dimensional minimizer: those searches fall back on it where
-Newton fails, and grid_then_brent starts it from the best cell of a
-coarse grid evaluated in one call. The rate functions,
-tilted-moment optimizations, quantiles and caps elsewhere reduce to these
-searches, and every search loop in the numeric modules runs here.
+systems with it. increasing_fixed_point iterates t = g(t). The rate
+functions, tilted-moment optimizations, quantiles and caps elsewhere
+reduce to these searches, and every search loop in the numeric modules
+runs here.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the golden-section step, as a fraction of the larger side of the bracket
-_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # the stop rules of newton_system (residual max-norm) and of
 # increasing_fixed_point (relative step), and the step limit of both
 _SYSTEM_TOL = 1e-11
@@ -252,103 +249,6 @@ def newton_system(system, v0):
         else:
             return None
     return None
-
-
-def _parabola(x, fx, w, fw, v, fv):
-    """Vertex of the parabola through (x, fx), (w, fw), (v, fv) as the
-    offset p / q from x, with q >= 0."""
-    r = (x - w) * (fx - fv)
-    q = (x - v) * (fx - fw)
-    p = (x - v) * q - (x - w) * r
-    q = 2.0 * (q - r)
-    return (-p, q) if q > 0.0 else (p, -q)
-
-
-def brent_min(f, lo, hi, *, tol=1e-10, max_iter=300):
-    """Minimizer of a unimodal f on [lo, hi] by Brent's method.
-
-    Returns (x, f(x)) at the best point evaluated. Each step fits a
-    parabola through the three best points and takes its vertex when that
-    falls inside the bracket and moves less than half the step before
-    last; otherwise it takes a golden-section step into the larger side
-    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5, procedure localmin). With tol1 = sqrt(eps) |x| + tol * max(1,
-    |a| + |b|) / 4 on the current bracket [a, b], no step is shorter than
-    tol1, and the search stops once x is within 2 tol1 of both ends, so
-    the final bracket is about tol * max(1, |a| + |b|) wide and no steps
-    are spent below the resolution of f. Non-finite values are treated as
-    +inf, so domain edges never poison the search, and never enter a
-    parabola.
-    """
-
-    def safe(x):
-        v = f(x)
-        return v if v == v and v < math.inf else math.inf
-
-    a, b = lo, hi
-    x = w = v = a + _GOLDEN_STEP * (b - a)
-    fx = fw = fv = safe(x)
-    d = e = 0.0
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + 0.25 * tol * max(1.0, abs(a) + abs(b))
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            break
-        parabolic = False
-        if abs(e) > tol1 and fw < math.inf and fv < math.inf:
-            p, q = _parabola(x, fx, w, fw, v, fv)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                parabolic = True
-                # keep the vertex at least tol2 inside the bracket
-                if x + d - a < tol2 or b - x - d < tol2:
-                    d = tol1 if x < m else -tol1
-        if not parabolic:
-            e = (b if x < m else a) - x
-            d = _GOLDEN_STEP * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = safe(u)
-        if fu <= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx
-
-
-def grid_then_brent(f, lo, hi, *, n_grid=129, tol=1e-10):
-    """Coarse grid scan followed by Brent refinement around the best cell.
-
-    Robust against mild non-unimodality near domain edges: the grid pins the
-    basin, brent_min polishes inside it. f takes a float and, for the
-    grid, the 1-D array of the n_grid points lo + i * step, returning one
-    value per point; the first smallest non-nan value wins. Returns
-    (x, f(x)).
-    """
-    if hi <= lo:
-        return lo, f(lo)
-    step = (hi - lo) / (n_grid - 1)
-    vals = np.asarray(f(lo + np.arange(n_grid) * step), dtype=float)
-    vals = np.where(np.isnan(vals), math.inf, vals)
-    best_i = int(np.argmin(vals))
-    best_v = float(vals[best_i])
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, n_grid - 1) * step
-    x, v = brent_min(f, a, b, tol=tol)
-    if best_v < v:
-        return lo + best_i * step, best_v
-    return x, v
 
 
 def increasing_fixed_point(g, t0):

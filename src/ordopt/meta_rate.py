@@ -25,15 +25,13 @@ convention, alpha_star = -alpha_W exp(-theta K), the coefficient of z in
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _solve
 from ._quad import node_table
-from ._solve import (bisect_root, brent_min, expand_bracket,
-                     grid_then_brent, newton_root, newton_system)
+from ._solve import bisect_root, expand_bracket, newton_root, newton_system
 from .populations import ShiftedExponential, rate_function
 
 __all__ = [
@@ -46,15 +44,16 @@ __all__ = [
 _THETA_BRACKET = 64.0
 _ALPHA_CAP = 2.0 ** 30
 # matrix elements in one block of tilts solved in lock-step: a whole
-# 257-tilt grid over a density table of up to 2208 nodes at once would add
-# some 20 MB of temporaries to each step
+# 129-tilt grid over a density table of up to 2208 nodes at once would add
+# some 10 MB of temporaries to each step
 _BLOCK = 2 ** 16
 _BIG = np.finfo(float).max
 # the largest b whose e^{-b} is a normal float, about 708.4
 _LEVEL_MAX = -math.log(np.finfo(float).tiny)
 # points outside its cells that a tilt search's Newton may try before it
-# gives up for Brent: converging searches over ten model classes and their
-# mirrors, at several levels each, tried at most 2, failing ones 50 to 7000
+# gives up on the best grid tilt: converging searches over ten model classes
+# and their mirrors, at several levels each, tried at most 2, failing ones
+# 50 to 7000
 _OUTSIDE = 3
 
 
@@ -343,23 +342,30 @@ def inf_meta_rate(model, a: float):
     """inf over theta of J_theta(e^{-a}) for a above I(0).
 
     Returns (value, theta_star). This is the decay rate of the upward error
-    P(I_m(0) >= a). A coarse grid of 257 tilts over [-64, 64], solved in
-    one array call, finds the basin; the stationarity Newton of _tilt_search
-    then solves for the minimizing tilt within the cells next to the best
-    grid tilt, and Brent's method refines in those cells where it cannot.
+    P(I_m(0) >= a). A coarse grid of 81 tilts, 0 and 40 on either side
+    evenly spaced in log|theta| from 1e-3 to 64, solved in one array call,
+    finds the basin; the stationarity Newton of _tilt_search then solves
+    for the minimizing tilt within the cells next to the best grid tilt,
+    which stands where Newton does not converge.
     """
     i0 = _rate_at_zero(model).value
     if not a > i0:
         raise RegimeError(
             f"inf_meta_rate needs a > I(0) = {i0:.6g}; for a below I(0) "
             "use sup_meta_rate_on_theta_a")
-    theta_star, res, _ = _inf_meta_rate(model, _law(model), a)
+    theta_star, res = _inf_meta_rate(model, _law(model), a)
     return res.value, theta_star
 
 
+def _geometric_tilts(smallest, n):
+    """n tilts from smallest up to _THETA_BRACKET, evenly spaced in log."""
+    return np.geomspace(smallest, _THETA_BRACKET, n)
+
+
 def _inf_meta_rate(model, law, a):
-    grid = np.linspace(-_THETA_BRACKET, _THETA_BRACKET, 257)
-    return _tilt_search(model, law, math.exp(-a), grid, tol=1e-7)
+    t = _geometric_tilts(1e-3, 40)
+    grid = np.concatenate([-t[::-1], [0.0], t])
+    return _tilt_search(model, law, math.exp(-a), grid)
 
 
 class _LeftCell(Exception):
@@ -367,11 +373,11 @@ class _LeftCell(Exception):
     cells."""
 
 
-def _tilt_search(model, law, nu, grid, *, tol, sign=1.0):
-    """(theta, result, by_newton): the tilt where sign * J_theta(nu) is
-    least, sign = -1 seeking the supremum, with _meta_rate's result there.
+def _tilt_search(model, law, nu, grid, *, sign=1.0):
+    """(theta, result): the tilt where sign * J_theta(nu) is least, sign =
+    -1 seeking the supremum, with _meta_rate's result there.
 
-    The tilts of grid, evenly spaced in either direction, are solved in one
+    The tilts of grid, in order in either direction, are solved in one
     lock-step call to find the basin. From the best of them, where its
     alpha is interior, newton_system solves the stationarity system
 
@@ -387,10 +393,9 @@ def _tilt_search(model, law, nu, grid, *, tol, sign=1.0):
     domain, so Newton's line search keeps within them; Newton gives up at
     the first point past _OUTSIDE such points, as a root beyond the cells
     only draws it against their edge. Its tilt is the answer when it
-    converges and does no worse than the best grid tilt.
-    Otherwise brent_min, to tol, runs in those cells (by_newton False), and
-    the best grid tilt stands if Brent finds nothing better. On either
-    route the answer's result is one more scalar _meta_rate solve there.
+    converges and does no worse than the best grid tilt, which is the
+    answer otherwise. The answer's result is one more scalar _meta_rate
+    solve there.
     """
     res = _meta_rate(model, law, grid, nu)
     vals = sign * res.value
@@ -425,13 +430,9 @@ def _tilt_search(model, law, nu, grid, *, tol, sign=1.0):
         if root is not None:
             at = _meta_rate(model, law, root[0], nu)
             if sign * at.value <= vals[i]:
-                return root[0], at, True
-    theta, value = brent_min(
-        lambda t: sign * _meta_rate(model, law, t, nu).value, lo, hi,
-        tol=tol)
-    if vals[i] < value:
-        theta = float(grid[i])
-    return theta, _meta_rate(model, law, theta, nu), False
+                return root[0], at
+    theta = float(grid[i])
+    return theta, _meta_rate(model, law, theta, nu)
 
 
 def _rate_at_zero(model):
@@ -488,13 +489,11 @@ def sup_meta_rate_on_theta_a(model, a: float):
     Returns (value, theta_star, (theta_lo, theta_hi)). At the interval
     endpoints Lambda = -a makes the level equal E W and the rate vanish, so
     any positive supremum is interior; a heavy upper tail of W forces the
-    supremum to 0 everywhere on the interval. A grid of 129 tilts across
-    Theta_a finds the basin, and the stationarity Newton of _tilt_search
-    solves for the maximizer, which makes the first-order residual
-    E[X W exp(alpha* W)] its convergence test. Where Newton cannot, Brent's
-    method refines in the cells next to the best grid tilt; then, when an
-    interior positive maximum exists, that residual is checked and a
-    failure emits a warning rather than an exception.
+    supremum to 0 everywhere on the interval. A grid of 129 tilts evenly
+    spaced across Theta_a finds the basin, and the stationarity Newton of
+    _tilt_search solves for the maximizer, which makes the first-order
+    residual E[X W exp(alpha* W)] its convergence test; where Newton does
+    not converge, the best grid tilt stands.
     """
     rate = _rate_at_zero(model)
     i0 = rate.value
@@ -504,22 +503,10 @@ def sup_meta_rate_on_theta_a(model, a: float):
     if math.isinf(i0):
         raise RegimeError("degenerate model: I(0) is infinite")
     left, right = _theta_a_interval(model, a, rate.theta_star)
-    nu = math.exp(-a)
-    law = _law(model)
-    theta_star, res, by_newton = _tilt_search(
-        model, law, nu, np.linspace(left, right, 129), tol=1e-8, sign=-1.0)
-    value = res.value
-    interior = (left + 1e-6 < theta_star < right - 1e-6
-                and res.alpha_star is not None and value > 1e-12
-                and abs(res.alpha_star) > 1e-9)
-    if interior and not by_newton:
-        t_mean, xw = _tilted_moments(law, theta_star, res.alpha_star)[:2]
-        scale = max(abs(t_mean), 1.0)
-        if abs(xw) > 1e-6 * scale:
-            warnings.warn(
-                "first-order residual %.3g at the reported maximizer; "
-                "possible multiple roots" % xw, RuntimeWarning)
-    return value, theta_star, (left, right)
+    theta_star, res = _tilt_search(
+        model, _law(model), math.exp(-a), np.linspace(left, right, 129),
+        sign=-1.0)
+    return res.value, theta_star, (left, right)
 
 
 def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
@@ -545,14 +532,18 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     pass of tilted moments over the law (see _two_phase_newton). Its root
     counts only when g lies in the level window, from I(0)(1 + 1e-7) up to
     _LEVEL_MAX, where e^{-g} is still a normal float (past it the level
-    and outer residuals vanish for want of digits); otherwise
-    grid_then_brent over s = log b on the window, with 65 levels, each
-    level's value an inner tilt search as in inf_meta_rate, is used. An
-    empty window, the fallback failing, or its minimum on an edge of the
-    search (the tilt at an edge of [-64, 64], or b at the top of the
-    window, as when the minimum is only approached as b grows without
-    bound) raises NumericalError, with the best iterate where there is
-    one.
+    and outer residuals vanish for want of digits). Otherwise the fallback
+    evaluates phi on 65 levels evenly spaced in s = log b across the
+    window, each an inner tilt search as in inf_meta_rate, and takes the
+    minimum as a root: by the envelope theorem dphi/ds = -c2 I(0)/b -
+    alpha* b e^{-b}, with alpha* from the inner search, and bisect_root
+    finds where it changes sign between the level of least phi and its
+    neighbour downhill. A level where phi is not finite counts as rising.
+    An empty window, slopes that do not change sign next to the best
+    level, the fallback failing, or its minimum on an edge of the search
+    (the tilt at an edge of [-64, 64], or b at the top of the window, as
+    when the minimum is only approached as b grows without bound) raises
+    NumericalError, with the best iterate where there is one.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
@@ -575,18 +566,49 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         exponent = c2 * i0 / gamma + float(value[0])
         return TwoPhaseExponent(exponent, gamma, theta, alpha, c1, c2)
 
-    # fallback: grid_then_brent over s = log b on the level window
-    def phi(s):
-        # the grid phase passes its 65 levels as one array
-        levels = np.exp(np.atleast_1d(s))
-        vals = c2 * i0 / levels + np.array(
-            [_inf_meta_rate(model, law, b)[1].value for b in levels])
-        return vals if np.ndim(s) else float(vals[0])
+    # fallback: the least phi on 65 levels over s = log b, then bisection
+    # of its slope between that level and the neighbour it falls toward
+    kept = {}
 
-    s_star, exponent = grid_then_brent(
-        phi, math.log(lo), math.log(_LEVEL_MAX), n_grid=65, tol=1e-9)
+    def slope(s):
+        """dphi/ds = -c2 I(0)/b - alpha* b e^{-b}, as dJ/dnu = alpha* at
+        the inner optimum; a level where phi is not finite counts as
+        rising. Each level's inner search is kept for the answer."""
+        b = math.exp(s)
+        kept[s] = _inf_meta_rate(model, law, b)
+        res = kept[s][1]
+        if not math.isfinite(res.value):
+            return math.inf
+        return -c2 * i0 / b - res.alpha_star * b * math.exp(-b)
+
+    s_lo = math.log(lo)
+    step = (math.log(_LEVEL_MAX) - s_lo) / 64
+    levels = [s_lo + k * step for k in range(65)]
+    slopes = [slope(s) for s in levels]
+    phi = np.array([c2 * i0 / math.exp(s) + kept[s][1].value
+                    for s in levels])
+    phi[np.isnan(phi)] = math.inf
+    i = int(np.argmin(phi))
+    s_star = levels[i]
+    j = i - 1 if slopes[i] > 0 else i + 1
+    # past an edge of the window the edge level stands, and is checked
+    # below
+    if slopes[i] != 0.0 and 0 <= j < len(levels):
+        if slopes[i] * slopes[j] > 0:
+            theta, res = kept[s_star]
+            raise NumericalError(
+                "two-phase exponent: the level slopes next to the best grid "
+                "level do not change sign",
+                best=(math.exp(s_star), theta, res.alpha_star))
+        left, right = sorted((i, j))
+        # the slope rises through the minimum, so the lower end keeps a
+        # slope <= 0 and a finite phi
+        s_star = bisect_root(slope, levels[left], levels[right],
+                             flo=slopes[left], fhi=slopes[right],
+                             xtol=1e-9).lo
     b_star = math.exp(s_star)
-    theta_star, res, _ = _inf_meta_rate(model, law, b_star)
+    theta_star, res = kept[s_star]
+    exponent = c2 * i0 / b_star + res.value
     best = (b_star, theta_star, res.alpha_star)
     if res.alpha_star is None or not math.isfinite(exponent):
         raise NumericalError("two-phase exponent failed to converge",
@@ -645,10 +667,11 @@ def sequential_failure_certificate(model, c1: float):
     false-selection probability to its target delta blow up as delta -> 0.
 
     Returns (theta, alpha_star, meta_rate_value, certified), found by the
-    tilt search of inf_meta_rate on 129 tilts over [1e-6, 64] (the
-    stationarity Newton of _tilt_search at -theta, Brent's method where it
-    fails); tilts where e^{-1/c1} lies below the range of W give +inf and
-    the grid steps over them. alpha_star is the maximizer of the defining sup,
+    tilt search of inf_meta_rate on 33 tilts evenly spaced in log theta
+    over [1e-6, 64] (the stationarity Newton of _tilt_search at -theta;
+    the best grid tilt where Newton does not converge); tilts where
+    e^{-1/c1} lies below the range of W give +inf and the grid steps over
+    them. alpha_star is the maximizer of the defining sup,
     converted to the z-convention for the shifted-exponential model (see
     the module docstring).
     """
@@ -672,9 +695,7 @@ def sequential_failure_certificate(model, c1: float):
             f"e^(-1/c1) = {nu:.6g} in the range of exp(-theta X), which at "
             f"theta = {_THETA_BRACKET:g} starts at {w_lo:.6g}")
     # the tilts t of [1e-6, 64], searched as theta = -t
-    step = (_THETA_BRACKET - 1e-6) / 128
-    theta, res, _ = _tilt_search(model, law, nu,
-                                 -(1e-6 + np.arange(129) * step), tol=1e-8)
+    theta, res = _tilt_search(model, law, nu, -_geometric_tilts(1e-6, 33))
     theta_star = -theta
     alpha_star = res.alpha_star
     if alpha_star is not None and isinstance(model, ShiftedExponential):

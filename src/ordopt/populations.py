@@ -545,13 +545,13 @@ def log_mgf(model, theta: float) -> float:
     return model.log_mgf(float(theta))
 
 
-def _rate_two_atoms(lo, hi, p_lo, a):
-    """Closed-form rate for a two-atom law at 'a', with optimizer."""
-    p_hi = 1.0 - p_lo
-    # all mass on one atom: every other a diverges, a NaN a included
-    if a < lo or (p_lo == 0.0 and not a >= hi):
+def _rate_two_atoms(lo, hi, p_lo, p_hi, a):
+    """Closed-form rate for a two-atom law at 'a', with optimizer; each
+    mass is the model's own, so a tiny one survives beside 1 - it."""
+    # all mass on one atom: every other a diverges
+    if a < lo or (p_lo == 0.0 and a < hi):
         return RateEstimate(math.inf, None, "diverges-left", 0)
-    if a > hi or (p_hi == 0.0 and not a <= lo):
+    if a > hi or (p_hi == 0.0 and a > lo):
         return RateEstimate(math.inf, None, "diverges-right", 0)
     if (a == lo and p_lo == 1.0) or (a == hi and p_hi == 1.0):
         return RateEstimate(0.0, 0.0, "at-mean", 0)
@@ -576,11 +576,13 @@ def rate_function(model, a: float) -> RateEstimate:
     Lambda' - a keeps one strict sign up to |theta| = 2^10 or to the edge
     of the MGF domain, the status is "theta-cap": theta_star is that last
     point and the value, the objective there, is only a lower bound on
-    I(a).
+    I(a). A NaN level raises ValueError.
     """
     a = float(a)
+    if math.isnan(a):
+        raise ValueError("the level a must not be NaN")
     if isinstance(model, _TwoAtoms):
-        return _rate_two_atoms(*model._atoms()[:3], a)
+        return _rate_two_atoms(*model._atoms()[:4], a)
     if isinstance(model, Gaussian):
         theta = (a - model.mu) / model.sigma ** 2
         val = 0.5 * ((a - model.mu) / model.sigma) ** 2

@@ -690,7 +690,7 @@ class TestTwoPhaseLevelWindow:
             # across the whole window
             levels.append(b)
             return 0.0, MetaRateResult(0.0, 0.0, 0.0, math.exp(-b),
-                                       "interior"), False
+                                       "interior")
 
         monkeypatch.setattr(module, "_inf_meta_rate", flat)
         model = Mirrored(GaussianMixture(0.3, 10.0))
@@ -698,6 +698,23 @@ class TestTwoPhaseLevelWindow:
             two_phase_exponent(model, 1.0, 1.0)
         i0 = rate_function(model, 0.0).value
         assert i0 < min(levels) and max(levels) <= module._LEVEL_MAX
+
+    def test_slopes_that_do_not_change_sign_raise(self, monkeypatch):
+        # phi has its least grid value inside the window, but the inner
+        # searches' alpha* = 0 make every envelope slope negative: the
+        # level bisection has no bracket, and says so
+        module = importlib.import_module("ordopt.meta_rate")
+
+        def bowl(model, law, b):
+            return 0.0, MetaRateResult((math.log(b) - 2.0) ** 2, 0.0, 0.0,
+                                       math.exp(-b), "interior")
+
+        monkeypatch.setattr(module, "_inf_meta_rate", bowl)
+        with pytest.raises(NumericalError, match="change sign") as info:
+            two_phase_exponent(Gaussian(-1.0, 0.5), 1.0, 1.0)
+        b_star, theta_star, alpha_star = info.value.best
+        assert 1.0 < math.log(b_star) < 3.0
+        assert (theta_star, alpha_star) == (0.0, 0.0)
 
     def test_empty_window_raises(self):
         # I(0) = 800: e^{-b} underflows at every level above it
@@ -849,18 +866,20 @@ class TestSequentialFailureCertificate:
 @pytest.fixture
 def search_calls(monkeypatch):
     """What a theta search spends: its _meta_rate calls on an array of
-    tilts and on one tilt, the _atom_moments passes inside the array call
-    (the grid's lock-step alpha solve), and its newton_system evaluations."""
+    tilts and on one tilt, the rows of the array call (the grid), the
+    _atom_moments passes inside it (the grid's lock-step alpha solve), and
+    its newton_system evaluations."""
     module = importlib.import_module("ordopt.meta_rate")
     solver = importlib.import_module("ordopt._solve")
     solve, moments, newton = (module._meta_rate, module._atom_moments,
                               solver.newton_system)
-    calls = {"array": 0, "scalar": 0, "grid_passes": 0, "system": 0,
-             "in_grid": False}
+    calls = {"array": 0, "scalar": 0, "rows": 0, "grid_passes": 0,
+             "system": 0, "in_grid": False}
 
     def counted(model, law, theta, nu):
         grid = bool(np.ndim(theta))
         calls["array" if grid else "scalar"] += 1
+        calls["rows"] += np.size(theta) if grid else 0
         calls["in_grid"] = grid
         try:
             return solve(model, law, theta, nu)
@@ -887,18 +906,19 @@ class TestThetaSearchEvaluations:
     """Each theta search solves its grid in one lock-step array call, then
     solves the stationarity system by newton_system from the best grid
     tilt, and makes one scalar _meta_rate solve, at its answer. The bounds
-    are the evaluation counts measured when the Newton route came in; they
-    do not depend on the machine."""
+    are the grid sizes and the evaluation counts measured when the
+    geometric grids came in; they do not depend on the machine."""
 
     @staticmethod
-    def _check(calls, system_evals):
+    def _check(calls, rows, system_evals):
         assert calls["array"] == 1
+        assert calls["rows"] == rows
         assert calls["scalar"] == 1
         assert 0 < calls["system"] <= system_evals
 
     def test_sup(self, search_calls):
         sup_meta_rate_on_theta_a(TwoPoint(1.0, 0.6), 0.01)
-        self._check(search_calls, 3)
+        self._check(search_calls, 129, 3)
         # the passes at alpha = 0 and at the cap, the first pass of the
         # warm start and two Newton steps; from alpha = +-1 the grid took
         # those two passes and six Newton steps
@@ -907,12 +927,12 @@ class TestThetaSearchEvaluations:
     @pytest.mark.parametrize("a", [0.03, 0.04, 0.06])
     def test_inf(self, search_calls, a):
         inf_meta_rate(TwoPoint(1.0, 0.6), a)
-        self._check(search_calls, 6)
+        self._check(search_calls, 81, {0.03: 5, 0.04: 4, 0.06: 5}[a])
 
     @pytest.mark.parametrize("c1", [2.0, 5.0, 100.0])
     def test_certificate(self, search_calls, c1):
         sequential_failure_certificate(ShiftedExponential(0.96, 1.0), c1)
-        self._check(search_calls, {2.0: 4, 5.0: 4, 100.0: 9}[c1])
+        self._check(search_calls, 33, {2.0: 5, 5.0: 6, 100.0: 5}[c1])
 
 
 def test_alpha_solves_stop_short_of_the_step_limit(monkeypatch):
@@ -947,8 +967,9 @@ def _first_order_residual(model, theta, nu):
 
 class TestFirstOrderCondition:
     """The optimum of each theta search solves E_q[XW] = 0 to 1e-10; the
-    grid-then-Brent route left residuals of 2.9e-10 to 2.5e-8 at these
-    searches."""
+    grid-then-Brent route left residuals of 2.9e-10 to 2.9e-8 at these
+    searches. On TwoPoint(1, 0.55) the optimal tilts lie near 0.1, where
+    a linear grid's cells 0.5 wide start Newton too far off to converge."""
 
     BOUND = 1e-10
 
@@ -977,6 +998,20 @@ class TestFirstOrderCondition:
         theta = se_certificates[c1][0]
         assert _first_order_residual(ShiftedExponential(0.96, 1.0), -theta,
                                      math.exp(-1.0 / c1)) <= self.BOUND
+
+    @pytest.mark.parametrize("mult", [1.05, 1.2])
+    def test_at_a_small_minimizing_tilt(self, mult):
+        m = TwoPoint(1.0, 0.55)
+        a = mult * rate_function(m, 0.0).value
+        _, theta_star = inf_meta_rate(m, a)
+        assert _first_order_residual(m, theta_star,
+                                     math.exp(-a)) <= self.BOUND
+
+    def test_at_a_small_certificate_tilt(self):
+        m = TwoPoint(1.0, 0.55)
+        theta = sequential_failure_certificate(m, 100.0)[0]
+        assert _first_order_residual(m, -theta,
+                                     math.exp(-1.0 / 100.0)) <= self.BOUND
 
 
 def _models_and_mirrors():

@@ -163,10 +163,38 @@ def test_bernoulli_is_the_shifted_two_point_law(q):
     assert b.atoms()[0] == (x0 + 0.5, p0)
     assert b.atoms()[1][0] == x1 + 0.5
     assert b.atoms()[1][1] == pytest.approx(p1, rel=1e-12)
+    # the upper masses differ in their last bits (q against 1 - (1 - q)),
+    # and the rates with them
     for a in np.arange(-8, 73) / 64.0:
         rb, rt = rate_function(b, a), rate_function(t, a - 0.5)
-        assert (rb.value, rb.theta_star, rb.status) == (
-            rt.value, rt.theta_star, rt.status)
+        assert rb.status == rt.status
+        assert rb.value == pytest.approx(rt.value, rel=1e-12, abs=1e-15)
+        assert rb.theta_star == pytest.approx(rt.theta_star, rel=1e-12,
+                                              abs=1e-15)
+
+
+@pytest.mark.parametrize("q", [1e-20, 1e-12, 1e-6, 0.3])
+def test_bernoulli_rate_keeps_a_tiny_mass(q):
+    # I(1) = -log q, and inside (0, 1) I(a) is KL(Bern(a) || Bern(q)),
+    # each from q itself and never from 1 - (1 - q)
+    r = rate_function(Bernoulli(q), 1.0)
+    assert r.status == "interior"
+    assert r.value == pytest.approx(-math.log(q), rel=1e-15)
+    for a in (1e-3, 0.5, 0.999):
+        kl = a * math.log(a / q) + (1.0 - a) * (math.log1p(-a)
+                                                - math.log1p(-q))
+        r = rate_function(Bernoulli(q), a)
+        assert r.status == "interior"
+        assert r.value == pytest.approx(kl, rel=1e-13)
+
+
+@pytest.mark.parametrize("model", [
+    TwoPoint(1.0, 0.55), Gaussian(-0.2, 1.0),
+    Empirical(np.array([-1.0, 0.5, 2.0])), Mirrored(TwoPoint(1.0, 0.55)),
+    ShiftedExponential(0.96, 1.0)], ids=str)
+def test_rate_at_a_nan_level_raises(model):
+    with pytest.raises(ValueError, match="NaN"):
+        rate_function(model, math.nan)
 
 
 @pytest.mark.parametrize("mass", [5e-324, 1e-300, 1e-20, 0.3, 1.0 - 1e-12])
