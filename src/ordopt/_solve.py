@@ -9,11 +9,11 @@ estimates, meta-rates or quantiles, and serves roots whose derivative
 comes cheaply with the value. expand_bracket grows the brackets of both,
 as floats or as rows. newton_system is the damped Newton solver for a
 small square system whose caller returns the exact Jacobian with the
-residuals; the theta searches of meta_rate solve their stationarity
-systems with it. increasing_fixed_point iterates t = g(t). The rate
-functions, tilted-moment optimizations, quantiles and caps elsewhere
-reduce to these searches, and every search loop in the numeric modules
-runs here.
+residuals, or None outside its domain; the tilt searches and the
+two-phase exponent of meta_rate solve their stationarity systems with
+it. increasing_fixed_point iterates t = g(t). The rate functions,
+tilted-moment optimizations, quantiles and caps elsewhere reduce to
+these searches, and every search loop in the numeric modules runs here.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ import numpy as np
 _SYSTEM_TOL = 1e-11
 _FIXED_POINT_TOL = 1e-12
 _MAX_STEPS = 500
+# points outside the domain newton_system halves back from before it gives
+# up: converging searches met at most 3, failing ones thousands
+_OUTSIDE = 3
 
 
 class Root(NamedTuple):
@@ -216,13 +219,14 @@ def newton_system(system, v0):
     """Root of a square system r(v) = 0 by damped Newton steps.
 
     system(v) takes one point, a 1-D array, and returns the residual vector
-    r and its exact Jacobian J (J[i, j] = dr_i / dv_j) there, or None once
-    v leaves the domain. Each Newton step solves J s = -r and is halved, up
-    to 50 times, until the max-norm of the residual falls (Dennis and
-    Schnabel, Numerical Methods for Unconstrained Optimization and
-    Nonlinear Equations, ch. 5-6). Returns the first point whose residual
-    max-norm is at most _SYSTEM_TOL, as a tuple of floats, or None when a
-    point leaves the domain, the Jacobian is singular, the line search
+    r and its exact Jacobian J (J[i, j] = dr_i / dv_j) there, or None where
+    v lies outside the domain. Each Newton step solves J s = -r and is
+    halved, up to 50 times, until it lands in the domain with a smaller
+    residual max-norm (Dennis and Schnabel, Numerical Methods for
+    Unconstrained Optimization and Nonlinear Equations, ch. 5-6). Returns
+    the first point whose residual max-norm is at most _SYSTEM_TOL, as a
+    tuple of floats, or None when the start or _OUTSIDE + 1 points tried
+    lie outside the domain, the Jacobian is singular, the line search
     fails or _MAX_STEPS steps pass.
     """
     v = np.array(v0, dtype=float)
@@ -230,6 +234,7 @@ def newton_system(system, v0):
     if at is None:
         return None
     r, jac = at
+    outside = 0
     for _ in range(_MAX_STEPS):
         norm = float(np.abs(r).max())
         if norm <= _SYSTEM_TOL:
@@ -242,7 +247,11 @@ def newton_system(system, v0):
         for _ in range(50):
             cand = v + t * step
             at = system(cand)
-            if at is not None and float(np.abs(at[0]).max()) < norm:
+            if at is None:
+                outside += 1
+                if outside > _OUTSIDE:
+                    return None
+            elif float(np.abs(at[0]).max()) < norm:
                 v, (r, jac) = cand, at
                 break
             t *= 0.5

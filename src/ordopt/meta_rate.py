@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _solve
 from ._quad import node_table
 from ._solve import bisect_root, expand_bracket, newton_root, newton_system
 from .populations import ShiftedExponential, rate_function
@@ -50,11 +49,6 @@ _BLOCK = 2 ** 16
 _BIG = np.finfo(float).max
 # the largest b whose e^{-b} is a normal float, about 708.4
 _LEVEL_MAX = -math.log(np.finfo(float).tiny)
-# points outside its cells that a tilt search's Newton may try before it
-# gives up on the best grid tilt: converging searches over ten model classes
-# and their mirrors, at several levels each, tried at most 2, failing ones
-# 50 to 7000
-_OUTSIDE = 3
 
 
 class RegimeError(ValueError):
@@ -324,13 +318,19 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
                 nxt = pts[best] - gaps[best] / slopes[best]
             x0[warm] = np.where((b_lo < nxt) & (nxt < b_hi), nxt, pts[best])
 
+        noise = 4.0 * np.finfo(float).eps * nu
+
         def gap(a, rows):
             """Tilted W-mean minus nu and its slope, the tilted variance;
-            the objective at the point is kept as the value."""
+            the objective at the point is kept as the value. Where the
+            tilted law is a point mass in floats, both are rounding noise,
+            and a gap of 0 stops the row."""
             j, t_mean, var = _atom_moments(
                 x, p, w_solve if rows.size == n else w_solve[rows], a, nu)
             j_at[rows] = j
-            return t_mean - nu, var
+            f = t_mean - nu
+            f[(abs(f) <= noise) & (var <= noise * nu)] = 0.0
+            return f, var
 
         root = newton_root(gap, lo, hi, x0, flo=flo, fhi=fhi, xtol=1e-13,
                            ftol=1e-11 * max(1.0, nu))
@@ -368,11 +368,6 @@ def _inf_meta_rate(model, law, a):
     return _tilt_search(model, law, math.exp(-a), grid)
 
 
-class _LeftCell(Exception):
-    """_tilt_search's Newton tried more than _OUTSIDE points outside its
-    cells."""
-
-
 def _tilt_search(model, law, nu, grid, *, sign=1.0):
     """(theta, result): the tilt where sign * J_theta(nu) is least, sign =
     -1 seeking the supremum, with _meta_rate's result there.
@@ -388,14 +383,12 @@ def _tilt_search(model, law, nu, grid, *, sign=1.0):
 
     in (theta, alpha), with q proportional to p e^{alpha W}, W = e^{theta
     X}, the moments under q, and each step's residuals and Jacobian from
-    one pass of _tilted_moments. A point outside the cells next to the
-    best grid tilt, or where alpha changes sign, lies outside the system's
-    domain, so Newton's line search keeps within them; Newton gives up at
-    the first point past _OUTSIDE such points, as a root beyond the cells
-    only draws it against their edge. Its tilt is the answer when it
-    converges and does no worse than the best grid tilt, which is the
-    answer otherwise. The answer's result is one more scalar _meta_rate
-    solve there.
+    one pass of _tilted_moments. The system's domain is the cells next to
+    the best grid tilt, with alpha of the grid's sign: Newton's line search
+    halves back into them, and newton_system gives up once its iterates
+    keep leaving them. Its tilt is the answer when it converges and does
+    no worse than the best grid tilt, which is the answer otherwise. The
+    answer's result is one more scalar _meta_rate solve there.
     """
     res = _meta_rate(model, law, grid, nu)
     vals = sign * res.value
@@ -405,15 +398,9 @@ def _tilt_search(model, law, nu, grid, *, sign=1.0):
                     for k in (max(i - 1, 0), min(i + 1, grid.size - 1)))
     alpha0 = res.alpha_star[i]
     if res.status[i] == "interior" and alpha0 != 0.0:
-        outside = 0
-
         def system(v):
-            nonlocal outside
             theta, alpha = v
             if not (lo <= theta <= hi and alpha * alpha0 > 0.0):
-                outside += 1
-                if outside > _OUTSIDE:
-                    raise _LeftCell
                 return None
             moments = _tilted_moments(law, theta, alpha)
             if moments is None:
@@ -423,10 +410,7 @@ def _tilt_search(model, law, nu, grid, *, sign=1.0):
                     np.array([[exw + alpha * cov, var_w],
                               [ex2w + alpha * var_xw, cov]]))
 
-        try:
-            root = _solve.newton_system(system, [grid[i], alpha0])
-        except _LeftCell:
-            root = None
+        root = newton_system(system, [grid[i], alpha0])
         if root is not None:
             at = _meta_rate(model, law, root[0], nu)
             if sign * at.value <= vals[i]:
@@ -455,7 +439,9 @@ def _theta_a_interval(model, a, theta_m):
     on that side: 0 when it lies there (Lambda(0) = 0 > -a), else a probe
     stepped toward the domain edge, and the end of the final bracket
     inside Theta_a is returned. If Theta_a runs past |theta| = 4 * 64 the
-    last probe stands in for the endpoint.
+    last probe stands in for the endpoint. That may be the first probe,
+    2 theta_m, when it already lies past the limit: on Bernoulli(0.3),
+    theta_m = -1024, and the left endpoint returned is -2048.
     """
     def excess(t):
         return model.log_mgf(t) + a     # <= 0 exactly on Theta_a
@@ -527,15 +513,15 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
 
     (written in the negated-alpha family) is tried first from
     (g, theta, a) = (2 I(0), theta*, 1), with theta* the minimizer of
-    Lambda that rate_function(model, 0) returns, by _solve.newton_system,
-    each evaluation taking the residuals and their exact Jacobian from one
-    pass of tilted moments over the law (see _two_phase_newton). Its root
-    counts only when g lies in the level window, from I(0)(1 + 1e-7) up to
+    Lambda that rate_function(model, 0) returns, by newton_system, each
+    evaluation taking the residuals and their exact Jacobian from one pass
+    of tilted moments over the law (see _two_phase_newton). The system's
+    domain holds g to the level window, from I(0)(1 + 1e-7) up to
     _LEVEL_MAX, where e^{-g} is still a normal float (past it the level
-    and outer residuals vanish for want of digits). Otherwise the fallback
-    evaluates phi on 65 levels evenly spaced in s = log b across the
-    window, each an inner tilt search as in inf_meta_rate, and takes the
-    minimum as a root: by the envelope theorem dphi/ds = -c2 I(0)/b -
+    and outer residuals vanish for want of digits). Where Newton gives up,
+    the fallback evaluates phi on 65 levels evenly spaced in s = log b
+    across the window, each an inner tilt search as in inf_meta_rate, and
+    takes the minimum as a root: by the envelope theorem dphi/ds = -c2 I(0)/b -
     alpha* b e^{-b}, with alpha* from the inner search, and bisect_root
     finds where it changes sign between the level of least phi and its
     neighbour downhill. A level where phi is not finite counts as rising.
@@ -559,8 +545,8 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
         raise NumericalError(f"two-phase exponent: no level b in (I(0), "
                              f"{_LEVEL_MAX:.6g}] for I(0) = {i0:.6g}")
     law = _law(model)
-    newton = _two_phase_newton(law, c2, i0, rate.theta_star)
-    if newton is not None and lo <= newton[0] <= _LEVEL_MAX:
+    newton = _two_phase_newton(law, c2, i0, lo, rate.theta_star)
+    if newton is not None:
         gamma, theta, alpha = newton
         value = _atom_moments(*_tilt(law, theta), -alpha, math.exp(-gamma))[0]
         exponent = c2 * i0 / gamma + float(value[0])
@@ -623,11 +609,11 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
                             -res.alpha_star, c1, c2)
 
 
-def _two_phase_newton(law, c2, i0, theta0):
+def _two_phase_newton(law, c2, i0, lo, theta0):
     """(g, theta, a) solving two_phase_exponent's stationarity system from
-    (2 I(0), theta0, 1), or None. With q proportional to p e^{-a W},
-    W = e^{theta X}, and E, Var and Cov under q, the residuals and their
-    exact Jacobian are
+    (2 I(0), theta0, 1) on lo <= g <= _LEVEL_MAX, a > 0, or None. With q
+    proportional to p e^{-a W}, W = e^{theta X}, and E, Var and Cov under
+    q, the residuals and their exact Jacobian are
 
         r1 = E W - e^{-g}:  d/dg = e^{-g},  d/dtheta = E[XW] - a Cov(W, XW),
                             d/da = -Var W
@@ -641,7 +627,7 @@ def _two_phase_newton(law, c2, i0, theta0):
 
     def system(v):
         g, theta, a = v
-        if g <= 0 or a <= 0:
+        if not (lo <= g <= _LEVEL_MAX and a > 0):
             return None
         moments = _tilted_moments(law, theta, -a)
         if moments is None:

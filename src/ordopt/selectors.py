@@ -268,12 +268,12 @@ def two_phase_select(model, delta: float, c1: float, c2: float,
 
     The pilot m may not exceed 2^20 (ValueError, before any draw).
 
-    With a range of streams the pilots of all of them form one matrix for
-    a lock-step rate estimate. The decision batches of consecutive
-    replications share one buffer of at most 2^12 draws, and a larger
-    batch has a buffer of its own; each mean is the pairwise sum of the
-    replication's own draws over N, exactly np.mean of them. Returns the
-    list of outcomes.
+    With a range of streams the pilots form matrices of at most 2^16 draws
+    (one row when m is larger), each with a lock-step rate estimate. The
+    decision batches of consecutive replications share one buffer of at
+    most 2^12 draws, and a larger batch has a buffer of its own; each mean
+    is the pairwise sum of the replication's own draws over N, exactly
+    np.mean of them. Returns the list of outcomes.
     """
     _check_delta(delta)
     if c1 <= 0 or c2 <= 0:
@@ -284,13 +284,17 @@ def two_phase_select(model, delta: float, c1: float, c2: float,
     m = math.ceil(c1 * math.log(1.0 / delta))
     keys = _Streams(seed)
     truth = model.mean()
+    per = max(1, _ELEMENTS // m)
 
     def block(streams):
-        pilots = np.empty((len(streams), m))
-        pilots = _draws(model, ((keys(s, 0), row)
-                                for s, row in zip(streams, pilots)), pilots)
-        sizes = [_decision_size(est.value, m, c2)
-                 for est in estimate_rates_at_zero(pilots)]
+        sizes = []
+        for k in range(0, len(streams), per):
+            chunk = streams[k:k + per]
+            pilots = np.empty((len(chunk), m))
+            pilots = _draws(model, ((keys(s, 0), row)
+                                    for s, row in zip(chunk, pilots)), pilots)
+            sizes += [_decision_size(est.value, m, c2)
+                      for est in estimate_rates_at_zero(pilots)]
         outcomes = []
         for lo, hi in _runs([n2 for n2, _ in sizes], _DECISIONS):
             ends = [0, *itertools.accumulate(n2 for n2, _ in sizes[lo:hi])]

@@ -602,7 +602,8 @@ class TestTwoPhaseExponent:
 
 
 class TestTwoPhaseFallback:
-    """The outer search over the level b, taken when newton_system fails."""
+    """The outer search over the level b, taken when the two-phase Newton
+    fails."""
 
     FIELDS = ("exponent", "gamma_star", "theta_star", "alpha_star")
 
@@ -612,13 +613,13 @@ class TestTwoPhaseFallback:
         # reached at theta = inf, where it is KL(Bern(e^{-b}) || Bern(0.7)),
         # and Newton has no finite point to converge to
         module = importlib.import_module("ordopt.meta_rate")
-        solve, newton = module.newton_system, []
+        solve, newton = module._two_phase_newton, []
 
         def spy(*args):
             newton.append(solve(*args))
             return newton[-1]
 
-        monkeypatch.setattr(module, "newton_system", spy)
+        monkeypatch.setattr(module, "_two_phase_newton", spy)
         r = two_phase_exponent(Mirrored(Bernoulli(0.3)), 1.0, 1.0)
         assert newton == [None]
 
@@ -638,7 +639,7 @@ class TestTwoPhaseFallback:
         model = TwoPoint(1.0, 0.55)
         newton = two_phase_exponent(model, 1.0, 1.0)
         module = importlib.import_module("ordopt.meta_rate")
-        monkeypatch.setattr(module, "newton_system", lambda *a: None)
+        monkeypatch.setattr(module, "_two_phase_newton", lambda *a: None)
         fallback = two_phase_exponent(model, 1.0, 1.0)
         assert fallback.exponent == pytest.approx(newton.exponent,
                                                   rel=1e-12)
@@ -662,22 +663,27 @@ class TestTwoPhaseLevelWindow:
     fallback's tilt searches are replaced here: on these densities they
     take seconds before the search raises."""
 
-    def test_newton_root_past_the_window_is_rejected(self, monkeypatch,
-                                                      newton_calls):
+    def test_newton_root_past_the_window_is_rejected(self, newton_calls,
+                                                      no_fallback):
         # the root at b = 516146, where e^{-b} = 0 zeroes the level and
-        # outer residuals, was once returned as the exponent
-        module = importlib.import_module("ordopt.meta_rate")
-
-        class Fallback(Exception):
-            pass
-
-        def fallback(model, law, b):
-            raise Fallback
-
-        monkeypatch.setattr(module, "_inf_meta_rate", fallback)
-        with pytest.raises(Fallback):
+        # outer residuals, was once returned as the exponent; with the
+        # window as its domain Newton gives up short of it
+        with pytest.raises(no_fallback):
             two_phase_exponent(Gaussian(-1.0, 0.5), 1.0, 1.0)
-        assert newton_calls[0]["root"][0] > module._LEVEL_MAX
+        (call,) = newton_calls
+        assert call["root"] is None
+
+    @pytest.mark.parametrize("model, c2", [
+        (TwoPoint(1.0, 0.9), 1.0), (Mirrored(TwoPoint(2.5, 0.2)), 1.0),
+        (TwoPoint(1.0, 0.7), 3.0)], ids=str)
+    def test_newton_gives_up_outside_the_window(self, newton_calls,
+                                                no_fallback, model, c2):
+        # Newton gives up at its 4th point outside the window; running on
+        # against the window's edge took 2600 to 5800 evaluations
+        with pytest.raises(no_fallback):
+            two_phase_exponent(model, 1.0, c2)
+        (call,) = newton_calls
+        assert call["root"] is None and call["evals"] <= 20
 
     def test_fallback_levels_stay_in_the_window(self, monkeypatch):
         # the doubling walk once took the levels to e^{-b} = 0, which
@@ -723,10 +729,27 @@ class TestTwoPhaseLevelWindow:
 
 
 @pytest.fixture
+def no_fallback(monkeypatch):
+    """Replaces the two-phase fallback's tilt searches by one that raises
+    the exception returned, so a test sees the fallback entered without
+    its searches, which take seconds on some of these models."""
+    module = importlib.import_module("ordopt.meta_rate")
+
+    class Fallback(Exception):
+        pass
+
+    def fallback(model, law, b):
+        raise Fallback
+
+    monkeypatch.setattr(module, "_inf_meta_rate", fallback)
+    return Fallback
+
+
+@pytest.fixture
 def newton_calls(monkeypatch):
-    """Each newton_system call of two_phase_exponent: its system, start
-    point and root, and the number of times the search evaluated the
-    system."""
+    """Each newton_system call of meta_rate: its system, start point and
+    root, and the number of times the search evaluated the system. A
+    two_phase_exponent whose Newton converges makes one, its own."""
     module = importlib.import_module("ordopt.meta_rate")
     solve, calls = module.newton_system, []
 
@@ -870,9 +893,8 @@ def search_calls(monkeypatch):
     _atom_moments passes inside it (the grid's lock-step alpha solve), and
     its newton_system evaluations."""
     module = importlib.import_module("ordopt.meta_rate")
-    solver = importlib.import_module("ordopt._solve")
     solve, moments, newton = (module._meta_rate, module._atom_moments,
-                              solver.newton_system)
+                              module.newton_system)
     calls = {"array": 0, "scalar": 0, "rows": 0, "grid_passes": 0,
              "system": 0, "in_grid": False}
 
@@ -898,7 +920,7 @@ def search_calls(monkeypatch):
 
     monkeypatch.setattr(module, "_meta_rate", counted)
     monkeypatch.setattr(module, "_atom_moments", counted_moments)
-    monkeypatch.setattr(solver, "newton_system", counted_newton)
+    monkeypatch.setattr(module, "newton_system", counted_newton)
     return calls
 
 
@@ -933,6 +955,15 @@ class TestThetaSearchEvaluations:
     def test_certificate(self, search_calls, c1):
         sequential_failure_certificate(ShiftedExponential(0.96, 1.0), c1)
         self._check(search_calls, 33, {2.0: 5, 5.0: 6, 100.0: 5}[c1])
+
+    def test_point_mass_row_stops(self, search_calls):
+        # at theta = 0.04 the level e^{-0.04} is the lower atom of W in
+        # floats: once the tilted law is a point mass, the gap and the
+        # tilted variance are rounding noise of 1e-16, and the row ran
+        # all 200 Newton steps, 203 passes of the grid
+        value, theta = inf_meta_rate(TwoPoint(1.0, 0.6), 0.04)
+        assert search_calls["grid_passes"] <= 70
+        assert (value, theta) == (0.0031477363308754086, 0.2847320477977918)
 
 
 def test_alpha_solves_stop_short_of_the_step_limit(monkeypatch):

@@ -343,6 +343,24 @@ def test_two_phase_decision_buffers_stay_bounded():
     assert peak < 3 * 2 ** 20 * 8, peak
 
 
+def test_two_phase_pilots_stay_bounded():
+    # pilots of m = 2^16: the 16 rows alone would be 8 MiB, and the rate
+    # estimate on all of them at once peaked at 56 MiB; a block estimates
+    # them one row group at a time
+    model, c1 = TwoPoint(1.0, 0.55), 2 ** 16 / math.log(10.0)
+    streams = range(16)
+    tracemalloc.start()
+    try:
+        block = two_phase_select(model, 0.1, c1, 1e-3, 3, stream=streams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(o.termination == "budget-exhausted" for o in block)
+    assert block == [two_phase_select(model, 0.1, c1, 1e-3, 3, stream=s)
+                     for s in streams]
+    assert peak <= 8 * 2 ** 20, peak
+
+
 def test_sequential_rounds_stay_bounded():
     # balanced draws of m_1 = 2^14 have rate 0 at every round, so no row
     # stops before the round cap: at m_4 = 4 * 2^14 the 64 rows alone

@@ -251,6 +251,29 @@ def test_newton_system_solves_a_square_system():
         [0.0, 0.0]) is None
 
 
+@pytest.mark.parametrize("refused, converges", [(3, True), (4, False)])
+def test_newton_system_gives_up_at_the_fourth_point_outside(refused,
+                                                            converges):
+    # r(x) = x - 1 from x = 0, with the first `refused` points after the
+    # start outside the domain: the line search halves back through 3
+    # of them (t = 1, 1/2, 1/4) and goes on from x = 1/8, and the 4th
+    # ends the search
+    calls = []
+
+    def system(v):
+        calls.append(float(v[0]))
+        if 1 <= len(calls) - 1 <= refused:
+            return None
+        return np.array([v[0] - 1.0]), np.eye(1)
+
+    root = newton_system(system, [0.0])
+    assert calls[1:5] == [1.0, 0.5, 0.25, 0.125]
+    if converges:
+        assert root == (1.0,)
+    else:
+        assert root is None and len(calls) == 5
+
+
 def test_fixed_point_log():
     t, _ = increasing_fixed_point(lambda t: 10.0 + 2.0 * math.log(t), 10.0)
     assert abs(t - (10.0 + 2.0 * math.log(t))) < 1e-10
