@@ -5,7 +5,7 @@ estimation from signed batches (`empirical_rate`), failure exponents for
 two-phase and fully sequential selection (`meta_rate`), worst-case
 truncation and capping errors under envelope constraints (`truncation`),
 sampling policies with finite-sample guarantees (`selectors`), lower-bound
-gadgets and the Monte Carlo harness (`adversarial`), and the `ordopt`
+gadgets and the false-selection estimate (`adversarial`), and the `ordopt`
 command line front end (`cli`).
 """
 
@@ -14,7 +14,6 @@ from .adversarial import (
     TiltedDistribution,
     fs_estimate,
     lower_bound_samples,
-    monte_carlo_fs,
     quantile_gadget,
     tilt,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "kl_divergence",
     "lower_bound_samples",
     "meta_rate",
-    "monte_carlo_fs",
     "optimal_beta",
     "quantile",
     "quantile_gadget",

@@ -11,8 +11,7 @@ log-density at its nodes.
 
 fs_estimate is the measurement shared by every selection policy: it
 aggregates the outcomes of the replication engine (selectors.replicate)
-into the false-selection rate with its 99% Wilson score interval;
-monte_carlo_fs replays a one-stream policy through that engine.
+into the false-selection rate with its 99% Wilson score interval.
 """
 
 from __future__ import annotations
@@ -26,12 +25,10 @@ import numpy as np
 from ._quad import log_tail_integral, sorted_unique, table_cuts, tail_cuts
 from ._solve import bisect_root, expand_bracket
 from .populations import GaussianMixture, kl_divergence, quantile
-from .selectors import replicate
 
 __all__ = [
     "TiltedDistribution", "QuantileGadget", "FsEstimate",
     "tilt", "lower_bound_samples", "quantile_gadget", "fs_estimate",
-    "monte_carlo_fs",
 ]
 
 def _log_upper_tail(base, x0: float, moment: int = 0) -> float:
@@ -292,15 +289,3 @@ def fs_estimate(outcomes) -> FsEstimate:
     return FsEstimate(k / n, max(low, 0.0), min(high, 1.0),
                       sum(sum(o.per_arm_samples) for o in outcomes) / n)
 
-
-def monte_carlo_fs(policy, truth, delta: float, replications: int,
-                   seed: int) -> FsEstimate:
-    """fs_estimate over replications of policy(truth, delta, seed, stream).
-
-    Replication r calls the policy once on stream r, through the
-    replication engine.
-    """
-    def block(truth, delta, seed, streams):
-        return [policy(truth, delta, seed, s) for s in streams]
-
-    return fs_estimate(replicate(block, truth, delta, seed, replications))

@@ -5,18 +5,21 @@ and sampling inside a replication offsets sub-streams by arm index (see the
 selection module). Identical (config, seed) pairs therefore reproduce the
 same draw counts and decisions on any machine. `select` and `mc-fs` run
 their replications through one engine, `selectors.replicate`, which hands
-each policy whole blocks of streams; no adapter loops over streams itself.
+the policy every stream in one call; no adapter loops over streams itself.
 
 Experiment configs come either as a flat INI file with [model:NAME],
 [policy] and [run] sections, or as a JSON object {"models": .., "policy":
-.., "run": ..}. parse_model decodes a model from a compact string, e.g.
-"two-point:1,0.6", "bernoulli:0.3", "mirrored:shifted-exponential:0.96,1",
-"empirical:0.2;0.8", or from a mapping: {"spec": STRING}, or {"type": NAME}
-plus that type's fields, e.g. {"type": "pareto", "alpha_tail": 3}. CSV
-output is UTF-8 with a header row and 17 significant digits, written to a
-temp file and renamed so a failed run never leaves a partial file. The
-per-replication `select` CSV ends each row with the replication's rounds
-and termination.
+.., "run": ..}. A policy takes its parameters out of one mapping of
+[policy] keys and flags; one left over exits 2, as does a flag that the
+chosen mode of a subcommand does not read. Counts and seeds take whole
+numbers, such as 1000, 1e3 or 1000.0. parse_model decodes a model from a
+compact string, e.g. "two-point:1,0.6", "bernoulli:0.3",
+"mirrored:shifted-exponential:0.96,1", "empirical:0.2;0.8", or from a
+mapping: {"spec": STRING}, or {"type": NAME} plus that type's fields, e.g.
+{"type": "pareto", "alpha_tail": 3}. CSV output is UTF-8 with a header
+row and 17 significant digits, written to a temp file and renamed so a
+failed run never leaves a partial file. The per-replication `select` CSV
+ends each row with the replication's rounds and termination.
 
 Exit codes: 0 success, 1 reproduce found a failing item, 2 validation
 error, 3 numerical (solver) failure.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -65,7 +69,7 @@ from .truncation import (
     worst_truncation_error,
 )
 
-__all__ = ["ExperimentConfig", "main", "parse_model", "run_reproduce"]
+__all__ = ["main", "parse_model", "run_reproduce"]
 
 # the parametric models by the type names of model strings and files; a
 # type's parameters are its dataclass fields, in order
@@ -135,32 +139,6 @@ def parse_model(spec, where="model"):
         raise ValueError(f"{where}: {e}") from None
 
 
-class ExperimentConfig:
-    """Resolved models plus policy and run blocks, validated up front."""
-
-    def __init__(self, models, policy_name, policy_params, delta,
-                 replications, seed, out):
-        if not models:
-            raise ValueError("models: at least one model block is required")
-        if not 0.0 < delta < 1.0:
-            raise ValueError("run.delta: must lie in (0, 1)")
-        if replications < 1:
-            raise ValueError("run.replications: must be at least 1")
-        if seed < 0:
-            raise ValueError("run.seed: must be a nonnegative integer")
-        self.names = tuple(n for n, _ in models)
-        self.models = tuple(m for _, m in models)
-        self.policy_name = policy_name
-        self.delta = float(delta)
-        self.replications = int(replications)
-        self.seed = int(seed)
-        self.out = out
-        # building the adapter runs every module-level parameter check
-        # before any sampling begins
-        self.policy = _build_adapter(policy_name, policy_params,
-                                     len(self.models), self.delta)
-
-
 def _fparam(params, key, where, default=None):
     raw = params.get(key, default)
     if raw is None:
@@ -174,39 +152,57 @@ def _fparam(params, key, where, default=None):
     return value
 
 
+def _iparam(params, key, where, default=None):
+    """params[key], or default, as an int: integer text exactly (a seed
+    runs to 2^64 - 1), or any other finite whole number, such as 1e3."""
+    raw = params.get(key, default)
+    if isinstance(raw, (int, str)):
+        with contextlib.suppress(ValueError):
+            return int(raw)
+    value = _fparam(params, key, where, default)
+    if not value.is_integer():
+        raise ValueError(f"{where}.{key}: not a whole number: {raw!r}")
+    return int(value)
+
+
 def _build_adapter(name, params, d, delta):
+    """The policy(truth, delta, seed, streams) of a select/mc-fs policy,
+    which takes its parameters out of params; a parameter left over exits
+    2 with "does not read"."""
     p = {k: v for k, v in params.items() if v is not None}
+
+    def take(key, default=None, parse=_fparam):
+        return parse({key: p.pop(key, default)}, key, "policy")
+
+    if name in ("two-phase", "sequential") and d != 1:
+        raise ValueError(f"policy: {name} takes exactly one model")
     if name == "two-phase":
-        if d != 1:
-            raise ValueError("policy: two-phase takes exactly one model")
-        c1 = _fparam(p, "c1", "policy")
-        c2 = _fparam(p, "c2", "policy")
+        c1 = take("c1")
+        c2 = take("c2")
 
         def policy(truth, dlt, seed, streams):
             return selectors.two_phase_select(truth[0], dlt, c1, c2, seed,
                                               stream=streams)
     elif name == "sequential":
-        if d != 1:
-            raise ValueError("policy: sequential takes exactly one model")
-        c1 = _fparam(p, "c1", "policy")
-        round_cap = int(_fparam(p, "round_cap", "policy", 50))
+        c1 = take("c1")
+        round_cap = take("round_cap", 50, _iparam)
 
         def policy(truth, dlt, seed, streams):
             return selectors.sequential_select(truth[0], dlt, (c1,),
                                                round_cap=round_cap,
                                                seed=seed, stream=streams)
     elif name == "hoeffding":
-        eps = _fparam(p, "epsilon", "policy")
-        b = _fparam(p, "b", "policy")
+        eps = take("epsilon")
+        b = take("b")
 
         def policy(truth, dlt, seed, streams):
             return selectors.hoeffding_select(truth, eps, dlt, b, seed,
                                               stream=streams)
     elif name == "capped":
-        eps = _fparam(p, "epsilon", "policy")
-        beta = _fparam(p, "beta", "policy")
-        alpha = _fparam(p, "alpha", "policy")
-        budget = _fparam(p, "K", "policy")
+        eps = take("epsilon")
+        beta = take("beta")
+        alpha = take("alpha")
+        budget = take("K")
         try:
             bounds = MomentBound(PowerSpec(alpha), (budget,) * d)
         except ValueError as e:
@@ -216,16 +212,14 @@ def _build_adapter(name, params, d, delta):
             return selectors.capped_select(truth, eps, dlt, bounds, beta,
                                            seed, stream=streams)
     elif name == "succ-elim":
-        estimator = str(p.get("estimator", "plain"))
-        pull_cap = int(_fparam(p, "pull_cap", "policy", 1_000_000))
+        estimator = str(p.pop("estimator", "plain"))
+        pull_cap = take("pull_cap", 1_000_000, _iparam)
         try:
             if "alpha" in p or "K" in p:
-                schedule = RadiusSchedule(
-                    "heavy", d, delta, alpha=_fparam(p, "alpha", "policy"),
-                    K=_fparam(p, "K", "policy"))
+                schedule = RadiusSchedule("heavy", d, delta,
+                                          alpha=take("alpha"), K=take("K"))
             elif "b" in p:
-                schedule = RadiusSchedule("bounded", d, delta,
-                                          b=_fparam(p, "b", "policy"))
+                schedule = RadiusSchedule("bounded", d, delta, b=take("b"))
             else:
                 raise ValueError(
                     "succ-elim needs b (bounded) or alpha and K (heavy)")
@@ -238,80 +232,84 @@ def _build_adapter(name, params, d, delta):
                 pull_cap=pull_cap, stream=streams)
     else:
         raise ValueError(f"policy: unknown policy '{name}'")
+    if p:
+        raise ValueError(f"policy: {name} does not read {', '.join(p)}")
     return policy
 
 
 # ---------------------------------------------------------------- config IO
 
-def _read_sections(path):
+def _read_config(path, models_only=False):
+    """(models, policy, run) of an experiment file, INI with [model:NAME],
+    [policy] and [run] sections or JSON {"models", "policy", "run"}, or
+    with models_only of a models file, one INI section or JSON key per
+    model: a list of (name, entry) pairs and two mappings."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return json.loads(text), True
-    cp = configparser.ConfigParser()
-    cp.read_string(text)
-    return cp, False
-
-
-def _load_experiment_file(path):
-    raw, is_json = _read_sections(path)
-    models, policy, run = [], {}, {}
-    if is_json:
-        models = list(dict(raw.get("models", {})).items())
-        policy = dict(raw.get("policy", {}))
-        run = dict(raw.get("run", {}))
+        raw = json.loads(text)
     else:
-        for sec in raw.sections():
-            if sec.startswith("model:"):
-                models.append((sec[len("model:"):], dict(raw[sec])))
-            elif sec == "policy":
-                policy = dict(raw[sec])
-            elif sec == "run":
-                run = dict(raw[sec])
-            else:
-                raise ValueError(f"config: unknown section '{sec}'")
-    return models, policy, run
-
-
-def _load_models_file(path):
-    raw, is_json = _read_sections(path)
-    if is_json:
-        return list(dict(raw).items())
-    return [(sec, dict(raw[sec])) for sec in raw.sections()]
+        cp = configparser.ConfigParser()
+        cp.read_string(text)
+        raw = {sec: dict(cp[sec]) for sec in cp.sections()}
+        if not models_only:
+            for sec in raw:
+                if not sec.startswith("model:") and sec not in ("policy",
+                                                                "run"):
+                    raise ValueError(f"config: unknown section '{sec}'")
+            raw["models"] = {sec[len("model:"):]: raw[sec] for sec in raw
+                             if sec.startswith("model:")}
+    if models_only:
+        raw = {"models": raw}
+    return (list(dict(raw.get("models", {})).items()),
+            dict(raw.get("policy", {})), dict(raw.get("run", {})))
 
 
 def _experiment_from_args(args):
+    """The population names, the outcomes and the CSV path of a select or
+    mc-fs run: config files first, each flag given overriding them."""
     models_raw, policy, run = [], {}, {}
     if args.config:
-        models_raw, policy, run = _load_experiment_file(args.config)
+        models_raw, policy, run = _read_config(args.config)
     if args.models:
-        models_raw = _load_models_file(args.models)
-    models = [(nm, parse_model(entry, f"model:{nm}"))
-              for nm, entry in models_raw]
+        models_raw = _read_config(args.models, models_only=True)[0]
+    names = [nm for nm, _ in models_raw]
+    models = [parse_model(entry, f"model:{nm}") for nm, entry in models_raw]
 
-    for key in ("epsilon", "c1", "c2", "beta", "alpha", "K", "b",
-                "estimator", "pull_cap", "round_cap"):
-        val = getattr(args, key, None)
-        if val is not None:
-            policy[key] = val
+    for section, keys in ((policy, ("epsilon", "c1", "c2", "beta", "alpha",
+                                    "K", "b", "estimator", "pull_cap",
+                                    "round_cap")),
+                          (run, ("delta", "replications", "seed", "out"))):
+        for key in keys:
+            if getattr(args, key) is not None:
+                section[key] = getattr(args, key)
     if args.policy is not None:
         policy["name"] = args.policy
     name = policy.pop("name", None)
     if not name:
         raise ValueError("policy.name: required (use --policy)")
 
-    delta = args.delta if args.delta is not None else run.get("delta")
+    delta = run.get("delta")
     if delta is None:
         raise ValueError("run.delta: required (use --delta)")
-    reps = (args.replications if args.replications is not None
-            else int(run.get("replications", 0) or 0))
-    seed = args.seed if args.seed is not None else int(run.get("seed", 0))
-    out = args.out if args.out is not None else run.get("out")
+    reps = _iparam(run, "replications", "run", 0)
+    seed = _iparam(run, "seed", "run", 0)
     if args.d is not None and args.d != len(models):
         raise ValueError(
             f"models: got {len(models)} model blocks but --d {args.d}")
-    return ExperimentConfig(models, name, policy, float(delta), reps,
-                            seed, out)
+    delta = float(delta)
+    if not models:
+        raise ValueError("models: at least one model block is required")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("run.delta: must lie in (0, 1)")
+    if reps < 1:
+        raise ValueError("run.replications: must be at least 1")
+    if seed < 0:
+        raise ValueError("run.seed: must be a nonnegative integer")
+    # building the policy runs every parameter check before any sampling
+    policy = _build_adapter(name, policy, len(models), delta)
+    return (names, selectors.replicate(policy, tuple(models), delta, seed,
+                                       reps), run.get("out"))
 
 
 # ------------------------------------------------------------------- output
@@ -372,18 +370,34 @@ def _emit_row(args, record):
 
 # -------------------------------------------------------------- subcommands
 
+def _mode(args, command, usage, modes):
+    """The one mode that args give of a command's modes, a mapping of each
+    mode's flag to the value flags it needs and those it may also read.
+    Any other count of modes, a value flag the mode does not read and one
+    it needs but lacks each exit 2."""
+    def given(flag):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        return value is not None and value is not False
+
+    chosen = [mode for mode in modes if given(mode)]
+    if len(chosen) != 1:
+        raise ValueError(f"{command}: give exactly one of {usage}")
+    [mode] = chosen
+    needs, reads = modes[mode]
+    for flag in dict.fromkeys(f for n, r in modes.values() for f in n + r):
+        if given(flag) != (flag in needs) and flag not in reads:
+            verb = "does not read" if given(flag) else "needs"
+            raise ValueError(f"{command}: {mode} {verb} {flag}")
+    return mode
+
+
 def _cmd_rate_estimate(args):
-    if (args.values is None) == (args.model is None):
-        raise ValueError(
-            "rate-estimate: give exactly one of --values or --model")
-    if args.values is not None:
-        for flag in ("m", "seed"):
-            if getattr(args, flag) is not None:
-                raise ValueError(
-                    f"rate-estimate: --values does not read --{flag}")
+    if _mode(args, "rate-estimate", "--values or --model",
+             {"--values": ((), ()),
+              "--model": (("--m",), ("--seed",))}) == "--values":
         batch = np.asarray([float(t) for t in _split(args.values)])
     else:
-        if args.m is None or args.m < 1:
+        if args.m < 1:
             raise ValueError("rate-estimate: --m must be a positive count")
         model = parse_model(args.model)
         batch = model.draw(_rng(args.seed or 0, 0, 0), args.m)
@@ -395,21 +409,11 @@ def _cmd_rate_estimate(args):
 
 def _cmd_meta_rate(args):
     model = parse_model(args.model)
-    # each mode: whether it is given, and the value flags it needs and reads
-    modes = {"--a": (args.a is not None, ()),
-             "--theta": (args.theta is not None, ("nu",)),
-             "--exponent": (args.exponent, ("c1", "c2")),
-             "--certificate": (args.certificate, ("c1",))}
-    chosen = [(mode, needs) for mode, (on, needs) in modes.items() if on]
-    if len(chosen) != 1:
-        raise ValueError("meta-rate: give exactly one of --a, --theta "
-                         "(with --nu), --exponent, or --certificate")
-    [(mode, needs)] = chosen
-    for flag in ("nu", "c1", "c2"):
-        given = getattr(args, flag) is not None
-        if given != (flag in needs):
-            verb = "does not read" if given else "needs"
-            raise ValueError(f"meta-rate: {mode} {verb} --{flag}")
+    _mode(args, "meta-rate",
+          "--a, --theta (with --nu), --exponent, or --certificate",
+          {"--a": ((), ()), "--theta": (("--nu",), ()),
+           "--exponent": (("--c1", "--c2"), ()),
+           "--certificate": (("--c1",), ())})
     if args.theta is not None:
         r = meta_rate(model, args.theta, args.nu)
         record = {"mode": "pointwise", "value": r.value,
@@ -433,38 +437,32 @@ def _cmd_meta_rate(args):
     return _emit_row(args, record)
 
 
-def _replicate(cfg):
-    outcomes = selectors.replicate(cfg.policy, cfg.models, cfg.delta,
-                                   cfg.seed, cfg.replications)
-    return outcomes, adversarial.fs_estimate(outcomes)
-
-
 def _cmd_select(args):
-    cfg = _experiment_from_args(args)
-    outcomes, est = _replicate(cfg)
-    if cfg.out:
-        d = len(cfg.models)
+    names, outcomes, out = _experiment_from_args(args)
+    est = adversarial.fs_estimate(outcomes)
+    if out:
         header = (["replication", "chosen", "samples_total"]
-                  + [f"pulls_{nm}" for nm in cfg.names]
+                  + [f"pulls_{nm}" for nm in names]
                   + ["fs_flag", "rounds", "termination"])
         rows = [[r, o.chosen, sum(o.per_arm_samples),
                  *[int(n) for n in o.per_arm_samples],
                  int(bool(o.false_selection)), o.rounds, o.termination]
                 for r, o in enumerate(outcomes)]
         rows.append(["summary", _fmt(est.fs_rate), _fmt(est.mean_samples),
-                     _fmt(est.ci_low), _fmt(est.ci_high)] + [""] * (d + 1))
-        _write_csv(cfg.out, header, rows)
-    _emit(args, {**dataclasses.asdict(est), "replications": cfg.replications,
-                 "out": cfg.out})
+                     _fmt(est.ci_low), _fmt(est.ci_high)]
+                    + [""] * (len(names) + 1))
+        _write_csv(out, header, rows)
+    _emit(args, {**dataclasses.asdict(est), "replications": len(outcomes),
+                 "out": out})
     return 0
 
 
 def _cmd_mc_fs(args):
-    cfg = _experiment_from_args(args)
-    fs = dataclasses.asdict(_replicate(cfg)[1])
-    if cfg.out:
-        _write_csv(cfg.out, list(fs), [[_fmt(v) for v in fs.values()]])
-    _emit(args, {**fs, "replications": cfg.replications})
+    _, outcomes, out = _experiment_from_args(args)
+    fs = dataclasses.asdict(adversarial.fs_estimate(outcomes))
+    if out:
+        _write_csv(out, list(fs), [[_fmt(v) for v in fs.values()]])
+    _emit(args, {**fs, "replications": len(outcomes)})
     return 0
 
 
@@ -503,14 +501,11 @@ def _cmd_tilt(args):
 
 def _cmd_lower_bound(args):
     g = parse_model(args.model)
-    if (args.model2 is None) == (args.alpha_target is None):
-        raise ValueError("lower-bound: give either --model2 or a tilt "
-                         "request (--alpha-target with --k)")
-    if args.model2 is not None:
+    if _mode(args, "lower-bound", "--model2 or --alpha-target (with --k)",
+             {"--model2": ((), ()),
+              "--alpha-target": (("--k",), ())}) == "--model2":
         gt = parse_model(args.model2, "model2")
     else:
-        if args.k is None:
-            raise ValueError("lower-bound: --alpha-target needs --k")
         gt = adversarial.tilt(g, args.alpha_target, args.k)
     from .populations import kl_divergence
     kl = kl_divergence(g, gt)

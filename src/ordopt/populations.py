@@ -569,20 +569,29 @@ def _rate_two_atoms(lo, hi, p_lo, p_hi, a):
 def rate_function(model, a: float) -> RateEstimate:
     """I(a) = sup_theta (theta a - Lambda(theta)).
 
-    Closed forms for the two-atom models and the Gaussian; elsewhere the
-    concave problem is solved by bisecting Lambda'(theta) = a on the MGF
-    domain. Points outside the support give +infinity; a heavy tail on the
-    'a' side gives 0 with the optimizer at the domain boundary. When
-    Lambda' - a keeps one strict sign up to |theta| = 2^10 or to the edge
-    of the MGF domain, the status is "theta-cap": theta_star is that last
-    point and the value, the objective there, is only a lower bound on
-    I(a). A NaN level raises ValueError.
+    Closed forms for the two-atom models and the Gaussian; a mirrored
+    model takes its base's route at -a, with the tilt negated and the
+    sides of divergence swapped; elsewhere the concave problem is solved
+    by bisecting Lambda'(theta) = a on the MGF domain. Points outside the
+    support give +infinity; a heavy tail on the 'a' side gives 0 with the
+    optimizer at the domain boundary. When Lambda' - a keeps one strict
+    sign up to |theta| = 2^10 or to the edge of the MGF domain, the status
+    is "theta-cap": theta_star is that last point and the value, the
+    objective there, is only a lower bound on I(a). A NaN level raises
+    ValueError.
     """
     a = float(a)
     if math.isnan(a):
         raise ValueError("the level a must not be NaN")
     if isinstance(model, _TwoAtoms):
         return _rate_two_atoms(*model._atoms()[:4], a)
+    if isinstance(model, Mirrored):
+        # I_{-X}(a) = I_X(-a), at the negated tilt
+        r = rate_function(model.base, -a)
+        status = {"diverges-left": "diverges-right",
+                  "diverges-right": "diverges-left"}.get(r.status, r.status)
+        return RateEstimate(r.value, None if r.theta_star is None
+                            else -r.theta_star, status, r.iterations)
     if isinstance(model, Gaussian):
         theta = (a - model.mu) / model.sigma ** 2
         val = 0.5 * ((a - model.mu) / model.sigma) ** 2

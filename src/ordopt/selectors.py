@@ -13,18 +13,18 @@ Streams: replication-level reproducibility keys every draw by
 stream * 2^20 + slot. Seeds and derived keys must lie in [0, 2^64), so
 stream indices stay below 2^44; anything outside raises ValueError.
 
-Replications: replicate() runs replication r on stream r, handing the
-policy blocks of consecutive streams. Every policy takes a range of streams
-for `stream` and returns the list of outcomes, each identical to its
-one-stream call, and draws through re-keyed generators: one per call, or
-one per arm for successive elimination. The sign procedures step a block
-in lock-step, stacking its batches into one matrix for the rate estimate.
-The fixed-budget comparisons decide a block at once: per arm, the streams'
-draws stack into matrices of bounded size, one row-wise mean each, and one
-argmin over the arms picks every stream's choice. Successive elimination
-runs a block's replications one after another on radius and threshold
-tables built once per call, each replication drawing into the one draw
-buffer of the call.
+Replications: replicate() runs replication r on stream r, in one policy
+call on the range of all the streams. Every policy takes a range of
+streams for `stream` and returns the list of outcomes, each identical to
+its one-stream call, and draws through re-keyed generators: one per call,
+or one per arm for successive elimination. Each policy bounds what it
+holds itself. The sign procedures step row groups of at most about 2^16
+draws in lock-step, stacking their batches into one matrix for the rate
+estimate. The fixed-budget comparisons stack each arm's draws into
+matrices of bounded size, one row-wise mean each, and one argmin over the
+arms picks every stream's choice. Successive elimination runs the
+replications one after another on radius and threshold tables built once
+per call, each replication drawing into the one draw buffer of the call.
 
 Block sampling: every draw site fills a preallocated block through
 _draws(model, fills, out), one view of the block per generator. For a
@@ -67,7 +67,6 @@ _SUBSTREAM = 1 << 20
 _KEY_LIMIT = 1 << 64
 _SAMPLE_CAP = 1 << 20  # two-phase decision batch ceiling; largest pilot
 _DECISIONS = 1 << 12  # most draws consecutive decision batches share
-_BLOCK = 256  # replications per engine block: bounds the stacked batches
 _ELEMENTS = 2 ** 16  # most draws a fixed-budget policy stacks at once
 _SEGMENT = 512  # elimination rounds per cumulative-sum segment
 _MAX_SPAN = 8  # most segments one elimination step covers
@@ -196,19 +195,14 @@ def replicate(policy, truth, delta: float, seed: int,
 
     policy(truth, delta, seed, streams) runs the replications of a range
     of streams, replication r on stream r, and returns their outcomes in
-    order. The engine hands it consecutive blocks of at most _BLOCK
-    streams, so a lock-step policy holds one block's batches at a time;
-    outcomes do not depend on the block size.
+    order. The engine calls it once, on range(replications); every policy
+    of this module bounds the batches it holds at once.
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
-    outcomes = []
-    for start in range(0, replications, _BLOCK):
-        streams = range(start, min(start + _BLOCK, replications))
-        block = list(policy(truth, delta, seed, streams))
-        if len(block) != len(streams):
-            raise ValueError("policy must return one outcome per stream")
-        outcomes += block
+    outcomes = list(policy(truth, delta, seed, range(replications)))
+    if len(outcomes) != replications:
+        raise ValueError("policy must return one outcome per stream")
     return outcomes
 
 
@@ -268,8 +262,9 @@ def two_phase_select(model, delta: float, c1: float, c2: float,
 
     The pilot m may not exceed 2^20 (ValueError, before any draw).
 
-    With a range of streams the pilots form matrices of at most 2^16 draws
-    (one row when m is larger), each with a lock-step rate estimate. The
+    With a range of streams the pilots form row groups of at most 2^16
+    draws (one row when m is larger), each with a lock-step rate estimate
+    and taken through its decisions before the next group is drawn. The
     decision batches of consecutive replications share one buffer of at
     most 2^12 draws, and a larger batch has a buffer of its own; each mean
     is the pairwise sum of the replication's own draws over N, exactly
@@ -287,26 +282,26 @@ def two_phase_select(model, delta: float, c1: float, c2: float,
     per = max(1, _ELEMENTS // m)
 
     def block(streams):
-        sizes = []
+        outcomes = []
         for k in range(0, len(streams), per):
             chunk = streams[k:k + per]
             pilots = np.empty((len(chunk), m))
             pilots = _draws(model, ((keys(s, 0), row)
                                     for s, row in zip(chunk, pilots)), pilots)
-            sizes += [_decision_size(est.value, m, c2)
-                      for est in estimate_rates_at_zero(pilots)]
-        outcomes = []
-        for lo, hi in _runs([n2 for n2, _ in sizes], _DECISIONS):
-            ends = [0, *itertools.accumulate(n2 for n2, _ in sizes[lo:hi])]
-            spans = list(zip(ends, ends[1:]))
-            draws = np.empty(ends[-1])
-            draws = _draws(model, ((keys(s, 1), draws[a:b]) for s, (a, b)
-                                   in zip(streams[lo:hi], spans)), draws)
-            for (a, b), (n2, termination) in zip(spans, sizes[lo:hi]):
-                # np.mean's own arithmetic: the pairwise sum over n2
-                mean = float(np.add.reduce(draws[a:b])) / n2
-                outcomes.append(_sign_outcome(mean, m + n2, 2, termination,
-                                              truth))
+            sizes = [_decision_size(est.value, m, c2)
+                     for est in estimate_rates_at_zero(pilots)]
+            batches = [n2 for n2, _ in sizes]
+            for lo, hi in _runs(batches, _DECISIONS):
+                ends = [0, *itertools.accumulate(batches[lo:hi])]
+                spans = list(zip(ends, ends[1:]))
+                draws = np.empty(ends[-1])
+                draws = _draws(model, ((keys(s, 1), draws[a:b]) for s, (a, b)
+                                       in zip(chunk[lo:hi], spans)), draws)
+                for (a, b), (n2, termination) in zip(spans, sizes[lo:hi]):
+                    # np.mean's own arithmetic: the pairwise sum over n2
+                    mean = float(np.add.reduce(draws[a:b])) / n2
+                    outcomes.append(_sign_outcome(mean, m + n2, 2,
+                                                  termination, truth))
         return outcomes
 
     return _over(stream, block)
@@ -325,7 +320,7 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
     With a range of streams, each round estimates the rates of the
     replications still running as one matrix (m_k depends on k only), in
     groups of at most max(1, 2^16 // m_k) rows taken one at a time, each
-    group on to the last round it runs before the next starts, so a block
+    group on to the last round it runs before the next starts, so a call
     holds about 2^16 draws at once (or one replication's m_k, when more);
     returns the list of outcomes.
     """

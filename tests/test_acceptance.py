@@ -26,6 +26,7 @@ anything in this repo; if it did, the certification at c1 = 100 (minimum
 """
 
 import math
+import re
 import sys
 import time
 
@@ -476,6 +477,14 @@ _ALL = [test_01_two_phase_exponents, test_02_certificate_triples,
         test_07_truncation_capping_closed_forms,
         test_08_successive_elimination_bounded,
         test_09_successive_elimination_heavy, test_10_negative_results]
+
+
+def test_all_lists_every_check():
+    # the script run (below) reads _ALL only, and pytest never runs it
+    checks = [fn for name, fn in sorted(globals().items())
+              if re.fullmatch(r"test_\d\d_\w+", name)]
+    assert _ALL == checks
+
 
 if __name__ == "__main__":
     failures = 0

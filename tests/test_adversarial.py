@@ -8,8 +8,8 @@ from ordopt.adversarial import (
     FsEstimate,
     TiltedDistribution,
     _log_sf,
+    fs_estimate,
     lower_bound_samples,
-    monte_carlo_fs,
     quantile_gadget,
     tilt,
 )
@@ -25,7 +25,7 @@ from ordopt.populations import (
     kl_divergence,
     quantile,
 )
-from ordopt.selectors import SelectionOutcome, hoeffding_select
+from ordopt.selectors import SelectionOutcome, hoeffding_select, replicate
 
 
 def _tail_moment(base, b, moment):
@@ -280,16 +280,22 @@ def _wilson99(k, n):
 
 
 def _hoeffding_policy(epsilon):
-    def policy(truth, delta, seed, stream):
+    def policy(truth, delta, seed, streams):
         return hoeffding_select(truth, epsilon, delta, 1.0, seed,
-                                stream=stream)
+                                stream=streams)
     return policy
 
 
+def _fs(policy, truth, delta, replications, seed):
+    return fs_estimate(replicate(policy, truth, delta, seed, replications))
+
+
 class TestMonteCarloFs:
+    """fs_estimate over the outcomes of the replication engine."""
+
     def test_deterministic_separated_arms(self):
         models = (Empirical(np.array([0.2])), Empirical(np.array([0.8])))
-        est = monte_carlo_fs(_hoeffding_policy(0.5), models, 0.1, 7, seed=42)
+        est = _fs(_hoeffding_policy(0.5), models, 0.1, 7, seed=42)
         assert isinstance(est, FsEstimate)
         assert est.fs_rate == 0.0
         # a Wald interval had width 0 here; Wilson's upper end is z^2/(n+z^2)
@@ -305,13 +311,13 @@ class TestMonteCarloFs:
     def test_replication_stream_contract(self):
         seen = []
 
-        def policy(truth, delta, seed, stream):
-            seen.append((seed, stream))
-            return SelectionOutcome(0, (3, 4), 1, "budget-exhausted", None,
-                                    stream % 2 == 0)
+        def policy(truth, delta, seed, streams):
+            seen.append((seed, streams))
+            return [SelectionOutcome(0, (3, 4), 1, "budget-exhausted", None,
+                                     s % 2 == 0) for s in streams]
 
-        est = monte_carlo_fs(policy, None, 0.5, 4, seed=9)
-        assert seen == [(9, 0), (9, 1), (9, 2), (9, 3)]
+        est = _fs(policy, None, 0.5, 4, seed=9)
+        assert seen == [(9, range(4))]
         assert est.fs_rate == pytest.approx(0.5)
         low, high = _wilson99(2, 4)
         assert est.ci_low == pytest.approx(low, rel=1e-12)
@@ -321,17 +327,17 @@ class TestMonteCarloFs:
     def test_undefined_truth_rejected(self):
         models = (Empirical(np.array([0.5])), Empirical(np.array([0.5])))
         with pytest.raises(ValueError, match="undefined truth"):
-            monte_carlo_fs(_hoeffding_policy(0.5), models, 0.1, 3, seed=0)
+            _fs(_hoeffding_policy(0.5), models, 0.1, 3, seed=0)
 
     def test_deterministic_in_seed(self):
         models = (Bernoulli(0.3), Bernoulli(0.5))
-        a = monte_carlo_fs(_hoeffding_policy(0.2), models, 0.1, 50, seed=5)
-        b = monte_carlo_fs(_hoeffding_policy(0.2), models, 0.1, 50, seed=5)
+        a = _fs(_hoeffding_policy(0.2), models, 0.1, 50, seed=5)
+        b = _fs(_hoeffding_policy(0.2), models, 0.1, 50, seed=5)
         assert a == b
 
     def test_bernoulli_rate_within_guarantee(self):
         models = (Bernoulli(0.3), Bernoulli(0.5))
-        est = monte_carlo_fs(_hoeffding_policy(0.2), models, 0.1, 400, seed=7)
+        est = _fs(_hoeffding_policy(0.2), models, 0.1, 400, seed=7)
         assert est.fs_rate <= 0.1
         assert est.mean_samples == 232.0
         assert est.ci_low <= est.fs_rate <= est.ci_high
@@ -339,4 +345,4 @@ class TestMonteCarloFs:
 
     def test_replications_validated(self):
         with pytest.raises(ValueError, match="replications"):
-            monte_carlo_fs(_hoeffding_policy(0.5), None, 0.1, 0, seed=0)
+            _fs(_hoeffding_policy(0.5), None, 0.1, 0, seed=0)

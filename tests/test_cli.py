@@ -1094,3 +1094,217 @@ class TestEntryPoints:
         code = entry.load()(["rate-estimate", "--values", "1,-1"])
         assert code == 0
         assert capsys.readouterr().out.startswith("value=")
+
+
+# every mode of a subcommand: a valid argv and each further value flag it
+# reads, with a value it accepts; --out and --json are read by every one
+_MODES = [
+    ("rate-estimate", ["--values", "1,-1,-1"], {"--x": "0.1"}),
+    ("rate-estimate", ["--model", "two-point:1,0.6", "--m", "5"],
+     {"--seed": "3", "--x": "0.1"}),
+    ("meta-rate", ["--model", "two-point:1,0.6", "--a", "0.05"], {}),
+    ("meta-rate", ["--model", "two-point:1,0.6", "--theta", "0.5", "--nu",
+                   "0.8"], {}),
+    ("meta-rate", ["--model", "two-point:1,0.55", "--exponent", "--c1", "1",
+                   "--c2", "1"], {}),
+    ("meta-rate", ["--model", "shifted-exponential:0.96,1", "--certificate",
+                   "--c1", "5"], {}),
+    ("lower-bound", ["--model", "gaussian:0,1", "--model2", "gaussian:1,1",
+                     "--delta", "0.01"], {}),
+    ("lower-bound", ["--model", "mirrored:shifted-exponential:0.96,1",
+                     "--alpha-target", "0.01", "--k", "10.4", "--delta",
+                     "0.001"], {}),
+    ("trunc-error", ["--f", "power:2", "--c", "1", "--u", "1.5"],
+     {"--kind": "capping"}),
+    ("tilt", ["--model", "mirrored:shifted-exponential:0.96,1",
+              "--alpha-target", "0.01", "--k", "10.4"], {}),
+    ("quantile-gadget", ["--p", "0.3", "--epsilon", "0.1", "--mu", "4"], {}),
+    ("reproduce", ["--only", "beta"], {}),
+]
+
+# every select/mc-fs policy: its models, the flags it needs, the further
+# policy flags it reads, and the flags that select another variant of it,
+# with the message that names what that variant lacks. A heavy succ-elim
+# constant selects the heavy schedule, which then needs both
+_POLICIES = [
+    ("two-phase", ["two-point:1,0.55"], ["--c1", "1", "--c2", "1"], {}, {}),
+    ("sequential", ["two-point:1,0.55"], ["--c1", "1"],
+     {"--round-cap": "3"}, {}),
+    ("hoeffding", ["bernoulli:0.3", "bernoulli:0.5"],
+     ["--epsilon", "0.5", "--b", "1"], {}, {}),
+    ("capped", ["pareto:3,0.55", "pareto:3,0.2"],
+     ["--epsilon", "0.5", "--beta", "0.5", "--alpha", "2", "--K", "1"], {},
+     {}),
+    ("succ-elim", ["bernoulli:0.9", "bernoulli:0.5"], ["--b", "1"],
+     {"--estimator": "plain", "--pull-cap": "50"},
+     {"--alpha": "policy.K: required", "--K": "policy.alpha: required"}),
+    ("succ-elim", ["pareto:3,0.6", "pareto:3,0.2"],
+     ["--alpha", "1.5", "--K", "1"],
+     {"--estimator": "capped", "--pull-cap": "50"}, {}),
+]
+
+
+def _optional_flags(command):
+    """(flag, dest, takes a value, some value it parses) for each optional
+    flag of a subcommand's parser."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for action in sub.choices[command]._actions:
+        if action.required or action.dest == "help":
+            continue
+        value = (action.choices[0] if action.choices
+                 else "3" if action.type is int else "0.5")
+        yield action.option_strings[0], action.dest, action.nargs != 0, value
+
+
+def _read_or_rejected(capsys, command, base, reads, switches):
+    """Each optional flag that base does not give, added to it: exit 0 if
+    reads lists it, exit 2 with its message if switches does, else exit 2
+    saying the mode does not read it (or, for the flag of another mode,
+    that exactly one mode is allowed)."""
+    for flag, dest, takes_value, value in _optional_flags(command):
+        if flag in base:
+            continue
+        value = reads.get(flag, value)
+        argv = [command, *base, flag] + ([value] if takes_value else [])
+        code, out, err = run_cli(capsys, argv)
+        if flag in reads:
+            assert code == 0, (argv, err)
+        elif flag in switches:
+            assert code == 2 and switches[flag] in err, (argv, err)
+        else:
+            assert code == 2 and out == "", argv
+            assert ("exactly one" in err or "does not read" in err
+                    and (flag in err or dest in err)), (argv, err)
+
+
+class TestFlagContract:
+    """A value flag either does something or exits 2: the parser's flags,
+    tried one at a time against every mode and policy."""
+
+    @pytest.mark.parametrize("command, base, reads", _MODES, ids=[
+        c + next((f for f in b[1:] if f.startswith("--")), b[0])
+        for c, b, _ in _MODES])
+    def test_every_mode(self, capsys, tmp_path, command, base, reads):
+        _read_or_rejected(capsys, command, base, {
+            **reads, "--out": str(tmp_path / "o.csv"), "--json": None}, {})
+
+    @pytest.mark.parametrize("command", ["select", "mc-fs"])
+    @pytest.mark.parametrize("policy, specs, params, reads, switches",
+                             _POLICIES, ids=[f"{p[0]}{p[2][0]}"
+                                             for p in _POLICIES])
+    def test_every_policy(self, capsys, tmp_path, command, policy, specs,
+                          params, reads, switches):
+        models, config = tmp_path / "m.ini", tmp_path / "run.ini"
+        models.write_text("".join(f"[a{i}]\nspec = {spec}\n"
+                                  for i, spec in enumerate(specs)))
+        config.write_text("[run]\nseed = 4\n")
+        base = ["--policy", policy, "--models", str(models), "--delta",
+                "0.1", "--replications", "2", *params]
+        _read_or_rejected(capsys, command, base, {
+            **reads, "--seed": "3", "--d": str(len(specs)),
+            "--config": str(config), "--out": str(tmp_path / "o.csv"),
+            "--json": None}, switches)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lower-bound", "--model", "gaussian:0,1", "--model2",
+          "gaussian:1,1", "--k", "3", "--delta", "0.01"],
+         "lower-bound: --model2 does not read --k"),
+        (["select", "--policy", "hoeffding", "--epsilon", "0.5", "--b", "1",
+          "--c1", "7", "--round-cap", "3", "--estimator", "capped"],
+         "policy: hoeffding does not read c1, estimator, round_cap"),
+        (["select", "--policy", "succ-elim", "--b", "1", "--alpha", "1.5",
+          "--K", "1"], "policy: succ-elim does not read b")],
+        ids=["lower-bound-k", "hoeffding", "succ-elim-b"])
+    def test_flags_that_were_ignored(self, capsys, models_ini, argv,
+                                     message):
+        if argv[0] == "select":
+            argv += ["--delta", "0.1", "--models", models_ini,
+                     "--replications", "2"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("suffix", ["ini", "json"])
+    def test_policy_key_left_over(self, capsys, tmp_path, suffix):
+        policy = {"name": "sequential", "c1": 1, "epsilon": 0.5}
+        p = tmp_path / f"exp.{suffix}"
+        p.write_text(
+            json.dumps({"models": {"x": "two-point:1,0.55"},
+                        "policy": policy, "run": {"delta": 0.1}})
+            if suffix == "json" else
+            "[model:x]\nspec = two-point:1,0.55\n\n[policy]\n"
+            + _ini_section(policy) + "\n[run]\ndelta = 0.1\n")
+        code, out, err = run_cli(capsys, ["mc-fs", "--config", str(p),
+                                          "--replications", "2"])
+        assert code == 2 and out == ""
+        assert "policy: sequential does not read epsilon" in err
+
+
+def _sequential_config(tmp_path, policy="", run="replications = 2\n"):
+    p = tmp_path / "exp.ini"
+    p.write_text("[model:x]\nspec = two-point:1,0.55\n\n[policy]\n"
+                 "name = sequential\nc1 = 1\n" + policy
+                 + "\n[run]\ndelta = 0.1\n" + run)
+    return str(p)
+
+
+class TestWholeNumbers:
+    """run.replications, run.seed, policy.round_cap and policy.pull_cap
+    take whole numbers, written as integers or not; anything else exits 2
+    naming the key."""
+
+    @pytest.mark.parametrize("text", ["3", "3.0", "3e0", "0.3e1"])
+    def test_whole_numbers_parse(self, capsys, tmp_path, text):
+        code, out, _ = run_cli(capsys, ["select", "--config",
+                                        _sequential_config(
+                                            tmp_path, f"round_cap = {text}\n",
+                                            f"replications = {text}\n"
+                                            f"seed = {text}\n"), "--json"])
+        assert code == 0
+        (tmp_path / "m.ini").write_text("[x]\nspec = two-point:1,0.55\n")
+        flags = ["select", "--policy", "sequential", "--c1", "1", "--delta",
+                 "0.1", "--models", str(tmp_path / "m.ini"), "--round-cap",
+                 "3", "--replications", "3", "--seed", "3", "--json"]
+        assert run_cli(capsys, flags) == (0, out, "")
+
+    @pytest.mark.parametrize("text", ["1e3", "1000.0"])
+    def test_replications_1e3(self, capsys, tmp_path, text):
+        code, out, _ = run_cli(capsys, ["mc-fs", "--config",
+                                        _sequential_config(
+                                            tmp_path,
+                                            run=f"replications = {text}\n"),
+                                        "--json"])
+        assert code == 0 and last_json(out)["replications"] == 1000
+
+    @pytest.mark.parametrize("section, key, text", [
+        ("run", "replications", "1e3x"), ("run", "seed", "x"),
+        ("run", "seed", "2.5"), ("run", "replications", "inf"),
+        ("policy", "round_cap", "2.7"), ("policy", "pull_cap", "1.5")])
+    def test_others_name_the_key(self, capsys, tmp_path, section, key,
+                                 text):
+        line = f"{key} = {text}\n"
+        if key == "pull_cap":
+            p = tmp_path / "exp.ini"
+            p.write_text("[model:a]\nspec = bernoulli:0.9\n\n[model:b]\n"
+                         "spec = bernoulli:0.5\n\n[policy]\n"
+                         f"name = succ-elim\nb = 1\n{line}\n[run]\n"
+                         "delta = 0.1\nreplications = 2\n")
+            path = str(p)
+        else:
+            path = _sequential_config(tmp_path, *(
+                (line,) if section == "policy" else ("", line)))
+        code, out, err = run_cli(capsys, ["select", "--config", path])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: validation: {section}.{key}: "), err
+
+    def test_seed_text_is_exact_to_64_bits(self, capsys, tmp_path):
+        top = 2 ** 64 - 1
+        outs = [run_cli(capsys, ["select", "--config", _sequential_config(
+            tmp_path, run=f"replications = 3\nseed = {seed}\n"), "--json"])
+            for seed in (top, top - 1)]
+        flag = run_cli(capsys, ["select", "--config", _sequential_config(
+            tmp_path, run="replications = 3\n"), "--seed", str(top),
+            "--json"])
+        assert outs[0][0] == outs[1][0] == 0
+        assert outs[0] == flag and outs[0] != outs[1]

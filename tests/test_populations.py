@@ -147,6 +147,31 @@ def test_mirrored_rate_reflects():
             rate_function(base, -a).value, abs=1e-9)
 
 
+_SWAPPED = {"diverges-left": "diverges-right",
+            "diverges-right": "diverges-left"}
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=str)
+def test_mirrored_rate_is_the_base_route(model):
+    # I_{-X}(-a) = I_X(a) by the base's own route: the same value and
+    # iterations, the tilt negated and the sides of divergence swapped, at
+    # the mean, inside, at atoms and support ends and beyond them
+    lo, hi = model.support()
+    mu = model.mean()
+    levels = [mu, mu - 0.3, mu + 0.3, mu - 2.0, mu + 2.0]
+    levels += [x for x, _ in model.atoms() or ()]
+    levels += [e + s for e in (lo, hi) if math.isfinite(e)
+               for s in (-0.5, 0.0, 0.5)]
+    for a in levels:
+        base, mirrored = rate_function(model, a), rate_function(
+            Mirrored(model), -a)
+        assert repr(mirrored.value) == repr(base.value), a
+        assert mirrored.theta_star == (None if base.theta_star is None
+                                       else -base.theta_star), a
+        assert mirrored.iterations == base.iterations, a
+        assert mirrored.status == _SWAPPED.get(base.status, base.status), a
+
+
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_bernoulli_is_the_shifted_two_point_law(q):
     # Bernoulli(q) is TwoPoint(1/2, 1 - q) moved up by 1/2; the grids are

@@ -24,8 +24,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ordopt
+from ordopt import selectors
 from ordopt._solve import bisect_root, expand_bracket
-from ordopt.adversarial import fs_estimate, monte_carlo_fs
+from ordopt.adversarial import fs_estimate
 from ordopt.empirical_rate import (
     RateEstimate,
     estimate_rate_at_zero,
@@ -42,7 +43,6 @@ from ordopt.populations import (
     TwoPoint,
 )
 from ordopt.selectors import (
-    _BLOCK,
     _ELEMENTS,
     MomentBound,
     RadiusSchedule,
@@ -618,23 +618,49 @@ def test_fixed_budget_policies_run_the_block():
                          stream=7) == block[0]
 
 
-def test_engine_blocks_do_not_change_outcomes():
+def test_one_stream_calls_match_the_engine_call():
     model = TwoPoint(1.0, 0.6)
+
+    def policy(truth, delta, seed, streams):
+        return two_phase_select(truth, delta, 1.0, 1.0, seed, stream=streams)
+
+    def one_by_one(truth, delta, seed, streams):
+        return [two_phase_select(truth, delta, 1.0, 1.0, seed, stream=s)
+                for s in streams]
+
+    reps = 259
+    outcomes = replicate(policy, model, 0.05, 4, reps)
+    assert outcomes == [_ref_two_phase(model, 0.05, 1.0, 1.0, 4, r)
+                        for r in range(reps)]
+    assert (fs_estimate(replicate(one_by_one, model, 0.05, 4, reps))
+            == fs_estimate(outcomes))
+
+
+def test_replicate_makes_one_policy_call():
     seen = []
 
     def policy(truth, delta, seed, streams):
         seen.append(streams)
         return two_phase_select(truth, delta, 1.0, 1.0, seed, stream=streams)
 
-    reps = _BLOCK + 3
-    outcomes = replicate(policy, model, 0.05, 4, reps)
-    assert seen == [range(0, _BLOCK), range(_BLOCK, reps)]
-    assert outcomes == [_ref_two_phase(model, 0.05, 1.0, 1.0, 4, r)
-                        for r in range(reps)]
-    one_by_one = monte_carlo_fs(
-        lambda t, d, s, r: two_phase_select(t, d, 1.0, 1.0, s, stream=r),
-        model, 0.05, reps, 4)
-    assert one_by_one == fs_estimate(outcomes)
+    outcomes = replicate(policy, TwoPoint(1.0, 0.6), 0.05, 4, 1000)
+    assert seen == [range(1000)] and len(outcomes) == 1000
+
+
+def test_two_phase_decides_a_row_group_before_the_next_pilots(monkeypatch):
+    # m = 2^14 puts 4 pilots in a row group: each group's decision batches
+    # are drawn before the next group's pilot matrix
+    model, c1 = TwoPoint(1.0, 0.55), 2 ** 14 / math.log(10.0)
+    kinds = []
+
+    def draws(model, fills, out):
+        kinds.append("pilots" if out.ndim == 2 else "decisions")
+        return _draws(model, fills, out)
+
+    monkeypatch.setattr(selectors, "_draws", draws)
+    two_phase_select(model, 0.1, c1, 1e-3, 3, stream=range(10))
+    runs = [k for i, k in enumerate(kinds) if i == 0 or kinds[i - 1] != k]
+    assert runs == ["pilots", "decisions"] * 3
 
 
 def test_engine_rejects_a_short_block():
