@@ -7,120 +7,56 @@ truncation and capping errors under envelope constraints (`truncation`),
 sampling policies with finite-sample guarantees (`selectors`), lower-bound
 gadgets and the false-selection estimate (`adversarial`), and the `ordopt`
 command line front end (`cli`).
+
+`import ordopt` loads `meta_rate` and what it uses (`populations`,
+`empirical_rate`, `_quad`, `_solve`); every other public name loads its
+module when it is first used (PEP 562), so a process compiles only the
+modules its work calls.
 """
 
-from .adversarial import (
-    FsEstimate,
-    TiltedDistribution,
-    fs_estimate,
-    lower_bound_samples,
-    quantile_gadget,
-    tilt,
-)
-from .empirical_rate import (
-    RateEstimate,
-    empirical_log_mgf,
-    estimate_rate_at,
-    estimate_rate_at_zero,
-    estimate_rates_at_zero,
-)
-from .meta_rate import (
-    MetaRateResult,
-    NumericalError,
-    RegimeError,
-    TwoPhaseExponent,
-    inf_meta_rate,
-    meta_rate,
-    sequential_failure_certificate,
-    sup_meta_rate_on_theta_a,
-    two_phase_exponent,
-)
-from .populations import (
-    Bernoulli,
-    Empirical,
-    Gaussian,
-    GaussianMixture,
-    Mirrored,
-    Pareto,
-    ShiftedExponential,
-    SupportError,
-    TwoPoint,
-    kl_divergence,
-    quantile,
-    rate_function,
-)
-from .selectors import (
-    MomentBound,
-    RadiusSchedule,
-    SelectionOutcome,
-    capped_select,
-    capping_radius,
-    expected_pulls_bound,
-    hoeffding_select,
-    optimal_beta,
-    replicate,
-    sequential_select,
-    solve_log_fixed_point,
-    successive_elimination,
-    two_phase_select,
-)
-from .truncation import (
-    ExponentialSpec,
-    PowerSpec,
-    WorstCaseSolution,
-    worst_capping_error,
-    worst_truncation_error,
-)
+import importlib
 
-__all__ = [
-    "Bernoulli",
-    "Empirical",
-    "ExponentialSpec",
-    "FsEstimate",
-    "Gaussian",
-    "GaussianMixture",
-    "MetaRateResult",
-    "Mirrored",
-    "MomentBound",
-    "NumericalError",
-    "Pareto",
-    "PowerSpec",
-    "RadiusSchedule",
-    "RateEstimate",
-    "RegimeError",
-    "SelectionOutcome",
-    "ShiftedExponential",
-    "SupportError",
-    "TiltedDistribution",
-    "TwoPhaseExponent",
-    "TwoPoint",
-    "WorstCaseSolution",
-    "capped_select",
-    "capping_radius",
-    "empirical_log_mgf",
-    "estimate_rate_at",
-    "estimate_rate_at_zero",
-    "estimate_rates_at_zero",
-    "expected_pulls_bound",
-    "fs_estimate",
-    "hoeffding_select",
-    "inf_meta_rate",
-    "kl_divergence",
-    "lower_bound_samples",
-    "meta_rate",
-    "optimal_beta",
-    "quantile",
-    "quantile_gadget",
-    "rate_function",
-    "replicate",
-    "sequential_failure_certificate",
-    "sequential_select",
-    "solve_log_fixed_point",
-    "successive_elimination",
-    "sup_meta_rate_on_theta_a",
-    "tilt",
-    "two_phase_exponent",
-    "two_phase_select",
-    "worst_capping_error",
-    "worst_truncation_error",
-]
+# each public name, under the submodule that defines it
+_PUBLIC = {
+    "adversarial": ("FsEstimate", "TiltedDistribution", "fs_estimate",
+                    "lower_bound_samples", "quantile_gadget", "tilt"),
+    "empirical_rate": ("RateEstimate", "empirical_log_mgf",
+                       "estimate_rate_at", "estimate_rate_at_zero",
+                       "estimate_rates_at_zero"),
+    "meta_rate": ("MetaRateResult", "NumericalError", "RegimeError",
+                  "TwoPhaseExponent", "inf_meta_rate", "meta_rate",
+                  "sequential_failure_certificate",
+                  "sup_meta_rate_on_theta_a", "two_phase_exponent"),
+    "populations": ("Bernoulli", "Empirical", "Gaussian", "GaussianMixture",
+                    "Mirrored", "Pareto", "ShiftedExponential",
+                    "SupportError", "TwoPoint", "kl_divergence", "quantile",
+                    "rate_function"),
+    "selectors": ("MomentBound", "RadiusSchedule", "SelectionOutcome",
+                  "capped_select", "capping_radius", "expected_pulls_bound",
+                  "hoeffding_select", "optimal_beta", "replicate",
+                  "sequential_select", "solve_log_fixed_point",
+                  "successive_elimination", "two_phase_select"),
+    "truncation": ("ExponentialSpec", "PowerSpec", "WorstCaseSolution",
+                   "worst_capping_error", "worst_truncation_error"),
+}
+_MODULE_OF = {name: mod for mod, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+# meta_rate is both a function and a submodule. Importing a submodule sets
+# it onto the package, so a name left to __getattr__ would read as the
+# module after any `import ordopt.meta_rate`; binding it here overrides.
+from .meta_rate import meta_rate  # noqa: E402
+
+
+def __getattr__(name):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

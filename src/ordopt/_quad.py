@@ -16,13 +16,16 @@ the integral. Two sets of panels cover every integral:
   infinity, widening geometrically from the local e-folding length of the
   integrand at x0, with a density's node-table cuts past x0 kept.
 
-Order, growth and reach are module constants. Nothing is cached across
+Order, growth and reach are module constants. The two rules are built
+once per process, on the first integral, so a process that never
+integrates never imports numpy.polynomial. Nothing else is cached across
 calls: each call builds its panels and evaluates its integrand once, in
 one vectorized call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -30,14 +33,6 @@ import numpy as np
 
 _ORDER = 16
 _CHECK_ORDER = 12
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_ORDER)
-_CK_X, _CK_W = np.polynomial.legendre.leggauss(_CHECK_ORDER)
-# both rules' abscissae, shifted to [0, 2], and the weights that sum a
-# panel's values by the 16-point rule (column 0) and the 12-point rule
-_BOTH_X = 1.0 + np.concatenate([_GL_X, _CK_X])
-_BOTH_W = np.zeros((_ORDER + _CHECK_ORDER, 2))
-_BOTH_W[:_ORDER, 0] = _GL_W
-_BOTH_W[_ORDER:, 1] = _CK_W
 _TOL = 1e-10
 
 # node table: logit-spaced core panels, equal-width span panels, and tail
@@ -59,6 +54,21 @@ _TAIL_STEPS = ((_TAIL_GROWTH ** np.arange(_TAIL_PANELS + 1.0) - 1.0)
 
 class QuadratureWarning(RuntimeWarning):
     """A quadrature's error estimate exceeds 1e-10 of its value."""
+
+
+@functools.cache
+def _rules():
+    """(w16, both_x, both_w), built once per process: the 16-point
+    weights, both rules' abscissae shifted to [0, 2] (16-point, then
+    12-point), and the weights that sum a panel's values by the 16-point
+    rule (column 0) and the 12-point rule (column 1)."""
+    from numpy.polynomial.legendre import leggauss
+    gl_x, gl_w = leggauss(_ORDER)
+    ck_x, ck_w = leggauss(_CHECK_ORDER)
+    both_w = np.zeros((_ORDER + _CHECK_ORDER, 2))
+    both_w[:_ORDER, 0] = gl_w
+    both_w[_ORDER:, 1] = ck_w
+    return gl_w, 1.0 + np.concatenate([gl_x, ck_x]), both_w
 
 
 def _table_probabilities():
@@ -111,7 +121,7 @@ def node_table(model):
     x, half = _rule_nodes(table_cuts(model))
     x = x[:, :_ORDER].ravel()
     with np.errstate(under="ignore"):
-        p = (half[:, None] * _GL_W).ravel() * np.exp(model.logpdf(x))
+        p = (half[:, None] * _rules()[0]).ravel() * np.exp(model.logpdf(x))
     return x[p > 0], p[p > 0]
 
 
@@ -119,12 +129,12 @@ def _rule_nodes(cuts):
     """The nodes of both rules on every panel between cuts, one row per
     panel (16-point nodes, then 12-point ones), and the half-widths."""
     half = 0.5 * np.diff(cuts)
-    return cuts[:-1, None] + half[:, None] * _BOTH_X, half
+    return cuts[:-1, None] + half[:, None] * _rules()[1], half
 
 
 def _rule_sums(v, half):
     """Per panel, (I16, I12) from the values v of f at _rule_nodes."""
-    sums = (v @ _BOTH_W) * half[:, None]
+    sums = (v @ _rules()[2]) * half[:, None]
     return sums[:, 0], sums[:, 1]
 
 
@@ -142,7 +152,7 @@ def integrate(f, cuts, name):
     i16, i12 = _rule_sums(v, half)
     value = float(i16.sum())
     err = float(np.abs(i16 - i12).sum())
-    scale = float(half @ (np.abs(v[:, :_ORDER]) @ _GL_W))
+    scale = float(half @ (np.abs(v[:, :_ORDER]) @ _rules()[0]))
     if err > _TOL * scale:
         _warn(name, err, scale)
     return value, err

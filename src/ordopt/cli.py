@@ -28,9 +28,7 @@ error, 3 numerical (solver) failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
-import csv
 import dataclasses
 import functools
 import json
@@ -38,18 +36,9 @@ import math
 import os
 import re
 import sys
-import tempfile
 
 import numpy as np
 
-from . import adversarial, selectors, truncation
-from .empirical_rate import estimate_rate_at
-from .meta_rate import (
-    inf_meta_rate,
-    meta_rate,
-    sequential_failure_certificate,
-    two_phase_exponent,
-)
 from .populations import (
     Bernoulli,
     Empirical,
@@ -60,14 +49,10 @@ from .populations import (
     ShiftedExponential,
     TwoPoint,
 )
-from .selectors import MomentBound, RadiusSchedule, _rng
-from .truncation import (
-    ExponentialSpec,
-    PowerSpec,
-    TwoPointSupport,
-    worst_capping_error,
-    worst_truncation_error,
-)
+
+# Each command imports the library modules it runs on entry, and the
+# config and CSV helpers import configparser, csv and tempfile, so a
+# process loads only what its command uses.
 
 __all__ = ["main", "parse_model", "run_reproduce"]
 
@@ -169,6 +154,10 @@ def _build_adapter(name, params, d, delta):
     """The policy(truth, delta, seed, streams) of a select/mc-fs policy,
     which takes its parameters out of params; a parameter left over exits
     2 with "does not read"."""
+    from . import selectors
+    from .selectors import MomentBound, RadiusSchedule
+    from .truncation import PowerSpec
+
     p = {k: v for k, v in params.items() if v is not None}
 
     def take(key, default=None, parse=_fparam):
@@ -214,15 +203,15 @@ def _build_adapter(name, params, d, delta):
     elif name == "succ-elim":
         estimator = str(p.pop("estimator", "plain"))
         pull_cap = take("pull_cap", 1_000_000, _iparam)
+        if "alpha" in p or "K" in p:
+            kind, consts = "heavy", {"alpha": take("alpha"), "K": take("K")}
+        elif "b" in p:
+            kind, consts = "bounded", {"b": take("b")}
+        else:
+            raise ValueError("policy: succ-elim needs b (bounded) or alpha "
+                             "and K (heavy)")
         try:
-            if "alpha" in p or "K" in p:
-                schedule = RadiusSchedule("heavy", d, delta,
-                                          alpha=take("alpha"), K=take("K"))
-            elif "b" in p:
-                schedule = RadiusSchedule("bounded", d, delta, b=take("b"))
-            else:
-                raise ValueError(
-                    "succ-elim needs b (bounded) or alpha and K (heavy)")
+            schedule = RadiusSchedule(kind, d, delta, **consts)
         except ValueError as e:
             raise ValueError(f"policy: {e}") from None
 
@@ -243,31 +232,43 @@ def _read_config(path, models_only=False):
     """(models, policy, run) of an experiment file, INI with [model:NAME],
     [policy] and [run] sections or JSON {"models", "policy", "run"}, or
     with models_only of a models file, one INI section or JSON key per
-    model: a list of (name, entry) pairs and two mappings."""
+    model: a list of (name, entry) pairs and two mappings. A file that
+    does not parse, or a part that is not a mapping, exits 2."""
+    import configparser
+
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    if text.lstrip().startswith("{"):
-        raw = json.loads(text)
-    else:
-        cp = configparser.ConfigParser()
-        cp.read_string(text)
-        raw = {sec: dict(cp[sec]) for sec in cp.sections()}
-        if not models_only:
-            for sec in raw:
-                if not sec.startswith("model:") and sec not in ("policy",
-                                                                "run"):
-                    raise ValueError(f"config: unknown section '{sec}'")
-            raw["models"] = {sec[len("model:"):]: raw[sec] for sec in raw
-                             if sec.startswith("model:")}
+    is_json = text.lstrip().startswith("{")
+    try:
+        if is_json:
+            raw = json.loads(text)
+        else:
+            cp = configparser.ConfigParser()
+            cp.read_string(text, source=path)
+            raw = {sec: dict(cp[sec]) for sec in cp.sections()}
+    except (ValueError, configparser.Error) as e:
+        raise ValueError(f"config: {e}") from None
+    if not is_json and not models_only:
+        for sec in raw:
+            if not sec.startswith("model:") and sec not in ("policy", "run"):
+                raise ValueError(f"config: unknown section '{sec}'")
+        raw["models"] = {sec[len("model:"):]: raw[sec] for sec in raw
+                         if sec.startswith("model:")}
     if models_only:
         raw = {"models": raw}
-    return (list(dict(raw.get("models", {})).items()),
-            dict(raw.get("policy", {})), dict(raw.get("run", {})))
+    parts = {key: raw.get(key, {}) for key in ("models", "policy", "run")}
+    for key, part in parts.items():
+        if not isinstance(part, dict):
+            raise ValueError(f"config: '{key}' must be a mapping, got "
+                             f"{type(part).__name__}")
+    return list(parts["models"].items()), parts["policy"], parts["run"]
 
 
 def _experiment_from_args(args):
     """The population names, the outcomes and the CSV path of a select or
     mc-fs run: config files first, each flag given overriding them."""
+    from .selectors import replicate
+
     models_raw, policy, run = [], {}, {}
     if args.config:
         models_raw, policy, run = _read_config(args.config)
@@ -308,8 +309,8 @@ def _experiment_from_args(args):
         raise ValueError("run.seed: must be a nonnegative integer")
     # building the policy runs every parameter check before any sampling
     policy = _build_adapter(name, policy, len(models), delta)
-    return (names, selectors.replicate(policy, tuple(models), delta, seed,
-                                       reps), run.get("out"))
+    return (names, replicate(policy, tuple(models), delta, seed, reps),
+            run.get("out"))
 
 
 # ------------------------------------------------------------------- output
@@ -319,6 +320,9 @@ def _fmt(v):
 
 
 def _write_csv(path, header, rows):
+    import csv
+    import tempfile
+
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".part")
     try:
@@ -392,6 +396,8 @@ def _mode(args, command, usage, modes):
 
 
 def _cmd_rate_estimate(args):
+    from .empirical_rate import estimate_rate_at
+
     if _mode(args, "rate-estimate", "--values or --model",
              {"--values": ((), ()),
               "--model": (("--m",), ("--seed",))}) == "--values":
@@ -399,6 +405,7 @@ def _cmd_rate_estimate(args):
     else:
         if args.m < 1:
             raise ValueError("rate-estimate: --m must be a positive count")
+        from .selectors import _rng
         model = parse_model(args.model)
         batch = model.draw(_rng(args.seed or 0, 0, 0), args.m)
     est = estimate_rate_at(batch, args.x)
@@ -408,6 +415,10 @@ def _cmd_rate_estimate(args):
 
 
 def _cmd_meta_rate(args):
+    from .meta_rate import (inf_meta_rate, meta_rate,
+                            sequential_failure_certificate,
+                            two_phase_exponent)
+
     model = parse_model(args.model)
     _mode(args, "meta-rate",
           "--a, --theta (with --nu), --exponent, or --certificate",
@@ -438,8 +449,10 @@ def _cmd_meta_rate(args):
 
 
 def _cmd_select(args):
+    from .adversarial import fs_estimate
+
     names, outcomes, out = _experiment_from_args(args)
-    est = adversarial.fs_estimate(outcomes)
+    est = fs_estimate(outcomes)
     if out:
         header = (["replication", "chosen", "samples_total"]
                   + [f"pulls_{nm}" for nm in names]
@@ -458,8 +471,10 @@ def _cmd_select(args):
 
 
 def _cmd_mc_fs(args):
+    from .adversarial import fs_estimate
+
     _, outcomes, out = _experiment_from_args(args)
-    fs = dataclasses.asdict(adversarial.fs_estimate(outcomes))
+    fs = dataclasses.asdict(fs_estimate(outcomes))
     if out:
         _write_csv(out, list(fs), [[_fmt(v) for v in fs.values()]])
     _emit(args, {**fs, "replications": len(outcomes)})
@@ -467,6 +482,8 @@ def _cmd_mc_fs(args):
 
 
 def _parse_f_spec(spec):
+    from .truncation import ExponentialSpec, PowerSpec
+
     name, _, rest = str(spec).strip().partition(":")
     name = name.strip().lower()
     if name == "power":
@@ -478,6 +495,9 @@ def _parse_f_spec(spec):
 
 
 def _cmd_trunc_error(args):
+    from .truncation import (TwoPointSupport, worst_capping_error,
+                             worst_truncation_error)
+
     spec = _parse_f_spec(args.f)
     fn = (worst_truncation_error if args.kind == "truncation"
           else worst_capping_error)
@@ -492,6 +512,8 @@ def _cmd_trunc_error(args):
 
 
 def _cmd_tilt(args):
+    from . import adversarial
+
     model = parse_model(args.model)
     td = adversarial.tilt(model, args.alpha_target, args.k)
     return _emit_row(args, {"b": td.b, "gamma": td.gamma,
@@ -500,6 +522,9 @@ def _cmd_tilt(args):
 
 
 def _cmd_lower_bound(args):
+    from . import adversarial
+    from .populations import kl_divergence
+
     g = parse_model(args.model)
     if _mode(args, "lower-bound", "--model2 or --alpha-target (with --k)",
              {"--model2": ((), ()),
@@ -507,7 +532,6 @@ def _cmd_lower_bound(args):
         gt = parse_model(args.model2, "model2")
     else:
         gt = adversarial.tilt(g, args.alpha_target, args.k)
-    from .populations import kl_divergence
     kl = kl_divergence(g, gt)
     samples = adversarial.lower_bound_samples(g, gt, args.delta, kl=kl)
     return _emit_row(args, {"kl": kl, "samples": samples,
@@ -515,7 +539,9 @@ def _cmd_lower_bound(args):
 
 
 def _cmd_quantile_gadget(args):
-    qg = adversarial.quantile_gadget(args.p, args.epsilon, args.mu)
+    from .adversarial import quantile_gadget
+
+    qg = quantile_gadget(args.p, args.epsilon, args.mu)
     return _emit_row(args, {"kl_bound": qg.kl_bound,
                             "quantile_gap": qg.quantile_gap, "p": args.p,
                             "epsilon": args.epsilon, "mu": args.mu})
@@ -529,6 +555,8 @@ def _item(group, name, computed, expected, tol, passed):
 
 
 def _items_two_phase():
+    from .meta_rate import two_phase_exponent
+
     out = []
     for p, expected in ((0.55, 0.105), (0.52, 0.047), (0.51, 0.025)):
         r = two_phase_exponent(TwoPoint(1.0, p), 1.0, 1.0)
@@ -546,6 +574,8 @@ _REPORTED_TRIPLES = (
 
 
 def _items_certificate():
+    from .meta_rate import sequential_failure_certificate
+
     out = []
     model = ShiftedExponential(0.96, 1.0)
     for c1, (te, ae, ie) in _REPORTED_TRIPLES:
@@ -565,6 +595,8 @@ def _brute_worst(spec, c, u, n=20001):
     """Worst (truncation, capping) bias on a grid, independent of the closed
     forms: over {mass q at x >= u, rest at 0}, the bias is q x (truncation)
     or q (x - u) (capping) subject to q f(x) + (1-q) f(0) <= c."""
+    from .truncation import PowerSpec
+
     f0 = spec.f(0.0)
     if isinstance(spec, PowerSpec):
         hi = 10.0 * max(u, c ** (1.0 / spec.alpha), 1.0)
@@ -579,6 +611,9 @@ def _brute_worst(spec, c, u, n=20001):
 
 
 def _items_capping():
+    from .truncation import (ExponentialSpec, PowerSpec, TwoPointSupport,
+                             worst_capping_error, worst_truncation_error)
+
     out = []
     specs = (("power alpha=1.5", PowerSpec(1.5), (1.0, 2.0)),
              ("power alpha=2", PowerSpec(2.0), (1.0, 2.0)),
@@ -614,15 +649,18 @@ def _items_capping():
 
 
 def _items_beta():
+    from .selectors import MomentBound, capping_radius, optimal_beta
+    from .truncation import PowerSpec
+
     out = []
     bounds = MomentBound(PowerSpec(2.0), (1.0,))
-    ob = selectors.optimal_beta(bounds)
+    ob = optimal_beta(bounds)
     out.append(_item("beta", "optimal beta equals 1/alpha at alpha=2",
                      ob, 0.5, "abs 1e-9", abs(ob - 0.5) <= 1e-9))
     eps = 0.5
 
     def budget_factor(beta):
-        r = selectors.capping_radius(bounds, beta * eps)
+        r = capping_radius(bounds, beta * eps)
         return r * r / ((1.0 - beta) ** 2)
 
     grid = np.linspace(0.05, 0.95, 181)
@@ -633,10 +671,12 @@ def _items_beta():
 
 
 def _items_fixed_point():
+    from .selectors import solve_log_fixed_point
+
     ratio = resid = -math.inf
     for a in np.geomspace(math.e, 1e3, 10):
         for b in np.linspace(1.0, 50.0, 10):
-            t, bound = selectors.solve_log_fixed_point(a, b)
+            t, bound = solve_log_fixed_point(a, b)
             ratio = max(ratio, t / bound)
             resid = max(resid, abs(t - a - b * math.log(t)) / t)
     return [

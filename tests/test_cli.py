@@ -433,6 +433,38 @@ class TestSelect:
             "--delta", "0.1", "--models", str(p), "--replications", "2"])
         assert code == 2 and "model:only" in err and message in err
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--models", "spec = two-point:1,0.55\n",
+         "config: File contains no section headers."),
+        ("--models", "[a]\nspec = two-point:1,0.55\n[a]\nspec = x\n",
+         "[line  3]: section 'a' already exists"),
+        ("--config", "[model:a]\nspec = two%point\n",
+         "config: '%' must be followed by '%' or '('"),
+        ("--config", json.dumps({"models": ["two-point:1,0.55"]}),
+         "config: 'models' must be a mapping, got list"),
+        ("--config", json.dumps({"models": {"a": "two-point:1,0.55"},
+                                 "run": [0.1]}),
+         "config: 'run' must be a mapping, got list"),
+        ("--config", '{"models": {', "config: Expecting")],
+        ids=["no-section", "duplicate-section", "interpolation",
+             "models-list", "run-list", "bad-json"])
+    def test_malformed_config_file_is_validation(self, capsys, tmp_path,
+                                                 flag, text, message):
+        p = tmp_path / "exp.cfg"
+        p.write_text(text)
+        code, out, err = run_cli(capsys, [
+            "select", "--policy", "two-phase", "--c1", "1", "--c2", "1",
+            "--delta", "0.1", flag, str(p), "--replications", "2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: validation: config: ") and message in err
+
+    def test_succ_elim_missing_constant_message(self, capsys, models_ini):
+        code, out, err = run_cli(capsys, [
+            "select", "--policy", "succ-elim", "--alpha", "2", "--delta",
+            "0.1", "--models", models_ini, "--replications", "2"])
+        assert code == 2 and out == ""
+        assert err == "error: validation: policy.K: required\n"
+
     @pytest.mark.parametrize("policy, params", [
         ("hoeffding", ["--epsilon", "0.5", "--b", "1"]),
         ("two-phase", ["--c1", "1", "--c2", "1"])])
@@ -1012,12 +1044,23 @@ import json, sys
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+def lazy_modules():
+    return sorted(m for m in ("ordopt.selectors", "ordopt.adversarial",
+                              "ordopt.truncation", "configparser",
+                              "numpy.polynomial") if m in sys.modules)
+
 import numpy
 # numpy 1.x may import numpy.ma with numpy itself; nothing after may add it
 bare_ma = "numpy.ma" in sys.modules
 ma = {}
 import ordopt, ordopt.cli
+ordopt.cli.parse_model("two-point:1,0.55")
 seen = {"import": scipy_modules()}
+loaded = {"import": lazy_modules()}
+assert ordopt.cli.main(["trunc-error", "--f", "power:2", "--c", "1",
+                        "--u", "1.5"]) == 0
+loaded["trunc-error"] = lazy_modules()
+seen["loaded"] = loaded
 assert ordopt.cli.main(["select", "--policy", "two-phase", "--c1", "1",
                         "--c2", "1", "--delta", "0.1", "--models", sys.argv[1],
                         "--replications", "4"]) == 0
@@ -1042,18 +1085,23 @@ print(json.dumps(seen))
 """
 
 
-def test_cold_start_loads_scipy_on_first_use(tmp_path):
-    models = tmp_path / "models.ini"
-    models.write_text("[a0]\nspec = two-point:1,0.55\n")
+def _fresh_process(script, *argv):
+    """The last stdout line, as JSON, of script run in a new interpreter
+    that imports ordopt from this checkout."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = [os.path.join(root, "src")] + [
         p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START, str(models)],
-        capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+        [sys.executable, "-c", script, *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cold_start_loads_scipy_on_first_use(tmp_path):
+    models = tmp_path / "models.ini"
+    models.write_text("[a0]\nspec = two-point:1,0.55\n")
+    seen = _fresh_process(_COLD_START, str(models))
     assert seen["import"] == []
     assert seen["select"] == []
     assert seen["reproduce"] == []
@@ -1062,6 +1110,37 @@ def test_cold_start_loads_scipy_on_first_use(tmp_path):
     # np.unique imports numpy.ma; the node tables and tail cuts avoid it
     assert seen["numpy.ma"] == {"select": True, "reproduce": True,
                                 "tilt": True}
+    # the library modules load with the commands that run them; numpy 1.x
+    # imports numpy.polynomial with numpy itself
+    loaded = seen["loaded"]
+    if int(np.__version__.split(".")[0]) < 2:
+        loaded = {k: [m for m in v if m != "numpy.polynomial"]
+                  for k, v in loaded.items()}
+    assert loaded == {"import": [], "trunc-error": ["ordopt.truncation"]}
+
+
+_PUBLIC_NAMES = """
+import importlib, inspect, json
+{first}
+from ordopt import meta_rate
+import ordopt
+assert inspect.isfunction(meta_rate) and ordopt.meta_rate is meta_rate
+public = {{}}
+exec("from ordopt import *", public)
+for name in ordopt.__all__:
+    home = importlib.import_module(f"ordopt.{{ordopt._MODULE_OF[name]}}")
+    assert public[name] is getattr(home, name) is getattr(ordopt, name)
+print(json.dumps(sorted(k for k in public if not k.startswith("__"))))
+"""
+
+
+@pytest.mark.parametrize("first", ["import ordopt.meta_rate",
+                                   "import ordopt.cli, ordopt.selectors"])
+def test_public_names_resolve_in_any_import_order(first):
+    # meta_rate is the function however the submodule was imported first
+    names = _fresh_process(_PUBLIC_NAMES.format(first=first))
+    import ordopt
+    assert names == ordopt.__all__ == sorted(ordopt.__all__)
 
 
 class TestEntryPoints:

@@ -297,3 +297,19 @@ def test_no_module_imports_scipy_integrate():
                  for path in sorted(Path(ordopt.__file__).parent.glob("*.py"))
                  if pattern.search(path.read_text())]
     assert offenders == []
+
+
+def test_rules_equal_leggauss_bit_for_bit():
+    # the rules built on first use are the Gauss-Legendre rules, exactly
+    from numpy.polynomial.legendre import leggauss
+
+    from ordopt._quad import _rules
+    gl_x, gl_w = leggauss(16)
+    ck_x, ck_w = leggauss(12)
+    w16, both_x, both_w = _rules()
+    assert _rules() is _rules()
+    assert w16.tobytes() == gl_w.tobytes()
+    assert both_x.tobytes() == (1.0 + np.concatenate([gl_x, ck_x])).tobytes()
+    assert both_w[:16, 0].tobytes() == gl_w.tobytes()
+    assert both_w[16:, 1].tobytes() == ck_w.tobytes()
+    assert not both_w[:16, 1].any() and not both_w[16:, 0].any()
