@@ -4,9 +4,9 @@ The package splits into population models (`populations`), empirical rate
 estimation from signed batches (`empirical_rate`), failure exponents for
 two-phase and fully sequential selection (`meta_rate`), worst-case
 truncation and capping errors under envelope constraints (`truncation`),
-sampling policies with finite-sample guarantees (`selectors`), lower-bound
-gadgets and the false-selection estimate (`adversarial`), and the `ordopt`
-command line front end (`cli`).
+sampling policies with finite-sample guarantees and the false-selection
+estimate (`selectors`), lower-bound gadgets (`adversarial`), and the
+`ordopt` command line front end (`cli`).
 
 `import ordopt` loads `meta_rate` and what it uses (`populations`,
 `empirical_rate`, `_quad`, `_solve`); every other public name loads its
@@ -18,8 +18,8 @@ import importlib
 
 # each public name, under the submodule that defines it
 _PUBLIC = {
-    "adversarial": ("FsEstimate", "TiltedDistribution", "fs_estimate",
-                    "lower_bound_samples", "quantile_gadget", "tilt"),
+    "adversarial": ("TiltedDistribution", "lower_bound_samples",
+                    "quantile_gadget", "tilt"),
     "empirical_rate": ("RateEstimate", "empirical_log_mgf",
                        "estimate_rate_at", "estimate_rate_at_zero",
                        "estimate_rates_at_zero"),
@@ -31,11 +31,12 @@ _PUBLIC = {
                     "Mirrored", "Pareto", "ShiftedExponential",
                     "SupportError", "TwoPoint", "kl_divergence", "quantile",
                     "rate_function"),
-    "selectors": ("MomentBound", "RadiusSchedule", "SelectionOutcome",
-                  "capped_select", "capping_radius", "expected_pulls_bound",
-                  "hoeffding_select", "optimal_beta", "replicate",
-                  "sequential_select", "solve_log_fixed_point",
-                  "successive_elimination", "two_phase_select"),
+    "selectors": ("FsEstimate", "MomentBound", "RadiusSchedule",
+                  "SelectionOutcome", "capped_select", "capping_radius",
+                  "expected_pulls_bound", "fs_estimate", "hoeffding_select",
+                  "optimal_beta", "replicate", "sequential_select",
+                  "solve_log_fixed_point", "successive_elimination",
+                  "two_phase_select"),
     "truncation": ("ExponentialSpec", "PowerSpec", "WorstCaseSolution",
                    "worst_capping_error", "worst_truncation_error"),
 }

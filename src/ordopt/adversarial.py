@@ -8,10 +8,6 @@ probabilities underflow), so the class keeps its tail bookkeeping in log
 space: the survival mass and tail moments come from one tail quadrature
 (geometric panels from the split, see _quad), shifted by the largest
 log-density at its nodes.
-
-fs_estimate is the measurement shared by every selection policy: it
-aggregates the outcomes of the replication engine (selectors.replicate)
-into the false-selection rate with its 99% Wilson score interval.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ from ._solve import bisect_root, expand_bracket
 from .populations import GaussianMixture, kl_divergence, quantile
 
 __all__ = [
-    "TiltedDistribution", "QuantileGadget", "FsEstimate",
-    "tilt", "lower_bound_samples", "quantile_gadget", "fs_estimate",
+    "TiltedDistribution", "QuantileGadget",
+    "tilt", "lower_bound_samples", "quantile_gadget",
 ]
 
 def _log_upper_tail(base, x0: float, moment: int = 0) -> float:
@@ -251,41 +247,3 @@ def quantile_gadget(p: float, epsilon: float, mu: float) -> QuantileGadget:
         raise RuntimeError("mixture KL exceeded its closed-form bound")
     gap = quantile(g_eps, p) - quantile(g, p)
     return QuantileGadget(g, g_eps, bound, gap)
-
-
-@dataclass(frozen=True)
-class FsEstimate:
-    fs_rate: float
-    ci_low: float
-    ci_high: float
-    mean_samples: float
-
-
-_Z99 = 2.576
-
-
-def fs_estimate(outcomes) -> FsEstimate:
-    """False-selection rate of a list of outcomes, its 99% Wilson score
-    interval and the mean total sample count per outcome.
-
-    The Wilson interval keeps a positive width at 0 (and at every) false
-    selections: its upper end there is z^2 / (n + z^2). Every outcome must
-    carry a false_selection flag; a tie in true means leaves it unset and
-    is rejected here.
-    """
-    if not outcomes:
-        raise ValueError("need at least one outcome")
-    if any(o.false_selection is None for o in outcomes):
-        raise ValueError("undefined truth: tied true means make the "
-                         "false-selection rate meaningless")
-    n = len(outcomes)
-    k = sum(bool(o.false_selection) for o in outcomes)
-    # the interval's ends are the roots in p of (k - n p)^2 = z^2 n p (1-p);
-    # at k = 0 the lower one is exactly 0, as sqrt(z^2) = z in floats
-    z2 = _Z99 * _Z99
-    root = _Z99 * math.sqrt(z2 + 4.0 * k * (n - k) / n)
-    low = (2.0 * k + z2 - root) / (2.0 * (n + z2))
-    high = (2.0 * k + z2 + root) / (2.0 * (n + z2))
-    return FsEstimate(k / n, max(low, 0.0), min(high, 1.0),
-                      sum(sum(o.per_arm_samples) for o in outcomes) / n)
-

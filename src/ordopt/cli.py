@@ -449,7 +449,7 @@ def _cmd_meta_rate(args):
 
 
 def _cmd_select(args):
-    from .adversarial import fs_estimate
+    from .selectors import fs_estimate
 
     names, outcomes, out = _experiment_from_args(args)
     est = fs_estimate(outcomes)
@@ -471,7 +471,7 @@ def _cmd_select(args):
 
 
 def _cmd_mc_fs(args):
-    from .adversarial import fs_estimate
+    from .selectors import fs_estimate
 
     _, outcomes, out = _experiment_from_args(args)
     fs = dataclasses.asdict(fs_estimate(outcomes))

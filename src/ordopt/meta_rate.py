@@ -108,7 +108,10 @@ def _law(model):
     """(x, p): the atoms of positive mass, or a density's node table."""
     atoms = model.atoms()
     if atoms is None:
-        return node_table(model)
+        x, p = node_table(model)
+        if not x.size:
+            raise ValueError(f"{model!r}: every node weight is 0 in floats")
+        return x, p
     x, p = np.array(atoms, dtype=float).T
     return x[p > 0], p[p > 0]
 
@@ -353,19 +356,15 @@ def inf_meta_rate(model, a: float):
         raise RegimeError(
             f"inf_meta_rate needs a > I(0) = {i0:.6g}; for a below I(0) "
             "use sup_meta_rate_on_theta_a")
-    theta_star, res = _inf_meta_rate(model, _law(model), a)
+    t = _geometric_tilts(1e-3, 40)
+    theta_star, res = _tilt_search(model, _law(model), math.exp(-a),
+                                   np.concatenate([-t[::-1], [0.0], t]))
     return res.value, theta_star
 
 
 def _geometric_tilts(smallest, n):
     """n tilts from smallest up to _THETA_BRACKET, evenly spaced in log."""
     return np.geomspace(smallest, _THETA_BRACKET, n)
-
-
-def _inf_meta_rate(model, law, a):
-    t = _geometric_tilts(1e-3, 40)
-    grid = np.concatenate([-t[::-1], [0.0], t])
-    return _tilt_search(model, law, math.exp(-a), grid)
 
 
 def _tilt_search(model, law, nu, grid, *, sign=1.0):
@@ -505,31 +504,28 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     the slope of -log P(FS) against log(1/delta).
 
     Minimizes phi(b) = c2 I(0) / b + inf_theta J_theta(e^{-b}) over the
-    phase-1 level b. A damped Newton iteration on the stationarity system
+    phase-1 level b in the window from I(0)(1 + 1e-7) up to _LEVEL_MAX,
+    where e^{-b} is still a normal float (past it the level and outer
+    residuals vanish for want of digits). newton_system solves the
+    stationarity system of _two_phase_newton, a level condition, theta
+    stationarity and outer stationarity in the level g, the tilt theta and
+    the negated alpha a, on the window from (2 I(0), theta*, 1), theta* the
+    minimizer of Lambda, with each point's residuals and exact Jacobian
+    from one pass of tilted moments.
 
-        e^{-g} = E[W e^{-a W}] / E[e^{-a W}]      (level condition)
-        E[X W e^{-a W}] = 0                       (theta stationarity)
-        a e^{-g} = c2 I(0) / g^2                  (outer stationarity)
+    Where the support ends at 0, X W < 0 wherever X < 0, and the theta
+    equation has no root: as theta > 0 grows, W = e^{theta X} falls
+    pointwise and J_theta(nu) with it, toward KL(Bern(nu) || Bern(p0)),
+    the rate of the indicator of X = 0, p0 = e^{-I(0)}. So theta_star =
+    +inf, and with nu = e^{-b}, phi(b) = c2 I(0) / b + KL has the slope
+    a nu - c2 I(0) / b^2, a = log(p0 (1 - nu) / ((1 - p0) nu)). In the
+    first step of 1025 levels, evenly spaced in log b across the window,
+    where it turns from - to +, bisect_root finds the minimum, with
+    alpha_star from Newton's outer stationarity.
 
-    (written in the negated-alpha family) is tried first from
-    (g, theta, a) = (2 I(0), theta*, 1), with theta* the minimizer of
-    Lambda that rate_function(model, 0) returns, by newton_system, each
-    evaluation taking the residuals and their exact Jacobian from one pass
-    of tilted moments over the law (see _two_phase_newton). The system's
-    domain holds g to the level window, from I(0)(1 + 1e-7) up to
-    _LEVEL_MAX, where e^{-g} is still a normal float (past it the level
-    and outer residuals vanish for want of digits). Where Newton gives up,
-    the fallback evaluates phi on 65 levels evenly spaced in s = log b
-    across the window, each an inner tilt search as in inf_meta_rate, and
-    takes the minimum as a root: by the envelope theorem dphi/ds = -c2 I(0)/b -
-    alpha* b e^{-b}, with alpha* from the inner search, and bisect_root
-    finds where it changes sign between the level of least phi and its
-    neighbour downhill. A level where phi is not finite counts as rising.
-    An empty window, slopes that do not change sign next to the best
-    level, the fallback failing, or its minimum on an edge of the search
-    (the tilt at an edge of [-64, 64], or b at the top of the window, as
-    when the minimum is only approached as b grows without bound) raises
-    NumericalError, with the best iterate where there is one.
+    NumericalError is raised for an empty window, where Newton gives up
+    (the minimum lies past the window or at an infinite tilt), and where
+    no such minimum is at most phi's b -> inf limit, -log P(X < 0).
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
@@ -544,74 +540,43 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     if not lo < _LEVEL_MAX:
         raise NumericalError(f"two-phase exponent: no level b in (I(0), "
                              f"{_LEVEL_MAX:.6g}] for I(0) = {i0:.6g}")
+    c = c2 * i0
+    if model.support()[1] == 0.0:
+        limit = -math.log(-math.expm1(-i0))     # -log(1 - p0)
+
+        def slope(b):
+            nu = np.exp(-b)
+            return (b + np.log1p(-nu) + limit - i0) * nu - c / (b * b)
+
+        levels = np.geomspace(lo, _LEVEL_MAX, 1025)
+        f = slope(levels)
+        k = int(np.argmax((f[:-1] <= 0.0) & (f[1:] > 0.0)))
+        if f[k] <= 0.0 < f[k + 1]:
+            b = float(bisect_root(slope, levels[k], levels[k + 1], flo=f[k],
+                                  fhi=f[k + 1]).mid)
+            nu = math.exp(-b)
+            exponent = (c / b + nu * (i0 - b)
+                        + (1.0 - nu) * (math.log1p(-nu) + limit))
+            if exponent <= limit:
+                return TwoPhaseExponent(exponent, b, math.inf,
+                                        c / (b * b * nu), c1, c2)
+        raise NumericalError(
+            f"two-phase exponent: phi(b) has no minimum at or below its "
+            f"limit -log P(X < 0) = {limit:.10g} as b grows without bound")
     law = _law(model)
     newton = _two_phase_newton(law, c2, i0, lo, rate.theta_star)
-    if newton is not None:
-        gamma, theta, alpha = newton
-        value = _atom_moments(*_tilt(law, theta), -alpha, math.exp(-gamma))[0]
-        exponent = c2 * i0 / gamma + float(value[0])
-        return TwoPhaseExponent(exponent, gamma, theta, alpha, c1, c2)
-
-    # fallback: the least phi on 65 levels over s = log b, then bisection
-    # of its slope between that level and the neighbour it falls toward
-    kept = {}
-
-    def slope(s):
-        """dphi/ds = -c2 I(0)/b - alpha* b e^{-b}, as dJ/dnu = alpha* at
-        the inner optimum; a level where phi is not finite counts as
-        rising. Each level's inner search is kept for the answer."""
-        b = math.exp(s)
-        kept[s] = _inf_meta_rate(model, law, b)
-        res = kept[s][1]
-        if not math.isfinite(res.value):
-            return math.inf
-        return -c2 * i0 / b - res.alpha_star * b * math.exp(-b)
-
-    s_lo = math.log(lo)
-    step = (math.log(_LEVEL_MAX) - s_lo) / 64
-    levels = [s_lo + k * step for k in range(65)]
-    slopes = [slope(s) for s in levels]
-    phi = np.array([c2 * i0 / math.exp(s) + kept[s][1].value
-                    for s in levels])
-    phi[np.isnan(phi)] = math.inf
-    i = int(np.argmin(phi))
-    s_star = levels[i]
-    j = i - 1 if slopes[i] > 0 else i + 1
-    # past an edge of the window the edge level stands, and is checked
-    # below
-    if slopes[i] != 0.0 and 0 <= j < len(levels):
-        if slopes[i] * slopes[j] > 0:
-            theta, res = kept[s_star]
-            raise NumericalError(
-                "two-phase exponent: the level slopes next to the best grid "
-                "level do not change sign",
-                best=(math.exp(s_star), theta, res.alpha_star))
-        left, right = sorted((i, j))
-        # the slope rises through the minimum, so the lower end keeps a
-        # slope <= 0 and a finite phi
-        s_star = bisect_root(slope, levels[left], levels[right],
-                             flo=slopes[left], fhi=slopes[right],
-                             xtol=1e-9).lo
-    b_star = math.exp(s_star)
-    theta_star, res = kept[s_star]
-    exponent = c2 * i0 / b_star + res.value
-    best = (b_star, theta_star, res.alpha_star)
-    if res.alpha_star is None or not math.isfinite(exponent):
-        raise NumericalError("two-phase exponent failed to converge",
-                             best=best)
-    if (abs(theta_star) == _THETA_BRACKET
-            or b_star >= _LEVEL_MAX * (1.0 - 1e-6)):
-        raise NumericalError(
-            f"two-phase exponent: the search ended on an edge of its "
-            f"window (theta = {theta_star:g}, b = {b_star:.6g}), so the "
-            f"minimum over the level lies outside the search", best=best)
-    return TwoPhaseExponent(exponent, b_star, theta_star,
-                            -res.alpha_star, c1, c2)
+    if newton is None:
+        raise NumericalError(f"two-phase exponent: Newton found no root "
+                             f"with b in [{lo:.6g}, {_LEVEL_MAX:.6g}]")
+    gamma, theta, alpha = newton
+    value = _atom_moments(*_tilt(law, theta), -alpha, math.exp(-gamma))[0]
+    return TwoPhaseExponent(c / gamma + float(value[0]), gamma, theta,
+                            alpha, c1, c2)
 
 
 def _two_phase_newton(law, c2, i0, lo, theta0):
-    """(g, theta, a) solving two_phase_exponent's stationarity system from
-    (2 I(0), theta0, 1) on lo <= g <= _LEVEL_MAX, a > 0, or None. With q
+    """(g, theta, a) zeroing the residuals r1 to r3 below, by newton_system
+    from (2 I(0), theta0, 1) on lo <= g <= _LEVEL_MAX, a > 0, or None. With q
     proportional to p e^{-a W}, W = e^{theta X}, and E, Var and Cov under
     q, the residuals and their exact Jacobian are
 

@@ -25,6 +25,8 @@ matrices of bounded size, one row-wise mean each, and one argmin over the
 arms picks every stream's choice. Successive elimination runs the
 replications one after another on radius and threshold tables built once
 per call, each replication drawing into the one draw buffer of the call.
+fs_estimate turns the outcomes into the false-selection rate with its 99%
+Wilson score interval.
 
 Block sampling: every draw site fills a preallocated block through
 _draws(model, fills, out), one view of the block per generator. For a
@@ -53,8 +55,8 @@ from .empirical_rate import estimate_rates_at_zero
 from .truncation import PowerSpec, solve_x_u
 
 __all__ = [
-    "SelectionOutcome", "MomentBound", "RadiusSchedule",
-    "replicate", "two_phase_select", "sequential_select",
+    "SelectionOutcome", "MomentBound", "RadiusSchedule", "FsEstimate",
+    "replicate", "fs_estimate", "two_phase_select", "sequential_select",
     "hoeffding_select",
     "capping_bias", "capping_radius", "capped_select", "optimal_beta",
     "radius", "successive_elimination", "expected_pulls_bound",
@@ -204,6 +206,43 @@ def replicate(policy, truth, delta: float, seed: int,
     if len(outcomes) != replications:
         raise ValueError("policy must return one outcome per stream")
     return outcomes
+
+
+@dataclass(frozen=True)
+class FsEstimate:
+    fs_rate: float
+    ci_low: float
+    ci_high: float
+    mean_samples: float
+
+
+_Z99 = 2.576
+
+
+def fs_estimate(outcomes) -> FsEstimate:
+    """False-selection rate of a list of outcomes, its 99% Wilson score
+    interval and the mean total sample count per outcome.
+
+    The Wilson interval keeps a positive width at 0 (and at every) false
+    selections: its upper end there is z^2 / (n + z^2). Every outcome must
+    carry a false_selection flag; a tie in true means leaves it unset and
+    is rejected here.
+    """
+    if not outcomes:
+        raise ValueError("need at least one outcome")
+    if any(o.false_selection is None for o in outcomes):
+        raise ValueError("undefined truth: tied true means make the "
+                         "false-selection rate meaningless")
+    n = len(outcomes)
+    k = sum(bool(o.false_selection) for o in outcomes)
+    # the interval's ends are the roots in p of (k - n p)^2 = z^2 n p (1-p);
+    # at k = 0 the lower one is exactly 0, as sqrt(z^2) = z in floats
+    z2 = _Z99 * _Z99
+    root = _Z99 * math.sqrt(z2 + 4.0 * k * (n - k) / n)
+    low = (2.0 * k + z2 - root) / (2.0 * (n + z2))
+    high = (2.0 * k + z2 + root) / (2.0 * (n + z2))
+    return FsEstimate(k / n, max(low, 0.0), min(high, 1.0),
+                      sum(sum(o.per_arm_samples) for o in outcomes) / n)
 
 
 def _check_delta(delta):

@@ -5,10 +5,8 @@ import pytest
 from scipy import integrate
 
 from ordopt.adversarial import (
-    FsEstimate,
     TiltedDistribution,
     _log_sf,
-    fs_estimate,
     lower_bound_samples,
     quantile_gadget,
     tilt,
@@ -25,7 +23,13 @@ from ordopt.populations import (
     kl_divergence,
     quantile,
 )
-from ordopt.selectors import SelectionOutcome, hoeffding_select, replicate
+from ordopt.selectors import (
+    FsEstimate,
+    SelectionOutcome,
+    fs_estimate,
+    hoeffding_select,
+    replicate,
+)
 
 
 def _tail_moment(base, b, moment):

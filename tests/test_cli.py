@@ -218,6 +218,18 @@ class TestMetaRate:
         assert code == 3 and out == ""
         assert "numerical" in err
 
+    @pytest.mark.parametrize("spec, name", [
+        ("gaussian:-1e300,1", "Gaussian(mu=-1e+300"),
+        ("gaussian-mixture:0.5,1e300", "GaussianMixture(p=0.5, mu=1e+300")])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_empty_node_table_is_validation(self, capsys, spec, name):
+        # no node of these tables keeps a positive weight in floats, so
+        # there is no law to solve on: a validation error, not a traceback
+        code, out, err = run_cli(capsys, ["meta-rate", "--model", spec,
+                                          "--theta", "0.5", "--nu", "0.5"])
+        assert code == 2 and out == ""
+        assert "validation" in err and name in err and "node" in err
+
     def test_seed_is_not_an_option(self, capsys):
         # meta-rate draws no samples
         with pytest.raises(SystemExit) as exc:
@@ -1065,6 +1077,7 @@ assert ordopt.cli.main(["select", "--policy", "two-phase", "--c1", "1",
                         "--c2", "1", "--delta", "0.1", "--models", sys.argv[1],
                         "--replications", "4"]) == 0
 seen["select"] = scipy_modules()
+loaded["select"] = lazy_modules()
 ma["select"] = "numpy.ma" in sys.modules
 # exit 1: 12/15 items pass, the three certificate triples being a known
 # discrepancy with their published values
@@ -1116,7 +1129,11 @@ def test_cold_start_loads_scipy_on_first_use(tmp_path):
     if int(np.__version__.split(".")[0]) < 2:
         loaded = {k: [m for m in v if m != "numpy.polynomial"]
                   for k, v in loaded.items()}
-    assert loaded == {"import": [], "trunc-error": ["ordopt.truncation"]}
+    # select reads the INI models file and summarizes with fs_estimate,
+    # which lives beside replicate, so it leaves out ordopt.adversarial
+    assert loaded == {"import": [], "trunc-error": ["ordopt.truncation"],
+                      "select": ["configparser", "ordopt.selectors",
+                                 "ordopt.truncation"]}
 
 
 _PUBLIC_NAMES = """

@@ -601,74 +601,113 @@ class TestTwoPhaseExponent:
             two_phase_exponent(TwoPoint(1.0, 0.55), 0.0, 1.0)
 
 
-class TestTwoPhaseFallback:
-    """The outer search over the level b, taken when the two-phase Newton
-    fails."""
+class TestTwoPhaseInfiniteTilt:
+    """Laws whose support ends at 0: X W < 0 wherever X < 0, so the theta
+    equation has no root, and W = e^{theta X} tends to the indicator of
+    X = 0 as theta grows. The inner infimum is KL(Bern(e^{-b}) || Bern(p0))
+    with p0 = P(X = 0), reached only at theta = inf."""
 
     FIELDS = ("exponent", "gamma_star", "theta_star", "alpha_star")
 
-    def test_infinite_optimal_tilt(self, monkeypatch):
-        # X in {-1, 0} with P(X = 0) = 0.7: W = e^{theta X} tends to a
-        # Bernoulli(0.7) law as theta grows, so the inner infimum is only
-        # reached at theta = inf, where it is KL(Bern(e^{-b}) || Bern(0.7)),
-        # and Newton has no finite point to converge to
-        module = importlib.import_module("ordopt.meta_rate")
-        solve, newton = module._two_phase_newton, []
-
-        def spy(*args):
-            newton.append(solve(*args))
-            return newton[-1]
-
-        monkeypatch.setattr(module, "_two_phase_newton", spy)
-        r = two_phase_exponent(Mirrored(Bernoulli(0.3)), 1.0, 1.0)
-        assert newton == [None]
+    @pytest.mark.parametrize("model, p0, c2", [
+        (Mirrored(Bernoulli(0.3)), 0.7, 0.5),
+        (Mirrored(Bernoulli(0.3)), 0.7, 1.0),
+        (Mirrored(Bernoulli(0.3)), 0.7, 3.0),
+        (Mirrored(Bernoulli(0.6)), 0.4, 0.5),
+        (Empirical(np.array([-1.0, 0.0, 0.0])), 2.0 / 3.0, 0.5),
+        (Empirical(np.array([-1.0, 0.0, 0.0])), 2.0 / 3.0, 1.0)],
+        ids=str)
+    def test_infinite_optimal_tilt(self, model, p0, c2):
+        r = two_phase_exponent(model, 1.0, c2)
+        i0 = -math.log(p0)
 
         def phi(b):
-            s = math.exp(-b)
-            return (-math.log(0.7) / b + s * math.log(s / 0.7)
-                    + (1.0 - s) * math.log((1.0 - s) / 0.3))
+            return c2 * i0 / b + two_atom_kl(math.exp(-b), p0)
 
-        best = optimize.minimize_scalar(phi, bounds=(0.2, 5.0),
+        # an independent route: scipy's bounded minimizer on phi
+        best = optimize.minimize_scalar(phi, bounds=(i0 * 1.01, 5.0),
                                         method="bounded",
                                         options={"xatol": 1e-12})
+        assert i0 * 1.01 + 1e-3 < best.x < 5.0 - 1e-3
+        assert best.fun <= -math.log(1.0 - p0)
         assert r.exponent == pytest.approx(best.fun, rel=1e-9)
         assert r.gamma_star == pytest.approx(best.x, rel=1e-6)
+        nu = math.exp(-best.x)
+        assert r.alpha_star == pytest.approx(
+            math.log(p0 * (1.0 - nu) / ((1.0 - p0) * nu)), rel=1e-6)
+        assert r.theta_star == math.inf
         assert all(type(getattr(r, f)) is float for f in self.FIELDS)
 
-    def test_matches_the_newton_route(self, monkeypatch):
-        model = TwoPoint(1.0, 0.55)
-        newton = two_phase_exponent(model, 1.0, 1.0)
-        module = importlib.import_module("ordopt.meta_rate")
-        monkeypatch.setattr(module, "_two_phase_newton", lambda *a: None)
-        fallback = two_phase_exponent(model, 1.0, 1.0)
-        assert fallback.exponent == pytest.approx(newton.exponent,
-                                                  rel=1e-12)
-        assert fallback.gamma_star == pytest.approx(newton.gamma_star,
-                                                    rel=1e-7)
-        for r in (newton, fallback):
-            assert all(type(getattr(r, f)) is float for f in self.FIELDS)
+    @pytest.mark.parametrize("model, p0, c2", [
+        (Mirrored(Bernoulli(0.6)), 0.4, 1.0),
+        (Mirrored(Bernoulli(0.6)), 0.4, 3.0),
+        (Empirical(np.array([-1.0, 0.0, 0.0])), 2.0 / 3.0, 3.0)], ids=str)
+    def test_minimum_only_as_the_level_grows_raises(self, model, p0, c2):
+        # phi(b) stays above its b -> inf limit -log P(X < 0) at every
+        # level, so no finite level is the minimum
+        limit = -math.log(1.0 - p0)
+        with pytest.raises(NumericalError,
+                           match=rf"-log P\(X < 0\) = {limit:.10g}"):
+            two_phase_exponent(model, 1.0, c2)
 
-    def test_minimum_outside_the_search_raises(self):
-        # TwoPoint(1, 0.9): phi(b) falls toward -log 0.9 as b grows and
-        # never reaches it; the search ends on the tilt window's edge
-        with pytest.raises(NumericalError, match="edge") as info:
-            two_phase_exponent(TwoPoint(1.0, 0.9), 1.0, 1.0)
-        b_star, theta_star, _ = info.value.best
-        assert theta_star == 64.0 and b_star > 60.0
+
+# the inputs of the two-phase battery that raise: every law but those
+# whose support ends at 0 has mass above 0, where Newton gives up
+RAISING_BATTERY = [
+    (Mirrored(TwoPoint(2.5, 0.2)), 1.0), (Mirrored(TwoPoint(2.5, 0.2)), 3.0),
+    (Gaussian(-1.0, 0.5), 0.5), (Gaussian(-1.0, 0.5), 1.0),
+    (Gaussian(-1.0, 0.5), 3.0),
+    (Mirrored(GaussianMixture(0.3, 10.0)), 0.5),
+    (Mirrored(GaussianMixture(0.3, 10.0)), 1.0),
+    (Mirrored(GaussianMixture(0.3, 10.0)), 3.0),
+    (GaussianMixture(0.7, -2.0), 3.0),
+    (Mirrored(Empirical(np.array([-1.0, 0.5, 2.0, 2.0]))), 3.0),
+    (Mirrored(ShiftedExponential(1.5, 1.0)), 3.0),
+    (TwoPoint(1.0, 0.7), 3.0), (TwoPoint(1.0, 0.9), 0.5),
+    (TwoPoint(1.0, 0.9), 1.0), (TwoPoint(1.0, 0.9), 3.0),
+    (Gaussian(-5.0, 1.0), 0.5), (Gaussian(-5.0, 1.0), 1.0),
+    (Gaussian(-5.0, 1.0), 3.0),
+    (Mirrored(GaussianMixture(0.3, 5.0)), 0.5),
+    (Mirrored(GaussianMixture(0.3, 5.0)), 1.0),
+    (Mirrored(GaussianMixture(0.3, 5.0)), 3.0),
+    (TwoPoint(1.0, 0.8), 1.0), (TwoPoint(1.0, 0.8), 3.0),
+    (Gaussian(-2.0, 1.0), 0.5), (Gaussian(-2.0, 1.0), 1.0),
+    (Gaussian(-2.0, 1.0), 3.0),
+    (Mirrored(Bernoulli(0.6)), 1.0), (Mirrored(Bernoulli(0.6)), 3.0),
+    (Empirical(np.array([-1.0, 0.0, 0.0])), 3.0),
+    (ShiftedExponential(0.5, 1.0), 3.0), (ShiftedExponential(0.2, 2.0), 3.0),
+    (GaussianMixture(0.5, -1.0), 3.0),
+    (Mirrored(GaussianMixture(0.7, 2.0)), 3.0),
+    (Mirrored(Empirical(np.array([-0.5, 1.0, 2.0]))), 3.0),
+]
+
+
+@pytest.mark.parametrize("model, c2", RAISING_BATTERY, ids=str)
+def test_raises_without_a_tilt_search(monkeypatch, model, c2):
+    # each inner tilt search solves a grid of meta-rates, so a raise must
+    # come from the Newton route or the closed form alone
+    module = importlib.import_module("ordopt.meta_rate")
+    search, calls = module._tilt_search, []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_tilt_search", spy)
+    with pytest.raises(NumericalError):
+        two_phase_exponent(model, 1.0, c2)
+    assert len(calls) == 0
 
 
 class TestTwoPhaseLevelWindow:
-    """Both routes of two_phase_exponent search levels b from just above
-    I(0) up to _LEVEL_MAX, where e^{-b} is still a normal float. The
-    fallback's tilt searches are replaced here: on these densities they
-    take seconds before the search raises."""
+    """two_phase_exponent searches levels b from just above I(0) up to
+    _LEVEL_MAX, where e^{-b} is still a normal float."""
 
-    def test_newton_root_past_the_window_is_rejected(self, newton_calls,
-                                                      no_fallback):
+    def test_newton_root_past_the_window_is_rejected(self, newton_calls):
         # the root at b = 516146, where e^{-b} = 0 zeroes the level and
         # outer residuals, was once returned as the exponent; with the
         # window as its domain Newton gives up short of it
-        with pytest.raises(no_fallback):
+        with pytest.raises(NumericalError, match="Newton found no root"):
             two_phase_exponent(Gaussian(-1.0, 0.5), 1.0, 1.0)
         (call,) = newton_calls
         assert call["root"] is None
@@ -676,73 +715,19 @@ class TestTwoPhaseLevelWindow:
     @pytest.mark.parametrize("model, c2", [
         (TwoPoint(1.0, 0.9), 1.0), (Mirrored(TwoPoint(2.5, 0.2)), 1.0),
         (TwoPoint(1.0, 0.7), 3.0)], ids=str)
-    def test_newton_gives_up_outside_the_window(self, newton_calls,
-                                                no_fallback, model, c2):
+    def test_newton_gives_up_outside_the_window(self, newton_calls, model,
+                                                c2):
         # Newton gives up at its 4th point outside the window; running on
         # against the window's edge took 2600 to 5800 evaluations
-        with pytest.raises(no_fallback):
+        with pytest.raises(NumericalError, match="Newton found no root"):
             two_phase_exponent(model, 1.0, c2)
         (call,) = newton_calls
         assert call["root"] is None and call["evals"] <= 20
-
-    def test_fallback_levels_stay_in_the_window(self, monkeypatch):
-        # the doubling walk once took the levels to e^{-b} = 0, which
-        # exited as a validation error
-        module = importlib.import_module("ordopt.meta_rate")
-        levels = []
-
-        def flat(model, law, b):
-            # an inner infimum of 0 leaves phi = c2 I(0) / b falling
-            # across the whole window
-            levels.append(b)
-            return 0.0, MetaRateResult(0.0, 0.0, 0.0, math.exp(-b),
-                                       "interior")
-
-        monkeypatch.setattr(module, "_inf_meta_rate", flat)
-        model = Mirrored(GaussianMixture(0.3, 10.0))
-        with pytest.raises(NumericalError, match="edge"):
-            two_phase_exponent(model, 1.0, 1.0)
-        i0 = rate_function(model, 0.0).value
-        assert i0 < min(levels) and max(levels) <= module._LEVEL_MAX
-
-    def test_slopes_that_do_not_change_sign_raise(self, monkeypatch):
-        # phi has its least grid value inside the window, but the inner
-        # searches' alpha* = 0 make every envelope slope negative: the
-        # level bisection has no bracket, and says so
-        module = importlib.import_module("ordopt.meta_rate")
-
-        def bowl(model, law, b):
-            return 0.0, MetaRateResult((math.log(b) - 2.0) ** 2, 0.0, 0.0,
-                                       math.exp(-b), "interior")
-
-        monkeypatch.setattr(module, "_inf_meta_rate", bowl)
-        with pytest.raises(NumericalError, match="change sign") as info:
-            two_phase_exponent(Gaussian(-1.0, 0.5), 1.0, 1.0)
-        b_star, theta_star, alpha_star = info.value.best
-        assert 1.0 < math.log(b_star) < 3.0
-        assert (theta_star, alpha_star) == (0.0, 0.0)
 
     def test_empty_window_raises(self):
         # I(0) = 800: e^{-b} underflows at every level above it
         with pytest.raises(NumericalError, match="no level"):
             two_phase_exponent(Gaussian(-40.0, 1.0), 1.0, 1.0)
-
-
-@pytest.fixture
-def no_fallback(monkeypatch):
-    """Replaces the two-phase fallback's tilt searches by one that raises
-    the exception returned, so a test sees the fallback entered without
-    its searches, which take seconds on some of these models."""
-    module = importlib.import_module("ordopt.meta_rate")
-
-    class Fallback(Exception):
-        pass
-
-    def fallback(model, law, b):
-        raise Fallback
-
-    monkeypatch.setattr(module, "_inf_meta_rate", fallback)
-    return Fallback
 
 
 @pytest.fixture

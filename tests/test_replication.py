@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 import ordopt
 from ordopt import selectors
 from ordopt._solve import bisect_root, expand_bracket
-from ordopt.adversarial import fs_estimate
 from ordopt.empirical_rate import (
     RateEstimate,
     estimate_rate_at_zero,
@@ -52,6 +51,7 @@ from ordopt.selectors import (
     _draws,
     capped_select,
     capping_radius,
+    fs_estimate,
     hoeffding_select,
     radius,
     replicate,
