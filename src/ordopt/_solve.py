@@ -14,6 +14,9 @@ two-phase exponent of meta_rate solve their stationarity systems with
 it. increasing_fixed_point iterates t = g(t). The rate functions,
 tilted-moment optimizations, quantiles and caps elsewhere reduce to
 these searches, and every search loop in the numeric modules runs here.
+The one search that seeks no root, zoom_max, is a reference: it finds the
+largest value of unimodal rows by grids alone, so that reproduce can
+check closed forms with no first-order condition of theirs.
 """
 
 from __future__ import annotations
@@ -273,3 +276,24 @@ def increasing_fixed_point(g, t0):
             return t_next, it
         t = t_next
     return t, _MAX_STEPS
+
+
+def zoom_max(f, lo, hi, points, zooms):
+    """The largest value of each row's unimodal f on [lo, hi], 1-D arrays.
+
+    f takes an array of x, one row of `points` per bracket, evenly spaced
+    in log x from lo (exactly) to hi, and returns the values. A unimodal
+    row keeps its maximizer in the two cells around its best grid point,
+    so each of `zooms` rounds lays a new grid across them. Returns the
+    largest value seen per row.
+    """
+    rows, steps = np.arange(lo.size), np.linspace(0.0, 1.0, points)
+    best = np.full(lo.size, -math.inf)
+    for _ in range(zooms + 1):
+        x = lo[:, None] * np.exp(np.multiply.outer(np.log(hi / lo), steps))
+        v = f(x)
+        k = v.argmax(axis=1)
+        best = np.maximum(best, v[rows, k])
+        lo = x[rows, np.maximum(k - 1, 0)]
+        hi = x[rows, np.minimum(k + 1, points - 1)]
+    return best

@@ -216,8 +216,16 @@ class Gaussian:
     sigma: float = 1.0
 
     def __post_init__(self):
+        # squares of sigma, of mu / sigma and of theta sigma on the tilt
+        # windows (|theta| <= 64) stay normal floats
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if not 1e-150 <= self.sigma <= 1e150:
+            raise ValueError(f"sigma must lie in [1e-150, 1e150], got "
+                             f"{self.sigma:.6g}")
+        if not abs(self.mu) <= 1e150 * self.sigma:
+            raise ValueError(f"|mu| / sigma must be at most 1e150, got "
+                             f"{abs(self.mu) / self.sigma:.6g}")
 
     def mean(self):
         return self.mu
@@ -226,7 +234,13 @@ class Gaussian:
         return (-math.inf, math.inf)
 
     def log_mgf(self, theta):
-        return theta * self.mu + 0.5 * (theta * self.sigma) ** 2
+        t = theta * self.sigma
+        half_square = 0.5 * t * t
+        # past the float range it outweighs theta mu (|mu| / sigma <= 1e150),
+        # where the sum could be -inf + inf
+        if half_square == math.inf:
+            return math.inf
+        return theta * self.mu + half_square
 
     def dlog_mgf(self, theta):
         return self.mu + theta * self.sigma ** 2
@@ -293,9 +307,11 @@ class GaussianMixture:
 
     def logpdf(self, x):
         x = np.asarray(x, dtype=float)
-        a = math.log(self.p) + _LOG_NORM_CONST - 0.5 * x * x
-        b = (math.log1p(-self.p) + _LOG_NORM_CONST
-             - 0.5 * (x - self.mu) ** 2)
+        # a square that overflows is a log density of -inf, exactly
+        with np.errstate(over="ignore"):
+            a = math.log(self.p) + _LOG_NORM_CONST - 0.5 * x * x
+            b = (math.log1p(-self.p) + _LOG_NORM_CONST
+                 - 0.5 * (x - self.mu) ** 2)
         return np.logaddexp(a, b)
 
     def cdf(self, x):
@@ -593,8 +609,9 @@ def rate_function(model, a: float) -> RateEstimate:
         return RateEstimate(r.value, None if r.theta_star is None
                             else -r.theta_star, status, r.iterations)
     if isinstance(model, Gaussian):
+        z = (a - model.mu) / model.sigma
         theta = (a - model.mu) / model.sigma ** 2
-        val = 0.5 * ((a - model.mu) / model.sigma) ** 2
+        val = 0.5 * z * z
         status = "at-mean" if a == model.mu else "interior"
         return RateEstimate(val, theta, status, 0)
     if isinstance(model, Empirical):

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import importlib.metadata
 import json
 import math
@@ -9,11 +10,12 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from ordopt import cli
+from ordopt import cli, truncation
 from ordopt.cli import main, parse_model, run_reproduce
 from ordopt.populations import (
     Gaussian,
@@ -22,6 +24,7 @@ from ordopt.populations import (
     ShiftedExponential,
     TwoPoint,
 )
+from ordopt.truncation import worst_capping_error, worst_truncation_error
 
 
 def run_cli(capsys, argv):
@@ -219,9 +222,8 @@ class TestMetaRate:
         assert "numerical" in err
 
     @pytest.mark.parametrize("spec, name", [
-        ("gaussian:-1e300,1", "Gaussian(mu=-1e+300"),
+        ("gaussian:-1e20,1", "Gaussian(mu=-1e+20"),
         ("gaussian-mixture:0.5,1e300", "GaussianMixture(p=0.5, mu=1e+300")])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_empty_node_table_is_validation(self, capsys, spec, name):
         # no node of these tables keeps a positive weight in floats, so
         # there is no law to solve on: a validation error, not a traceback
@@ -684,6 +686,48 @@ class TestReproduce:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_capping_search_beats_a_dense_grid(self):
+        # every (case, objective) pair of the capping group: the zooming
+        # search reaches the 20001-point grid it replaced, never passes
+        # the closed form, and comes within 1e-6 of it
+        cases = _capping_cases()
+        found = cli._brute_worst(cases)
+        assert found.shape == (16, 2)
+        for (spec, c, u), pair in zip(cases, found):
+            closed = (worst_truncation_error(spec, c, u).error,
+                      worst_capping_error(spec, c, u).error)
+            for got, grid, cf in zip(pair, _dense_grid_worst(spec, c, u),
+                                     closed):
+                assert got >= grid, (spec, c, u)
+                assert got <= cf + 1e-12, (spec, c, u)
+                assert cf - got <= 1e-6, (spec, c, u)
+
+    def test_capping_group_catches_a_low_closed_form(self, monkeypatch):
+        # a truncation closed form 3e-6 too low on the alpha = 2 family;
+        # the 20001-point grid sits up to 9e-5 below the supremum and
+        # misses it
+        exact = truncation.worst_truncation_error
+
+        def lowered(spec, c, u):
+            r = exact(spec, c, u)
+            if spec != truncation.PowerSpec(2.0):
+                return r
+            return dataclasses.replace(r, error=r.error - 3e-6)
+
+        spec = truncation.PowerSpec(2.0)
+        grid_excess = max(_dense_grid_worst(spec, c, u)[0]
+                          - lowered(spec, c, u).error
+                          for c in (1.0, 2.0) for u in (0.3, 0.9))
+        assert grid_excess <= 1e-6
+        monkeypatch.setattr(truncation, "worst_truncation_error", lowered)
+        items = {it["name"]: it for it in run_reproduce(only="capping")}
+        item = items["grid never beats closed form, power alpha=2"]
+        assert not item["pass"]
+        assert 2.9e-6 <= item["computed"] <= 3e-6 + 1e-12
+        for label in ("power alpha=1.5", "power alpha=3",
+                      "exponential theta=1"):
+            assert items[f"grid never beats closed form, {label}"]["pass"]
+
     def test_certificate_group_fails_honestly(self, capsys):
         # the reported triples do not satisfy the optimization they are
         # quoted for; the computed minima differ beyond tolerance, so the
@@ -712,6 +756,33 @@ class TestReproduce:
         lines = out_path.read_text().strip().splitlines()
         assert lines[0] == "group,name,computed,expected,tol,pass"
         assert len(lines) == 3
+
+
+def _capping_cases():
+    """The 16 (spec, c, u) cases of the capping group, in its order."""
+    specs = ((truncation.PowerSpec(1.5), (1.0, 2.0)),
+             (truncation.PowerSpec(2.0), (1.0, 2.0)),
+             (truncation.PowerSpec(3.0), (1.0, 2.0)),
+             (truncation.ExponentialSpec(1.0), (1.5, 3.0)))
+    return [(spec, c, u) for spec, cs in specs for c in cs
+            for u in (0.3, 0.9)]
+
+
+def _dense_grid_worst(spec, c, u, n=20001):
+    """The (truncation, capping) maxima on n log-spaced points of the
+    capping group's window, the reference it used before its zooming
+    search."""
+    f0 = spec.f(0.0)
+    if isinstance(spec, truncation.PowerSpec):
+        hi = 10.0 * max(u, c ** (1.0 / spec.alpha), 1.0)
+        xs = np.geomspace(max(u, 1e-9), hi, n)
+        fx = xs ** spec.alpha
+    else:
+        xs = np.geomspace(max(u, 1e-9), u + 80.0 / spec.theta, n)
+        fx = np.exp(spec.theta * xs)
+    with np.errstate(divide="ignore"):
+        q = np.where(fx > f0, np.minimum(1.0, (c - f0) / (fx - f0)), 1.0)
+    return float((q * xs).max()), float((q * (xs - u)).max())
 
 
 # each argv is valid with BAD replaced by a finite number
@@ -810,6 +881,37 @@ def _ini_section(mapping):
     return "".join(
         f"{k} = {';'.join(map(str, v)) if isinstance(v, list) else v}\n"
         for k, v in mapping.items())
+
+
+_META_RATE_MODES = {"infimum": ["--a", "0.5"],
+                    "exponent": ["--exponent", "--c1", "1", "--c2", "1"],
+                    "certificate": ["--certificate", "--c1", "1"],
+                    "pointwise": ["--theta", "0.5", "--nu", "0.5"]}
+
+
+class TestExtremeModelParameters:
+    """Finite but extreme model parameters end in exit 0, 2 or 3, never in
+    a traceback or a nan; a validation error is the one line on stderr, and
+    it names the parameter."""
+
+    @pytest.mark.parametrize("spec, modes, name", [
+        ("gaussian:0,1e-300", ["infimum"], "sigma"),
+        ("gaussian:-1e300,1", ["infimum", "exponent", "certificate"], "mu"),
+        ("gaussian:-1,1e200", list(_META_RATE_MODES), "sigma"),
+        ("gaussian-mixture:0.5,1e300", ["pointwise"], "mu=1e+300")])
+    def test_meta_rate(self, capsys, spec, modes, name):
+        for mode in modes:
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, [
+                    "meta-rate", "--model", spec, *_META_RATE_MODES[mode]])
+            assert code in (0, 2, 3), mode
+            assert "nan" not in out.lower() + err.lower(), mode
+            assert "Traceback" not in err and not seen, mode
+            if code == 2:
+                assert len(err.splitlines()) == 1, mode
+                assert err.startswith("error: validation:"), mode
+                assert name in err, mode
 
 
 class TestNonFiniteModels:

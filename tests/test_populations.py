@@ -107,6 +107,22 @@ def test_rate_closed_forms():
         0.3680642071684971, abs=1e-12)
 
 
+def test_gaussian_squares_past_the_float_range_are_inf():
+    # the square of theta sigma or of (a - mu) / sigma overflows: +inf,
+    # never OverflowError, and never -inf + inf = nan
+    assert Gaussian(-1e150, 1.0).log_mgf(1e160) == math.inf
+    assert Gaussian(0.0, 1.0).log_mgf(-1e200) == math.inf
+    r = rate_function(Gaussian(0.0, 1.0), 1e200)
+    assert r.value == math.inf and r.theta_star == 1e200
+
+
+@pytest.mark.parametrize("mu, sigma, name", [
+    (0.0, 1e-300, "sigma"), (-1.0, 1e200, "sigma"), (-1e300, 1.0, "mu")])
+def test_gaussian_domain_names_the_parameter(mu, sigma, name):
+    with pytest.raises(ValueError, match=name):
+        Gaussian(mu, sigma)
+
+
 def test_rate_outside_support():
     assert rate_function(TwoPoint(1.0, 0.5), 2.0).status == "diverges-right"
     assert rate_function(TwoPoint(1.0, 0.5), -2.0).status == "diverges-left"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import ordopt
 from ordopt._solve import (bisect_root, expand_bracket,
                            increasing_fixed_point, newton_root,
-                           newton_system)
+                           newton_system, zoom_max)
 
 
 def test_bisect_root_cubic():
@@ -278,3 +278,18 @@ def test_fixed_point_log():
     t, _ = increasing_fixed_point(lambda t: 10.0 + 2.0 * math.log(t), 10.0)
     assert abs(t - (10.0 + 2.0 * math.log(t))) < 1e-10
     assert abs(t - 15.47896386) < 1e-6
+
+
+def test_zoom_max_rows():
+    # a kink at x = 3 (slope +1 then -2), a smooth peak at x = 2 and a row
+    # falling from its left end, which the grid holds exactly
+    lo, hi = np.array([0.5, 0.5, 0.7]), np.array([40.0, 40.0, 9.0])
+
+    def f(x):
+        return np.stack([np.minimum(x[0], 9.0 - 2.0 * x[0]),
+                         -np.log(x[1] / 2.0) ** 2, 1.0 / x[2]])
+
+    best = zoom_max(f, lo, hi, 65, 5)
+    assert best[0] <= 3.0 and 3.0 - best[0] < 1e-7
+    assert -1e-15 < best[1] <= 0.0
+    assert best[2] == 1.0 / 0.7
