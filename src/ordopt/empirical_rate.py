@@ -13,7 +13,11 @@ and the rate at a general point x is the same quantity for the shifted
 batch (X_i - x). The infimum is the root of the strictly increasing
 derivative L_m'(theta), found by safeguarded Newton steps with L_m''(theta),
 the tilted variance, as the slope; when every sample sits strictly on one
-side of zero the infimum is -inf and the estimate is +infinity.
+side of zero the infimum is -inf and the estimate is +infinity. A batch
+that holds exactly two distinct values is a two-atom law, whose rate has
+the closed form KL(pi || q) of _rate_two_atoms, so two-point and Bernoulli
+batches take no search; the same formula gives rate_function on the
+two-atom models of populations.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import numpy as np
 from ._solve import expand_bracket, newton_root
 
 # the largest |theta| of a tilt search: an estimate saturates here, so the
-# closed-form two-atom rate in populations reports this tilt at an atom
+# closed-form two-atom rate reports this tilt at an atom (a batch with mass
+# at zero, or a two-atom model at one of its atoms)
 _THETA_CAP = 2.0 ** 10
 
 
@@ -125,25 +130,51 @@ def _rate(lm):
     return -lm if lm < 0 else 0.0
 
 
-def estimate_rate_at_zero(batch) -> RateEstimate:
-    """I_m(0) = -inf_theta L_m(theta) at the root of L_m'.
+def _rate_two_atoms(lo, hi, p_lo, p_hi, a):
+    """Closed-form rate of a two-atom law at 'a', with optimizer: the
+    relative entropy of the law moved to mean 'a' on the same atoms. Each
+    mass is the caller's own, so a tiny one survives beside 1 - it."""
+    # all mass on one atom: every other a diverges
+    if a < lo or (p_lo == 0.0 and a < hi):
+        return RateEstimate(math.inf, None, "diverges-left", 0)
+    if a > hi or (p_hi == 0.0 and a > lo):
+        return RateEstimate(math.inf, None, "diverges-right", 0)
+    if (a == lo and p_lo == 1.0) or (a == hi and p_hi == 1.0):
+        return RateEstimate(0.0, 0.0, "at-mean", 0)
+    s = (a - lo) / (hi - lo)        # required mass on the upper atom
+    # 'a' at an atom, or within rounding of one: all mass moves there
+    if s == 0.0:
+        return RateEstimate(-math.log(p_lo), -_THETA_CAP, "interior", 0)
+    if s == 1.0:
+        return RateEstimate(-math.log(p_hi), _THETA_CAP, "interior", 0)
+    val = s * math.log(s / p_hi) + (1.0 - s) * math.log((1.0 - s) / p_lo)
+    theta = (math.log(s / p_hi) - math.log((1.0 - s) / p_lo)) / (hi - lo)
+    status = "at-mean" if val <= 1e-15 else "interior"
+    return RateEstimate(max(val, 0.0), theta, status, 0)
 
-    L_m' is strictly increasing when the batch has at least two distinct
-    points, so a sign change of the derivative brackets the optimum. The
-    search runs on the batch scaled by the power of two that puts its
-    largest |X_i| in [1, 2), which leaves I_m(0) unchanged and makes it
-    independent of the batch's units; theta_star is scaled back. The
-    bracket expands geometrically from [-1, 1] up to |theta| = 2^10 in
-    scaled units, and safeguarded Newton steps (newton_root) from
-    theta = 0 locate the root inside it, with L_m'', the tilted variance,
-    as the slope; iterations counts the derivative evaluations of that
-    search. Where theta_star scaled back overflows, the status is
-    "theta-overflow" (see RateEstimate). If the derivative never changes
-    sign inside that range the infimum is either -inf (all samples strictly
-    one-signed, value +infinity) or attained in the limit because the batch
-    has mass exactly at zero, in which case the boundary value at the cap
-    already matches the limit to double precision. The rate at the batch
-    mean is +0.0.
+
+def estimate_rate_at_zero(batch) -> RateEstimate:
+    """I_m(0) = -inf_theta L_m(theta), in closed form or at the root of L_m'.
+
+    The estimate works on the batch scaled by the power of two that puts
+    its largest |X_i| in [1, 2), which leaves I_m(0) unchanged and makes it
+    independent of the batch's units; theta_star is scaled back. A batch
+    of exactly two distinct values, k of them at the upper one, is the
+    two-atom law with masses (m - k)/m and k/m, and takes that law's
+    closed form (_rate_two_atoms) with no search: iterations is 0, and a
+    value exactly at zero gives -log of its share, with theta_star at the
+    cap. Every other batch has an L_m' that is strictly increasing, so a
+    sign change of the derivative brackets the optimum. The bracket
+    expands geometrically from [-1, 1] up to |theta| = 2^10 in scaled
+    units, and safeguarded Newton steps (newton_root) from theta = 0 locate
+    the root inside it, with L_m'', the tilted variance, as the slope;
+    iterations counts the derivative evaluations of that search. Where
+    theta_star scaled back overflows, the status is "theta-overflow" (see
+    RateEstimate). If the derivative never changes sign inside that range
+    the infimum is either -inf (all samples strictly one-signed, value
+    +infinity) or attained in the limit because the batch has mass exactly
+    at zero, in which case the boundary value at the cap already matches
+    the limit to double precision. The rate at the batch mean is +0.0.
     """
     return estimate_rates_at_zero(_values(batch)[None, :])[0]
 
@@ -151,34 +182,65 @@ def estimate_rate_at_zero(batch) -> RateEstimate:
 def estimate_rates_at_zero(batches) -> list[RateEstimate]:
     """estimate_rate_at_zero of every row of an (R, m) matrix of batches.
 
-    The root searches of all rows step in lock-step, each row taking
-    exactly the steps it takes alone, so no estimate, iterations included,
-    depends on the other rows.
+    Each row is classified once by its minimum and maximum. The closed
+    form is evaluated, and its estimate built, once per distinct (scaled
+    atoms, upper count, scale) of the two-valued rows, which share that
+    estimate. The root searches of the other rows step in lock-step, each
+    row taking exactly the steps it takes alone, so no estimate,
+    iterations included, depends on the other rows.
     """
     x = np.asarray(batches, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("batches must be a nonempty 2-D array of reals")
-    if not np.isfinite(x).all():
+    lo = np.minimum.reduce(x, axis=1)
+    hi = np.maximum.reduce(x, axis=1)
+    # a NaN or an inf anywhere in a row reaches its minimum or maximum
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise ValueError("batch values must be finite (no NaN or inf)")
     out = [None] * len(x)
-    equal = (x == x[:, :1]).all(axis=1)
-    above = (x > 0).all(axis=1)
-    below = (x < 0).all(axis=1)
-    for i in np.flatnonzero(equal | above | below):
-        if equal[i] and x[i, 0] == 0.0:
-            out[i] = RateEstimate(0.0, 0.0, "at-mean", 0)
+    trivial = (lo > 0) | (hi < 0) | (lo == hi)
+    for i in np.flatnonzero(trivial):
+        if lo[i] > 0:
+            out[i] = RateEstimate(math.inf, None, "diverges-left", 0)
+        elif hi[i] < 0:
+            out[i] = RateEstimate(math.inf, None, "diverges-right", 0)
         else:
-            status = "diverges-left" if above[i] else "diverges-right"
-            out[i] = RateEstimate(math.inf, None, status, 0)
-    rows = np.flatnonzero(~(equal | above | below))
+            out[i] = RateEstimate(0.0, 0.0, "at-mean", 0)
+    rows = np.flatnonzero(~trivial)
     if not rows.size:
         return out
     # each row times the power of two that puts its largest |x| in [1, 2):
     # exact (barring entries pushed below the normal range), so the rate
-    # is that of the row as given, and theta* scales back by that power
-    x = x[rows]
-    shift = 1 - np.frexp(np.abs(x).max(axis=1))[1]
+    # is that of the row as given, and theta* scales back by that power;
+    # ldexp is monotone, so the scaled rows' ends are the scaled ends
+    x, lo, hi = x[rows], lo[rows], hi[rows]
+    shift = 1 - np.frexp(np.maximum(-lo, hi))[1]
     x = np.ldexp(x, shift[:, None])
+    lo, hi = np.ldexp(lo, shift), np.ldexp(hi, shift)
+    m = x.shape[1]
+    n_hi = np.add.reduce(x == hi[:, None], axis=1)
+    two = np.add.reduce(x == lo[:, None], axis=1) + n_hi == m
+    # rows of two values: one closed form, and so one RateEstimate, per
+    # distinct (scaled atoms, upper count, scale)
+    forms = {}
+    for i, key in zip(rows[two].tolist(),
+                      zip(lo[two].tolist(), hi[two].tolist(),
+                          n_hi[two].tolist(), shift[two].tolist())):
+        if key not in forms:
+            a, b, k, e = key
+            est = _rate_two_atoms(a, b, (m - k) / m, k / m, 0.0)
+            try:
+                forms[key] = RateEstimate(est.value,
+                                          math.ldexp(est.theta_star, e),
+                                          est.status, 0)
+            except OverflowError:
+                forms[key] = RateEstimate(est.value, None, "theta-overflow",
+                                          0)
+        out[i] = forms[key]
+    search = np.flatnonzero(~two)
+    if not search.size:
+        return out
+    x, shift = x[search], shift[search]
     lo, dlo = expand_bracket(_row_derivative(x), np.full(len(x), -1.0),
                              -math.inf, 1, cap=_THETA_CAP)
     hi, dhi = expand_bracket(_row_derivative(x), np.full(len(x), 1.0),
@@ -197,8 +259,8 @@ def estimate_rates_at_zero(batches) -> list[RateEstimate]:
         iterations[free] = root.iterations
     with np.errstate(over="ignore"):
         theta_star = np.ldexp(theta, shift)
-    for i, lm, th, it in zip(rows, _log_mgf(x, theta), theta_star.tolist(),
-                             iterations.tolist()):
+    for i, lm, th, it in zip(rows[search], _log_mgf(x, theta),
+                             theta_star.tolist(), iterations.tolist()):
         if math.isfinite(th):
             out[i] = RateEstimate(_rate(lm), th, "interior", it)
         else:
@@ -207,7 +269,15 @@ def estimate_rates_at_zero(batches) -> list[RateEstimate]:
 
 
 def estimate_rate_at(batch, x: float) -> RateEstimate:
-    """Rate estimate at a general point: the zero estimate of X - x."""
+    """Rate estimate at a general point: the zero estimate of X - x.
+
+    A finite batch whose shift by x overflows (or a NaN x) raises
+    ValueError naming the shift, not the batch.
+    """
     vals = _values(batch)
-    return estimate_rate_at_zero(vals - x)
+    with np.errstate(over="ignore"):
+        shifted = vals - x
+    if not np.isfinite(shifted).all():
+        raise ValueError(f"the batch shifted by x = {x!r} is not finite")
+    return estimate_rate_at_zero(shifted)
 

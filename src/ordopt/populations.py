@@ -32,8 +32,9 @@ import numpy as np
 
 from ._quad import integrate, log_tail_integral, sorted_unique, table_cuts
 from ._solve import bisect_root, expand_bracket, newton_root
-from .empirical_rate import (_THETA_CAP, RateEstimate, _tilted_mean,
-                             empirical_log_mgf, estimate_rate_at)
+from .empirical_rate import (_THETA_CAP, RateEstimate, _rate_two_atoms,
+                             _tilted_mean, empirical_log_mgf,
+                             estimate_rate_at)
 
 __all__ = [
     "SupportError", "TwoPoint", "ShiftedExponential", "Gaussian",
@@ -559,27 +560,6 @@ class Mirrored:
 def log_mgf(model, theta: float) -> float:
     """Lambda(theta) = log E exp(theta X); +inf outside the MGF domain."""
     return model.log_mgf(float(theta))
-
-
-def _rate_two_atoms(lo, hi, p_lo, p_hi, a):
-    """Closed-form rate for a two-atom law at 'a', with optimizer; each
-    mass is the model's own, so a tiny one survives beside 1 - it."""
-    # all mass on one atom: every other a diverges
-    if a < lo or (p_lo == 0.0 and a < hi):
-        return RateEstimate(math.inf, None, "diverges-left", 0)
-    if a > hi or (p_hi == 0.0 and a > lo):
-        return RateEstimate(math.inf, None, "diverges-right", 0)
-    if (a == lo and p_lo == 1.0) or (a == hi and p_hi == 1.0):
-        return RateEstimate(0.0, 0.0, "at-mean", 0)
-    if a == lo:
-        return RateEstimate(-math.log(p_lo), -_THETA_CAP, "interior", 0)
-    if a == hi:
-        return RateEstimate(-math.log(p_hi), _THETA_CAP, "interior", 0)
-    s = (a - lo) / (hi - lo)        # required mass on the upper atom
-    val = s * math.log(s / p_hi) + (1.0 - s) * math.log((1.0 - s) / p_lo)
-    theta = (math.log(s / p_hi) - math.log((1.0 - s) / p_lo)) / (hi - lo)
-    status = "at-mean" if val <= 1e-15 else "interior"
-    return RateEstimate(max(val, 0.0), theta, status, 0)
 
 
 def rate_function(model, a: float) -> RateEstimate:

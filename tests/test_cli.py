@@ -121,6 +121,16 @@ class TestRateEstimate:
         assert float(lines[1].split(",")[0]) == pytest.approx(
             0.1438410362, abs=1e-9)
 
+    def test_overflowing_shift_blames_x(self, capsys):
+        # the batch is finite; its shift by x is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, ["rate-estimate",
+                                              "--values=1e308,-1e308",
+                                              "--x", "-1e308"])
+        assert code == 2 and out == ""
+        assert "the batch shifted by x = -1e+308 is not finite" in err
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_non_finite_values_are_validation_errors(self, capsys, bad):
         code, out, err = run_cli(capsys, ["rate-estimate", "--values",

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordopt.empirical_rate import (empirical_log_mgf, estimate_rate_at,
-                                   estimate_rate_at_zero)
+from ordopt.empirical_rate import (RateEstimate, empirical_log_mgf,
+                                   estimate_rate_at, estimate_rate_at_zero,
+                                   estimate_rates_at_zero)
 from ordopt.populations import TwoPoint, two_point_rate_law
 from ordopt.selectors import _rng
 
@@ -25,10 +26,19 @@ def test_log_mgf_values():
 
 
 def test_rate_at_zero_four_point():
+    # two values: the two-atom closed form, with no search
     r = estimate_rate_at_zero([1.0, -1.0, -1.0, -1.0])
     assert r.value == pytest.approx(math.log(2.0 / math.sqrt(3.0)),
                                     abs=1e-10)
     # FOC sum x exp(theta x) = 0 gives e^{2 theta} = 3 here
+    assert r.theta_star == pytest.approx(0.5 * math.log(3.0), abs=1e-8)
+    assert r.status == "interior"
+    assert r.iterations == 0
+    # a third value, at zero, keeps that FOC and takes the Newton search:
+    # the rate is -log((e^theta + 3 e^-theta + 1) / 5) = log(5 / (2 sqrt 3 + 1))
+    r = estimate_rate_at_zero([1.0, -1.0, -1.0, -1.0, 0.0])
+    assert r.value == pytest.approx(math.log(5.0 / (2.0 * math.sqrt(3.0)
+                                                    + 1.0)), abs=1e-10)
     assert r.theta_star == pytest.approx(0.5 * math.log(3.0), abs=1e-8)
     assert r.status == "interior"
     assert r.iterations > 0
@@ -40,10 +50,13 @@ def test_non_finite_batch_rejected(bad):
         estimate_rate_at_zero([1.0, bad, -1.0])
 
 
-def test_rate_at_zero_balanced():
-    r = estimate_rate_at_zero([1.0, -1.0])
-    assert r.value == pytest.approx(0.0, abs=1e-12)
-    assert abs(r.theta_star) < 1e-8
+@pytest.mark.parametrize("batch", [[1.0, -1.0], [-3.0, 3.0, 3.0, -3.0],
+                                   [-1.0, 3.0, -1.0, -1.0],
+                                   [5e-324, -5e-324]])
+def test_rate_at_zero_balanced(batch):
+    # a batch whose mean is exactly 0 sits at the mean (see RateEstimate)
+    assert estimate_rate_at_zero(batch) == RateEstimate(0.0, 0.0, "at-mean",
+                                                        0)
 
 
 def test_rate_at_zero_divergent():
@@ -146,6 +159,31 @@ def test_subnormal_batch_reports_theta_overflow():
     assert small.status == "interior"
     assert small.theta_star == pytest.approx(unit.theta_star * 1e300,
                                              rel=1e-12)
+
+
+def test_subnormal_and_huge_two_valued_rows():
+    # the closed form on the scaled row: the value of 1, -1, -1 at every
+    # scale, the optimizer overflowing only for the subnormal row
+    rows = estimate_rates_at_zero([[5e-324, -5e-324, -5e-324],
+                                   [1e160, -1e160, -1e160],
+                                   [-1e160, 1e160, -1e160],
+                                   [1.0, -1.0, -1.0]])
+    tiny, huge, shuffled, unit = rows
+    assert tiny.value == pytest.approx(0.05889151783, rel=1e-10)
+    assert tiny.status == "theta-overflow" and tiny.theta_star is None
+    for r in (huge, shuffled):
+        assert r.status == "interior" and r.iterations == 0
+        assert r.value == unit.value
+        assert r.theta_star * 1e160 == pytest.approx(unit.theta_star,
+                                                     rel=1e-14)
+    assert unit.value == tiny.value
+
+
+def test_near_atom_level_takes_the_atom():
+    # 0 lies within rounding of the upper atom: the required mass on it
+    # rounds to 1, and the rate is -log of that atom's share
+    r = estimate_rate_at_zero([1.7953849802193635e-247, -1.0])
+    assert r == RateEstimate(math.log(2.0), 1024.0, "interior", 0)
 
 
 @given(batches, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))

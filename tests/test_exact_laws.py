@@ -1,0 +1,70 @@
+"""Exact false-selection laws of the two-phase policy on two-point models.
+
+On TwoPoint(b, p) the pilot rate estimate depends on the pilot batch only
+through k, its number of +b draws, so P(FS) is a finite binomial sum and
+nothing needs to be simulated. The law is written here with scipy.stats;
+from the library it takes only what fixes the rule under test: the rate
+of each k from two_point_rate_law and the decision size from
+_decision_size.
+"""
+
+import math
+
+import pytest
+from scipy.stats import binom
+
+from ordopt.populations import TwoPoint, two_point_rate_law
+from ordopt.selectors import (_decision_size, fs_estimate, replicate,
+                              two_phase_select)
+
+
+def two_phase_fs(p_minus, delta, c1, c2):
+    """P(FS) of two_phase_select on TwoPoint(1, p_minus), p_minus > 1/2.
+
+    Phase one draws m = ceil(c1 log(1/delta)) pilots; k of them are +1 with
+    probability binom.pmf(k, m, 1 - p_minus). Phase two draws N fresh
+    values, J of them +1, and selects "positive", wrongly, when the mean
+    2J/N - 1 is >= 0 (a mean of exactly 0 counts as positive).
+    """
+    m = math.ceil(c1 * math.log(1.0 / delta))
+    p_plus = 1.0 - p_minus
+    total = 0.0
+    for k, _, rate in two_point_rate_law(m, p_minus):
+        n, _ = _decision_size(rate, m, c2)
+        wrong = binom.sf(math.ceil(n / 2) - 1, n, p_plus)
+        total += binom.pmf(k, m, p_plus) * wrong
+    return total
+
+
+# P(FS) / delta at c1 = c2 = 1 on TwoPoint(1, 0.55), each to the digits
+# quoted, so the tolerance is half a unit of the last one
+TABLE = [(1e-3, 125.3, 0.05), (1e-6, 4.43e4, 50.0), (1e-9, 1.56e7, 5e4),
+         (1e-12, 6.76e9, 5e6)]
+
+
+def test_two_phase_fs_over_delta_grows_without_bound():
+    ratios = []
+    for delta, quoted, tol in TABLE:
+        ratio = two_phase_fs(0.55, delta, 1.0, 1.0) / delta
+        assert abs(ratio - quoted) <= tol
+        ratios.append(ratio)
+    # the promise P(FS) <= delta fails ever more at smaller delta
+    assert all(a * 100 < b for a, b in zip(ratios, ratios[1:]))
+    assert two_phase_fs(0.55, 1e-3, 1.0, 1.0) == pytest.approx(0.1252935,
+                                                               abs=5e-8)
+
+
+def test_check10_monte_carlo_matches_the_exact_law():
+    # acceptance check 10's run (seed 10, 100k replications) against the
+    # exact P(FS): the false-selection count must lie in the central 99%
+    # binomial interval of the exact law, fixed before the run
+    reps, exact = 100_000, two_phase_fs(0.55, 1e-3, 1.0, 1.0)
+
+    def policy(truth, delta, seed, streams):
+        return two_phase_select(truth, delta, 1.0, 1.0, seed, stream=streams)
+
+    est = fs_estimate(replicate(policy, TwoPoint(1.0, 0.55), 1e-3, 10,
+                                reps))
+    count = round(est.fs_rate * reps)
+    assert binom.ppf(0.005, reps, exact) <= count
+    assert count <= binom.isf(0.005, reps, exact)

@@ -229,6 +229,15 @@ def test_bernoulli_rate_keeps_a_tiny_mass(q):
         assert r.value == pytest.approx(kl, rel=1e-13)
 
 
+def test_two_atom_rate_within_rounding_of_an_atom():
+    # the mass required on the upper atom rounds to 1: the rate is that at
+    # the atom, with no log of 0
+    for b in (1.0, 4.0):
+        model = TwoPoint(b, 0.3)
+        assert rate_function(model, math.nextafter(b, 0.0)) == (
+            rate_function(model, b))
+
+
 @pytest.mark.parametrize("model", [
     TwoPoint(1.0, 0.55), Gaussian(-0.2, 1.0),
     Empirical(np.array([-1.0, 0.5, 2.0])), Mirrored(TwoPoint(1.0, 0.55)),
