@@ -16,8 +16,10 @@ the tilted variance, as the slope; when every sample sits strictly on one
 side of zero the infimum is -inf and the estimate is +infinity. A batch
 that holds exactly two distinct values is a two-atom law, whose rate has
 the closed form KL(pi || q) of _rate_two_atoms, so two-point and Bernoulli
-batches take no search; the same formula gives rate_function on the
-two-atom models of populations.
+batches take no search. The same formula gives rate_function on the
+two-atom models of populations, and meta_rate on a two-atom law, whose W
+has two atoms at every tilt; meta_rate's alpha search, from alpha = +-1,
+runs on the other laws. Both modules sum through _shifted.
 """
 
 from __future__ import annotations
@@ -75,14 +77,19 @@ def empirical_log_mgf(batch, theta: float) -> float:
     return float(_log_mgf(_values(batch), theta))
 
 
-def _tilt(x: np.ndarray, theta):
-    """theta * x and its maximum over the last axis, kept as an axis.
-
-    x is one batch with a float theta, or an (R, m) matrix with one theta
-    per row; each row's arithmetic is exactly that of the row alone.
-    """
-    t = (theta[:, None] if np.ndim(theta) else theta) * x
-    return t, np.maximum.reduce(t, axis=-1, keepdims=True)
+def _shifted(w, alpha, p=None):
+    """(hi, e, den) for each row of w (a 1-D w is one row) at one alpha or
+    one per row: hi is the row's largest exponent alpha w, e = p e^{alpha w
+    - hi} (p = 1 when not given) and den its row sum, so log sum p e^{alpha
+    w} = hi + log den, with each row's arithmetic that of the row alone."""
+    with np.errstate(over="ignore"):
+        e = np.asarray(alpha, dtype=float).reshape(-1, 1) * w
+    hi = np.maximum.reduce(e, axis=1)
+    e -= hi[:, None]
+    np.exp(e, out=e)
+    if p is not None:
+        e *= p
+    return hi, e, np.add.reduce(e, axis=1)
 
 
 def _log_mgf(x: np.ndarray, theta):
@@ -91,25 +98,23 @@ def _log_mgf(x: np.ndarray, theta):
     The last step is math.log, row by row: np.log can differ from it in
     the last bit.
     """
-    t, hi = _tilt(x, theta)
-    mean_w = np.add.reduce(np.exp(t - hi), axis=-1) / x.shape[-1]
+    hi, _, den = _shifted(x, theta)
+    mean_w = den / x.shape[-1]
     if not np.ndim(theta):
-        return hi[0] + math.log(mean_w)
-    return [h + math.log(w) for h, w in zip(hi[:, 0].tolist(),
-                                            mean_w.tolist())]
+        return hi[0] + math.log(mean_w[0])
+    return [h + math.log(w) for h, w in zip(hi.tolist(), mean_w.tolist())]
 
 
 def _tilted_moments(x: np.ndarray, theta):
     """(L_m'(theta), L_m''(theta)): the batch mean under the theta-tilt and
     its tilted variance E_w[X^2] - (E_w X)^2, from one exp pass (row-wise
-    for a matrix x and one theta per row, as in _tilt)."""
-    t, hi = _tilt(x, theta)
-    w = np.exp(t - hi)
-    total = np.add.reduce(w, axis=-1)
+    for an (R, m) matrix x and one theta per row)."""
+    _, w, total = _shifted(x, theta)
     xw = x * w
     mean = np.add.reduce(xw, axis=-1) / total
     var = np.add.reduce(x * xw, axis=-1) / total - mean * mean
-    return (mean, var) if np.ndim(theta) else (float(mean), float(var))
+    return (mean, var) if np.ndim(theta) else (float(mean[0]),
+                                                float(var[0]))
 
 
 def _tilted_mean(x: np.ndarray, theta):
@@ -130,6 +135,12 @@ def _rate(lm):
     return -lm if lm < 0 else 0.0
 
 
+def _log_ratio(s, p):
+    """log(s / p), or log s - log p where a subnormal p overflows s / p."""
+    r = s / p
+    return math.log(r) if r < math.inf else math.log(s) - math.log(p)
+
+
 def _rate_two_atoms(lo, hi, p_lo, p_hi, a):
     """Closed-form rate of a two-atom law at 'a', with optimizer: the
     relative entropy of the law moved to mean 'a' on the same atoms. Each
@@ -147,8 +158,9 @@ def _rate_two_atoms(lo, hi, p_lo, p_hi, a):
         return RateEstimate(-math.log(p_lo), -_THETA_CAP, "interior", 0)
     if s == 1.0:
         return RateEstimate(-math.log(p_hi), _THETA_CAP, "interior", 0)
-    val = s * math.log(s / p_hi) + (1.0 - s) * math.log((1.0 - s) / p_lo)
-    theta = (math.log(s / p_hi) - math.log((1.0 - s) / p_lo)) / (hi - lo)
+    up, down = _log_ratio(s, p_hi), _log_ratio(1.0 - s, p_lo)
+    val = s * up + (1.0 - s) * down
+    theta = (up - down) / (hi - lo)
     status = "at-mean" if val <= 1e-15 else "interior"
     return RateEstimate(max(val, 0.0), theta, status, 0)
 

@@ -31,6 +31,7 @@ import numpy as np
 
 from ._quad import node_table
 from ._solve import bisect_root, expand_bracket, newton_root, newton_system
+from .empirical_rate import _rate_two_atoms, _shifted
 from .populations import ShiftedExponential, rate_function
 
 __all__ = [
@@ -67,12 +68,14 @@ class NumericalError(RuntimeError):
 class MetaRateResult:
     """J_theta(nu) and where the sup over alpha was found.
 
-    status is "interior" when alpha_star solves M'(alpha) = nu; "boundary"
-    when the sup sits on the edge of the domain of M (alpha_star = 0 with
-    value 0, or no finite maximizer, alpha_star None, with value +inf);
-    "alpha-cap" when the search stopped at |alpha| = 2^30, where value is
-    the objective at the cap, a lower bound (the limit itself for a level
-    at an atom on the edge of the range of W).
+    status is "interior" when alpha_star solves M'(alpha) = nu: in closed
+    form for a law of two atoms whose W atoms are positive floats with nu
+    strictly between them, else by a search that starts at alpha = +-1;
+    "boundary" when the sup sits on the edge of the domain of M
+    (alpha_star = 0 with value 0, or no finite maximizer, alpha_star None,
+    with value +inf); "alpha-cap" when the search stopped at |alpha| =
+    2^30, where value is the objective at the cap, a lower bound (the
+    limit itself for a level at an atom on the edge of the range of W).
     """
 
     value: float
@@ -101,7 +104,10 @@ def _w_bounds(model, theta):
     with np.errstate(invalid="ignore"):
         ends = np.multiply.outer(theta, model.support())
     ends[theta == 0.0] = 0.0
-    return np.exp(ends.min(axis=1)), np.exp(ends.max(axis=1))
+    # an upper end past 709 is the range's infinite end, which every
+    # caller reads as W unbounded above
+    with np.errstate(over="ignore"):
+        return np.exp(ends.min(axis=1)), np.exp(ends.max(axis=1))
 
 
 def _law(model):
@@ -138,24 +144,11 @@ def _atom_moments(x, p, w, alpha, nu):
     makes it safe for any finite alpha, plus a log sum; alpha nu cancels
     against the shift first, which keeps J exact at |alpha| = 2^30 for a
     level at an atom on the edge of the range of W."""
-    hi, e, den = _shifted(p, w, alpha)
+    hi, e, den = _shifted(w, alpha, p)
     we = w * e
     t_mean = np.add.reduce(we, axis=1) / den
     var = np.add.reduce(w * we, axis=1) / den - t_mean * t_mean
     return (alpha * nu - hi) - np.log(den), t_mean, var
-
-
-def _shifted(p, w, alpha):
-    """(hi, e, den) for each row of w at one alpha (or one per row): hi is
-    the row's largest exponent alpha w, e = p e^{alpha w - hi} and den its
-    row sum, so M(alpha) = hi + log den."""
-    with np.errstate(over="ignore"):
-        e = np.asarray(alpha, dtype=float).reshape(-1, 1) * w
-    hi = np.maximum.reduce(e, axis=1)
-    e -= hi[:, None]
-    np.exp(e, out=e)
-    e *= p
-    return hi, e, np.add.reduce(e, axis=1)
 
 
 def _tilted_moments(law, theta, alpha):
@@ -165,7 +158,7 @@ def _tilted_moments(law, theta, alpha):
     the shift or its sum is not finite. These are the residuals and the
     exact Jacobian of every stationarity system in theta and alpha."""
     x, p, w = _tilt(law, theta)
-    hi, e, den = _shifted(p, w, alpha)
+    hi, e, den = _shifted(w, alpha, p)
     if not (math.isfinite(hi[0]) and math.isfinite(den[0])):
         return None
     # each product takes the weight e first, so a node whose w is _BIG
@@ -199,7 +192,10 @@ def tilted_log_mgf(model, alpha: float, theta: float) -> float:
 def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
     """J_theta(nu) = sup_alpha (alpha nu - M(alpha)), at the root of the
     tilted-mean equation M'(alpha) = nu, found by safeguarded Newton steps
-    with the tilted variance of W as M''.
+    from alpha = +-1 with the tilted variance of W as M''. A law of two
+    atoms has the closed form instead, the relative entropy of the law
+    moved to mean nu on the same W atoms, wherever both W atoms are
+    positive floats and nu lies strictly between them.
 
     The domain of M is all of R when W = exp(theta X) is bounded above and
     (-inf, 0] otherwise; in the latter case levels nu >= E W sit at the
@@ -240,8 +236,25 @@ def _meta_rate(model, law, theta, nu):
         gap_zero[i] = model.log_mgf(float(thetas[i])) - math.log(nu)
     at_mean = inside & (gap_zero <= 0)
     value[at_mean] = alpha[at_mean] = 0.0
-    rows = np.flatnonzero(inside & (gap_zero > 0))
-    block = max(1, _BLOCK // law[0].size)
+    search = inside & (gap_zero > 0)
+    x, p = law
+    if x.size == 2:
+        # two atoms: J is the relative entropy of the law moved to mean nu
+        # on the same W atoms, with no search, where both W atoms are
+        # positive floats and nu lies strictly between them
+        closed = search & (w_lo > 0.0) & (w_lo < nu) & (nu < w_hi) \
+            & ~unbounded
+        rise = (thetas > 0.0) == (x[1] > x[0])     # W of atom 1 is w_hi
+        masses = p.tolist()
+        for i in np.flatnonzero(closed):
+            p_lo, p_hi = masses if rise[i] else masses[::-1]
+            est = _rate_two_atoms(float(w_lo[i]), float(w_hi[i]), p_lo,
+                                  p_hi, nu)
+            value[i], alpha[i] = est.value, est.theta_star
+            status[i] = "interior"
+        search &= ~closed
+    rows = np.flatnonzero(search)
+    block = max(1, _BLOCK // x.size)
     for k in range(0, rows.size, block):
         r = rows[k:k + block]
         value[r], alpha[r], status[r] = _solve_alpha(
@@ -261,22 +274,15 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
     holds it where W is unbounded above, and the table's own E W gives it
     elsewhere. A tilt whose tilted mean at |alpha| = 2^30 on that side is
     still on the same side of nu saturates there; the others run
-    newton_root in [-2^30, 0] or [0, 2^30], with the tilted variance of W
-    as the derivative. One pass evaluates each row's first two points:
-    alpha = -1 or 1 and, where W is bounded above so that M''(0) = Var W is
-    finite, one Newton step from alpha = 0. Both narrow the row's bracket,
-    and the row steps on from the one whose tilted mean is nearer nu in
-    ratio. Neither start serves alone: the Newton step lands some 25
-    decades short of the root on the steep rows of a density table
-    (ShiftedExponential(0.96, 1) at theta = 55), and +-1 lands as far past
-    it on the far tilts of a two-point law."""
+    newton_root in [-2^30, 0] or [0, 2^30] from alpha = -1 or 1, with the
+    tilted variance of W as the derivative. (A two-atom law reaches here
+    only for a level at an atom or a W atom beyond the float range; its
+    other rows take the closed form in _meta_rate.)"""
     x, p, w = _tilt(law, thetas)
     f_zero, value = gap_zero.copy(), np.zeros(thetas.size)
-    var_zero = np.full(thetas.size, math.inf)
     bounded = np.flatnonzero(~unbounded)
     if bounded.size:
-        value[bounded], t_zero, var_zero[bounded] = _atom_moments(
-            x, p, w[bounded], 0.0, nu)
+        value[bounded], t_zero, _ = _atom_moments(x, p, w[bounded], 0.0, nu)
         f_zero[bounded] = t_zero - nu
     side = np.where(f_zero > 0, -1.0, 1.0)
     j_cap, t_cap, _ = _atom_moments(x, p, w, side * _ALPHA_CAP, nu)
@@ -290,37 +296,10 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
         w_solve = w if solve.size == thetas.size else w[solve]
         n, unit = solve.size, side[solve]
         end = unit * _ALPHA_CAP
-        lo, hi = np.minimum(end, 0.0), np.maximum(end, 0.0)
         down = unit < 0
         flo = np.where(down, f_cap[solve], f_zero[solve])
         fhi = np.where(down, f_zero[solve], f_cap[solve])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -f_zero[solve] / var_zero[solve]
-        warm = np.flatnonzero((unit * step > 0) & (abs(step) < _ALPHA_CAP))
-        x0, j_at = unit.copy(), np.empty(n)
-        if warm.size:
-            pts = np.stack([unit[warm], step[warm]])
-            first = _atom_moments(x, p, np.tile(w_solve[warm], (2, 1)),
-                                  pts.ravel(), nu)
-            j, gaps, slopes = (v.reshape(2, -1) for v in (
-                first[0], first[1] - nu, first[2]))
-            b_lo, b_hi, f_lo, f_hi = lo[warm], hi[warm], flo[warm], fhi[warm]
-            for at, f in zip(pts, gaps):
-                # the gap M'(alpha) - nu increases with alpha
-                up, down = (f > 0) & (at < b_hi), (f <= 0) & (at > b_lo)
-                b_hi[up], f_hi[up] = at[up], f[up]
-                b_lo[down], f_lo[down] = at[down], f[down]
-            lo[warm], hi[warm], flo[warm], fhi[warm] = b_lo, b_hi, f_lo, f_hi
-            with np.errstate(divide="ignore", invalid="ignore"):
-                off = abs(np.log1p(gaps / nu))
-            best = ((off[1] < off[0]).astype(int), np.arange(warm.size))
-            j_at[warm] = j[best]
-            # newton_root's next point from there when it lies inside the
-            # bracket; else newton_root starts at that point itself
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = pts[best] - gaps[best] / slopes[best]
-            x0[warm] = np.where((b_lo < nxt) & (nxt < b_hi), nxt, pts[best])
-
+        j_at = np.empty(n)
         noise = 4.0 * np.finfo(float).eps * nu
 
         def gap(a, rows):
@@ -335,7 +314,8 @@ def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
             f[(abs(f) <= noise) & (var <= noise * nu)] = 0.0
             return f, var
 
-        root = newton_root(gap, lo, hi, x0, flo=flo, fhi=fhi, xtol=1e-13,
+        root = newton_root(gap, np.minimum(end, 0.0), np.maximum(end, 0.0),
+                           unit, flo=flo, fhi=fhi, xtol=1e-13,
                            ftol=1e-11 * max(1.0, nu))
         alpha[solve], value[solve] = root.x, j_at
     return np.maximum(value, 0.0), alpha, status

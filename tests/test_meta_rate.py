@@ -23,6 +23,7 @@ from ordopt.meta_rate import (
     _rate_at_zero,
     _tilt,
     _tilted_moments,
+    _w_bounds,
     inf_meta_rate,
     meta_rate,
     sequential_failure_certificate,
@@ -160,6 +161,20 @@ class TestTiltedLogMgf:
     def test_bounded_w_finite_for_positive_alpha(self):
         val = tilted_log_mgf(ShiftedExponential(0.96, 1.0), 2.0, 1.0)
         assert math.isfinite(val) and val > 0
+
+
+@pytest.fixture
+def moment_rows(monkeypatch):
+    """The rows of every _atom_moments pass, one entry per pass."""
+    module = importlib.import_module("ordopt.meta_rate")
+    real, rows = module._atom_moments, []
+
+    def counted(x, p, w, alpha, nu):
+        rows.append(w.shape[0])
+        return real(x, p, w, alpha, nu)
+
+    monkeypatch.setattr(module, "_atom_moments", counted)
+    return rows
 
 
 class TestMetaRate:
@@ -305,21 +320,12 @@ class TestMetaRate:
                                           else alpha)
                 assert one.status == grid.status[i]
 
-    def test_gaussian_probe_moment_calls(self, monkeypatch):
+    def test_gaussian_probe_moment_calls(self, moment_rows):
         # the level of test_gaussian_level_beyond_the_quantile_box, whose
         # alpha* = -390.5: bisection inside a doubled bracket took 55
-        module = importlib.import_module("ordopt.meta_rate")
-        calls = []
-        real = module._atom_moments
-
-        def counted(*args):
-            calls.append(args[3])
-            return real(*args)
-
-        monkeypatch.setattr(module, "_atom_moments", counted)
         res = meta_rate(Gaussian(-0.2, 1.0), -0.1, 0.3076)
         assert res.value == pytest.approx(72.26880, abs=1e-5)
-        assert len(calls) <= 12
+        assert len(moment_rows) <= 12
 
     def test_status_says_how_the_value_was_reached(self):
         m = Gaussian(-0.2, 1.0)
@@ -351,6 +357,95 @@ class TestMetaRate:
         res = meta_rate(Gaussian(-0.2, 1.0), -0.5, 0.9)
         assert res.value == pytest.approx(0.196767515164, abs=1e-11)
         assert calls == []
+
+
+def _two_atom_reference(model, theta, nu):
+    """(J, alpha*) of a two-atom law, written out here: the level needs
+    mass s = (nu - w_lo) / (w_hi - w_lo) on the upper W atom, J is the
+    relative entropy KL(s || q) against that atom's mass q, and alpha* is
+    the logit difference logit(s) - logit(q) over w_hi - w_lo. Each log is
+    taken alone, so a subnormal mass gives finite terms."""
+    (w_lo, q_lo), (w_hi, q_hi) = sorted(
+        (math.exp(theta * x), p) for x, p in model.atoms())
+    s = (nu - w_lo) / (w_hi - w_lo)
+    log_q = math.log(q_hi) - math.log(q_lo)
+    kl = (s * (math.log(s) - math.log(q_hi))
+          + (1.0 - s) * (math.log1p(-s) - math.log(q_lo)))
+    return kl, (math.log(s) - math.log1p(-s) - log_q) / (w_hi - w_lo)
+
+
+_TWO_ATOM_LAWS = [TwoPoint(1.0, 0.55), TwoPoint(4.0, 0.55), Bernoulli(0.3),
+                  Empirical(np.array([-1.0, 1.0, 1.0]))]
+
+
+class TestTwoAtomClosedForm:
+    """A two-atom law's level strictly between its two W atoms, both
+    positive floats, takes the closed form with no _atom_moments pass; a
+    level at an atom and a W atom past the float range keep the search."""
+
+    @pytest.mark.parametrize("model", [
+        m for base in _TWO_ATOM_LAWS for m in (base, Mirrored(base))],
+        ids=repr)
+    def test_matches_the_written_out_form(self, model, moment_rows):
+        for theta in (0.5, -0.5, 3.0, -3.0, 40.0, -40.0):
+            (w_lo, _), (w_hi, _) = sorted(
+                (math.exp(theta * x), p) for x, p in model.atoms())
+            for frac in (0.02, 0.3, 0.7, 0.98):
+                nu = w_lo + frac * (w_hi - w_lo)
+                want, alpha = _two_atom_reference(model, theta, nu)
+                res = meta_rate(model, theta, nu)
+                assert res.status == "interior", (theta, nu)
+                assert res.value == pytest.approx(want, rel=1e-12)
+                assert res.alpha_star == pytest.approx(alpha, rel=1e-12)
+        assert moment_rows == []
+
+    def test_far_root(self, moment_rows):
+        # Newton from alpha = -1 and 0 took 166 passes to this root
+        m = TwoPoint(4.0, 0.55)
+        res = meta_rate(m, -40.0, 0.9)
+        want, alpha = _two_atom_reference(m, -40.0, 0.9)
+        assert res.status == "interior"
+        assert res.value == pytest.approx(want, rel=1e-12)
+        assert res.alpha_star == pytest.approx(alpha, rel=1e-12)
+        assert alpha == pytest.approx(-5.222e-68, rel=1e-3)
+        assert moment_rows == []
+
+    def test_subnormal_mass(self, moment_rows):
+        # the search gave 432.29992420996666, short of the closed form
+        m = Bernoulli(5e-324)
+        res = meta_rate(m, 1.0, 2.0)
+        want, alpha = _two_atom_reference(m, 1.0, 2.0)
+        assert res.value == pytest.approx(want, rel=1e-12)
+        assert res.alpha_star == pytest.approx(alpha, rel=1e-12)
+        assert moment_rows == []
+
+    @pytest.mark.parametrize("theta", [-0.5, 3.0])
+    def test_level_at_an_atom_keeps_the_cap(self, theta, moment_rows):
+        # each W atom as the library's range of W computes it
+        m = TwoPoint(1.0, 0.55)
+        w_lo, w_hi = (float(v[0]) for v in _w_bounds(m, np.array([theta])))
+        masses = (0.55, 0.45) if theta > 0 else (0.45, 0.55)
+        for nu, p in zip((w_lo, w_hi), masses):
+            res = meta_rate(m, theta, nu)
+            assert res.status == "alpha-cap"
+            assert abs(res.alpha_star) == 2.0 ** 30
+            assert res.value == pytest.approx(-math.log(p), rel=1e-12)
+        assert moment_rows
+
+    @pytest.mark.parametrize("model, theta, nu, want", [
+        (TwoPoint(20.0, 0.55), 40.0, 0.5, 0.5978370007556204),
+        (Mirrored(TwoPoint(2.5, 0.2)), 1000.0, 0.8, 0.2231435513142097),
+    ], ids=["two-point-20", "mirrored-two-point-2.5"])
+    def test_overflowing_w_atom_keeps_the_search(self, model, theta, nu,
+                                                 want, moment_rows):
+        # one W atom is inf and the other 0 in floats; the search's values
+        # are -log of the mass at the W atom 0, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = meta_rate(model, theta, nu)
+        assert res.status == "interior"
+        assert res.value == pytest.approx(want, rel=1e-12)
+        assert moment_rows
 
 
 def _property_model(kind, a, b):
@@ -926,10 +1021,9 @@ class TestThetaSearchEvaluations:
     def test_sup(self, search_calls):
         sup_meta_rate_on_theta_a(TwoPoint(1.0, 0.6), 0.01)
         self._check(search_calls, 129, 3)
-        # the passes at alpha = 0 and at the cap, the first pass of the
-        # warm start and two Newton steps; from alpha = +-1 the grid took
-        # those two passes and six Newton steps
-        assert search_calls["grid_passes"] < 2 + 6
+        # every grid row takes the two-atom closed form; a Newton search
+        # from alpha = +-1 took eight passes of the grid
+        assert search_calls["grid_passes"] == 0
 
     @pytest.mark.parametrize("a", [0.03, 0.04, 0.06])
     def test_inf(self, search_calls, a):
@@ -945,10 +1039,12 @@ class TestThetaSearchEvaluations:
         # at theta = 0.04 the level e^{-0.04} is the lower atom of W in
         # floats: once the tilted law is a point mass, the gap and the
         # tilted variance are rounding noise of 1e-16, and the row ran
-        # all 200 Newton steps, 203 passes of the grid
+        # all 200 Newton steps, 203 passes of the grid. The pair moved in
+        # its last bits, from (0.0031477363308754086, 0.2847320477977918),
+        # when the grid's other rows took the two-atom closed form
         value, theta = inf_meta_rate(TwoPoint(1.0, 0.6), 0.04)
         assert search_calls["grid_passes"] <= 70
-        assert (value, theta) == (0.0031477363308754086, 0.2847320477977918)
+        assert (value, theta) == (0.003147736330875381, 0.2847320477977911)
 
 
 def test_alpha_solves_stop_short_of_the_step_limit(monkeypatch):
@@ -967,6 +1063,15 @@ def test_alpha_solves_stop_short_of_the_step_limit(monkeypatch):
     model = ShiftedExponential(0.96, 1.0)
     sup_meta_rate_on_theta_a(model, 0.5 * rate_function(model, 0.0).value)
     assert steps and max(steps) < 200
+
+
+def test_density_supremum_moment_rows(moment_rows):
+    # the rows the grid-then-Newton supremum evaluates over the node table,
+    # each alpha search started at +-1: 1052 (a warm start at one Newton
+    # step from alpha = 0 made 905)
+    model = ShiftedExponential(0.96, 1.0)
+    sup_meta_rate_on_theta_a(model, 0.5 * rate_function(model, 0.0).value)
+    assert sum(moment_rows) <= 1100
 
 
 def _first_order_residual(model, theta, nu):

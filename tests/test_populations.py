@@ -259,6 +259,23 @@ def test_two_atom_masses_are_exact(mass):
             math.log1p(mass * math.expm1(1.0)), rel=1e-12)
 
 
+@pytest.mark.parametrize("model, a, want", [
+    (Bernoulli(5e-324), 0.5, 371.5268887801307),
+    (TwoPoint(1.0, 5e-324), -0.5, 557.7677187964172),
+], ids=["bernoulli", "two-point"])
+def test_two_atom_rate_with_a_subnormal_mass(model, a, want):
+    # s / p overflows for the subnormal mass, which made the value and
+    # theta_star inf; written out here with each log taken alone
+    lo, hi, p_lo, p_hi = model._atoms()[:4]
+    s = (a - lo) / (hi - lo)
+    kl = (s * (math.log(s) - math.log(p_hi))
+          + (1.0 - s) * (math.log1p(-s) - math.log(p_lo)))
+    assert kl == pytest.approx(want, rel=1e-12)
+    rate = rate_function(model, a)
+    assert rate.value == pytest.approx(want, rel=1e-12)
+    assert rate.status == "interior" and math.isfinite(rate.theta_star)
+
+
 def test_kl_bernoulli_closed_form():
     got = kl_divergence(Bernoulli(0.5), Bernoulli(0.25))
     assert got == pytest.approx(0.5 * math.log(2.0)
