@@ -3,20 +3,23 @@
 Every search here finds a root; none minimizes. An optimum elsewhere is
 found as the root of its first-order condition. Each search takes one
 form, the one its callers use. bisect_root is a float search, and every
-float bisection runs through it. newton_root is a row search: it steps
-1-D arrays of independent brackets in lock-step, for blocks of rate
-estimates, meta-rates or quantiles, and serves roots whose derivative
-comes cheaply with the value. expand_bracket grows the brackets of both,
-as floats or as rows. newton_system is the damped Newton solver for a
-small square system whose caller returns the exact Jacobian with the
-residuals, or None outside its domain; the tilt searches and the
-two-phase exponent of meta_rate solve their stationarity systems with
-it. increasing_fixed_point iterates t = g(t). The rate functions,
-tilted-moment optimizations, quantiles and caps elsewhere reduce to
-these searches, and every search loop in the numeric modules runs here.
-The one search that seeks no root, zoom_max, is a reference: it finds the
-largest value of unimodal rows by grids alone, so that reproduce can
-check closed forms with no first-order condition of theirs.
+float bisection runs through it; falsi_root is the same search by regula
+falsi, for the outer slope of the two-phase exponent, where each
+evaluation costs more than a bisection step. newton_root is a row
+search: it steps 1-D arrays of independent brackets in lock-step, for
+blocks of rate estimates, meta-rates or quantiles, and serves roots
+whose derivative comes cheaply with the value. expand_bracket grows the
+brackets of both, as floats or as rows. newton_system is the damped
+Newton solver for a small square system whose caller returns the exact
+Jacobian with the residuals, or None outside its domain; the tilt
+searches and the two-phase exponent of meta_rate solve their
+stationarity systems with it. increasing_fixed_point iterates t = g(t).
+The rate functions, tilted-moment optimizations, quantiles and caps
+elsewhere reduce to these searches, and every search loop in the numeric
+modules runs here. The one search that seeks no root, zoom_max, is a
+reference: it finds the largest value of unimodal rows by grids alone,
+so that reproduce can check closed forms with no first-order condition
+of theirs.
 """
 
 from __future__ import annotations
@@ -93,6 +96,38 @@ def bisect_root(f, lo, hi, *, xtol=1e-12, ftol=None, max_iter=200,
         else:
             lo = mid
         if _converged(hi - lo, mid, fm, xtol, ftol):
+            break
+    return Bracket(lo, hi, it)
+
+
+def falsi_root(f, lo, hi, flo, fhi, *, xtol=1e-12, max_iter=200):
+    """bisect_root's search without ftol, from the values flo and fhi at
+    the ends, by the Illinois variant of regula falsi (Dowell and Jarratt,
+    BIT 11, 1971): f at the bracket's secant point (its midpoint where
+    that is not strictly inside) replaces the end of its sign, and an end
+    kept twice in a row has its value halved, so both ends close in
+    superlinearly. A point where f is exactly 0 returns its degenerate
+    bracket."""
+    up = fhi > 0
+    if (flo > 0) == up:
+        raise ValueError("root not bracketed")
+    kept, it = 0, 0
+    for it in range(1, max_iter + 1):
+        x = lo + (hi - lo) * (flo / (flo - fhi))
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if fx == 0.0:
+            return Bracket(x, x, it)
+        if (fx > 0) == up:
+            hi, fhi = x, fx
+            flo = 0.5 * flo if kept == -1 else flo
+            kept = -1
+        else:
+            lo, flo = x, fx
+            fhi = 0.5 * fhi if kept == 1 else fhi
+            kept = 1
+        if _converged(hi - lo, x, fx, xtol, None):
             break
     return Bracket(lo, hi, it)
 

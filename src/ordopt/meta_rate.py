@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import node_table
-from ._solve import bisect_root, expand_bracket, newton_root, newton_system
+from ._solve import (bisect_root, expand_bracket, falsi_root, newton_root,
+                     newton_system)
 from .empirical_rate import _rate_two_atoms, _shifted
 from .populations import ShiftedExponential, rate_function
 
@@ -73,9 +74,11 @@ class MetaRateResult:
     strictly between them, else by a search that starts at alpha = +-1;
     "boundary" when the sup sits on the edge of the domain of M
     (alpha_star = 0 with value 0, or no finite maximizer, alpha_star None,
-    with value +inf); "alpha-cap" when the search stopped at |alpha| =
-    2^30, where value is the objective at the cap, a lower bound (the
-    limit itself for a level at an atom on the edge of the range of W).
+    with value +inf); "alpha-cap" when the sup is reached only as |alpha|
+    grows without bound, reported at alpha_star = -2^30 or 2^30: for an
+    atom law with nu exactly at its lowest or highest W atom, value is -log
+    of that atom's mass, with no search; otherwise the search stopped at
+    the cap, and value is the objective there, a lower bound.
     """
 
     value: float
@@ -199,12 +202,14 @@ def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
 
     The domain of M is all of R when W = exp(theta X) is bounded above and
     (-inf, 0] otherwise; in the latter case levels nu >= E W sit at the
-    boundary alpha = 0 with value 0 (no decay through that tilt). Levels at
-    or below the essential infimum of W give +infinity for density models
-    and -log(mass) for an atom there; the search saturates at |alpha| =
-    2^30 in that regime and reports the value there with status
-    "alpha-cap" (see MetaRateResult). A density's node table (see
-    tilted_log_mgf) holds every level with P(W <= nu) >= 1e-300.
+    boundary alpha = 0 with value 0 (no decay through that tilt). Levels
+    below the range of W give +infinity. An atom law's level exactly at its
+    lowest or highest W atom gives -log of that atom's mass, with no
+    search; where J runs off toward +infinity, as for a density's level
+    near the essential infimum of W, the search saturates at |alpha| =
+    2^30 and reports the value there. Both have status "alpha-cap" (see
+    MetaRateResult). A density's node table (see tilted_log_mgf) holds
+    every level with P(W <= nu) >= 1e-300.
     """
     return _meta_rate(model, _law(model), theta, nu)
 
@@ -238,6 +243,19 @@ def _meta_rate(model, law, theta, nu):
     value[at_mean] = alpha[at_mean] = 0.0
     search = inside & (gap_zero > 0)
     x, p = law
+    # an atom law's level exactly at an end of the range of W: J is -log of
+    # that W atom's mass, the limit as alpha runs to -inf or +inf
+    at_end = search & ((nu == w_lo) | (nu == w_hi))
+    if at_end.any() and model.atoms() is not None:
+        ends = model.support()
+        for i in np.flatnonzero(at_end):
+            low = nu == w_lo[i]
+            # the support's upper end is W's lower end at a negative tilt
+            mass = p[x == ends[int((thetas[i] > 0.0) != low)]]
+            if mass.size:
+                value[i] = -np.log(mass)[0]
+                alpha[i] = -_ALPHA_CAP if low else _ALPHA_CAP
+                status[i], search[i] = "alpha-cap", False
     if x.size == 2:
         # two atoms: J is the relative entropy of the law moved to mean nu
         # on the same W atoms, with no search, where both W atoms are
@@ -486,26 +504,31 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     Minimizes phi(b) = c2 I(0) / b + inf_theta J_theta(e^{-b}) over the
     phase-1 level b in the window from I(0)(1 + 1e-7) up to _LEVEL_MAX,
     where e^{-b} is still a normal float (past it the level and outer
-    residuals vanish for want of digits). newton_system solves the
-    stationarity system of _two_phase_newton, a level condition, theta
-    stationarity and outer stationarity in the level g, the tilt theta and
-    the negated alpha a, on the window from (2 I(0), theta*, 1), theta* the
-    minimizer of Lambda, with each point's residuals and exact Jacobian
-    from one pass of tilted moments.
-
-    Where the support ends at 0, X W < 0 wherever X < 0, and the theta
-    equation has no root: as theta > 0 grows, W = e^{theta X} falls
-    pointwise and J_theta(nu) with it, toward KL(Bern(nu) || Bern(p0)),
-    the rate of the indicator of X = 0, p0 = e^{-I(0)}. So theta_star =
-    +inf, and with nu = e^{-b}, phi(b) = c2 I(0) / b + KL has the slope
-    a nu - c2 I(0) / b^2, a = log(p0 (1 - nu) / ((1 - p0) nu)). In the
-    first step of 1025 levels, evenly spaced in log b across the window,
-    where it turns from - to +, bisect_root finds the minimum, with
-    alpha_star from Newton's outer stationarity.
+    residuals vanish for want of digits). Two kinds of law take a closed
+    form in one parameter t, solved by _first_minimum:
+    - Two atoms x_lo < 0 < x_hi, with no Newton system: with q the tilted
+      mass on x_lo, t = -log(1 - q), theta stationarity gives theta =
+      log(q |x_lo| / ((1 - q) x_hi)) / (x_hi - x_lo), the level g is the
+      rate at 0 of the masses (q, 1 - q), the inner infimum is KL(q || p),
+      and phi's slope in q has the sign of a - c2 I(0) e^g / g^2 (Newton's
+      r3 with r1 and r2 solved), a = alpha_star the logit difference of q
+      and p over the gap between the W atoms.
+    - A support that ends at 0: X W < 0 wherever X < 0, so the theta
+      equation has no root, and as theta grows J_theta(nu) falls toward
+      KL(Bern(nu) || Bern(p0)), p0 = e^{-I(0)}. So theta_star = +inf, and
+      with t = b and nu = e^{-b}, phi has the slope a nu - c2 I(0) / b^2,
+      a = alpha_star = log(p0 (1 - nu) / ((1 - p0) nu)).
+    On every other law newton_system solves the stationarity system of
+    _two_phase_newton, a level condition, theta stationarity and outer
+    stationarity in the level g, the tilt theta and the negated alpha a,
+    on the window from (2 I(0), theta*, 1), theta* the minimizer of
+    Lambda, with each point's residuals and exact Jacobian from one pass
+    of tilted moments.
 
     NumericalError is raised for an empty window, where Newton gives up
     (the minimum lies past the window or at an infinite tilt), and where
-    no such minimum is at most phi's b -> inf limit, -log P(X < 0).
+    no minimum of a closed form is at most phi's limit as b grows without
+    bound, -log P(X < 0), which the message names.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
@@ -528,22 +551,39 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
             nu = np.exp(-b)
             return (b + np.log1p(-nu) + limit - i0) * nu - c / (b * b)
 
-        levels = np.geomspace(lo, _LEVEL_MAX, 1025)
-        f = slope(levels)
-        k = int(np.argmax((f[:-1] <= 0.0) & (f[1:] > 0.0)))
-        if f[k] <= 0.0 < f[k + 1]:
-            b = float(bisect_root(slope, levels[k], levels[k + 1], flo=f[k],
-                                  fhi=f[k + 1]).mid)
+        def at(b):
             nu = math.exp(-b)
             exponent = (c / b + nu * (i0 - b)
                         + (1.0 - nu) * (math.log1p(-nu) + limit))
-            if exponent <= limit:
-                return TwoPhaseExponent(exponent, b, math.inf,
-                                        c / (b * b * nu), c1, c2)
-        raise NumericalError(
-            f"two-phase exponent: phi(b) has no minimum at or below its "
-            f"limit -log P(X < 0) = {limit:.10g} as b grows without bound")
+            return TwoPhaseExponent(exponent, b, math.inf, c / (b * b * nu),
+                                    c1, c2)
+
+        return _first_minimum(slope, lo, _LEVEL_MAX, at, limit)
     law = _law(model)
+    if law[0].size == 2:
+        (x_lo, p_lo), (x_hi, p_hi) = sorted(zip(*(v.tolist() for v in law)))
+        d, s = x_hi - x_lo, -x_lo / (x_hi - x_lo)
+        k_g = s * math.log(s) + (1.0 - s) * math.log1p(-s)
+        k_theta = math.log(-x_lo / x_hi)
+        l_lo, l_hi = math.log(p_lo), math.log(p_hi)
+
+        def curve(t):
+            """(log q, theta, g, a, the slope) at t = -log(1 - q)."""
+            lq = np.log1p(-np.exp(-t))
+            theta = (lq + t + k_theta) / d
+            g = k_g + s * t - (1.0 - s) * lq
+            with np.errstate(over="ignore"):
+                a = (lq - l_lo + t + l_hi) / (np.exp(theta * x_hi)
+                                              - np.exp(theta * x_lo))
+                return lq, theta, g, a, a - c * np.exp(g) / (g * g)
+
+        def at(t):
+            lq, theta, g, a, _ = (float(v) for v in curve(t))
+            kl = -math.expm1(-t) * (lq - l_lo) - math.exp(-t) * (t + l_hi)
+            return TwoPhaseExponent(c / g + kl, g, theta, a, c1, c2)
+
+        return _first_minimum(lambda t: curve(t)[4], -l_hi,
+                              (_LEVEL_MAX - k_g) / s, at, -l_lo)
     newton = _two_phase_newton(law, c2, i0, lo, rate.theta_star)
     if newton is None:
         raise NumericalError(f"two-phase exponent: Newton found no root "
@@ -552,6 +592,26 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     value = _atom_moments(*_tilt(law, theta), -alpha, math.exp(-gamma))[0]
     return TwoPhaseExponent(c / gamma + float(value[0]), gamma, theta,
                             alpha, c1, c2)
+
+
+def _first_minimum(slope, lo, hi, at, limit):
+    """at(t) at the first minimum of phi on [lo, hi], where phi' has the
+    sign of slope(t), a function of floats and arrays alike: the first of
+    128 steps evenly spaced in log t where slope turns from - to +
+    brackets it, and falsi_root finds it. NumericalError names phi's limit
+    where there is no such step or the exponent there is above it."""
+    grid = np.geomspace(lo, hi, 129)
+    f = slope(grid)
+    k = int(np.argmax((f[:-1] <= 0.0) & (f[1:] > 0.0)))
+    if f[k] <= 0.0 < f[k + 1]:
+        t = float(falsi_root(slope, float(grid[k]), float(grid[k + 1]),
+                             float(f[k]), float(f[k + 1])).mid)
+        result = at(t)
+        if result.exponent <= limit:
+            return result
+    raise NumericalError(
+        f"two-phase exponent: phi(b) has no minimum at or below its "
+        f"limit -log P(X < 0) = {limit:.10g} as b grows without bound")
 
 
 def _two_phase_newton(law, c2, i0, lo, theta0):

@@ -5,7 +5,8 @@ through k, its number of +b draws, so P(FS) is a finite binomial sum and
 nothing needs to be simulated. The law is written here with scipy.stats;
 from the library it takes only what fixes the rule under test: the rate
 of each k from two_point_rate_law and the decision size from
-_decision_size.
+_decision_size. The law's slope in the pilot count checks
+two_phase_exponent, the decay rate it claims.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import pytest
 from scipy.stats import binom
 
+from ordopt.meta_rate import two_phase_exponent
 from ordopt.populations import TwoPoint, two_point_rate_law
 from ordopt.selectors import (_decision_size, fs_estimate, replicate,
                               two_phase_select)
@@ -68,3 +70,18 @@ def test_check10_monte_carlo_matches_the_exact_law():
     count = round(est.fs_rate * reps)
     assert binom.ppf(0.005, reps, exact) <= count
     assert count <= binom.isf(0.005, reps, exact)
+
+
+# one Richardson step on the slopes of -log P(FS) per pilot over m = 320
+# to 640 and 640 to 1280 came within 6.0e-4 of the exponent at p = 0.7
+# (the two-point lattice makes its slopes oscillate) and within 2e-4 at
+# the others, each p in about 0.2 s
+@pytest.mark.parametrize("p_minus", [0.55, 0.7, 0.52, 0.51])
+def test_two_phase_slope_is_the_exponent(p_minus):
+    # delta = e^-1 and c1 = m draw m pilots; the slope over [m, 2m] is the
+    # exponent plus a 1/m term, which the Richardson step removes
+    log_fs = [-math.log(two_phase_fs(p_minus, math.exp(-1.0), m, 1.0))
+              for m in (320, 640, 1280)]
+    slopes = [(b - a) / m for a, b, m in zip(log_fs, log_fs[1:], (320, 640))]
+    exponent = two_phase_exponent(TwoPoint(1.0, p_minus), 1.0, 1.0).exponent
+    assert abs(2.0 * slopes[1] - slopes[0] - exponent) <= 1e-3

@@ -380,8 +380,9 @@ _TWO_ATOM_LAWS = [TwoPoint(1.0, 0.55), TwoPoint(4.0, 0.55), Bernoulli(0.3),
 
 class TestTwoAtomClosedForm:
     """A two-atom law's level strictly between its two W atoms, both
-    positive floats, takes the closed form with no _atom_moments pass; a
-    level at an atom and a W atom past the float range keep the search."""
+    positive floats, takes the closed form with no _atom_moments pass, and
+    a level exactly at an atom takes -log of its mass; a W atom past the
+    float range keeps the search."""
 
     @pytest.mark.parametrize("model", [
         m for base in _TWO_ATOM_LAWS for m in (base, Mirrored(base))],
@@ -419,18 +420,24 @@ class TestTwoAtomClosedForm:
         assert res.alpha_star == pytest.approx(alpha, rel=1e-12)
         assert moment_rows == []
 
-    @pytest.mark.parametrize("theta", [-0.5, 3.0])
-    def test_level_at_an_atom_keeps_the_cap(self, theta, moment_rows):
-        # each W atom as the library's range of W computes it
-        m = TwoPoint(1.0, 0.55)
-        w_lo, w_hi = (float(v[0]) for v in _w_bounds(m, np.array([theta])))
-        masses = (0.55, 0.45) if theta > 0 else (0.45, 0.55)
-        for nu, p in zip((w_lo, w_hi), masses):
-            res = meta_rate(m, theta, nu)
-            assert res.status == "alpha-cap"
-            assert abs(res.alpha_star) == 2.0 ** 30
+    @pytest.mark.parametrize("model", [
+        TwoPoint(1.0, 0.55), Empirical(np.array([-1.0, 1.0, 1.0]))], ids=str)
+    @pytest.mark.parametrize("theta", [0.5, -0.5, 3.0, -3.0])
+    def test_level_at_an_atom_keeps_the_cap(self, model, theta, moment_rows):
+        # each W atom as the library's range of W computes it: J is -log
+        # of its mass, at alpha = -2^30 on the lower atom and 2^30 on the
+        # upper, with no pass; the search once ended "interior" on some of
+        # them by how rounding fell (alpha_star 33.2 on TwoPoint(1, 0.55)
+        # at theta = 0.5, -2.17 on the Empirical law at theta = 3)
+        w_lo, w_hi = (float(v[0])
+                      for v in _w_bounds(model, np.array([theta])))
+        (_, p_lo), (_, p_hi) = sorted((math.exp(theta * x), p)
+                                      for x, p in model.atoms())
+        for nu, p, cap in ((w_lo, p_lo, -2.0 ** 30), (w_hi, p_hi, 2.0 ** 30)):
+            res = meta_rate(model, theta, nu)
+            assert (res.status, res.alpha_star) == ("alpha-cap", cap)
             assert res.value == pytest.approx(-math.log(p), rel=1e-12)
-        assert moment_rows
+        assert moment_rows == []
 
     @pytest.mark.parametrize("model, theta, nu, want", [
         (TwoPoint(20.0, 0.55), 40.0, 0.5, 0.5978370007556204),
@@ -746,8 +753,9 @@ class TestTwoPhaseInfiniteTilt:
             two_phase_exponent(model, 1.0, c2)
 
 
-# the inputs of the two-phase battery that raise: every law but those
-# whose support ends at 0 has mass above 0, where Newton gives up
+# the inputs of the two-phase battery that raise: on a law of two atoms
+# and on one whose support ends at 0, phi has no minimum at or below its
+# limit; on every other law Newton gives up
 RAISING_BATTERY = [
     (Mirrored(TwoPoint(2.5, 0.2)), 1.0), (Mirrored(TwoPoint(2.5, 0.2)), 3.0),
     (Gaussian(-1.0, 0.5), 0.5), (Gaussian(-1.0, 0.5), 1.0),
@@ -794,6 +802,89 @@ def test_raises_without_a_tilt_search(monkeypatch, model, c2):
     assert len(calls) == 0
 
 
+def _two_atom_minimum(model, c2):
+    """(best, rate, limit) on a law of two atoms x_lo < 0 < x_hi, written
+    here: best is scipy's bounded minimizer on phi(q) = c2 I(0) / g(q) +
+    KL(q || p) over the tilted mass q on x_lo, where rate(q) = (g(q),
+    theta(q)) is the rate at 0 of the law with masses q and 1 - q and its
+    tilt, by the same minimizer on that law's Lambda, and limit = -log P(X
+    < 0), phi's limit as q -> 1."""
+    (x_lo, p_lo), (x_hi, p_hi) = sorted(model.atoms())
+
+    def rate(q):
+        best = optimize.minimize_scalar(
+            lambda t: np.logaddexp(math.log(q) + t * x_lo,
+                                   math.log1p(-q) + t * x_hi),
+            bounds=(-100.0, 100.0), method="bounded",
+            options={"xatol": 1e-12})
+        return -best.fun, best.x
+
+    i0 = rate(p_lo)[0]
+    best = optimize.minimize_scalar(
+        lambda q: c2 * i0 / rate(q)[0] + two_atom_kl(q, p_lo),
+        bounds=(p_lo, 1.0 - 1e-12), method="bounded",
+        options={"xatol": 1e-12})
+    return best, rate, -math.log(p_lo)
+
+
+@pytest.fixture
+def newton_passes(monkeypatch):
+    """The newton_system calls and _tilted_moments passes of meta_rate."""
+    module = importlib.import_module("ordopt.meta_rate")
+    calls = []
+    for name in ("newton_system", "_tilted_moments"):
+        def spy(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestTwoAtomExponent:
+    """A law of two atoms either side of 0 takes the closed form in the
+    tilted mass q on its lower atom, with no Newton system, and raises
+    naming phi's limit -log P(X < 0) where phi has no minimum at or below
+    it. Checked against phi written out with scipy's minimizers."""
+
+    ASYMMETRIC = Empirical(np.array([-1.0, -1.0, -1.0, 2.0]))
+
+    @pytest.mark.parametrize("model, c2", [
+        *((TwoPoint(1.0, p), c2) for p in (0.51, 0.52, 0.55, 0.6)
+          for c2 in (0.5, 1.0, 3.0)),
+        (TwoPoint(1.0, 0.7), 0.5), (TwoPoint(1.0, 0.7), 1.0),
+        (TwoPoint(4.0, 0.55), 1.0),
+        (ASYMMETRIC, 0.5), (ASYMMETRIC, 1.0), (ASYMMETRIC, 3.0),
+        (Mirrored(Empirical(np.array([1.0, 1.0, 1.0, -2.0]))), 1.0),
+        # minima that Newton missed: it gave up at the window's edge
+        (TwoPoint(1.0, 0.8), 0.1), (TwoPoint(1.0, 0.9), 0.1)], ids=str)
+    def test_matches_phi_written_out(self, model, c2, newton_passes):
+        r = two_phase_exponent(model, 1.0, c2)
+        best, rate, limit = _two_atom_minimum(model, c2)
+        assert min(model.atoms())[1] + 1e-6 < best.x < 1.0 - 1e-6
+        assert best.fun <= limit
+        assert r.exponent == pytest.approx(best.fun, rel=1e-9)
+        gamma, theta = rate(best.x)
+        assert r.gamma_star == pytest.approx(gamma, rel=1e-6)
+        assert r.theta_star == pytest.approx(theta, rel=1e-6)
+        assert newton_passes == []
+
+    @pytest.mark.parametrize("model, c2", [
+        *((m, c2) for m, c2 in RAISING_BATTERY
+          if len(m.atoms() or ()) == 2 and m.support()[1] > 0.0),
+        # a minimum of phi above its limit: 0.2282942051 against
+        # 0.2231435513, and 0.5769988641 against 0.5108256238
+        (TwoPoint(1.0, 0.8), 0.5), (Mirrored(TwoPoint(2.5, 0.2)), 0.5),
+        (TwoPoint(1.0, 0.6), 10.0)], ids=str)
+    def test_no_minimum_below_the_limit_raises(self, model, c2,
+                                               newton_passes):
+        best, _, limit = _two_atom_minimum(model, c2)
+        assert best.fun > limit
+        with pytest.raises(NumericalError,
+                           match=rf"-log P\(X < 0\) = {limit:.10g}"):
+            two_phase_exponent(model, 1.0, c2)
+        assert newton_passes == []
+
+
 class TestTwoPhaseLevelWindow:
     """two_phase_exponent searches levels b from just above I(0) up to
     _LEVEL_MAX, where e^{-b} is still a normal float."""
@@ -808,12 +899,13 @@ class TestTwoPhaseLevelWindow:
         assert call["root"] is None
 
     @pytest.mark.parametrize("model, c2", [
-        (TwoPoint(1.0, 0.9), 1.0), (Mirrored(TwoPoint(2.5, 0.2)), 1.0),
-        (TwoPoint(1.0, 0.7), 3.0)], ids=str)
+        (Gaussian(-5.0, 1.0), 1.0), (Gaussian(-2.0, 1.0), 1.0),
+        (Mirrored(Empirical(np.array([-1.0, 0.5, 2.0, 2.0]))), 3.0)],
+        ids=str)
     def test_newton_gives_up_outside_the_window(self, newton_calls, model,
                                                 c2):
-        # Newton gives up at its 4th point outside the window; running on
-        # against the window's edge took 2600 to 5800 evaluations
+        # Newton gives up at its 4th point outside the window, after 10 to
+        # 18 evaluations on these laws
         with pytest.raises(NumericalError, match="Newton found no root"):
             two_phase_exponent(model, 1.0, c2)
         (call,) = newton_calls
@@ -853,10 +945,11 @@ class TestTwoPhaseNewton:
     Newton search spends with it. The counts do not depend on the
     machine."""
 
-    # the models of the benchmark's exponent ops, and a density model
-    MODELS = [TwoPoint(1.0, 0.55), TwoPoint(1.0, 0.52), TwoPoint(1.0, 0.51),
-              TwoPoint(4.0, 0.55), TwoPoint(1.0, 0.6), TwoPoint(1.0, 0.7),
-              Gaussian(-0.2, 1.0)]
+    # laws that take the Newton route (a law of two atoms takes the closed
+    # form of TestTwoAtomExponent): a density and three atoms
+    THREE_ATOMS = Mirrored(Empirical(np.array([-0.5, 1.0, 2.0])))
+    CASES = [(Gaussian(-0.2, 1.0), 0.5), (Gaussian(-0.2, 1.0), 1.0),
+             (THREE_ATOMS, 0.5), (THREE_ATOMS, 1.0)]
 
     @staticmethod
     def _central_differences(system, v):
@@ -870,11 +963,10 @@ class TestTwoPhaseNewton:
             cols.append((system(up)[0] - system(down)[0]) / (2.0 * h))
         return np.array(cols).T
 
-    @pytest.mark.parametrize("model", [TwoPoint(1.0, 0.55),
-                                       Gaussian(-0.2, 1.0)], ids=str)
+    @pytest.mark.parametrize("model, c2", CASES, ids=str)
     def test_jacobian_matches_central_differences(self, newton_calls,
-                                                  model):
-        two_phase_exponent(model, 1.0, 1.0)
+                                                  model, c2):
+        two_phase_exponent(model, 1.0, c2)
         (call,) = newton_calls
         assert call["root"] is not None
         for v in (call["v0"], call["root"]):
@@ -895,9 +987,9 @@ class TestTwoPhaseNewton:
             r, jac = call["system"](np.array([g, 40.0, alpha]))
             assert np.isfinite(r).all() and np.isfinite(jac).all()
 
-    @pytest.mark.parametrize("model", MODELS, ids=str)
-    def test_evaluations_per_exponent(self, newton_calls, model):
-        two_phase_exponent(model, 1.0, 1.0)
+    @pytest.mark.parametrize("model, c2", CASES, ids=str)
+    def test_evaluations_per_exponent(self, newton_calls, model, c2):
+        two_phase_exponent(model, 1.0, c2)
         (call,) = newton_calls
         assert call["root"] is not None
         assert call["evals"] <= 16

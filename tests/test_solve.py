@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ordopt
-from ordopt._solve import (bisect_root, expand_bracket,
+from ordopt._solve import (bisect_root, expand_bracket, falsi_root,
                            increasing_fixed_point, newton_root,
                            newton_system, zoom_max)
 
@@ -60,6 +60,35 @@ def test_bisect_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
         assert last in (root.lo, root.hi)
         assert root.hi - root.lo <= xtol * max(1.0, abs(last))
         assert ftol is None or abs(g(last)) <= ftol
+
+
+def test_falsi_root_cubic_in_few_steps():
+    root = falsi_root(lambda t: t ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0)
+    assert abs(root.mid - 2.0 ** (1.0 / 3.0)) < 1e-12
+    # bisection takes 41 steps to the same width
+    assert root.hi - root.lo <= 1e-12 and root.iterations <= 12
+    with pytest.raises(ValueError):
+        falsi_root(lambda t: t + 10.0, 0.0, 1.0, 10.0, 11.0)
+
+
+@given(r=st.floats(-1e3, 1e3), a=st.floats(0.0, 10.0),
+       b=st.floats(1e-3, 10.0), sign=st.sampled_from([1.0, -1.0]),
+       left=st.floats(1e-3, 1e3), right=st.floats(1e-3, 1e3),
+       xtol=st.sampled_from([1e-4, 1e-9, 1e-13]))
+def test_falsi_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
+                                                    right, xtol):
+    def g(t):
+        return sign * (a * (t - r) ** 3 + b * (t - r))
+
+    lo, hi = r - left, r + right
+    root = falsi_root(g, lo, hi, g(lo), g(hi), xtol=xtol)
+    # as bisect_root's: the bracket keeps a sign change of f as computed
+    # and holds r, and it is narrow unless the search ran to max_iter
+    assert sign * g(root.lo) <= 0.0 <= sign * g(root.hi)
+    assert root.lo <= r <= root.hi or 0.0 in (g(root.lo), g(root.hi))
+    if root.iterations < 200:
+        assert root.hi - root.lo <= xtol * max(1.0, abs(root.lo),
+                                               abs(root.hi))
 
 
 def test_expand_bracket_doubles_to_cap_and_halves_to_edge():
