@@ -93,14 +93,23 @@ def table_cuts(model):
     Quantile breakpoints sit at logit-spaced probabilities in the core
     [1e-14, 1 - 1e-14] and widen geometrically in logit out to tail
     probabilities of 1e-300, each taken as Q(q) or Q(1 - q) from its tail
-    probability q. Equal-width breakpoints across the core bound the
-    panels where the density is low, such as between the modes of a
-    mixture. A model with a table_cuts method of its own supplies them."""
+    probability q by model.quantile or model.upper_quantile. A model with
+    a table_cuts method of its own supplies the cuts instead:
+    GaussianMixture inverts both tails in one search and hands its
+    quantiles to quantile_cuts."""
     own = getattr(model, "table_cuts", None)
     if own is not None:
         return own()
-    lower = model.quantile(_TABLE_Q)
-    upper = model.upper_quantile(_TABLE_Q)
+    return quantile_cuts(model, model.quantile(_TABLE_Q),
+                         model.upper_quantile(_TABLE_Q))
+
+
+def quantile_cuts(model, lower, upper):
+    """The node-table cuts from the quantiles Q(q) (lower) and Q(1 - q)
+    (upper) at the tail probabilities q = _TABLE_Q, and equal-width
+    breakpoints across the core, from Q(1e-14) to Q(1 - 1e-14): these
+    bound the panels where the density is low, such as between the modes
+    of a mixture. Clipped to the model's support, sorted and unique."""
     span = np.linspace(lower[0], upper[0], _SPAN_PANELS + 1)
     return sorted_unique(np.clip(np.concatenate([lower, upper, span]),
                                  *model.support()))

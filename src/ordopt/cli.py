@@ -680,7 +680,7 @@ def _items_beta():
         r = capping_radius(bounds, beta * eps)
         return r * r / ((1.0 - beta) ** 2)
 
-    grid = np.linspace(0.05, 0.95, 181)
+    grid = np.linspace(0.05, 0.95, 181).tolist()
     gap = budget_factor(0.5) - min(budget_factor(b) for b in grid)
     out.append(_item("beta", "beta=1/2 minimizes the sample budget",
                      gap, "<= 0", "abs 1e-12", gap <= 1e-12))
@@ -691,8 +691,8 @@ def _items_fixed_point():
     from .selectors import solve_log_fixed_point
 
     ratio = resid = -math.inf
-    for a in np.geomspace(math.e, 1e3, 10):
-        for b in np.linspace(1.0, 50.0, 10):
+    for a in np.geomspace(math.e, 1e3, 10).tolist():
+        for b in np.linspace(1.0, 50.0, 10).tolist():
             t, bound = solve_log_fixed_point(a, b)
             ratio = max(ratio, t / bound)
             resid = max(resid, abs(t - a - b * math.log(t)) / t)

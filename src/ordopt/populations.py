@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quad import integrate, log_tail_integral, sorted_unique, table_cuts
+from ._quad import (_TABLE_Q, integrate, log_tail_integral, quantile_cuts,
+                    sorted_unique, table_cuts)
 from ._solve import bisect_root, expand_bracket, newton_root
 from .empirical_rate import (_THETA_CAP, RateEstimate, _rate_two_atoms,
                              _tilted_mean, empirical_log_mgf,
@@ -182,6 +183,9 @@ class ShiftedExponential:
         return theta * self.K - math.log1p(theta / self.lam)
 
     def dlog_mgf(self, theta):
+        # Lambda' falls to -inf at the domain's edge, where Lambda is inf
+        if theta <= -self.lam:
+            return -math.inf
         return self.K - 1.0 / (self.lam + theta)
 
     def support(self):
@@ -326,10 +330,21 @@ class GaussianMixture:
     def upper_quantile(self, q):
         return self._invert(q, upper=True)
 
+    def table_cuts(self):
+        """Node-table cuts from both tails' quantiles, inverted in one
+        _invert call: the lower tail's rows, then the upper tail's."""
+        n = _TABLE_Q.size
+        x = self._invert(np.concatenate([_TABLE_Q, _TABLE_Q]),
+                         upper=np.arange(2 * n) >= n)
+        return quantile_cuts(self, x[:n], x[n:])
+
     def _invert(self, q, upper):
-        """Q(q), or Q(1 - q) from q when upper, for a float or an array:
+        """Q(q), or Q(1 - q) from q where upper, for a float or an array:
         safeguarded Newton steps (newton_root, one row per probability) on
         log F(x) - log q, or on log S(x) - log q, with slope pdf/F or -pdf/S.
+        upper is a bool or a bool array of q's shape, so that one lock-step
+        search inverts lower and upper tails together, each row exactly as
+        a call of its own direction would.
 
         Each component's quantile, moved out by 1, brackets the root. The
         gap is log1p((F - q) / q), with F - q summed from each component's
@@ -338,12 +353,12 @@ class GaussianMixture:
         """
         from scipy.special import log_ndtr, ndtri
         qs = np.atleast_1d(np.asarray(q, dtype=float))
-        z = -ndtri(qs) if upper else ndtri(qs)
-        lo = np.minimum(z, self.mu + z) - 1.0
-        hi = np.maximum(z, self.mu + z) + 1.0
         # F(x) = p Phi(x) + (1 - p) Phi(x - mu), S(x) = 1 - F(x) =
         # p Phi(-x) + (1 - p) Phi(mu - x): the components' Phi(sign t)
-        sign = -1.0 if upper else 1.0
+        sign = np.where(np.broadcast_to(upper, qs.shape), -1.0, 1.0)
+        z = sign * ndtri(qs)
+        lo = np.minimum(z, self.mu + z) - 1.0
+        hi = np.maximum(z, self.mu + z) + 1.0
         rest = 1.0 - self.p
         log_weight = np.array([[math.log(self.p)], [math.log1p(-self.p)]])
         log_q = np.log(qs)
@@ -356,18 +371,17 @@ class GaussianMixture:
 
         def gap(x, rows):
             # log F - log q rises through 0, log S - log q falls through it
-            t = sign * np.stack([x, x - self.mu])
+            t = sign[rows] * np.stack([x, x - self.mu])
             past = t > 0
             tail = np.exp(log_weight + log_ndtr(-abs(t)) - log_q[rows])
             excess = (offset[rows, past[0] + 2 * past[1]]
                       + np.where(past, -tail, tail).sum(axis=0))
-            slope = sign * np.exp(self.logpdf(x) - log_q[rows])
+            slope = sign[rows] * np.exp(self.logpdf(x) - log_q[rows])
             return np.log1p(excess), slope / (1.0 + excess)
 
         # start between the components' quantiles, at their mean's shift
-        x = newton_root(gap, lo, hi, z + rest * self.mu,
-                        flo=np.full_like(lo, -sign),
-                        fhi=np.full_like(hi, sign), xtol=1e-13).x
+        x = newton_root(gap, lo, hi, z + rest * self.mu, flo=-sign, fhi=sign,
+                        xtol=1e-13).x
         return x if np.ndim(q) else float(x[0])
 
     def draw(self, rng, n):

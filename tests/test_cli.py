@@ -696,6 +696,28 @@ class TestReproduce:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_grid_groups_keep_their_values(self):
+        # the beta and fixed-point grids run on Python floats; on numpy
+        # scalars, as written out here, every computed value is the same
+        from ordopt.selectors import (MomentBound, capping_radius,
+                                      optimal_beta, solve_log_fixed_point)
+        ratio = resid = -math.inf
+        for a in np.geomspace(math.e, 1e3, 10):
+            for b in np.linspace(1.0, 50.0, 10):
+                t, bound = solve_log_fixed_point(a, b)
+                ratio = max(ratio, t / bound)
+                resid = max(resid, abs(t - a - b * math.log(t)) / t)
+        bounds = MomentBound(truncation.PowerSpec(2.0), (1.0,))
+
+        def budget_factor(beta):
+            r = capping_radius(bounds, beta * 0.5)
+            return r * r / ((1.0 - beta) ** 2)
+        gap = budget_factor(0.5) - min(
+            budget_factor(b) for b in np.linspace(0.05, 0.95, 181))
+        got = [it["computed"] for group in ("beta", "fixed-point")
+               for it in run_reproduce(only=group)]
+        assert got == [optimal_beta(bounds), gap, ratio, resid]
+
     def test_capping_search_beats_a_dense_grid(self):
         # every (case, objective) pair of the capping group: the zooming
         # search reaches the 20001-point grid it replaced, never passes
@@ -922,6 +944,20 @@ class TestExtremeModelParameters:
                 assert len(err.splitlines()) == 1, mode
                 assert err.startswith("error: validation:"), mode
                 assert name in err, mode
+
+    @pytest.mark.parametrize("spec, mode", [
+        ("shifted-exponential:0.96,1e300", "infimum"),
+        ("mirrored:shifted-exponential:1e300,1", "infimum"),
+        ("mirrored:shifted-exponential:1e300,1", "certificate")])
+    def test_shifted_exponential_at_its_domain_edge(self, capsys, spec, mode):
+        # the derivative bracket lands on theta = -lam exactly, where
+        # Lambda' is -inf; the density is too narrow for any node weight
+        code, out, err = run_cli(capsys, [
+            "meta-rate", "--model", spec, *_META_RATE_MODES[mode]])
+        assert code == 2 and out == ""
+        assert "nan" not in err.lower() and "Traceback" not in err
+        assert err.startswith("error: validation:")
+        assert err.endswith("every node weight is 0 in floats\n")
 
 
 class TestNonFiniteModels:

@@ -74,6 +74,15 @@ def test_dlog_mgf_matches_finite_difference(model):
         assert abs(fd - model.dlog_mgf(t)) < 1e-5 * max(1.0, abs(fd))
 
 
+def test_shifted_exponential_slope_at_the_domain_edge():
+    # Lambda is inf from theta = -lam down, and Lambda' falls to -inf there
+    model = ShiftedExponential(0.96, 1e300)
+    assert model.log_mgf(-1e300) == math.inf
+    assert model.dlog_mgf(-1e300) == -math.inf
+    assert model.dlog_mgf(-2e300) == -math.inf
+    assert Mirrored(ShiftedExponential(1e300, 1.0)).dlog_mgf(1.0) == math.inf
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=str)
 def test_rate_zero_only_at_mean(model):
     mu = model.mean()

@@ -23,8 +23,10 @@ from scipy import integrate
 from scipy.special import erfcx, exp1, log_ndtr
 
 import ordopt
-from ordopt._quad import (QuadratureWarning, integrate as panel_integrate,
-                          log_tail_integral, node_table, table_cuts)
+from ordopt import populations
+from ordopt._quad import (_TABLE_Q, QuadratureWarning,
+                          integrate as panel_integrate, log_tail_integral,
+                          node_table, table_cuts)
 from ordopt.adversarial import TiltedDistribution, _log_upper_tail, tilt
 from ordopt.populations import (Gaussian, GaussianMixture, Mirrored, Pareto,
                                 ShiftedExponential, _log_pareto_integral,
@@ -288,6 +290,55 @@ def test_mixture_quantiles_invert_the_log_cdf(p, mu, upper):
                          math.log1p(-p) + log_ndtr(s * (x - mu)))
     assert np.all(np.abs(log_c - np.log(q)) <= 1e-12 * np.maximum(
         1.0, np.abs(np.log(q))))
+
+
+_TABLE_MIXTURES = [GaussianMixture(0.3, 5.0), GaussianMixture(0.7, -2.0),
+                   GaussianMixture(0.5, 1.0), GaussianMixture(0.01, 20.0)]
+
+
+@pytest.mark.parametrize("model", _TABLE_MIXTURES, ids=repr)
+def test_mixture_table_from_one_search_matches_two(model):
+    # the lower and upper tails inverted together give the cuts of one
+    # quantile and one upper_quantile search, bit for bit
+    lower, upper = model.quantile(_TABLE_Q), model.upper_quantile(_TABLE_Q)
+    span = np.linspace(lower[0], upper[0], 49)
+    want = np.unique(np.concatenate([lower, upper, span]))
+    assert np.array_equal(table_cuts(model), want)
+
+
+def _count_searches(monkeypatch, model):
+    """(rows, evaluations) of each newton_root call in one table build."""
+    calls, search = [], populations.newton_root
+
+    def counted(f, lo, *args, **kwargs):
+        evals = [0]
+
+        def g(x, rows):
+            evals[0] += 1
+            return f(x, rows)
+        root = search(g, lo, *args, **kwargs)
+        calls.append((lo.size, evals[0]))
+        return root
+    monkeypatch.setattr(populations, "newton_root", counted)
+    table_cuts(model)
+    return calls
+
+
+@pytest.mark.parametrize("model, evals", [
+    (GaussianMixture(0.3, 5.0), 7), (GaussianMixture(0.7, -2.0), 6),
+    (GaussianMixture(0.5, 1.0), 5)], ids=repr)
+def test_mixture_table_is_one_search(monkeypatch, model, evals):
+    # both tails' rows step in one lock-step search: as many evaluations
+    # as the slower tail's own search takes
+    n = _TABLE_Q.size
+    assert _count_searches(monkeypatch, model) == [(2 * n, evals)]
+
+
+def test_mirrored_mixture_table_keeps_two_searches(monkeypatch):
+    # Mirrored has no table of its own: one search per tail
+    n = _TABLE_Q.size
+    calls = _count_searches(monkeypatch, Mirrored(GaussianMixture(0.3, 10.0)))
+    assert calls == [(n, 7), (n, 7)]
 
 
 def test_no_module_imports_scipy_integrate():
