@@ -8,12 +8,11 @@ falsi, for the outer slope of the two-phase exponent, where each
 evaluation costs more than a bisection step. newton_root is a row
 search: it steps 1-D arrays of independent brackets in lock-step, for
 blocks of rate estimates, meta-rates or quantiles, and serves roots
-whose derivative comes cheaply with the value. expand_bracket grows the
-brackets of both, as floats or as rows. newton_system is the damped
-Newton solver for a small square system whose caller returns the exact
-Jacobian with the residuals, or None outside its domain; the tilt
-searches and the two-phase exponent of meta_rate solve their
-stationarity systems with it. increasing_fixed_point iterates t = g(t).
+whose derivative comes cheaply with the value; the tilt searches of
+meta_rate run it twice over, in the tilt along the stationarity curve
+and, inside each point of it, in alpha. expand_bracket grows the
+brackets of both, as floats or as rows. increasing_fixed_point iterates
+t = g(t).
 The rate functions, tilted-moment optimizations, quantiles and caps
 elsewhere reduce to these searches, and every search loop in the numeric
 modules runs here. The one search that seeks no root, zoom_max, is a
@@ -29,14 +28,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-# the stop rules of newton_system (residual max-norm) and of
-# increasing_fixed_point (relative step), and the step limit of both
-_SYSTEM_TOL = 1e-11
+# the stop rule of increasing_fixed_point (relative step) and its step
+# limit
 _FIXED_POINT_TOL = 1e-12
 _MAX_STEPS = 500
-# points outside the domain newton_system halves back from before it gives
-# up: converging searches met at most 3, failing ones thousands
-_OUTSIDE = 3
 
 
 class Root(NamedTuple):
@@ -106,7 +101,8 @@ def falsi_root(f, lo, hi, flo, fhi, *, xtol=1e-12, max_iter=200):
     BIT 11, 1971): f at the bracket's secant point (its midpoint where
     that is not strictly inside) replaces the end of its sign, and an end
     kept twice in a row has its value halved, so both ends close in
-    superlinearly. A point where f is exactly 0 returns its degenerate
+    superlinearly; a secant point that rounds onto an end moves half the
+    tolerance inside. A point where f is exactly 0 returns its degenerate
     bracket."""
     up = fhi > 0
     if (flo > 0) == up:
@@ -114,6 +110,9 @@ def falsi_root(f, lo, hi, flo, fhi, *, xtol=1e-12, max_iter=200):
     kept, it = 0, 0
     for it in range(1, max_iter + 1):
         x = lo + (hi - lo) * (flo / (flo - fhi))
+        if x in (lo, hi) and math.isfinite(flo - fhi):
+            # the root within rounding of an end: half a tolerance inside
+            x += math.copysign(0.5 * xtol * max(1.0, abs(x)), hi + lo - x - x)
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
         fx = f(x)
@@ -178,24 +177,25 @@ def newton_root(f, lo, hi, x0, *, xtol=1e-12, ftol=None, max_iter=200,
     for it in range(1, max_iter + 1):
         if not act.size:
             break
+        # f runs outside the errstate, so none of its warnings is hidden
         fx, dfx = f(a_x, act)
-        to_hi = (fx > 0) == up
-        a_hi = np.where(to_hi, a_x, a_hi)
-        a_lo = np.where(to_hi, a_lo, a_x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            to_hi = (fx > 0) == up
+            a_hi = np.where(to_hi, a_x, a_hi)
+            a_lo = np.where(to_hi, a_lo, a_x)
             step = fx / dfx
-        mid = 0.5 * (a_lo + a_hi)
-        done = (_converged(abs(step), a_x, fx, xtol, tol) | (it == max_iter)
-                | (mid == a_lo) | (mid == a_hi))
-        if done.any():
-            fin = act[done]
-            x[fin], iterations[fin] = a_x[done], it
-            keep = ~done
-            act, a_lo, a_hi, up = act[keep], a_lo[keep], a_hi[keep], up[keep]
-            a_x, step, mid = a_x[keep], step[keep], mid[keep]
-            if np.ndim(tol):
-                tol = tol[keep]
-        with np.errstate(invalid="ignore"):
+            mid = 0.5 * (a_lo + a_hi)
+            done = (_converged(abs(step), a_x, fx, xtol, tol)
+                    | (it == max_iter) | (mid == a_lo) | (mid == a_hi))
+            if done.any():
+                fin = act[done]
+                x[fin], iterations[fin] = a_x[done], it
+                keep = ~done
+                act, a_lo, a_hi, up = (act[keep], a_lo[keep], a_hi[keep],
+                                       up[keep])
+                a_x, step, mid = a_x[keep], step[keep], mid[keep]
+                if np.ndim(tol):
+                    tol = tol[keep]
             a_x = a_x - step
             inside = (a_lo < a_x) & (a_x < a_hi)
         a_x = np.where(inside, a_x, mid)
@@ -251,51 +251,6 @@ def _expand_rows(f, x, edge, sign, cap):
         fx[act] = f(x[act], act)
         act = act[sign * fx[act] > 0]
     return x, fx
-
-
-def newton_system(system, v0):
-    """Root of a square system r(v) = 0 by damped Newton steps.
-
-    system(v) takes one point, a 1-D array, and returns the residual vector
-    r and its exact Jacobian J (J[i, j] = dr_i / dv_j) there, or None where
-    v lies outside the domain. Each Newton step solves J s = -r and is
-    halved, up to 50 times, until it lands in the domain with a smaller
-    residual max-norm (Dennis and Schnabel, Numerical Methods for
-    Unconstrained Optimization and Nonlinear Equations, ch. 5-6). Returns
-    the first point whose residual max-norm is at most _SYSTEM_TOL, as a
-    tuple of floats, or None when the start or _OUTSIDE + 1 points tried
-    lie outside the domain, the Jacobian is singular, the line search
-    fails or _MAX_STEPS steps pass.
-    """
-    v = np.array(v0, dtype=float)
-    at = system(v)
-    if at is None:
-        return None
-    r, jac = at
-    outside = 0
-    for _ in range(_MAX_STEPS):
-        norm = float(np.abs(r).max())
-        if norm <= _SYSTEM_TOL:
-            return tuple(float(x) for x in v)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        t = 1.0
-        for _ in range(50):
-            cand = v + t * step
-            at = system(cand)
-            if at is None:
-                outside += 1
-                if outside > _OUTSIDE:
-                    return None
-            elif float(np.abs(at[0]).max()) < norm:
-                v, (r, jac) = cand, at
-                break
-            t *= 0.5
-        else:
-            return None
-    return None
 
 
 def increasing_fixed_point(g, t0):

@@ -14,6 +14,12 @@ two-phase budget split built on top of it, and the certificate that a
 sequential stopping rule built on the proxy exp(-m I_m(0)) over-delivers
 false selections relative to its target delta.
 
+By the envelope theorem dJ_theta(nu)/dtheta = -alpha E_q[XW], q
+proportional to p e^{alpha W}, so every tilt the four searches seek lies on
+one stationarity curve, E_q[XW] = 0: one root in alpha per tilt, with
+level g = -log E_q W and value J (continuation: Allgower and Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003).
+
 Conventions: alpha_star is reported as the maximizer of the defining sup,
 except in the sequential certificate for the shifted-exponential model.
 There the same maximizer alpha_W is reported in the z = exp(theta Y)
@@ -30,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import node_table
-from ._solve import (bisect_root, expand_bracket, falsi_root, newton_root,
-                     newton_system)
+from ._solve import bisect_root, expand_bracket, falsi_root, newton_root
 from .empirical_rate import _rate_two_atoms, _shifted
 from .populations import ShiftedExponential, rate_function
 
@@ -42,12 +47,8 @@ __all__ = [
     "sequential_failure_certificate",
 ]
 
-_THETA_BRACKET = 64.0
 _ALPHA_CAP = 2.0 ** 30
-# matrix elements in one block of tilts solved in lock-step: a whole
-# 129-tilt grid over a density table of up to 2208 nodes at once would add
-# some 10 MB of temporaries to each step
-_BLOCK = 2 ** 16
+_LOG_CAP = math.log(_ALPHA_CAP)
 _BIG = np.finfo(float).max
 # the largest b whose e^{-b} is a normal float, about 708.4
 _LEVEL_MAX = -math.log(np.finfo(float).tiny)
@@ -154,27 +155,6 @@ def _atom_moments(x, p, w, alpha, nu):
     return (alpha * nu - hi) - np.log(den), t_mean, var
 
 
-def _tilted_moments(law, theta, alpha):
-    """(E W, E[XW], E[X^2 W], Var W, Cov(W, XW), Var XW) under q
-    proportional to p e^{alpha W}, W = e^{theta X}, at one tilt and one
-    alpha, from one tilt and one shifted exp pass over the law; None where
-    the shift or its sum is not finite. These are the residuals and the
-    exact Jacobian of every stationarity system in theta and alpha."""
-    x, p, w = _tilt(law, theta)
-    hi, e, den = _shifted(w, alpha, p)
-    if not (math.isfinite(hi[0]) and math.isfinite(den[0])):
-        return None
-    # each product takes the weight e first, so a node whose w is _BIG
-    # (e exactly 0) adds exactly 0 to every sum
-    w = w[0]
-    we = w * e[0]
-    xwe = x * we
-    wxwe = w * xwe
-    ew, exw, ew2, exw2, ex2w, ex2w2 = np.add.reduce(
-        [we, xwe, w * we, wxwe, x * xwe, x * wxwe], axis=1) / den
-    return ew, exw, ex2w, ew2 - ew * ew, exw2 - ew * exw, ex2w2 - exw * exw
-
-
 def tilted_log_mgf(model, alpha: float, theta: float) -> float:
     """M(alpha, theta) = log E exp(alpha exp(theta X)); +inf on divergence.
 
@@ -215,205 +195,308 @@ def meta_rate(model, theta: float, nu: float) -> MetaRateResult:
 
 
 def _meta_rate(model, law, theta, nu):
-    """meta_rate over a law built once. theta may also be a 1-D array: its
-    tilts are solved in lock-step, in blocks of at most _BLOCK matrix
-    elements, and every field of the result is an array (alpha_star nan
-    where the float result has None). Each tilt gets exactly the result of
-    its own scalar call."""
+    """meta_rate over a law built once."""
     nu = float(nu)
     if nu <= 0:
         raise ValueError("nu must be positive")
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    value = np.full(thetas.size, math.inf)
-    alpha = np.full(thetas.size, math.nan)
-    status = np.full(thetas.size, "boundary", dtype=object)
-    w_lo, w_hi = _w_bounds(model, thetas)
-    flat = w_lo == w_hi
-    at_level = flat & (abs(nu - w_lo) < 1e-12)
-    value[at_level] = alpha[at_level] = 0.0
-    inside = ~flat & (w_lo <= nu) & (nu <= w_hi)
+    w_lo, w_hi = (float(v[0])
+                  for v in _w_bounds(model, np.array([float(theta)])))
+    if w_lo == w_hi:
+        hit = abs(nu - w_lo) < 1e-12
+        return MetaRateResult(0.0 if hit else math.inf, 0.0 if hit else None,
+                              theta, nu, "boundary")
+    if not w_lo <= nu <= w_hi:
+        return MetaRateResult(math.inf, None, theta, nu, "boundary")
     # W unbounded above: alpha = 0 closes the domain of M, with the
     # sign-equal gap log E W - log nu there, as E W can overflow; nu at or
     # above E W decays at rate 0
-    unbounded = np.isinf(w_hi)
-    gap_zero = np.ones(thetas.size)
-    for i in np.flatnonzero(inside & unbounded):
-        gap_zero[i] = model.log_mgf(float(thetas[i])) - math.log(nu)
-    at_mean = inside & (gap_zero <= 0)
-    value[at_mean] = alpha[at_mean] = 0.0
-    search = inside & (gap_zero > 0)
+    unbounded = math.isinf(w_hi)
+    gap_zero = 1.0
+    if unbounded:
+        gap_zero = model.log_mgf(float(theta)) - math.log(nu)
+        if gap_zero <= 0:
+            return MetaRateResult(0.0, 0.0, theta, nu, "boundary")
     x, p = law
     # an atom law's level exactly at an end of the range of W: J is -log of
     # that W atom's mass, the limit as alpha runs to -inf or +inf
-    at_end = search & ((nu == w_lo) | (nu == w_hi))
-    if at_end.any() and model.atoms() is not None:
-        ends = model.support()
-        for i in np.flatnonzero(at_end):
-            low = nu == w_lo[i]
-            # the support's upper end is W's lower end at a negative tilt
-            mass = p[x == ends[int((thetas[i] > 0.0) != low)]]
-            if mass.size:
-                value[i] = -np.log(mass)[0]
-                alpha[i] = -_ALPHA_CAP if low else _ALPHA_CAP
-                status[i], search[i] = "alpha-cap", False
-    if x.size == 2:
+    if nu in (w_lo, w_hi) and model.atoms() is not None:
+        low = nu == w_lo
+        # the support's upper end is W's lower end at a negative tilt
+        mass = p[x == model.support()[int((theta > 0.0) != low)]]
+        if mass.size:
+            return MetaRateResult(float(-np.log(mass)[0]),
+                                  -_ALPHA_CAP if low else _ALPHA_CAP, theta,
+                                  nu, "alpha-cap")
+    if x.size == 2 and 0.0 < w_lo < nu < w_hi and not unbounded:
         # two atoms: J is the relative entropy of the law moved to mean nu
         # on the same W atoms, with no search, where both W atoms are
         # positive floats and nu lies strictly between them
-        closed = search & (w_lo > 0.0) & (w_lo < nu) & (nu < w_hi) \
-            & ~unbounded
-        rise = (thetas > 0.0) == (x[1] > x[0])     # W of atom 1 is w_hi
         masses = p.tolist()
-        for i in np.flatnonzero(closed):
-            p_lo, p_hi = masses if rise[i] else masses[::-1]
-            est = _rate_two_atoms(float(w_lo[i]), float(w_hi[i]), p_lo,
-                                  p_hi, nu)
-            value[i], alpha[i] = est.value, est.theta_star
-            status[i] = "interior"
-        search &= ~closed
-    rows = np.flatnonzero(search)
-    block = max(1, _BLOCK // x.size)
-    for k in range(0, rows.size, block):
-        r = rows[k:k + block]
-        value[r], alpha[r], status[r] = _solve_alpha(
-            law, thetas[r], unbounded[r], gap_zero[r], nu)
-    if np.ndim(theta):
-        return MetaRateResult(value, alpha, thetas, nu, status)
-    a = float(alpha[0])
-    return MetaRateResult(float(value[0]), None if math.isnan(a) else a,
-                          theta, nu, status[0])
-
-
-def _solve_alpha(law, thetas, unbounded, gap_zero, nu):
-    """(value, alpha_star, status) for one block of tilts whose level lies
-    inside the range of W and, where W is unbounded above, below E W.
-
-    The sign of M'(0) - nu tells which side of 0 the root is on: gap_zero
-    holds it where W is unbounded above, and the table's own E W gives it
-    elsewhere. A tilt whose tilted mean at |alpha| = 2^30 on that side is
-    still on the same side of nu saturates there; the others run
-    newton_root in [-2^30, 0] or [0, 2^30] from alpha = -1 or 1, with the
-    tilted variance of W as the derivative. (A two-atom law reaches here
-    only for a level at an atom or a W atom beyond the float range; its
-    other rows take the closed form in _meta_rate.)"""
-    x, p, w = _tilt(law, thetas)
-    f_zero, value = gap_zero.copy(), np.zeros(thetas.size)
-    bounded = np.flatnonzero(~unbounded)
-    if bounded.size:
-        value[bounded], t_zero, _ = _atom_moments(x, p, w[bounded], 0.0, nu)
-        f_zero[bounded] = t_zero - nu
-    side = np.where(f_zero > 0, -1.0, 1.0)
+        rise = (theta > 0.0) == (x[1] > x[0])     # W of atom 1 is w_hi
+        p_lo, p_hi = masses if rise else masses[::-1]
+        est = _rate_two_atoms(w_lo, w_hi, p_lo, p_hi, nu)
+        return MetaRateResult(est.value, est.theta_star, theta, nu,
+                              "interior")
+    # elsewhere the sign of M'(0) - nu tells which side of 0 the root is
+    # on: gap_zero holds it where W is unbounded above, and the table's own
+    # E W elsewhere. A tilted mean at |alpha| = 2^30 on that side still on
+    # the same side of nu saturates there; otherwise newton_root runs in
+    # [-2^30, 0] or [0, 2^30] from alpha = -1 or 1, with the tilted
+    # variance of W as the derivative
+    w = _tilt(law, theta)[2]
+    value = np.zeros(1)
+    if not unbounded:
+        value, t_zero, _ = _atom_moments(x, p, w, 0.0, nu)
+        gap_zero = float(t_zero[0]) - nu
+    side = -1.0 if gap_zero > 0 else 1.0
     j_cap, t_cap, _ = _atom_moments(x, p, w, side * _ALPHA_CAP, nu)
-    f_cap = t_cap - nu
-    capped = side * f_cap <= 0
-    alpha = np.where(capped, side * _ALPHA_CAP, 0.0)
-    value = np.where(capped, j_cap, value)
-    status = np.where(capped, "alpha-cap", "interior").astype(object)
-    solve = np.flatnonzero(~capped & (f_zero != 0))
-    if solve.size:
-        w_solve = w if solve.size == thetas.size else w[solve]
-        n, unit = solve.size, side[solve]
-        end = unit * _ALPHA_CAP
-        down = unit < 0
-        flo = np.where(down, f_cap[solve], f_zero[solve])
-        fhi = np.where(down, f_zero[solve], f_cap[solve])
-        j_at = np.empty(n)
+    f_cap = float(t_cap[0]) - nu
+    alpha, status = 0.0, "interior"
+    if side * f_cap <= 0:
+        value, alpha, status = j_cap, side * _ALPHA_CAP, "alpha-cap"
+    elif gap_zero != 0:
         noise = 4.0 * np.finfo(float).eps * nu
 
         def gap(a, rows):
-            """Tilted W-mean minus nu and its slope, the tilted variance;
-            the objective at the point is kept as the value. Where the
-            tilted law is a point mass in floats, both are rounding noise,
-            and a gap of 0 stops the row."""
-            j, t_mean, var = _atom_moments(
-                x, p, w_solve if rows.size == n else w_solve[rows], a, nu)
-            j_at[rows] = j
+            # the tilted W-mean minus nu, its slope the tilted variance,
+            # and the objective kept as the value; a point mass in floats
+            # leaves both rounding noise, and a gap of 0 stops the search
+            value[:], t_mean, var = _atom_moments(x, p, w, a, nu)
             f = t_mean - nu
             f[(abs(f) <= noise) & (var <= noise * nu)] = 0.0
             return f, var
 
-        root = newton_root(gap, np.minimum(end, 0.0), np.maximum(end, 0.0),
-                           unit, flo=flo, fhi=fhi, xtol=1e-13,
-                           ftol=1e-11 * max(1.0, nu))
-        alpha[solve], value[solve] = root.x, j_at
-    return np.maximum(value, 0.0), alpha, status
+        ends = (f_cap, gap_zero) if side < 0 else (gap_zero, f_cap)
+        alpha = float(newton_root(
+            gap, [min(side * _ALPHA_CAP, 0.0)], [max(side * _ALPHA_CAP, 0.0)],
+            side, flo=[ends[0]], fhi=[ends[1]], xtol=1e-13,
+            ftol=1e-11 * max(1.0, nu)).x[0])
+    return MetaRateResult(float(np.maximum(value[0], 0.0)), alpha, theta, nu,
+                          status)
+
+
+def _tilted_moments(x, p, w, alpha):
+    """(J, E W, E[XW], E[X^2 W], Var W, Cov(W, XW), Var XW) per row of w,
+    under q proportional to p e^{alpha W}, alpha one per row, with J =
+    alpha E W - M(alpha), from one shifted exp pass. Each product takes
+    the weight e first, so a w of _BIG (e exactly 0) adds exactly 0."""
+    hi, e, den = _shifted(w, alpha, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        we = w * e
+        xwe = x * we
+        wxwe = w * xwe
+        ew, exw, ew2, exw2, ex2w, ex2w2 = (
+            np.add.reduce(v, axis=1) / den
+            for v in (we, xwe, w * we, wxwe, x * xwe, x * wxwe))
+        return ((alpha * ew - hi) - np.log(den), ew, exw, ex2w,
+                ew2 - ew * ew, exw2 - ew * exw, ex2w2 - exw * exw)
+
+
+def _table_curve(law, k, theta, u, side):
+    """(alpha, g, J, dg/dtheta, dlog|alpha|/dtheta) on the curve E_q[XW]
+    = 0 at each tilt of a 1-D array theta, over a law sorted in x whose
+    first k points are negative: g = -log E_q W is the level whose
+    meta-rate J the tilt makes stationary.
+
+    newton_root solves F = log(E[X^+ W e^{alpha W}] / E[X^- W e^{alpha
+    W}]) = 0, two sums of one sign each, for u = log |alpha| in [-708.4,
+    log 2^30] from the given start, alpha = side e^u per row. F rises in
+    alpha where theta > 0 and falls where theta < 0 (W > 1 on every x > 0,
+    W < 1 on every x < 0), and it is nearly linear in alpha where one
+    point dominates each part, so a root many orders of magnitude away
+    takes few steps. The slopes come from _tilted_moments at the root,
+    alpha's by implicit differentiation of E_q[XW] = 0. A row off the
+    curve (no root, or sums past the floats) has g nan."""
+    theta, u, side = np.broadcast_arrays(np.atleast_1d(theta), u, side)
+    x, p, w = _tilt(law, theta)
+    n, up = theta.size, np.sign(theta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        xpw = np.where(w < _BIG, w, 0.0) * (x * p)
+        # F as alpha runs to 0, each part largest against the other there
+        # (a point whose x w overflows adds 0 at every alpha < 0): a row
+        # where either is 0, or F has the wrong sign, has no root
+        last_f = (np.log(np.add.reduce(xpw[:, k:], axis=1))
+                  - np.log(-np.add.reduce(xpw[:, :k], axis=1)))
+    flo = np.where(np.isfinite(last_f) & (last_f * side * up < 0.0),
+                   -side * up, 0.0)
+
+    def stationarity(u, rows):
+        a = side[rows] * np.exp(u)
+        w_rows = w if rows.size == n else w[rows]
+        _, e, _ = _shifted(w_rows, a, p)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            xwe = x * (w_rows * e)
+            wxwe = w_rows * xwe
+            neg, pos, w_neg, w_pos = (
+                np.add.reduce(v, axis=1) for v in (
+                    xwe[:, :k], xwe[:, k:], wxwe[:, :k], wxwe[:, k:]))
+            f = np.log(pos) - np.log(-neg)
+            last_f[rows] = f
+            # Newton's step in alpha, as the step log(alpha_new / alpha) in
+            # u; where alpha_new would cross 0, Newton's step in u or, if
+            # larger, one that doubles |u|
+            du = -f / (a * (w_pos / pos - w_neg / neg))
+            du = np.where(du > -1.0, np.log1p(du),
+                          np.minimum(du, -np.maximum(1.0, abs(u))))
+            # a part that underflows to 0 is a step of 2 in u toward the
+            # root; both (q on W = 0, alpha too far out) a step toward 0
+            far = ~np.isfinite(f)
+            if far.any():
+                su = (side * up)[rows]
+                f = np.where(np.isnan(f), su * np.inf, f)
+                f[far] = np.sign(f[far])
+                du[far] = -2.0 * (f * su)[far]
+            # F within rounding of 0, or sums past the floats, stop a row
+            f[(abs(f) <= 1e-13) | ~np.isfinite(neg + pos + w_neg + w_pos)] = 0
+            return f, np.where(f == 0.0, 1.0, -f / du)
+
+    u = np.clip(np.where(np.isfinite(u), u, 0.0), -_LEVEL_MAX, _LOG_CAP)
+    u = newton_root(stationarity, np.full(n, -_LEVEL_MAX),
+                    np.full(n, _LOG_CAP), u, flo=flo, fhi=side * up,
+                    xtol=1e-12).x
+    alpha = side * np.exp(u)
+    j, ew, exw, ex2w, var_w, cov, var_xw = _tilted_moments(x, p, w, alpha)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d_alpha = -(ex2w + alpha * var_xw) / cov
+        d_ew = exw + alpha * cov + var_w * d_alpha
+        on = (abs(last_f) <= 1e-8) & np.isfinite(d_ew)
+        return (alpha, np.where(on, -np.log(ew), math.nan), j, -d_ew / ew,
+                d_alpha / alpha)
+
+
+def _curve(law):
+    """The law's stationarity curve as curve(theta, u, side): _table_curve,
+    or for two atoms x_lo < 0 < x_hi a closed form with no search (u and
+    side unread): E_q[XW] = 0 puts the tilted masses at log(q_lo / q_hi) =
+    z = log(x_hi / -x_lo) + theta (x_hi - x_lo), so J = KL(q || p), alpha
+    is the logit difference of q and p over w_lo - w_hi, and dg/dtheta =
+    -E_q X."""
+    x, p = law
+    if not (x.size == 2 and x.min() < 0.0 < x.max()):
+        # x over a power of two s keeps theta x bit for bit, moments finite
+        order, s = np.argsort(x), 2.0 ** np.frexp(abs(x).max())[1]
+        x, p, k = x[order] / s, p[order], int(np.searchsorted(x[order], 0.0))
+
+        def scaled(theta, u, side):
+            a, g, j, dg, du = _table_curve((x, p), k, theta * s, u, side)
+            return a, g, j, dg * s, du * s
+        return scaled
+    (x_lo, l_lo), (x_hi, l_hi) = sorted(zip(x.tolist(), np.log(p).tolist()))
+    k, d = math.log(x_hi / -x_lo), x_hi - x_lo
+
+    def two_atoms(theta, u=None, side=None):
+        z = k + theta * d
+        lq_lo, lq_hi = -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z)
+        q_lo, q_hi = np.exp(lq_lo), np.exp(lq_hi)
+        g = -np.logaddexp(lq_lo + theta * x_lo, lq_hi + theta * x_hi)
+        j = q_lo * (lq_lo - l_lo) + q_hi * (lq_hi - l_hi)
+        # w_lo - w_hi over the larger W atom, which may overflow
+        top = np.maximum(theta * x_lo, theta * x_hi)
+        alpha = (z - l_lo + l_hi) * np.exp(-top) / (
+            np.exp(theta * x_lo - top) - np.exp(theta * x_hi - top))
+        return alpha, g, j, -(q_lo * x_lo + q_hi * x_hi), 0.0 * lq_lo
+
+    return two_atoms
+
+
+def _spread(law):
+    """The standard deviation of the law, the unit of the tilt steps, from
+    x over its largest |x|, so that no square leaves the floats."""
+    x, p = law
+    y = x / float(abs(x).max())
+    return float(abs(x).max()) * math.sqrt(float(p @ (y - p @ y) ** 2))
+
+
+def _zero_limit(law, nu, s):
+    """lim J_theta(nu) as theta runs to s inf, for a law with an atom at 0:
+    W tends to 1 there, to 0 where s X < 0 and to inf where s X > 0, so the
+    law moved to the level nu < 1 puts nu on X = 0 and the rest on s X <
+    0; inf where either has no mass. A support that ends at 0 has an
+    empty curve (X W keeps one sign), and this limit is its answer."""
+    x, p = law
+    p0, rest = float(p[x == 0.0].sum()), float(p[s * x < 0.0].sum())
+    if not (p0 > 0.0 and rest > 0.0):
+        return math.inf
+    return (nu * (math.log(nu) - math.log(p0))
+            + (1.0 - nu) * (math.log1p(-nu) - math.log(rest)))
+
+
+def _search(model, law, target, start, step, side):
+    """(value, theta, alpha_star) at the least J where the curve's level g
+    reaches target on branch rows theta = start + t step, t > 0, alpha on
+    the given side of 0, g(start) < target. Probes t = 1, 2, 4, ... double
+    with no cap until g passes it, so step sets the scale, and newton_root
+    in t, with slope dg/dt, solves between the last two probes from their
+    secant (or between 0 and 1 from the Newton step off 1); J is meta_rate
+    there. Each point's alpha search starts from the last point's, carried
+    along by its slope: a continuation method's predictor. A row whose
+    probes end off the curve first takes, on a law with an atom at 0,
+    whose g stays bounded, the limit _zero_limit at its infinite end
+    (alpha_star None), and raises NumericalError on any other law."""
+    curve = _curve(law)
+    # per row at its last point: alpha, g, J, dg/dt, theta, u = log |alpha|
+    # and du/dtheta, and g - target at the probe before
+    last = np.array([side] * 4 + [start, 0.0 * side, 0.0 * side])
+    before = np.empty(start.size)
+
+    def gap(t, rows):
+        rows = rows if rows.size < start.size else slice(None)
+        theta = start[rows] + t * step[rows]
+        # u carried by its slope, or alpha by its own where |alpha| grows
+        du = (theta - last[4, rows]) * last[6, rows]
+        u = last[5, rows] + np.log1p(np.maximum(du, 0.0)) + np.minimum(du, 0.0)
+        before[rows] = last[1, rows] - target
+        a, g, j, dg, du = curve(theta, u, side[rows])
+        with np.errstate(divide="ignore"):
+            last[:, rows] = (a, g, j, dg * step[rows], theta,
+                             np.log(np.abs(a)), du)
+        return g - target, last[3, rows]
+
+    t, f = expand_bracket(lambda t, rows: gap(t, rows)[0],
+                          np.ones(start.size), math.inf, -1)
+    reached = f >= 0.0
+    if not (reached.all() or (law[0] == 0.0).any()):
+        raise NumericalError(f"no tilt on the stationarity curve reaches "
+                             f"the level {target:.6g}")
+    lo = np.where(t > 1.0, 0.5 * t, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = np.where(t > 1.0, lo - lo * before / (f - before),
+                      t - f / last[3])
+    t = newton_root(gap, lo, t, np.where((lo < x0) & (x0 < t), x0, t),
+                    flo=np.where(reached, -1.0, 0.0),
+                    fhi=np.where(reached, f, 1.0), xtol=1e-12).x
+    nu = math.exp(-target)
+    value = np.where(reached, last[2], [
+        r or _zero_limit(law, nu, s) for r, s in zip(reached, np.sign(step))])
+    i = int(np.argmin(value))
+    if not reached[i]:
+        return float(value[i]), math.copysign(math.inf, step[i]), None
+    theta = float(start[i] + t[i] * step[i])
+    res = _meta_rate(model, law, theta, nu)
+    return res.value, theta, res.alpha_star
 
 
 def inf_meta_rate(model, a: float):
     """inf over theta of J_theta(e^{-a}) for a above I(0).
 
     Returns (value, theta_star). This is the decay rate of the upward error
-    P(I_m(0) >= a). A coarse grid of 81 tilts, 0 and 40 on either side
-    evenly spaced in log|theta| from 1e-3 to 64, solved in one array call,
-    finds the basin; the stationarity Newton of _tilt_search then solves
-    for the minimizing tilt within the cells next to the best grid tilt,
-    which stands where Newton does not converge.
+    P(I_m(0) >= a). The minimizing tilt lies on the stationarity curve
+    where its level g equals a, on one of the two branches with alpha < 0:
+    outward from theta_m, the minimizer of Lambda (g = I(0) there), and
+    from 0 (g = 0) on the other side of 0. _search solves g = a on both in
+    lock-step and keeps the smaller J, meta_rate there, or a limit at an
+    infinite tilt on a law with an atom at 0.
     """
-    i0 = _rate_at_zero(model).value
+    rate = _rate_at_zero(model)
+    i0 = rate.value
     if not a > i0:
         raise RegimeError(
             f"inf_meta_rate needs a > I(0) = {i0:.6g}; for a below I(0) "
             "use sup_meta_rate_on_theta_a")
-    t = _geometric_tilts(1e-3, 40)
-    theta_star, res = _tilt_search(model, _law(model), math.exp(-a),
-                                   np.concatenate([-t[::-1], [0.0], t]))
-    return res.value, theta_star
-
-
-def _geometric_tilts(smallest, n):
-    """n tilts from smallest up to _THETA_BRACKET, evenly spaced in log."""
-    return np.geomspace(smallest, _THETA_BRACKET, n)
-
-
-def _tilt_search(model, law, nu, grid, *, sign=1.0):
-    """(theta, result): the tilt where sign * J_theta(nu) is least, sign =
-    -1 seeking the supremum, with _meta_rate's result there.
-
-    The tilts of grid, in order in either direction, are solved in one
-    lock-step call to find the basin. From the best of them, where its
-    alpha is interior, newton_system solves the stationarity system
-
-        r1 = E_q W - nu:   d/dtheta = E[XW] + alpha Cov(W, XW),
-                           d/dalpha = Var W
-        r2 = E_q[XW]:      d/dtheta = E[X^2 W] + alpha Var(XW),
-                           d/dalpha = Cov(W, XW)
-
-    in (theta, alpha), with q proportional to p e^{alpha W}, W = e^{theta
-    X}, the moments under q, and each step's residuals and Jacobian from
-    one pass of _tilted_moments. The system's domain is the cells next to
-    the best grid tilt, with alpha of the grid's sign: Newton's line search
-    halves back into them, and newton_system gives up once its iterates
-    keep leaving them. Its tilt is the answer when it converges and does
-    no worse than the best grid tilt, which is the answer otherwise. The
-    answer's result is one more scalar _meta_rate solve there.
-    """
-    res = _meta_rate(model, law, grid, nu)
-    vals = sign * res.value
-    vals[np.isnan(vals)] = math.inf
-    i = int(np.argmin(vals))
-    lo, hi = sorted(float(grid[k])
-                    for k in (max(i - 1, 0), min(i + 1, grid.size - 1)))
-    alpha0 = res.alpha_star[i]
-    if res.status[i] == "interior" and alpha0 != 0.0:
-        def system(v):
-            theta, alpha = v
-            if not (lo <= theta <= hi and alpha * alpha0 > 0.0):
-                return None
-            moments = _tilted_moments(law, theta, alpha)
-            if moments is None:
-                return None
-            ew, exw, ex2w, var_w, cov, var_xw = moments
-            return (np.array([ew - nu, exw]),
-                    np.array([[exw + alpha * cov, var_w],
-                              [ex2w + alpha * var_xw, cov]]))
-
-        root = newton_system(system, [grid[i], alpha0])
-        if root is not None:
-            at = _meta_rate(model, law, root[0], nu)
-            if sign * at.value <= vals[i]:
-                return root[0], at
-    theta = float(grid[i])
-    return theta, _meta_rate(model, law, theta, nu)
+    law = _law(model)
+    unit = math.copysign(1.0, rate.theta_star) / _spread(law)
+    return _search(model, law, a, np.array([rate.theta_star, 0.0]),
+                   np.array([unit, -unit]), -np.ones(2))[:2]
 
 
 def _rate_at_zero(model):
@@ -434,11 +517,9 @@ def _theta_a_interval(model, a, theta_m):
 
     Each endpoint is bracketed between theta_m and a point outside Theta_a
     on that side: 0 when it lies there (Lambda(0) = 0 > -a), else a probe
-    stepped toward the domain edge, and the end of the final bracket
-    inside Theta_a is returned. If Theta_a runs past |theta| = 4 * 64 the
-    last probe stands in for the endpoint. That may be the first probe,
-    2 theta_m, when it already lies past the limit: on Bernoulli(0.3),
-    theta_m = -1024, and the left endpoint returned is -2048.
+    stepped toward the domain edge with no cap. Toward an infinite edge
+    where the support ends at 0, Lambda falls to -I(0) < -a: Theta_a is
+    unbounded, and the endpoint is that edge.
     """
     def excess(t):
         return model.log_mgf(t) + a     # <= 0 exactly on Theta_a
@@ -447,6 +528,8 @@ def _theta_a_interval(model, a, theta_m):
         right = edge > theta_m
         if (theta_m < 0.0) == right:
             x = 0.0
+        elif math.isinf(edge) and model.support()[int(right)] == 0.0:
+            return edge
         else:
             step = max(abs(theta_m), 0.5)
             x = theta_m + step if right else theta_m - step
@@ -454,8 +537,7 @@ def _theta_a_interval(model, a, theta_m):
                 far = (edge if math.isfinite(model.log_mgf(edge))
                        else 0.5 * (theta_m + edge))
                 x = min(x, far) if right else max(x, far)
-        x, fx = expand_bracket(excess, x, edge, -1,
-                               cap=4.0 * _THETA_BRACKET)
+        x, fx = expand_bracket(excess, x, edge, -1)
         if fx <= 0.0:
             return x
         if right:
@@ -469,14 +551,12 @@ def _theta_a_interval(model, a, theta_m):
 def sup_meta_rate_on_theta_a(model, a: float):
     """sup of J_theta(e^{-a}) over Theta_a = {Lambda <= -a}, 0 < a < I(0).
 
-    Returns (value, theta_star, (theta_lo, theta_hi)). At the interval
-    endpoints Lambda = -a makes the level equal E W and the rate vanish, so
-    any positive supremum is interior; a heavy upper tail of W forces the
-    supremum to 0 everywhere on the interval. A grid of 129 tilts evenly
-    spaced across Theta_a finds the basin, and the stationarity Newton of
-    _tilt_search solves for the maximizer, which makes the first-order
-    residual E[X W exp(alpha* W)] its convergence test; where Newton does
-    not converge, the best grid tilt stands.
+    Returns (value, theta_star, (theta_lo, theta_hi)), an end infinite
+    where Theta_a is unbounded. At the endpoints Lambda = -a puts the level
+    at E W, where the rate vanishes, so a positive supremum lies on the
+    stationarity curve's branch with alpha > 0, between 0 (g = 0) and
+    theta_m (g = I(0)), where _search finds g = a. A heavy upper tail of W
+    on that branch forces it to 0 (reported at theta_lo).
     """
     rate = _rate_at_zero(model)
     i0 = rate.value
@@ -486,10 +566,11 @@ def sup_meta_rate_on_theta_a(model, a: float):
     if math.isinf(i0):
         raise RegimeError("degenerate model: I(0) is infinite")
     left, right = _theta_a_interval(model, a, rate.theta_star)
-    theta_star, res = _tilt_search(
-        model, _law(model), math.exp(-a), np.linspace(left, right, 129),
-        sign=-1.0)
-    return res.value, theta_star, (left, right)
+    if math.isinf(model.support()[int(rate.theta_star > 0.0)]):
+        return 0.0, left, (left, right)
+    value, theta, _ = _search(model, _law(model), a, np.zeros(1),
+                              np.array([rate.theta_star]), np.ones(1))
+    return value, theta, (left, right)
 
 
 def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
@@ -502,33 +583,25 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     the slope of -log P(FS) against log(1/delta).
 
     Minimizes phi(b) = c2 I(0) / b + inf_theta J_theta(e^{-b}) over the
-    phase-1 level b in the window from I(0)(1 + 1e-7) up to _LEVEL_MAX,
-    where e^{-b} is still a normal float (past it the level and outer
-    residuals vanish for want of digits). Two kinds of law take a closed
-    form in one parameter t, solved by _first_minimum:
-    - Two atoms x_lo < 0 < x_hi, with no Newton system: with q the tilted
-      mass on x_lo, t = -log(1 - q), theta stationarity gives theta =
-      log(q |x_lo| / ((1 - q) x_hi)) / (x_hi - x_lo), the level g is the
-      rate at 0 of the masses (q, 1 - q), the inner infimum is KL(q || p),
-      and phi's slope in q has the sign of a - c2 I(0) e^g / g^2 (Newton's
-      r3 with r1 and r2 solved), a = alpha_star the logit difference of q
-      and p over the gap between the W atoms.
-    - A support that ends at 0: X W < 0 wherever X < 0, so the theta
-      equation has no root, and as theta grows J_theta(nu) falls toward
-      KL(Bern(nu) || Bern(p0)), p0 = e^{-I(0)}. So theta_star = +inf, and
-      with t = b and nu = e^{-b}, phi has the slope a nu - c2 I(0) / b^2,
-      a = alpha_star = log(p0 (1 - nu) / ((1 - p0) nu)).
-    On every other law newton_system solves the stationarity system of
-    _two_phase_newton, a level condition, theta stationarity and outer
-    stationarity in the level g, the tilt theta and the negated alpha a,
-    on the window from (2 I(0), theta*, 1), theta* the minimizer of
-    Lambda, with each point's residuals and exact Jacobian from one pass
-    of tilted moments.
+    phase-1 level b from I(0) up to _LEVEL_MAX, where e^{-b} is still a
+    normal float. The inner infimum lies on the stationarity curve's
+    branch outward from theta_m, the minimizer of Lambda (see
+    inf_meta_rate), where g(theta) = b, so phi is a function of theta
+    there. Along the curve dJ/dtheta = -alpha e^{-g} dg/dtheta, so phi's
+    slope has the sign of -alpha e^{-g} - c2 I(0) / g^2 wherever g rises.
+    Probes theta_m + t / sd(X), t = 1, 2, 4, ..., walk the branch until it
+    turns +, g passes _LEVEL_MAX, or the curve stops rising or leaves the
+    floats; _first_minimum solves the first sign change.
 
-    NumericalError is raised for an empty window, where Newton gives up
-    (the minimum lies past the window or at an infinite tilt), and where
-    no minimum of a closed form is at most phi's limit as b grows without
-    bound, -log P(X < 0), which the message names.
+    A law whose support ends at 0 has an empty curve: X W < 0 wherever X
+    < 0, and as theta grows J_theta(nu) falls toward KL(Bern(nu) ||
+    Bern(p0)), p0 = e^{-I(0)}. So theta_star = +inf, and with nu = e^{-b},
+    phi has the slope a nu - c2 I(0) / b^2 in b, a = alpha_star = log(p0
+    (1 - nu) / ((1 - p0) nu)).
+
+    NumericalError is raised for an empty window, and where phi has no
+    minimum at or below its limit as b grows without bound, -log P(X < 0),
+    which the message names, as far as the curve reaches.
     """
     if c1 <= 0 or c2 <= 0:
         raise ValueError("c1 and c2 must be positive")
@@ -538,9 +611,7 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
     i0 = rate.value
     if not math.isfinite(i0) or i0 <= 0:
         raise RegimeError("degenerate model: I(0) must be finite positive")
-
-    lo = i0 * (1.0 + 1e-7)
-    if not lo < _LEVEL_MAX:
+    if not i0 * (1.0 + 1e-7) < _LEVEL_MAX:
         raise NumericalError(f"two-phase exponent: no level b in (I(0), "
                              f"{_LEVEL_MAX:.6g}] for I(0) = {i0:.6g}")
     c = c2 * i0
@@ -558,52 +629,65 @@ def two_phase_exponent(model, c1: float, c2: float) -> TwoPhaseExponent:
             return TwoPhaseExponent(exponent, b, math.inf, c / (b * b * nu),
                                     c1, c2)
 
-        return _first_minimum(slope, lo, _LEVEL_MAX, at, limit)
-    law = _law(model)
-    if law[0].size == 2:
-        (x_lo, p_lo), (x_hi, p_hi) = sorted(zip(*(v.tolist() for v in law)))
-        d, s = x_hi - x_lo, -x_lo / (x_hi - x_lo)
-        k_g = s * math.log(s) + (1.0 - s) * math.log1p(-s)
-        k_theta = math.log(-x_lo / x_hi)
-        l_lo, l_hi = math.log(p_lo), math.log(p_hi)
+        grid = np.geomspace(i0 * (1.0 + 1e-7), _LEVEL_MAX, 129)
+        return _first_minimum(slope, grid, slope(grid), at, limit)
+    x, p = law = _law(model)
+    limit = -math.log(float(model.cdf(0.0)) if model.atoms() is None
+                      else float(p[x < 0.0].sum()))
+    theta_m, unit = rate.theta_star, 1.0 / _spread(law)
+    curve = _curve(law)
+    state = [theta_m, 0.0, 0.0]     # theta, u, du/dtheta, as in _search
 
-        def curve(t):
-            """(log q, theta, g, a, the slope) at t = -log(1 - q)."""
-            lq = np.log1p(-np.exp(-t))
-            theta = (lq + t + k_theta) / d
-            g = k_g + s * t - (1.0 - s) * lq
-            with np.errstate(over="ignore"):
-                a = (lq - l_lo + t + l_hi) / (np.exp(theta * x_hi)
-                                              - np.exp(theta * x_lo))
-                return lq, theta, g, a, a - c * np.exp(g) / (g * g)
+    def point(t):
+        du = (t - state[0]) * state[2]
+        a, g, j, _, du = (v.item(0) for v in curve(
+            t, state[1] + (math.log1p(du) if du > 0.0 else du), -1.0))
+        if a:
+            state[:] = t, math.log(abs(a)), du
+        return a, g, j
 
-        def at(t):
-            lq, theta, g, a, _ = (float(v) for v in curve(t))
-            kl = -math.expm1(-t) * (lq - l_lo) - math.exp(-t) * (t + l_hi)
-            return TwoPhaseExponent(c / g + kl, g, theta, a, c1, c2)
+    def log_slope(a, g):    # phi's slope sign, nearly linear for falsi_root
+        if not (a < 0.0 < g):
+            return -math.inf
+        return math.log(-a) - g - math.log(c) + 2.0 * math.log(g)
 
-        return _first_minimum(lambda t: curve(t)[4], -l_hi,
-                              (_LEVEL_MAX - k_g) / s, at, -l_lo)
-    newton = _two_phase_newton(law, c2, i0, lo, rate.theta_star)
-    if newton is None:
-        raise NumericalError(f"two-phase exponent: Newton found no root "
-                             f"with b in [{lo:.6g}, {_LEVEL_MAX:.6g}]")
-    gamma, theta, alpha = newton
-    value = _atom_moments(*_tilt(law, theta), -alpha, math.exp(-gamma))[0]
-    return TwoPhaseExponent(c / gamma + float(value[0]), gamma, theta,
-                            alpha, c1, c2)
+    # (theta, g, log_slope) at theta_m and at each probe
+    probes = [(theta_m, i0, -math.inf)]
+
+    def walk(t):
+        a, g, _ = point(theta_m + t * unit)
+        rising = math.isfinite(g) and g > probes[-1][1]
+        if rising:
+            probes.append((theta_m + t * unit, g, log_slope(a, g)))
+        return -1.0 if rising and g < _LEVEL_MAX and probes[-1][2] <= 0.0 \
+            else 1.0
+
+    expand_bracket(walk, 1.0, math.inf, -1)
+    theta, g, f = (np.array(v) for v in zip(*probes))
+    if not (g[-1] >= _LEVEL_MAX or f[-1] > 0.0):
+        raise NumericalError(
+            f"two-phase exponent: phi(b) falls up to b = {g[-1]:.6g}, where "
+            f"the stationarity curve leaves the floats, with no minimum at "
+            f"or below its limit -log P(X < 0) = {limit:.10g}")
+
+    def slope(t):
+        return log_slope(*point(t)[:2])
+
+    def at(t):
+        a, g, j = point(t)
+        return TwoPhaseExponent((c / g if g > 0.0 else math.inf) + j, g, t,
+                                -a, c1, c2)
+
+    return _first_minimum(slope, theta, f, at, limit)
 
 
-def _first_minimum(slope, lo, hi, at, limit):
-    """at(t) at the first minimum of phi on [lo, hi], where phi' has the
-    sign of slope(t), a function of floats and arrays alike: the first of
-    128 steps evenly spaced in log t where slope turns from - to +
-    brackets it, and falsi_root finds it. NumericalError names phi's limit
-    where there is no such step or the exponent there is above it."""
-    grid = np.geomspace(lo, hi, 129)
-    f = slope(grid)
+def _first_minimum(slope, grid, f, at, limit):
+    """at(t) at the first minimum of phi over an increasing grid, f =
+    slope(grid), slope(t) of the sign of phi': falsi_root solves the first
+    step where f turns from - to +. NumericalError names phi's limit where
+    there is none, or the exponent there is above it."""
     k = int(np.argmax((f[:-1] <= 0.0) & (f[1:] > 0.0)))
-    if f[k] <= 0.0 < f[k + 1]:
+    if f.size > 1 and f[k] <= 0.0 < f[k + 1]:
         t = float(falsi_root(slope, float(grid[k]), float(grid[k + 1]),
                              float(f[k]), float(f[k + 1])).mid)
         result = at(t)
@@ -612,40 +696,6 @@ def _first_minimum(slope, lo, hi, at, limit):
     raise NumericalError(
         f"two-phase exponent: phi(b) has no minimum at or below its "
         f"limit -log P(X < 0) = {limit:.10g} as b grows without bound")
-
-
-def _two_phase_newton(law, c2, i0, lo, theta0):
-    """(g, theta, a) zeroing the residuals r1 to r3 below, by newton_system
-    from (2 I(0), theta0, 1) on lo <= g <= _LEVEL_MAX, a > 0, or None. With q
-    proportional to p e^{-a W}, W = e^{theta X}, and E, Var and Cov under
-    q, the residuals and their exact Jacobian are
-
-        r1 = E W - e^{-g}:  d/dg = e^{-g},  d/dtheta = E[XW] - a Cov(W, XW),
-                            d/da = -Var W
-        r2 = E[XW]:         d/dg = 0,  d/dtheta = E[X^2 W] - a Var(XW),
-                            d/da = -Cov(XW, W)
-        r3 = a e^{-g} - c2 I(0) / g^2:  d/dg = -a e^{-g} + 2 c2 I(0) / g^3,
-                            d/dtheta = 0,  d/da = e^{-g}
-
-    all from one _tilted_moments pass per point (at alpha = -a)."""
-    c = c2 * i0
-
-    def system(v):
-        g, theta, a = v
-        if not (lo <= g <= _LEVEL_MAX and a > 0):
-            return None
-        moments = _tilted_moments(law, theta, -a)
-        if moments is None:
-            return None
-        ew, exw, ex2w, var_w, cov, var_xw = moments
-        level = math.exp(-g)
-        r = np.array([ew - level, exw, a * level - c / (g * g)])
-        jac = np.array([[level, exw - a * cov, -var_w],
-                        [0.0, ex2w - a * var_xw, -cov],
-                        [2.0 * c / g ** 3 - a * level, 0.0, level]])
-        return r, jac
-
-    return newton_system(system, [2.0 * i0, theta0, 1.0])
 
 
 def sequential_failure_certificate(model, c1: float):
@@ -657,14 +707,12 @@ def sequential_failure_certificate(model, c1: float):
     when the minimum is strictly below 1/c1, which makes the ratio of the
     false-selection probability to its target delta blow up as delta -> 0.
 
-    Returns (theta, alpha_star, meta_rate_value, certified), found by the
-    tilt search of inf_meta_rate on 33 tilts evenly spaced in log theta
-    over [1e-6, 64] (the stationarity Newton of _tilt_search at -theta;
-    the best grid tilt where Newton does not converge); tilts where
-    e^{-1/c1} lies below the range of W give +inf and the grid steps over
-    them. alpha_star is the maximizer of the defining sup,
-    converted to the z-convention for the shifted-exponential model (see
-    the module docstring).
+    Returns (theta, alpha_star, meta_rate_value, certified), -theta the
+    root of g = 1/c1 on inf_meta_rate's branch from 0 with theta < 0, with
+    no cap on the tilt; RegimeError where X <= 0 keeps every W above the
+    level. alpha_star is the maximizer of the defining sup, converted to
+    the z-convention for the shifted-exponential model (see the module
+    docstring).
     """
     if c1 <= 0:
         raise ValueError("c1 must be positive")
@@ -676,20 +724,15 @@ def sequential_failure_certificate(model, c1: float):
             f"certificate regime needs I(0) = {i0:.6g} < 1/c1 = "
             f"{1.0 / c1:.6g}")
 
-    nu, law = math.exp(-1.0 / c1), _law(model)
-    # W = exp(-theta X) reaches lowest at the largest tilt; its upper end
-    # is above 1 > nu, as a negative-mean X takes negative values
-    w_lo = _w_bounds(model, np.array([-_THETA_BRACKET]))[0][0]
-    if nu < w_lo:
+    if not model.support()[1] > 0.0:
         raise RegimeError(
-            f"certificate needs a tilt theta <= {_THETA_BRACKET:g} with "
-            f"e^(-1/c1) = {nu:.6g} in the range of exp(-theta X), which at "
-            f"theta = {_THETA_BRACKET:g} starts at {w_lo:.6g}")
-    # the tilts t of [1e-6, 64], searched as theta = -t
-    theta, res = _tilt_search(model, law, nu, -_geometric_tilts(1e-6, 33))
-    theta_star = -theta
-    alpha_star = res.alpha_star
+            "certificate needs a tilt theta with e^(-1/c1) in the range of "
+            "exp(-theta X), which X <= 0 keeps at or above 1")
+    law = _law(model)
+    value, theta, alpha_star = _search(model, law, 1.0 / c1, np.zeros(1),
+                                       np.array([-1.0 / _spread(law)]),
+                                       -np.ones(1))
     if alpha_star is not None and isinstance(model, ShiftedExponential):
         # W = e^{-theta K} z: the coefficient of z in exp(-alpha z)
-        alpha_star = -alpha_star * math.exp(-theta_star * model.K)
-    return theta_star, alpha_star, res.value, res.value < 1.0 / c1 - 1e-9
+        alpha_star = -alpha_star * math.exp(theta * model.K)
+    return -theta, alpha_star, value, value < 1.0 / c1 - 1e-9

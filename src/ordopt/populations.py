@@ -221,8 +221,8 @@ class Gaussian:
     sigma: float = 1.0
 
     def __post_init__(self):
-        # squares of sigma, of mu / sigma and of theta sigma on the tilt
-        # windows (|theta| <= 64) stay normal floats
+        # squares of sigma, of mu / sigma and of theta sigma, at the tilts
+        # of order 1 / sigma that the searches take, stay normal floats
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if not 1e-150 <= self.sigma <= 1e150:

@@ -214,10 +214,11 @@ class TestMetaRate:
         assert rec["status"] == "alpha-cap"
         assert rec["alpha_star"] == -2.0 ** 30
 
-    def test_certificate_without_a_finite_tilt_is_validation(self, capsys):
-        # exp(-theta X) stays above e^{-1/2} for every theta <= 64
+    def test_certificate_without_a_tilt_is_validation(self, capsys):
+        # X <= 0 keeps exp(-theta X) at or above 1 > e^{-1/2} at every
+        # tilt
         code, out, err = run_cli(capsys, ["meta-rate", "--model",
-                                          "two-point:0.001,0.55",
+                                          "mirrored:bernoulli:0.3",
                                           "--certificate", "--c1", "2",
                                           "--json"])
         assert code == 2 and out == ""

@@ -1,23 +1,26 @@
-"""Exact false-selection laws of the two-phase policy on two-point models.
+"""Exact false-selection laws of selection policies on two-point models.
 
-On TwoPoint(b, p) the pilot rate estimate depends on the pilot batch only
-through k, its number of +b draws, so P(FS) is a finite binomial sum and
-nothing needs to be simulated. The law is written here with scipy.stats;
-from the library it takes only what fixes the rule under test: the rate
-of each k from two_point_rate_law and the decision size from
-_decision_size. The law's slope in the pilot count checks
-two_phase_exponent, the decay rate it claims.
+On TwoPoint(b, p) the pilot rate estimate of the two-phase policy depends
+on the pilot batch only through k, its number of +b draws, so P(FS) is a
+finite binomial sum and nothing needs to be simulated; so is the P(FS) of
+the Hoeffding policy on two arms with values in {0, b}. Each law is
+written here with scipy.stats; from the library it takes only what fixes
+the rule under test: the rate of each k from two_point_rate_law and the
+decision size from _decision_size, and the Hoeffding budget n. The
+two-phase law's slope in the pilot count checks two_phase_exponent, the
+decay rate it claims.
 """
 
 import math
 
+import numpy as np
 import pytest
 from scipy.stats import binom
 
 from ordopt.meta_rate import two_phase_exponent
-from ordopt.populations import TwoPoint, two_point_rate_law
-from ordopt.selectors import (_decision_size, fs_estimate, replicate,
-                              two_phase_select)
+from ordopt.populations import Empirical, TwoPoint, two_point_rate_law
+from ordopt.selectors import (_decision_size, fs_estimate,
+                              hoeffding_select, replicate, two_phase_select)
 
 
 def two_phase_fs(p_minus, delta, c1, c2):
@@ -85,3 +88,41 @@ def test_two_phase_slope_is_the_exponent(p_minus):
     slopes = [(b - a) / m for a, b, m in zip(log_fs, log_fs[1:], (320, 640))]
     exponent = two_phase_exponent(TwoPoint(1.0, p_minus), 1.0, 1.0).exponent
     assert abs(2.0 * slopes[1] - slopes[0] - exponent) <= 1e-3
+
+
+
+def hoeffding_fs(q, n):
+    """P(FS) of hoeffding_select on two arms b Bernoulli(q[i]) in [0, b],
+    n draws each, the arm of the smaller mean the best.
+
+    Arm i's sum is b S_i, S_i binomial(n, q[i]), and np.argmin of the means
+    picks the first index on a tie: with the best arm first, the choice is
+    wrong when S_1 < S_0, and with it second, when S_0 <= S_1.
+    """
+    k = np.arange(n + 1)
+    if q[0] < q[1]:
+        return float(np.sum(binom.pmf(k, n, q[0])
+                            * binom.cdf(k - 1, n, q[1])))
+    return float(np.sum(binom.pmf(k, n, q[1]) * binom.cdf(k, n, q[0])))
+
+
+# two-point arms in [0, b], k_i of m equally likely points at b and the
+# rest at 0, whose means are epsilon = b |k_0 - k_1| / m apart, the
+# closest the policy allows: the best first and second, near the largest
+# variance (k / m near 1/2) and far from it
+HOEFFDING_ARMS = [((9, 11), 20, 1.0), ((11, 9), 20, 1.0), ((1, 2), 10, 2.0),
+                  ((9, 8), 10, 0.5)]
+
+
+@pytest.mark.parametrize("counts, m, b", HOEFFDING_ARMS, ids=str)
+@pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9, 1e-12])
+def test_hoeffding_select_keeps_its_promise(counts, m, b, delta):
+    # the moment-restricted policy keeps P(FS) <= delta, exactly and at
+    # every delta, where the plug-in policies' ratios grow without bound;
+    # its n is the library's, read off one selection's budget
+    models = [Empirical(np.array([0.0] * (m - k) + [b] * k)) for k in counts]
+    epsilon = b * abs(counts[0] - counts[1]) / m
+    n = hoeffding_select(models, epsilon, delta, b, seed=0) \
+        .per_arm_samples[0]
+    assert n == math.ceil(2.0 * b * b / epsilon ** 2 * math.log(1.0 / delta))
+    assert hoeffding_fs([k / m for k in counts], n) <= delta

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -15,12 +16,15 @@ from scipy.special import ndtr
 
 import ordopt
 from ordopt.meta_rate import (
+    _LEVEL_MAX,
     MetaRateResult,
     NumericalError,
     RegimeError,
+    _curve,
     _law,
     _meta_rate,
     _rate_at_zero,
+    _table_curve,
     _tilt,
     _tilted_moments,
     _w_bounds,
@@ -305,21 +309,6 @@ class TestMetaRate:
                 assert res.value == pytest.approx(want, rel=1e-9,
                                                   abs=1e-12), (theta, nu)
 
-    def test_lock_step_grid_equals_scalar_calls(self):
-        # the inf_meta_rate grid, with its overflowing tilts and theta = 0
-        thetas = -64.0 + np.arange(257) * 0.5
-        for model in (Gaussian(-0.2, 1.0), TwoPoint(1.0, 0.6),
-                      Pareto(3.0, 0.6)):
-            law = _law(model)
-            grid = _meta_rate(model, law, thetas, math.exp(-0.1))
-            for i, theta in enumerate(thetas):
-                one = _meta_rate(model, law, float(theta), math.exp(-0.1))
-                alpha = grid.alpha_star[i]
-                assert one.value == grid.value[i]
-                assert one.alpha_star == (None if math.isnan(alpha)
-                                          else alpha)
-                assert one.status == grid.status[i]
-
     def test_gaussian_probe_moment_calls(self, moment_rows):
         # the level of test_gaussian_level_beyond_the_quantile_box, whose
         # alpha* = -390.5: bisection inside a doubled bracket took 55
@@ -565,9 +554,10 @@ class TestInfMetaRate:
                 for mult in (1.2, 1.5, 2.0, 3.0)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_gaussian_infimum_over_the_whole_theta_grid(self):
-        # the search's grid reaches theta = -64, where E W = e^{2061}
-        # overflows a float; every grid value stays below its Cramer cap
+    def test_gaussian_infimum_below_every_cramer_cap(self):
+        # meta_rate out to theta = -64, where E W = e^{2061} overflows a
+        # float: every value stays below its Cramer cap, and the infimum
+        # below them all
         m = Gaussian(-0.2, 1.0)
         nu = math.exp(-0.1)
         with warnings.catch_warnings():
@@ -578,14 +568,15 @@ class TestInfMetaRate:
                     continue
                 value = meta_rate(m, theta, nu).value
                 assert value <= _gaussian_cramer_cap(m, theta, nu)
+                assert val <= value + 1e-12
         assert val == pytest.approx(0.027664, abs=1e-6)
         assert theta_star == pytest.approx(0.47326, abs=1e-4)
         want, _ = _whole_line_meta_rate(m, theta_star, nu)
         assert val == pytest.approx(want, rel=1e-8)
 
     def test_peak_memory_of_a_density_infimum(self):
-        # 257 tilts over a 2192-node table: the tilts go in blocks of rows,
-        # where one (257 x 2192) tilt would add some 17 MB at each step
+        # the curve's searches hold two tilts of a 2176-node table at a
+        # time, where one grid of 257 tilts would add some 17 MB a step
         tracemalloc.start()
         try:
             inf_meta_rate(Gaussian(-0.2, 1.0), 0.1)
@@ -601,6 +592,36 @@ class TestInfMetaRate:
             inf_meta_rate(m, 0.5 * i0)
         with pytest.raises(RegimeError):
             inf_meta_rate(m, i0)
+
+    @pytest.mark.parametrize("s", [1e-3, 0.01, 1.0, 1e6])
+    def test_scale_invariance(self, s):
+        # J_theta for sX is J_{s theta} for X, so the infimum is the same
+        # at every scale; a fixed grid of tilts gave 26.93 at s = 1e-3
+        value, theta = inf_meta_rate(Gaussian(-0.5 * s, s), 0.5)
+        assert value == pytest.approx(0.0780122437, rel=1e-9)
+        _, theta_1 = inf_meta_rate(Gaussian(-0.5, 1.0), 0.5)
+        assert s * theta == pytest.approx(theta_1, rel=1e-6)
+
+    def test_minimum_past_the_old_tilt_window(self):
+        # the level e^{-200} needs theta = 80: a grid capped at 64 gave
+        # (inf, -64); the two-atom curve reaches it, where J is -log of
+        # the mass below 0 to ten digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, theta = inf_meta_rate(Mirrored(TwoPoint(2.5, 0.2)), 200.0)
+        assert value == pytest.approx(0.2231435513, abs=1e-9)
+        assert 64.0 < theta < 100.0
+
+    def test_support_ending_at_zero_takes_the_limit(self):
+        # X in {0, 1}: W tends to the indicator of X = 0 as theta runs to
+        # -inf, where J_theta(nu) falls to KL(Bern(nu) || Bern(0.7)); a
+        # grid reported its edge, theta = -64
+        m = Bernoulli(0.3)
+        nu = 0.7 ** 1.5
+        value, theta = inf_meta_rate(m, 1.5 * rate_function(m, 0.0).value)
+        assert theta == -math.inf
+        assert value == pytest.approx(two_atom_kl(nu, 0.7), abs=1e-12)
+        assert value == pytest.approx(0.0293440624247649, abs=1e-12)
 
 
 class TestSupMetaRateOnThetaA:
@@ -648,6 +669,22 @@ class TestSupMetaRateOnThetaA:
             sup_meta_rate_on_theta_a(m, 2.0 * i0)
         with pytest.raises(RegimeError):
             sup_meta_rate_on_theta_a(m, 0.0)
+
+    def test_unbounded_theta_a(self):
+        # Lambda falls to log 0.7 = -I(0) < -a as theta runs to -inf, so
+        # Theta_a has no left end (the last probe, -2048, stood in for
+        # it), and the supremum is the limit KL(Bern(nu) || Bern(0.7)) at
+        # theta = -inf, nu = e^{-a} = sqrt(0.7)
+        m = Bernoulli(0.3)
+        a = 0.5 * rate_function(m, 0.0).value
+        value, theta, (lo, hi) = sup_meta_rate_on_theta_a(m, a)
+        assert theta == lo == -math.inf
+        assert hi == pytest.approx(math.log((math.sqrt(0.7) - 0.7) / 0.3),
+                                   abs=1e-9)
+        assert hi == pytest.approx(-0.78629, abs=1e-5)
+        assert value == pytest.approx(two_atom_kl(math.sqrt(0.7), 0.7),
+                                      abs=1e-12)
+        assert value == pytest.approx(0.0499055063715530, abs=1e-12)
 
 
 class TestTwoPhaseExponent:
@@ -753,9 +790,21 @@ class TestTwoPhaseInfiniteTilt:
             two_phase_exponent(model, 1.0, c2)
 
 
+def _limit(model):
+    """-log P(X < 0), the limit of phi as the level grows without bound."""
+    atoms = model.atoms()
+    below = (sum(p for x, p in atoms if x < 0.0) if atoms is not None
+             else float(model.cdf(0.0)))
+    return -math.log(below)
+
+
 # the inputs of the two-phase battery that raise: on a law of two atoms
 # and on one whose support ends at 0, phi has no minimum at or below its
-# limit; on every other law Newton gives up
+# limit; on the others phi falls along the stationarity curve as far as
+# the curve stays in the floats. A Newton system gave up on nine of them
+# (one after 2458 evaluations), and the last three once returned a local
+# minimum above the limit: 0.3870 against 0.2877, 0.4505 against 0.4055
+# and 0.4659 against 0.4
 RAISING_BATTERY = [
     (Mirrored(TwoPoint(2.5, 0.2)), 1.0), (Mirrored(TwoPoint(2.5, 0.2)), 3.0),
     (Gaussian(-1.0, 0.5), 0.5), (Gaussian(-1.0, 0.5), 1.0),
@@ -782,24 +831,78 @@ RAISING_BATTERY = [
     (GaussianMixture(0.5, -1.0), 3.0),
     (Mirrored(GaussianMixture(0.7, 2.0)), 3.0),
     (Mirrored(Empirical(np.array([-0.5, 1.0, 2.0]))), 3.0),
+    (Mirrored(Empirical(np.array([-1.0, 0.5, 2.0, 2.0]))), 1.0),
+    (Mirrored(Empirical(np.array([-0.5, 1.0, 2.0]))), 1.0),
+    (ShiftedExponential(0.2, 2.0), 1.0),
 ]
 
 
-@pytest.mark.parametrize("model, c2", RAISING_BATTERY, ids=str)
-def test_raises_without_a_tilt_search(monkeypatch, model, c2):
-    # each inner tilt search solves a grid of meta-rates, so a raise must
-    # come from the Newton route or the closed form alone
+@pytest.fixture
+def passes(monkeypatch):
+    """What meta_rate spends: its moment passes (one per _shifted call, a
+    pointwise or curve alpha search step or a moments pass) with the tilt
+    rows they cover, and its newton_root calls."""
     module = importlib.import_module("ordopt.meta_rate")
-    search, calls = module._tilt_search, []
+    calls = {"passes": 0, "rows": 0, "newton_root": 0}
+    shifted, root = module._shifted, module.newton_root
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return search(*args, **kwargs)
+    def counted_shifted(w, alpha, p=None):
+        calls["passes"] += 1
+        calls["rows"] += w.shape[0] if w.ndim == 2 else 1
+        return shifted(w, alpha, p)
 
-    monkeypatch.setattr(module, "_tilt_search", spy)
-    with pytest.raises(NumericalError):
+    def counted_root(*args, **kwargs):
+        calls["newton_root"] += 1
+        return root(*args, **kwargs)
+
+    monkeypatch.setattr(module, "_shifted", counted_shifted)
+    monkeypatch.setattr(module, "newton_root", counted_root)
+    return calls
+
+
+@pytest.mark.parametrize("model, c2", RAISING_BATTERY, ids=str)
+def test_raising_battery_names_the_limit(passes, model, c2):
+    # every raise names phi's limit, within 150 moment passes (a bound set
+    # before the first run); a law of two atoms makes none
+    with pytest.raises(NumericalError,
+                       match=rf"-log P\(X < 0\) = {_limit(model):.10g}"):
         two_phase_exponent(model, 1.0, c2)
-    assert len(calls) == 0
+    assert passes["passes"] <= 150
+    if model.atoms() is not None and len(model.atoms()) == 2:
+        assert passes["passes"] == 0
+
+
+# the inputs of the two-phase battery that give a value; the first is the
+# one a Newton system also found, 0.1769794617
+VALUED_BATTERY = [
+    (Gaussian(-0.2, 1.0), 1.0), (Gaussian(-0.2, 1.0), 0.5),
+    (Gaussian(-0.2, 1.0), 3.0),
+    (ShiftedExponential(0.96, 1.0), 0.5), (ShiftedExponential(0.96, 1.0), 3.0),
+    (GaussianMixture(0.7, -2.0), 1.0),
+    (Mirrored(ShiftedExponential(1.5, 1.0)), 1.0),
+    (Mirrored(Empirical(np.array([-0.5, 1.0, 2.0]))), 0.5),
+    (Mirrored(Empirical(np.array([-1.0, 0.5, 2.0, 2.0]))), 0.5),
+    (ShiftedExponential(0.2, 2.0), 0.5),
+]
+
+
+@pytest.mark.parametrize("model, c2", VALUED_BATTERY, ids=str)
+def test_valued_battery_is_a_minimum_below_the_limit(passes, model, c2):
+    # the exponent is phi at a stationary level, at or below its limit,
+    # within 100 moment passes (a bound set before the first run)
+    r = two_phase_exponent(model, 1.0, c2)
+    assert passes["passes"] <= 100
+    assert r.exponent <= _limit(model)
+    i0 = rate_function(model, 0.0).value
+    inner = meta_rate(model, r.theta_star, math.exp(-r.gamma_star))
+    assert r.exponent == pytest.approx(c2 * i0 / r.gamma_star + inner.value,
+                                       rel=1e-9)
+    assert r.alpha_star == pytest.approx(-inner.alpha_star, rel=1e-6)
+    # phi's slope in the level vanishes: a e^{-b} = c2 I(0) / b^2
+    assert r.alpha_star * math.exp(-r.gamma_star) == pytest.approx(
+        c2 * i0 / r.gamma_star ** 2, rel=1e-6)
+    if (model, c2) == (Gaussian(-0.2, 1.0), 1.0):
+        assert r.exponent == pytest.approx(0.1769794617, rel=1e-9)
 
 
 def _two_atom_minimum(model, c2):
@@ -827,24 +930,14 @@ def _two_atom_minimum(model, c2):
     return best, rate, -math.log(p_lo)
 
 
-@pytest.fixture
-def newton_passes(monkeypatch):
-    """The newton_system calls and _tilted_moments passes of meta_rate."""
-    module = importlib.import_module("ordopt.meta_rate")
-    calls = []
-    for name in ("newton_system", "_tilted_moments"):
-        def spy(*args, real=getattr(module, name), name=name):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(module, name, spy)
-    return calls
+NO_SEARCH = {"passes": 0, "rows": 0, "newton_root": 0}
 
 
 class TestTwoAtomExponent:
-    """A law of two atoms either side of 0 takes the closed form in the
-    tilted mass q on its lower atom, with no Newton system, and raises
-    naming phi's limit -log P(X < 0) where phi has no minimum at or below
-    it. Checked against phi written out with scipy's minimizers."""
+    """A law of two atoms either side of 0 takes the closed form of its
+    stationarity curve, with no search, and raises naming phi's limit
+    -log P(X < 0) where phi has no minimum at or below it. Checked
+    against phi written out with scipy's minimizers."""
 
     ASYMMETRIC = Empirical(np.array([-1.0, -1.0, -1.0, 2.0]))
 
@@ -857,7 +950,7 @@ class TestTwoAtomExponent:
         (Mirrored(Empirical(np.array([1.0, 1.0, 1.0, -2.0]))), 1.0),
         # minima that Newton missed: it gave up at the window's edge
         (TwoPoint(1.0, 0.8), 0.1), (TwoPoint(1.0, 0.9), 0.1)], ids=str)
-    def test_matches_phi_written_out(self, model, c2, newton_passes):
+    def test_matches_phi_written_out(self, model, c2, passes):
         r = two_phase_exponent(model, 1.0, c2)
         best, rate, limit = _two_atom_minimum(model, c2)
         assert min(model.atoms())[1] + 1e-6 < best.x < 1.0 - 1e-6
@@ -866,7 +959,7 @@ class TestTwoAtomExponent:
         gamma, theta = rate(best.x)
         assert r.gamma_star == pytest.approx(gamma, rel=1e-6)
         assert r.theta_star == pytest.approx(theta, rel=1e-6)
-        assert newton_passes == []
+        assert passes == NO_SEARCH
 
     @pytest.mark.parametrize("model, c2", [
         *((m, c2) for m, c2 in RAISING_BATTERY
@@ -875,41 +968,29 @@ class TestTwoAtomExponent:
         # 0.2231435513, and 0.5769988641 against 0.5108256238
         (TwoPoint(1.0, 0.8), 0.5), (Mirrored(TwoPoint(2.5, 0.2)), 0.5),
         (TwoPoint(1.0, 0.6), 10.0)], ids=str)
-    def test_no_minimum_below_the_limit_raises(self, model, c2,
-                                               newton_passes):
+    def test_no_minimum_below_the_limit_raises(self, model, c2, passes):
         best, _, limit = _two_atom_minimum(model, c2)
         assert best.fun > limit
         with pytest.raises(NumericalError,
                            match=rf"-log P\(X < 0\) = {limit:.10g}"):
             two_phase_exponent(model, 1.0, c2)
-        assert newton_passes == []
+        assert passes == NO_SEARCH
 
 
 class TestTwoPhaseLevelWindow:
-    """two_phase_exponent searches levels b from just above I(0) up to
-    _LEVEL_MAX, where e^{-b} is still a normal float."""
+    """two_phase_exponent walks the curve's branch outward from theta_m,
+    from levels just above I(0) up to _LEVEL_MAX, where e^{-b} is still a
+    normal float, or to where the curve leaves the floats."""
 
-    def test_newton_root_past_the_window_is_rejected(self, newton_calls):
-        # the root at b = 516146, where e^{-b} = 0 zeroes the level and
-        # outer residuals, was once returned as the exponent; with the
-        # window as its domain Newton gives up short of it
-        with pytest.raises(NumericalError, match="Newton found no root"):
+    def test_walk_ends_where_the_curve_leaves_the_floats(self):
+        # phi still falls where the node table's points nearest 0 set the
+        # level; a Newton root at b = 516146, where e^{-b} = 0, was once
+        # returned as the exponent
+        with pytest.raises(NumericalError,
+                           match="leaves the floats") as info:
             two_phase_exponent(Gaussian(-1.0, 0.5), 1.0, 1.0)
-        (call,) = newton_calls
-        assert call["root"] is None
-
-    @pytest.mark.parametrize("model, c2", [
-        (Gaussian(-5.0, 1.0), 1.0), (Gaussian(-2.0, 1.0), 1.0),
-        (Mirrored(Empirical(np.array([-1.0, 0.5, 2.0, 2.0]))), 3.0)],
-        ids=str)
-    def test_newton_gives_up_outside_the_window(self, newton_calls, model,
-                                                c2):
-        # Newton gives up at its 4th point outside the window, after 10 to
-        # 18 evaluations on these laws
-        with pytest.raises(NumericalError, match="Newton found no root"):
-            two_phase_exponent(model, 1.0, c2)
-        (call,) = newton_calls
-        assert call["root"] is None and call["evals"] <= 20
+        b = float(re.search(r"b = ([0-9.e+]+),", str(info.value)).group(1))
+        assert 2.0 < b < _LEVEL_MAX
 
     def test_empty_window_raises(self):
         # I(0) = 800: e^{-b} underflows at every level above it
@@ -917,82 +998,76 @@ class TestTwoPhaseLevelWindow:
             two_phase_exponent(Gaussian(-40.0, 1.0), 1.0, 1.0)
 
 
-@pytest.fixture
-def newton_calls(monkeypatch):
-    """Each newton_system call of meta_rate: its system, start point and
-    root, and the number of times the search evaluated the system. A
-    two_phase_exponent whose Newton converges makes one, its own."""
-    module = importlib.import_module("ordopt.meta_rate")
-    solve, calls = module.newton_system, []
+class TestStationarityCurve:
+    """The curve's own slopes against central differences: Cov_q(W, XW),
+    the slope of E_q[XW] in alpha that steps the alpha search, and
+    dg/dtheta and dlog|alpha|/dtheta, which step the tilt search and
+    carry each start along the curve."""
 
-    def spy(system, v0):
-        call = {"system": system, "v0": v0, "evals": 0}
-
-        def counted(v):
-            call["evals"] += 1
-            return system(v)
-
-        call["root"] = solve(counted, v0)
-        calls.append(call)
-        return call["root"]
-
-    monkeypatch.setattr(module, "newton_system", spy)
-    return calls
-
-
-class TestTwoPhaseNewton:
-    """The stationarity system's exact Jacobian, and the evaluations the
-    Newton search spends with it. The counts do not depend on the
-    machine."""
-
-    # laws that take the Newton route (a law of two atoms takes the closed
-    # form of TestTwoAtomExponent): a density and three atoms
     THREE_ATOMS = Mirrored(Empirical(np.array([-0.5, 1.0, 2.0])))
-    CASES = [(Gaussian(-0.2, 1.0), 0.5), (Gaussian(-0.2, 1.0), 1.0),
-             (THREE_ATOMS, 0.5), (THREE_ATOMS, 1.0)]
+    LAWS = [Gaussian(-0.2, 1.0), THREE_ATOMS, ShiftedExponential(0.96, 1.0),
+            GaussianMixture(0.3, 5.0)]
 
     @staticmethod
-    def _central_differences(system, v):
-        v = np.asarray(v, dtype=float)
-        cols = []
-        for j in range(v.size):
-            h = 1e-6 * max(1.0, abs(v[j]))
-            up, down = v.copy(), v.copy()
-            up[j] += h
-            down[j] -= h
-            cols.append((system(up)[0] - system(down)[0]) / (2.0 * h))
-        return np.array(cols).T
+    def _points(model):
+        """(theta, side) on the three branches: outward from theta_m, from
+        0 on the other side, and between 0 and theta_m."""
+        tm = rate_function(model, 0.0).theta_star
+        return [(1.5 * tm, -1.0), (3.0 * tm, -1.0), (-tm, -1.0),
+                (0.5 * tm, 1.0)]
 
-    @pytest.mark.parametrize("model, c2", CASES, ids=str)
-    def test_jacobian_matches_central_differences(self, newton_calls,
-                                                  model, c2):
-        two_phase_exponent(model, 1.0, c2)
-        (call,) = newton_calls
-        assert call["root"] is not None
-        for v in (call["v0"], call["root"]):
-            _, jac = call["system"](np.asarray(v, dtype=float))
-            np.testing.assert_allclose(
-                jac, self._central_differences(call["system"], v),
-                rtol=1e-6, atol=1e-8)
+    @staticmethod
+    def _at(curve, theta, side):
+        return [float(v[0]) for v in curve(np.array([theta]), 0.0, side)]
 
-    def test_finite_where_the_node_table_overflows(self, newton_calls):
-        model = Gaussian(-0.2, 1.0)
-        two_phase_exponent(model, 1.0, 1.0)
-        (call,) = newton_calls
+    @pytest.mark.parametrize("model", LAWS, ids=str)
+    def test_alpha_slope_is_the_covariance(self, model):
+        law = _law(model)
+        for theta, side in self._points(model):
+            alpha = self._at(_curve(law), theta, side)[0]
+            x, p, w = _tilt(law, theta)
+            moments = _tilted_moments(x, p, w, alpha)
+            # on the curve: E_q[XW] = 0 to rounding
+            assert abs(moments[2][0]) <= 1e-10 * math.sqrt(
+                moments[1][0] * moments[3][0])
+            h = 1e-6 * abs(alpha)
+            up, down = (_tilted_moments(x, p, w, a)[2][0]
+                        for a in (alpha + h, alpha - h))
+            assert (up - down) / (2.0 * h) == pytest.approx(
+                moments[5][0], rel=1e-6)
+
+    @pytest.mark.parametrize("model", [*LAWS, TwoPoint(1.0, 0.55)], ids=str)
+    def test_tilt_slopes_match_central_differences(self, model):
+        curve = _curve(_law(model))
+        for theta, side in self._points(model):
+            _, _, _, dg, du = self._at(curve, theta, side)
+            h = 1e-6 * abs(theta)
+            (a_up, g_up, *_), (a_down, g_down, *_) = (
+                self._at(curve, t, side) for t in (theta + h, theta - h))
+            assert (g_up - g_down) / (2.0 * h) == pytest.approx(dg,
+                                                                rel=1e-6)
+            if model.atoms() is None or len(model.atoms()) > 2:
+                assert math.log(a_up / a_down) / (2.0 * h) == \
+                    pytest.approx(du, rel=1e-6)
+
+    @pytest.mark.parametrize("model", [
+        TwoPoint(1.0, 0.55), Mirrored(TwoPoint(2.5, 0.2)),
+        Empirical(np.array([-1.0, -1.0, -1.0, 2.0]))], ids=str)
+    def test_two_atom_closed_form_matches_the_search(self, model):
+        law = _law(model)
+        k = int(np.searchsorted(law[0], 0.0))
+        for theta, side in self._points(model):
+            closed = self._at(_curve(law), theta, side)[:4]
+            searched = [float(v[0]) for v in _table_curve(
+                law, k, np.array([theta]), 0.0, side)[:4]]
+            assert closed == pytest.approx(searched, rel=1e-9, abs=1e-15)
+
+    def test_finite_where_the_node_table_overflows(self):
         # at theta = 40, x W overflows on the upper tail of the table
-        assert (_tilt(_law(model), 40.0)[2] == np.finfo(float).max).any()
-        g, _, a = call["root"]
-        # -a W is finite at a < 1 and -inf at a > 1 on those nodes
-        for alpha in (a, 2.0):
-            r, jac = call["system"](np.array([g, 40.0, alpha]))
-            assert np.isfinite(r).all() and np.isfinite(jac).all()
-
-    @pytest.mark.parametrize("model, c2", CASES, ids=str)
-    def test_evaluations_per_exponent(self, newton_calls, model, c2):
-        two_phase_exponent(model, 1.0, c2)
-        (call,) = newton_calls
-        assert call["root"] is not None
-        assert call["evals"] <= 16
+        law = _law(Gaussian(-0.2, 1.0))
+        assert (_tilt(law, 40.0)[2] == np.finfo(float).max).any()
+        values = self._at(_curve(law), 40.0, -1.0)
+        assert all(math.isfinite(v) for v in values)
 
 
 @pytest.fixture(scope="module")
@@ -1041,11 +1116,34 @@ class TestSequentialFailureCertificate:
         assert certified == (value < 1.0 / c1)
         assert certified is want
 
+    def test_tilt_past_the_old_window(self):
+        # W = exp(-theta X) reaches e^{-1/2} only past theta = 64 when the
+        # largest value of X is 0.001 (a grid capped at 64 raised); the
+        # search takes its scale from the law, so the certificate is that
+        # of TwoPoint(1, 0.55) at 1000 times the tilt
+        theta, alpha, value, certified = sequential_failure_certificate(
+            TwoPoint(0.001, 0.55), 2.0)
+        want = sequential_failure_certificate(TwoPoint(1.0, 0.55), 2.0)
+        assert theta == pytest.approx(1000.0 * want[0], rel=1e-9)
+        assert alpha == pytest.approx(want[1], rel=1e-9)
+        assert value == pytest.approx(want[2], rel=1e-9)
+        assert certified is want[3] is True
+
+    @pytest.mark.parametrize("s", [1e-3, 0.01, 1.0, 1e6])
+    def test_scale_invariance(self, s):
+        # a fixed grid of tilts gave 130.4 at s = 1e-3 and 2.55 at 0.01
+        theta, _, value, certified = sequential_failure_certificate(
+            Gaussian(-0.5 * s, s), 1.0)
+        assert value == pytest.approx(0.9483415883, rel=1e-9)
+        assert certified
+        want = sequential_failure_certificate(Gaussian(-0.5, 1.0), 1.0)[0]
+        assert s * theta == pytest.approx(want, rel=1e-6)
+
     def test_no_tilt_reaches_the_level(self):
-        # W = exp(-theta X) stays above e^{-1/2} for every theta <= 64 when
-        # the largest value of X is 0.001
+        # X <= 0 keeps W = exp(-theta X) at or above 1 > e^{-1/2} at
+        # every tilt
         with pytest.raises(RegimeError, match="range"):
-            sequential_failure_certificate(TwoPoint(0.001, 0.55), 2.0)
+            sequential_failure_certificate(Mirrored(Bernoulli(0.3)), 2.0)
 
     def test_regime_errors(self):
         se = ShiftedExponential(0.96, 1.0)
@@ -1060,83 +1158,68 @@ class TestSequentialFailureCertificate:
 
 @pytest.fixture
 def search_calls(monkeypatch):
-    """What a theta search spends: its _meta_rate calls on an array of
-    tilts and on one tilt, the rows of the array call (the grid), the
-    _atom_moments passes inside it (the grid's lock-step alpha solve), and
-    its newton_system evaluations."""
+    """What a theta search spends besides its moment passes (the passes
+    fixture): the points of the stationarity curve it evaluates, one per
+    tilt row, and its scalar _meta_rate solves."""
     module = importlib.import_module("ordopt.meta_rate")
-    solve, moments, newton = (module._meta_rate, module._atom_moments,
-                              module.newton_system)
-    calls = {"array": 0, "scalar": 0, "rows": 0, "grid_passes": 0,
-             "system": 0, "in_grid": False}
+    curve_of, solve = module._curve, module._meta_rate
+    calls = {"points": 0, "scalar": 0}
 
-    def counted(model, law, theta, nu):
-        grid = bool(np.ndim(theta))
-        calls["array" if grid else "scalar"] += 1
-        calls["rows"] += np.size(theta) if grid else 0
-        calls["in_grid"] = grid
-        try:
-            return solve(model, law, theta, nu)
-        finally:
-            calls["in_grid"] = False
+    def counted_curve(law):
+        curve = curve_of(law)
 
-    def counted_moments(*args):
-        calls["grid_passes"] += calls["in_grid"]
-        return moments(*args)
+        def counted(theta, *args):
+            calls["points"] += np.size(theta)
+            return curve(theta, *args)
+        return counted
 
-    def counted_newton(system, v0):
-        def counted_system(v):
-            calls["system"] += 1
-            return system(v)
-        return newton(counted_system, v0)
+    def counted_solve(*args):
+        calls["scalar"] += 1
+        return solve(*args)
 
-    monkeypatch.setattr(module, "_meta_rate", counted)
-    monkeypatch.setattr(module, "_atom_moments", counted_moments)
-    monkeypatch.setattr(module, "newton_system", counted_newton)
+    monkeypatch.setattr(module, "_curve", counted_curve)
+    monkeypatch.setattr(module, "_meta_rate", counted_solve)
     return calls
 
 
 class TestThetaSearchEvaluations:
-    """Each theta search solves its grid in one lock-step array call, then
-    solves the stationarity system by newton_system from the best grid
-    tilt, and makes one scalar _meta_rate solve, at its answer. The bounds
-    are the grid sizes and the evaluation counts measured when the
-    geometric grids came in; they do not depend on the machine."""
+    """Each theta search evaluates points of the stationarity curve and
+    makes one scalar _meta_rate solve, at its answer; on a two-atom law
+    both take closed forms, with no moment pass. The grid-then-Newton
+    searches before them solved grids of 129, 81 and 33 tilts first. The
+    bounds were set before the first run of the curve searches; they do
+    not depend on the machine."""
 
-    @staticmethod
-    def _check(calls, rows, system_evals):
-        assert calls["array"] == 1
-        assert calls["rows"] == rows
-        assert calls["scalar"] == 1
-        assert 0 < calls["system"] <= system_evals
-
-    def test_sup(self, search_calls):
+    def test_sup(self, search_calls, passes):
         sup_meta_rate_on_theta_a(TwoPoint(1.0, 0.6), 0.01)
-        self._check(search_calls, 129, 3)
-        # every grid row takes the two-atom closed form; a Newton search
-        # from alpha = +-1 took eight passes of the grid
-        assert search_calls["grid_passes"] == 0
+        assert 0 < search_calls["points"] <= 10
+        assert search_calls["scalar"] == 1 and passes["passes"] == 0
 
     @pytest.mark.parametrize("a", [0.03, 0.04, 0.06])
-    def test_inf(self, search_calls, a):
+    def test_inf(self, search_calls, passes, a):
         inf_meta_rate(TwoPoint(1.0, 0.6), a)
-        self._check(search_calls, 81, {0.03: 5, 0.04: 4, 0.06: 5}[a])
+        assert 0 < search_calls["points"] <= 16
+        assert search_calls["scalar"] == 1 and passes["passes"] == 0
 
     @pytest.mark.parametrize("c1", [2.0, 5.0, 100.0])
-    def test_certificate(self, search_calls, c1):
+    def test_certificate(self, search_calls, passes, c1):
+        # the grid's lock-step solves took 23 to 31 passes over 106 to 158
+        # tilt rows
         sequential_failure_certificate(ShiftedExponential(0.96, 1.0), c1)
-        self._check(search_calls, 33, {2.0: 5, 5.0: 6, 100.0: 5}[c1])
+        assert 0 < search_calls["points"] <= 12
+        assert search_calls["scalar"] == 1
+        assert passes["rows"] <= 60
 
-    def test_point_mass_row_stops(self, search_calls):
+    def test_point_mass_level(self, search_calls, passes):
         # at theta = 0.04 the level e^{-0.04} is the lower atom of W in
-        # floats: once the tilted law is a point mass, the gap and the
-        # tilted variance are rounding noise of 1e-16, and the row ran
-        # all 200 Newton steps, 203 passes of the grid. The pair moved in
-        # its last bits, from (0.0031477363308754086, 0.2847320477977918),
-        # when the grid's other rows took the two-atom closed form
+        # floats, where a grid row once ran all 200 Newton steps; the
+        # curve's points lie elsewhere, and the answer is the grid-then-
+        # Newton one, (0.003147736330875381, 0.2847320477977911), to 12
+        # digits
         value, theta = inf_meta_rate(TwoPoint(1.0, 0.6), 0.04)
-        assert search_calls["grid_passes"] <= 70
-        assert (value, theta) == (0.003147736330875381, 0.2847320477977911)
+        assert passes["passes"] == 0
+        assert value == pytest.approx(0.003147736330875381, rel=1e-12)
+        assert theta == pytest.approx(0.2847320477977911, rel=1e-12)
 
 
 def test_alpha_solves_stop_short_of_the_step_limit(monkeypatch):
@@ -1157,13 +1240,14 @@ def test_alpha_solves_stop_short_of_the_step_limit(monkeypatch):
     assert steps and max(steps) < 200
 
 
-def test_density_supremum_moment_rows(moment_rows):
-    # the rows the grid-then-Newton supremum evaluates over the node table,
-    # each alpha search started at +-1: 1052 (a warm start at one Newton
-    # step from alpha = 0 made 905)
+def test_density_supremum_moment_rows(passes):
+    # the tilt rows of the moment passes over the node table: the
+    # grid-then-Newton supremum took 1052, its 129-tilt grid solved in
+    # lock-step; the curve's search takes one row a pass, within 60 (a
+    # bound set before its first run)
     model = ShiftedExponential(0.96, 1.0)
     sup_meta_rate_on_theta_a(model, 0.5 * rate_function(model, 0.0).value)
-    assert sum(moment_rows) <= 1100
+    assert passes["rows"] <= 60
 
 
 def _first_order_residual(model, theta, nu):
@@ -1174,7 +1258,8 @@ def _first_order_residual(model, theta, nu):
     over theta, whichever search found it."""
     law = _law(model)
     alpha = _meta_rate(model, law, theta, nu).alpha_star
-    t_mean, xw = _tilted_moments(law, theta, alpha)[:2]
+    t_mean, xw = (float(v[0]) for v in _tilted_moments(
+        *_tilt(law, theta), alpha)[1:3])
     return abs(xw) / max(abs(t_mean), 1.0)
 
 

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 import ordopt
 from ordopt._solve import (bisect_root, expand_bracket, falsi_root,
-                           increasing_fixed_point, newton_root,
-                           newton_system, zoom_max)
+                           increasing_fixed_point, newton_root, zoom_max)
 
 
 def test_bisect_root_cubic():
@@ -27,6 +26,15 @@ def test_bisect_requires_bracket():
 def test_bisect_exact_endpoint():
     root = bisect_root(lambda t: t, 0.0, 1.0)
     assert root.mid == 0.0 and root.iterations == 0
+
+
+def test_falsi_root_steps_inside_an_end_at_the_root():
+    # the secant point rounds onto hi, where f is 1e-20: half the
+    # tolerance inside brackets the root in one step, where midpoints
+    # took some 40
+    root = falsi_root(lambda t: (t - 1.0) + 1e-20, 0.0, 1.0, -1.0, 1e-20)
+    assert root.iterations == 1
+    assert root.lo == 1.0 - 5e-13 and root.hi == 1.0
 
 
 @given(r=st.floats(-1e3, 1e3), a=st.floats(0.0, 10.0),
@@ -230,6 +238,17 @@ def test_newton_stops_where_its_bracket_holds_no_float():
     assert abs(root.x[0] - r) <= np.spacing(r)
 
 
+def test_newton_root_keeps_the_warnings_of_f():
+    # newton_root silences the arithmetic of its own steps only: an
+    # overflow inside the caller's f still warns
+    def f(x, rows):
+        np.exp(1000.0 * x)      # overflows at x = 0.9, the start
+        return x - 0.25, np.ones(x.size)
+
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        newton_root(f, [0.0], [1.0], 0.9, flo=[-1.0], fhi=[1.0])
+
+
 def test_float_bisection_only_in_solve():
     # every float bisection goes through _solve.bisect_root
     midpoint = re.compile(r"0\.5 \* \((lo|hi)")
@@ -259,48 +278,6 @@ def test_search_loops_only_in_solve():
         for line in (src / name).read_text().splitlines()
         if loop.search(line)]
     assert [o for o in offenders if o not in _LOOP_EXEMPT] == []
-
-
-def test_newton_system_solves_a_square_system():
-    # x^2 + y^2 = 4 and x = y, from (1, 2): the root (sqrt 2, sqrt 2)
-    def system(v):
-        x, y = v
-        return (np.array([x * x + y * y - 4.0, x - y]),
-                np.array([[2.0 * x, 2.0 * y], [1.0, -1.0]]))
-
-    root = newton_system(system, [1.0, 2.0])
-    assert root == pytest.approx((math.sqrt(2.0), math.sqrt(2.0)),
-                                 abs=1e-10)
-    assert all(type(v) is float for v in root)
-    # a system that leaves its domain stops the search
-    assert newton_system(lambda v: None, [1.0, 2.0]) is None
-    # so does a singular Jacobian: r(x, y) = (x + y, x + y) - (1, 2)
-    assert newton_system(lambda v: (
-        np.array([v.sum() - 1.0, v.sum() - 2.0]), np.ones((2, 2))),
-        [0.0, 0.0]) is None
-
-
-@pytest.mark.parametrize("refused, converges", [(3, True), (4, False)])
-def test_newton_system_gives_up_at_the_fourth_point_outside(refused,
-                                                            converges):
-    # r(x) = x - 1 from x = 0, with the first `refused` points after the
-    # start outside the domain: the line search halves back through 3
-    # of them (t = 1, 1/2, 1/4) and goes on from x = 1/8, and the 4th
-    # ends the search
-    calls = []
-
-    def system(v):
-        calls.append(float(v[0]))
-        if 1 <= len(calls) - 1 <= refused:
-            return None
-        return np.array([v[0] - 1.0]), np.eye(1)
-
-    root = newton_system(system, [0.0])
-    assert calls[1:5] == [1.0, 0.5, 0.25, 0.125]
-    if converges:
-        assert root == (1.0,)
-    else:
-        assert root is None and len(calls) == 5
 
 
 def test_fixed_point_log():
