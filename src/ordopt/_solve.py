@@ -1,24 +1,20 @@
 """Small numeric root searches shared across the library.
 
 Every search here finds a root; none minimizes. An optimum elsewhere is
-found as the root of its first-order condition. Each search takes one
-form, the one its callers use. bisect_root is a float search, and every
-float bisection runs through it; falsi_root is the same search by regula
-falsi, for the outer slope of the two-phase exponent, where each
-evaluation costs more than a bisection step. newton_root is a row
-search: it steps 1-D arrays of independent brackets in lock-step, for
-blocks of rate estimates, meta-rates or quantiles, and serves roots
-whose derivative comes cheaply with the value; the tilt searches of
-meta_rate run it twice over, in the tilt along the stationarity curve
-and, inside each point of it, in alpha. expand_bracket grows the
-brackets of both, as floats or as rows. increasing_fixed_point iterates
-t = g(t).
-The rate functions, tilted-moment optimizations, quantiles and caps
-elsewhere reduce to these searches, and every search loop in the numeric
-modules runs here. The one search that seeks no root, zoom_max, is a
-reference: it finds the largest value of unimodal rows by grids alone,
-so that reproduce can check closed forms with no first-order condition
-of theirs.
+found as the root of its first-order condition. Two root searches are
+left, one per form of f: falsi_root, the float search, through which
+every scalar root (a rate function's tilt, a Theta_a end, a cap, a
+quantile, a fixed point, the two-phase exponent's slope) runs by regula
+falsi in its Illinois form, and newton_root, the row search: it steps
+1-D arrays of independent brackets in lock-step, for blocks of rate
+estimates, meta-rates or quantiles, and serves roots whose derivative
+comes cheaply with the value; the tilt searches of meta_rate run it
+twice over, in the tilt along the stationarity curve and, inside each
+point of it, in alpha. expand_bracket grows the brackets of both, as
+floats or as rows. Every search loop in the numeric modules runs here.
+The one search that seeks no root, zoom_max, is a reference: it finds
+the largest value of unimodal rows by grids alone, so that reproduce can
+check closed forms with no first-order condition of theirs.
 """
 
 from __future__ import annotations
@@ -27,12 +23,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-# the stop rule of increasing_fixed_point (relative step) and its step
-# limit
-_FIXED_POINT_TOL = 1e-12
-_MAX_STEPS = 500
-
 
 class Root(NamedTuple):
     """Each row's last Newton point x and the steps it took, as arrays."""
@@ -61,17 +51,23 @@ def _converged(width, mid, fm, xtol, ftol):
     return done if ftol is None else done & (abs(fm) <= ftol)
 
 
-def bisect_root(f, lo, hi, *, xtol=1e-12, ftol=None, max_iter=200,
-                flo=None, fhi=None):
+def falsi_root(f, lo, hi, flo=None, fhi=None, *, xtol=1e-12, ftol=None,
+               max_iter=200):
     """Bracket the root of a monotone f with f(lo), f(hi) of opposite sign.
 
-    A float search: f takes and returns floats. Stops once hi - lo <=
-    xtol * max(1, |mid|) and, when ftol is given, |f(mid)| <= ftol at the
-    last midpoint, or after max_iter steps. A midpoint where f is exactly
-    0 replaces the end where f <= 0, so the Bracket's lo keeps f <= 0 for
-    increasing f and hi keeps it for decreasing f. flo and fhi skip
-    re-evaluating ends the caller already knows; an exact root at an end
-    returns the degenerate bracket there.
+    A float search: f takes and returns floats. It takes the Illinois
+    variant of regula falsi (Dowell and Jarratt, BIT 11, 1971): f at the
+    bracket's secant point replaces the end of its sign, and an end kept
+    twice in a row has its value halved, so both ends close in
+    superlinearly. A secant point that rounds onto an end moves half the
+    tolerance inside; the midpoint takes its place where the secant point
+    is not strictly inside, and after an end is kept four times in a row
+    (the secant points of a strongly curved f crowd the other end). Stops
+    once hi - lo <= xtol * max(1, |x|) and, when ftol is given, |f(x)| <=
+    ftol at the last point x, or after max_iter steps. The Bracket's lo
+    keeps f <= 0 for increasing f and hi for decreasing f. flo and fhi
+    skip re-evaluating ends the caller already knows; an exact root at an
+    end, or at a point, returns its degenerate bracket.
     """
     flo = f(lo) if flo is None else flo
     fhi = f(hi) if fhi is None else fhi
@@ -82,34 +78,11 @@ def bisect_root(f, lo, hi, *, xtol=1e-12, ftol=None, max_iter=200,
     up = fhi > 0
     if (flo > 0) == up:
         raise ValueError("root not bracketed")
-    it = 0
-    for it in range(1, max_iter + 1):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if (fm > 0) == up:
-            hi = mid
-        else:
-            lo = mid
-        if _converged(hi - lo, mid, fm, xtol, ftol):
-            break
-    return Bracket(lo, hi, it)
-
-
-def falsi_root(f, lo, hi, flo, fhi, *, xtol=1e-12, max_iter=200):
-    """bisect_root's search without ftol, from the values flo and fhi at
-    the ends, by the Illinois variant of regula falsi (Dowell and Jarratt,
-    BIT 11, 1971): f at the bracket's secant point (its midpoint where
-    that is not strictly inside) replaces the end of its sign, and an end
-    kept twice in a row has its value halved, so both ends close in
-    superlinearly; a secant point that rounds onto an end moves half the
-    tolerance inside. A point where f is exactly 0 returns its degenerate
-    bracket."""
-    up = fhi > 0
-    if (flo > 0) == up:
-        raise ValueError("root not bracketed")
+    # kept: +n after n steps in a row that moved lo (kept hi), -n for hi
     kept, it = 0, 0
     for it in range(1, max_iter + 1):
-        x = lo + (hi - lo) * (flo / (flo - fhi))
+        x = (lo + (hi - lo) * (flo / (flo - fhi)) if abs(kept) < 4
+             else math.nan)
         if x in (lo, hi) and math.isfinite(flo - fhi):
             # the root within rounding of an end: half a tolerance inside
             x += math.copysign(0.5 * xtol * max(1.0, abs(x)), hi + lo - x - x)
@@ -120,13 +93,13 @@ def falsi_root(f, lo, hi, flo, fhi, *, xtol=1e-12, max_iter=200):
             return Bracket(x, x, it)
         if (fx > 0) == up:
             hi, fhi = x, fx
-            flo = 0.5 * flo if kept == -1 else flo
-            kept = -1
+            flo = 0.5 * flo if kept < 0 else flo
+            kept = min(kept, 0) - 1
         else:
             lo, flo = x, fx
-            fhi = 0.5 * fhi if kept == 1 else fhi
-            kept = 1
-        if _converged(hi - lo, x, fx, xtol, None):
+            fhi = 0.5 * fhi if kept > 0 else fhi
+            kept = max(kept, 0) + 1
+        if _converged(hi - lo, x, fx, xtol, ftol):
             break
     return Bracket(lo, hi, it)
 
@@ -146,13 +119,13 @@ def newton_root(f, lo, hi, x0, *, xtol=1e-12, ftol=None, max_iter=200,
     Newton step when that is finite and inside the bracket, else the
     bracket's midpoint (the rtsafe scheme, Press et al., Numerical Recipes,
     section 9.4). A row stops at the first point x where its Newton step s
-    passes bisect_root's test, |s| <= xtol * max(1, |x|) and, when ftol is
+    passes falsi_root's test, |s| <= xtol * max(1, |x|) and, when ftol is
     given, |f(x)| <= ftol, or once no float lies strictly inside its
     bracket (rounding noise in f can keep s above xtol), or after max_iter
     evaluations, and leaves the active rows then, so each row takes
     exactly the steps its own one-row call would. Returns each row's last
     evaluated point, so a caller can keep what f computed there. flo and
-    fhi give the signs at the ends, as in bisect_root; an exact root at an
+    fhi give the signs at the ends, as in falsi_root; an exact root at an
     end returns it with no step.
     """
     lo = np.array(lo, dtype=float)
@@ -208,7 +181,7 @@ def expand_bracket(f, x, edge, sign, cap=math.inf):
     sign is +1 or -1. An infinite edge doubles x (nonzero, pointing at the
     edge) and stops before |x| passes cap; a finite edge halves the gap
     to it until the gap no longer shrinks. A zero or NaN value stops the
-    walk. Returns (x, f(x)) at the last point, ready for bisect_root's
+    walk. Returns (x, f(x)) at the last point, ready for falsi_root's
     flo or fhi.
 
     x is a float, with f taking floats, or a 1-D array, every row walking
@@ -251,21 +224,6 @@ def _expand_rows(f, x, edge, sign, cap):
         fx[act] = f(x[act], act)
         act = act[sign * fx[act] > 0]
     return x, fx
-
-
-def increasing_fixed_point(g, t0):
-    """Fixed point of t = g(t) for increasing g with g'(t) < 1 near the root.
-
-    Iterates from t0; monotone convergence under the contraction condition.
-    Returns (t, iterations).
-    """
-    t = t0
-    for it in range(1, _MAX_STEPS + 1):
-        t_next = g(t)
-        if abs(t_next - t) <= _FIXED_POINT_TOL * max(1.0, abs(t_next)):
-            return t_next, it
-        t = t_next
-    return t, _MAX_STEPS
 
 
 def zoom_max(f, lo, hi, points, zooms):

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from ._quad import log_tail_integral, sorted_unique, table_cuts, tail_cuts
-from ._solve import bisect_root, expand_bracket
+from ._solve import expand_bracket, falsi_root
 from .populations import GaussianMixture, kl_divergence, quantile
 
 __all__ = [
@@ -140,7 +140,7 @@ class TiltedDistribution:
         start = 2.0 * abs(self.b) + 1.0
         hi, f_hi = expand_bracket(excess, start, math.inf, 1)
         lo = self.b if hi == start else 0.5 * hi
-        return bisect_root(excess, lo, hi, fhi=f_hi, xtol=1e-12).mid
+        return falsi_root(excess, lo, hi, fhi=f_hi, xtol=1e-12).mid
 
     def mean(self) -> float:
         # split E X = (below-b part) + (tail part), tail in log space

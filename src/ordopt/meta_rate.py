@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import node_table
-from ._solve import bisect_root, expand_bracket, falsi_root, newton_root
+from ._solve import expand_bracket, falsi_root, newton_root
 from .empirical_rate import _rate_two_atoms, _shifted
 from .populations import ShiftedExponential, rate_function
 
@@ -379,7 +379,9 @@ def _curve(law):
 
         def scaled(theta, u, side):
             a, g, j, dg, du = _table_curve((x, p), k, theta * s, u, side)
-            return a, g, j, dg * s, du * s
+            # du s is inf at theta_m, where alpha = 0 (a supremum's probe)
+            with np.errstate(over="ignore"):
+                return a, g, j, dg * s, du * s
         return scaled
     (x_lo, l_lo), (x_hi, l_hi) = sorted(zip(x.tolist(), np.log(p).tolist()))
     k, d = math.log(x_hi / -x_lo), x_hi - x_lo
@@ -541,8 +543,8 @@ def _theta_a_interval(model, a, theta_m):
         if fx <= 0.0:
             return x
         if right:
-            return bisect_root(excess, theta_m, x, fhi=fx, xtol=1e-10).lo
-        return bisect_root(excess, x, theta_m, flo=fx, xtol=1e-10).hi
+            return falsi_root(excess, theta_m, x, fhi=fx, xtol=1e-10).lo
+        return falsi_root(excess, x, theta_m, flo=fx, xtol=1e-10).hi
 
     d_lo, d_hi = model.theta_domain()
     return endpoint(d_lo), endpoint(d_hi)

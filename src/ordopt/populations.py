@@ -32,7 +32,7 @@ import numpy as np
 
 from ._quad import (_TABLE_Q, integrate, log_tail_integral, quantile_cuts,
                     sorted_unique, table_cuts)
-from ._solve import bisect_root, expand_bracket, newton_root
+from ._solve import expand_bracket, falsi_root, newton_root
 from .empirical_rate import (_THETA_CAP, RateEstimate, _rate_two_atoms,
                              _tilted_mean, empirical_log_mgf,
                              estimate_rate_at)
@@ -555,17 +555,27 @@ class Mirrored:
         inner = self.base.logpdf(-np.asarray(x, dtype=float))
         return inner
 
+    def _jumps(self):
+        """An atom base's atoms and F at each, exactly 1 at the last."""
+        at, p = np.array(self.atoms()).T
+        return at, np.append(np.cumsum(p[:-1]), 1.0)
+
     def cdf(self, x):
-        # continuous bases only; P(-X <= x) = 1 - F(-x)
-        if self.base.atoms() is not None:
-            raise NotImplementedError("mirrored CDF for discrete bases")
-        return 1.0 - self.base.cdf(-np.asarray(x, dtype=float))
+        if self.atoms() is None:
+            return 1.0 - self.base.cdf(-np.asarray(x, dtype=float))
+        at, cum = self._jumps()
+        return np.append(0.0, cum)[np.searchsorted(at, x, side="right")]
 
     def quantile(self, p):
-        return -self.base.upper_quantile(p)
+        if self.atoms() is None:
+            return -self.base.upper_quantile(p)
+        at, cum = self._jumps()     # inf{x : F(x) >= p}
+        return float(at[min(np.searchsorted(cum, p), at.size - 1)])
 
     def upper_quantile(self, q):
-        return -self.base.quantile(q)
+        if self.atoms() is None:
+            return -self.base.quantile(q)
+        return self.quantile(1.0 - q)
 
     def draw(self, rng, n):
         return -self.base.draw(rng, n)
@@ -582,13 +592,13 @@ def rate_function(model, a: float) -> RateEstimate:
     Closed forms for the two-atom models and the Gaussian; a mirrored
     model takes its base's route at -a, with the tilt negated and the
     sides of divergence swapped; elsewhere the concave problem is solved
-    by bisecting Lambda'(theta) = a on the MGF domain. Points outside the
-    support give +infinity; a heavy tail on the 'a' side gives 0 with the
-    optimizer at the domain boundary. When Lambda' - a keeps one strict
-    sign up to |theta| = 2^10 or to the edge of the MGF domain, the status
-    is "theta-cap": theta_star is that last point and the value, the
-    objective there, is only a lower bound on I(a). A NaN level raises
-    ValueError.
+    by regula falsi on Lambda'(theta) = a over the MGF domain. Points
+    outside the support give +infinity; a heavy tail on the 'a' side gives
+    0 with the optimizer at the domain boundary. When Lambda' - a keeps
+    one strict sign up to |theta| = 2^10 or to the edge of the MGF domain,
+    the status is "theta-cap": theta_star is that last point and the
+    value, the objective there, is only a lower bound on I(a). A NaN level
+    raises ValueError.
     """
     a = float(a)
     if math.isnan(a):
@@ -631,8 +641,8 @@ def rate_function(model, a: float) -> RateEstimate:
         status = "interior" if f_end == 0 else "theta-cap"
         return RateEstimate(max(val, 0.0), theta, status, 0)
 
-    root = bisect_root(deriv, lo, hi, flo=f_lo, fhi=f_hi, xtol=1e-12,
-                       ftol=1e-11 * max(1.0, abs(a)), max_iter=199)
+    root = falsi_root(deriv, lo, hi, f_lo, f_hi, xtol=1e-12,
+                      ftol=1e-11 * max(1.0, abs(a)), max_iter=199)
     theta = root.mid
     val = theta * a - model.log_mgf(theta)
     return RateEstimate(max(val, 0.0), theta, "interior", root.iterations)

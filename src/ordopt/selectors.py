@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._solve import bisect_root, expand_bracket, increasing_fixed_point
+from ._solve import expand_bracket, falsi_root
 from .empirical_rate import estimate_rates_at_zero
 from .truncation import PowerSpec, solve_x_u
 
@@ -487,7 +487,7 @@ def capping_bias(f_spec, c: float, u: float) -> float:
 def capping_radius(bounds: MomentBound, x: float) -> float:
     """Smallest cap u with capping bias h(u) <= x, maximized over
     populations. Power budgets solve in closed form; other budgets invert
-    the strictly decreasing h by bisection."""
+    the strictly decreasing h by regula falsi."""
     if x <= 0:
         raise ValueError("x must be positive")
     spec = bounds.f_spec
@@ -507,8 +507,8 @@ def capping_radius(bounds: MomentBound, x: float) -> float:
             radii.append(0.0)
             continue
         hi, f_hi = expand_bracket(excess, 1.0, math.inf, 1)
-        radii.append(bisect_root(excess, 0.0, hi, flo=f_lo, fhi=f_hi,
-                                 xtol=1e-13).mid)
+        radii.append(falsi_root(excess, 0.0, hi, f_lo, f_hi,
+                                xtol=1e-13).mid)
     return max(radii)
 
 
@@ -763,12 +763,13 @@ def solve_log_fixed_point(a: float, b: float):
     """Solve t = a + b log t for the upper root, with its closed bound.
 
     Returns (t_star, bound) where bound = a + b log a + (2 b^2 / a)
-    log(a + b). Requires a >= e and b >= 1, under which the iteration
-    t <- a + b log t is a contraction from t0 = a.
+    log(a + b). Requires a >= e and b >= 1, under which h(t) = t - a - b
+    log t has its upper root between h(a) < 0 and h((a + b)^2) > 0.
     """
     if a < math.e or b < 1.0:
         raise ValueError("need a >= e and b >= 1")
-    t_star, _ = increasing_fixed_point(lambda t: a + b * math.log(t), a)
+    t_star = falsi_root(lambda t: t - a - b * math.log(t), a,
+                        (a + b) ** 2).mid
     bound = a + b * math.log(a) + (2.0 * b * b / a) * math.log(a + b)
     assert t_star <= bound * (1 + 1e-12)
     assert t_star <= (a + b) ** 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._solve import bisect_root, expand_bracket
+from ._solve import expand_bracket, falsi_root
 
 __all__ = [
     "PowerSpec", "ExponentialSpec", "CustomSpec",
@@ -137,8 +137,8 @@ def solve_x_u(f_spec, u: float) -> float:
     """The atom location x_u > u maximizing (x - u) / (f(x) - f(0)).
 
     Stationarity reads (x - u) f'(x) = f(x) - f(0); for the power budget
-    that solves in closed form to u alpha / (alpha - 1), otherwise the
-    strictly increasing residual is bisected to 1e-12 relative width.
+    that solves in closed form to u alpha / (alpha - 1), otherwise regula
+    falsi brackets the increasing residual's root to 1e-12 relative width.
     """
     if u <= 0:
         raise ValueError("threshold u must be positive")
@@ -157,8 +157,7 @@ def solve_x_u(f_spec, u: float) -> float:
                          "strictly convex")
     # width alone stops the search: g carries terms of size f(x), whose
     # rounding can exceed any fixed residual tolerance
-    return bisect_root(g, u, u + span, fhi=g_hi,
-                       xtol=1e-12 * max(1.0, u)).mid
+    return falsi_root(g, u, u + span, fhi=g_hi, xtol=1e-12).mid
 
 
 def worst_capping_error(f_spec, c: float, u: float) -> WorstCaseSolution:

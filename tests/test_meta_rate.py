@@ -26,6 +26,7 @@ from ordopt.meta_rate import (
     _rate_at_zero,
     _table_curve,
     _tilt,
+    _theta_a_interval,
     _tilted_moments,
     _w_bounds,
     inf_meta_rate,
@@ -1371,6 +1372,35 @@ def test_battery_covers_every_model_with_a_finite_positive_rate():
             i0 = rate_function(_battery_model(index, mirrored), 0.0).value
             assert ((index, mirrored) in covered) == (
                 math.isfinite(i0) and i0 > 0)
+
+
+@pytest.mark.parametrize("model", _models_and_mirrors(), ids=str)
+def test_theta_a_ends_lie_in_theta_a(model):
+    # each finite end of Theta_a = {Lambda <= -a} is on its inner side,
+    # and an infinite end is where the support ends at 0
+    rate = rate_function(model, 0.0)
+    if not (0.0 < rate.value < math.inf) or rate.status == "theta-cap":
+        return
+    for a in (0.1 * rate.value, 0.5 * rate.value, 0.9 * rate.value):
+        ends = _theta_a_interval(model, a, rate.theta_star)
+        assert ends[0] < rate.theta_star < ends[1]
+        for side, end in enumerate(ends):
+            if math.isinf(end):
+                assert model.support()[side] == 0.0
+            else:
+                assert model.log_mgf(end) + a <= 0.0
+
+
+@pytest.mark.parametrize("model", [Empirical(np.array([-1.0, 0.5, 2.0, -3.0])),
+                                   ShiftedExponential(0.96, 1.0)], ids=str)
+def test_supremum_probe_at_theta_m_warns_nothing(model):
+    # the curve walk's first probe lands on theta_m, where alpha = 0 and
+    # dlog|alpha|/dtheta is unbounded
+    half = 0.5 * rate_function(model, 0.0).value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, _, _ = sup_meta_rate_on_theta_a(model, half)
+    assert value > 0.0
 
 
 class TestRateAtZero:

@@ -345,6 +345,34 @@ def test_quantile_generalized_inverse(model):
             assert float(model.cdf(q - 1e-6)) <= p + 1e-4
 
 
+@pytest.mark.parametrize("model", [
+    Mirrored(Bernoulli(0.25)), Mirrored(TwoPoint(2.0, 0.25)),
+    Mirrored(Empirical(np.array([-1.0, 0.0, 2.0, 2.0])))], ids=str)
+def test_mirrored_atom_base_at_every_jump(model):
+    # F and inf{x : F(x) >= p} of a mirror come from its own atoms: each
+    # jump's level maps to that atom, and a level just above it to the next
+    atoms = model.atoms()
+    cum = 0.0
+    for k, (x, p) in enumerate(atoms):
+        below, cum = cum, cum + p
+        assert float(model.cdf(math.nextafter(x, -math.inf))) == below
+        assert float(model.cdf(x)) == pytest.approx(cum, abs=1e-15)
+        assert model.quantile(cum) == x
+        assert model.upper_quantile(1.0 - cum) == x
+        assert model.quantile(below + 1e-9) == x
+        if k + 1 < len(atoms):
+            assert model.quantile(cum + 1e-9) == atoms[k + 1][0]
+
+
+def test_mirrored_atom_base_quantiles():
+    assert quantile(Mirrored(Bernoulli(0.25)), 0.25) == -1.0
+    mirror = Mirrored(Empirical(np.array([-1.0, 0.0, 2.0, 2.0])))
+    assert [quantile(mirror, p) for p in (0.25, 0.5, 0.75, 0.9)] == [
+        -2.0, -2.0, 0.0, 1.0]
+    assert mirror.cdf(np.array([-3.0, -2.0, 0.0, 0.5, 1.0])).tolist() == [
+        0.0, 0.5, 0.75, 0.75, 1.0]
+
+
 def _survival(model, x):
     if isinstance(model, Mirrored):
         return float(model.base.cdf(-x))

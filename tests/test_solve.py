@@ -1,3 +1,4 @@
+import importlib
 import math
 import re
 from pathlib import Path
@@ -8,24 +9,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import ordopt
-from ordopt._solve import (bisect_root, expand_bracket, falsi_root,
-                           increasing_fixed_point, newton_root, zoom_max)
-
-
-def test_bisect_root_cubic():
-    root = bisect_root(lambda t: t ** 3 - 2.0, 0.0, 2.0)
-    assert abs(root.mid - 2.0 ** (1.0 / 3.0)) < 1e-10
-    assert root.iterations > 0
-
-
-def test_bisect_requires_bracket():
-    with pytest.raises(ValueError):
-        bisect_root(lambda t: t + 10.0, 0.0, 1.0)
-
-
-def test_bisect_exact_endpoint():
-    root = bisect_root(lambda t: t, 0.0, 1.0)
-    assert root.mid == 0.0 and root.iterations == 0
+from ordopt._solve import expand_bracket, falsi_root, newton_root, zoom_max
+from ordopt.cli import run_reproduce
+from ordopt.meta_rate import sup_meta_rate_on_theta_a
+from ordopt.populations import (GaussianMixture, ShiftedExponential,
+                                TwoPoint, rate_function)
 
 
 def test_falsi_root_steps_inside_an_end_at_the_root():
@@ -37,6 +25,41 @@ def test_falsi_root_steps_inside_an_end_at_the_root():
     assert root.lo == 1.0 - 5e-13 and root.hi == 1.0
 
 
+def test_falsi_root_cubic_in_few_steps():
+    root = falsi_root(lambda t: t ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0)
+    assert abs(root.mid - 2.0 ** (1.0 / 3.0)) < 1e-12
+    # bisection takes 41 steps to the same width
+    assert root.hi - root.lo <= 1e-12 and root.iterations <= 12
+    # the ends' values, when not given, are evaluated
+    assert falsi_root(lambda t: t ** 3 - 2.0, 0.0, 2.0) == root
+
+
+def test_falsi_root_requires_a_bracket():
+    with pytest.raises(ValueError):
+        falsi_root(lambda t: t + 10.0, 0.0, 1.0, 10.0, 11.0)
+    with pytest.raises(ValueError):
+        falsi_root(lambda t: t + 10.0, 0.0, 1.0)
+
+
+def test_falsi_root_exact_root_at_an_end_takes_no_step():
+    root = falsi_root(lambda t: t, 0.0, 1.0)
+    assert root == (0.0, 0.0, 0)
+    assert falsi_root(lambda t: t - 1.0, 0.0, 1.0, fhi=0.0) == (1.0, 1.0, 0)
+
+
+def test_falsi_root_bisects_where_the_secant_stalls():
+    # f(hi) is 6e132 times -f(lo), so every secant point rounds onto lo;
+    # the Illinois halvings alone would take some 440 steps to move hi
+    # (the search ran all 200 and returned 150), where midpoints close in
+    # at about bisection's pace (34 steps to this width)
+    def g(x):
+        return (x - 100.0) * 3.0 * math.exp(3.0 * x) - math.expm1(3.0 * x)
+
+    root = falsi_root(g, 100.0, 200.0, xtol=1e-10)
+    assert root.iterations <= 60
+    assert abs(root.mid - (100.0 + 1.0 / 3.0)) <= 1e-8
+
+
 @given(r=st.floats(-1e3, 1e3), a=st.floats(0.0, 10.0),
        b=st.floats(1e-3, 10.0), sign=st.sampled_from([1.0, -1.0]),
        left=st.floats(1e-3, 1e3), right=st.floats(1e-3, 1e3),
@@ -44,9 +67,9 @@ def test_falsi_root_steps_inside_an_end_at_the_root():
        ftol=st.sampled_from([None, 1e-6]), max_iter=st.integers(1, 200))
 @example(r=-5e-324, a=0.0, b=0.5, sign=1.0, left=0.5, right=0.5, xtol=1e-4,
          ftol=None, max_iter=1)
-def test_bisect_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
-                                                     right, xtol, ftol,
-                                                     max_iter):
+def test_falsi_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
+                                                    right, xtol, ftol,
+                                                    max_iter):
     seen = []
 
     def g(t):
@@ -56,11 +79,11 @@ def test_bisect_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
         seen.append(t)
         return g(t)
 
-    root = bisect_root(f, r - left, r + right, xtol=xtol, ftol=ftol,
-                       max_iter=max_iter)
+    root = falsi_root(f, r - left, r + right, xtol=xtol, ftol=ftol,
+                      max_iter=max_iter)
     assert 1 <= root.iterations <= max_iter
     # the bracket keeps a sign change of f as computed; it holds r unless a
-    # midpoint where f rounds to exactly 0 (a subnormal r) became an end
+    # point where f rounds to exactly 0 (a subnormal r) became an end
     assert sign * g(root.lo) <= 0.0 <= sign * g(root.hi)
     assert root.lo <= r <= root.hi or 0.0 in (g(root.lo), g(root.hi))
     if root.iterations < max_iter:
@@ -70,33 +93,50 @@ def test_bisect_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
         assert ftol is None or abs(g(last)) <= ftol
 
 
-def test_falsi_root_cubic_in_few_steps():
-    root = falsi_root(lambda t: t ** 3 - 2.0, 0.0, 2.0, -2.0, 6.0)
-    assert abs(root.mid - 2.0 ** (1.0 / 3.0)) < 1e-12
-    # bisection takes 41 steps to the same width
-    assert root.hi - root.lo <= 1e-12 and root.iterations <= 12
-    with pytest.raises(ValueError):
-        falsi_root(lambda t: t + 10.0, 0.0, 1.0, 10.0, 11.0)
+def _half_rate_supremum(model):
+    return sup_meta_rate_on_theta_a(
+        model, 0.5 * rate_function(model, 0.0).value)
 
 
-@given(r=st.floats(-1e3, 1e3), a=st.floats(0.0, 10.0),
-       b=st.floats(1e-3, 10.0), sign=st.sampled_from([1.0, -1.0]),
-       left=st.floats(1e-3, 1e3), right=st.floats(1e-3, 1e3),
-       xtol=st.sampled_from([1e-4, 1e-9, 1e-13]))
-def test_falsi_root_brackets_shifted_monotone_roots(r, a, b, sign, left,
-                                                    right, xtol):
-    def g(t):
-        return sign * (a * (t - r) ** 3 + b * (t - r))
+# evaluations of f over every falsi_root call a library call makes, at
+# most; the bisection searches these replaced took 41, 41, 66, 162 and 146
+FLOAT_SEARCH_BOUNDS = [
+    ("rate SE(0.96, 1) at 0",
+     lambda: rate_function(ShiftedExponential(0.96, 1.0), 0.0), 12),
+    ("rate GM(0.3, 5) at 0",
+     lambda: rate_function(GaussianMixture(0.3, 5.0), 0.0), 12),
+    ("sup TwoPoint(1, 0.6) at 0.01",
+     lambda: sup_meta_rate_on_theta_a(TwoPoint(1.0, 0.6), 0.01), 30),
+    ("reproduce capping", lambda: run_reproduce("capping"), 50),
+    ("sup SE(0.96, 1) at I(0)/2",
+     lambda: _half_rate_supremum(ShiftedExponential(0.96, 1.0)), 60),
+]
 
-    lo, hi = r - left, r + right
-    root = falsi_root(g, lo, hi, g(lo), g(hi), xtol=xtol)
-    # as bisect_root's: the bracket keeps a sign change of f as computed
-    # and holds r, and it is narrow unless the search ran to max_iter
-    assert sign * g(root.lo) <= 0.0 <= sign * g(root.hi)
-    assert root.lo <= r <= root.hi or 0.0 in (g(root.lo), g(root.hi))
-    if root.iterations < 200:
-        assert root.hi - root.lo <= xtol * max(1.0, abs(root.lo),
-                                               abs(root.hi))
+
+@pytest.mark.parametrize("call, bound",
+                         [case[1:] for case in FLOAT_SEARCH_BOUNDS],
+                         ids=[case[0] for case in FLOAT_SEARCH_BOUNDS])
+def test_float_search_evaluation_counts(monkeypatch, call, bound):
+    evaluations = []
+
+    def counted(f, *args, **kwargs):
+        def spied(x):
+            evaluations.append(x)
+            return f(x)
+        return falsi_root(spied, *args, **kwargs)
+
+    for name in ("populations", "meta_rate", "selectors", "adversarial",
+                 "truncation"):
+        monkeypatch.setattr(importlib.import_module(f"ordopt.{name}"),
+                            "falsi_root", counted)
+    call()
+    assert 0 < len(evaluations) <= bound
+
+
+def test_rate_at_zero_takes_few_steps():
+    rate = rate_function(ShiftedExponential(0.96, 1.0), 0.0)
+    assert rate.iterations <= 12
+    assert rate.theta_star == pytest.approx(1.0 / 24.0, rel=1e-12)
 
 
 def test_expand_bracket_doubles_to_cap_and_halves_to_edge():
@@ -250,7 +290,7 @@ def test_newton_root_keeps_the_warnings_of_f():
 
 
 def test_float_bisection_only_in_solve():
-    # every float bisection goes through _solve.bisect_root
+    # every float root search goes through _solve.falsi_root
     midpoint = re.compile(r"0\.5 \* \((lo|hi)")
     offenders = [
         f"{path.name}:{n}"
@@ -278,12 +318,6 @@ def test_search_loops_only_in_solve():
         for line in (src / name).read_text().splitlines()
         if loop.search(line)]
     assert [o for o in offenders if o not in _LOOP_EXEMPT] == []
-
-
-def test_fixed_point_log():
-    t, _ = increasing_fixed_point(lambda t: 10.0 + 2.0 * math.log(t), 10.0)
-    assert abs(t - (10.0 + 2.0 * math.log(t))) < 1e-10
-    assert abs(t - 15.47896386) < 1e-6
 
 
 def test_zoom_max_rows():
