@@ -63,6 +63,9 @@ class TiltedDistribution:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        if not self.b < self.base.support()[1]:
+            raise ValueError(f"split b = {self.b!r} must lie below the top "
+                             "of the base's support")
 
     @cached_property
     def _g_below(self) -> float:

@@ -487,9 +487,9 @@ def _parse_f_spec(spec):
     name, _, rest = str(spec).strip().partition(":")
     name = name.strip().lower()
     if name == "power":
-        return PowerSpec(float(rest))
+        return PowerSpec(_fparam({"alpha": rest}, "alpha", "f-spec"))
     if name in ("exp", "exponential"):
-        return ExponentialSpec(float(rest))
+        return ExponentialSpec(_fparam({"theta": rest}, "theta", "f-spec"))
     raise ValueError(f"f-spec: unknown family '{name}' "
                      "(use power:ALPHA or exp:THETA)")
 

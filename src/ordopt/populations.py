@@ -3,8 +3,9 @@
 Each model knows its mean, exact log-MGF Lambda(theta) = log E exp(theta X)
 with domain, sampler, CDF/quantile, the upper-tail quantile Q(1 - q)
 computed from q itself, and either a discrete atom list or a log-density.
-TwoPoint and Bernoulli share one two-atom law, _TwoAtoms, which each fills
-in from its atoms and masses; the closed-form rate of that law serves both.
+Every discrete model (TwoPoint, Bernoulli, Empirical, and a mirror of any of
+them) reads its atoms, CDF and quantiles from one exact atom table, _Atoms;
+TwoPoint and Bernoulli share the two-atom law _TwoAtoms and its closed rate.
 On top of that the module provides the Legendre-transform rate function
 I(a) = sup_theta (theta a - Lambda(theta)), KL divergence between models,
 and an exact finite-sample law for the two-point rate estimator that the
@@ -62,14 +63,53 @@ def _log_masses(p):
             math.log1p(-p) if p < 1.0 else -math.inf)
 
 
-class _TwoAtoms:
+def _levels(table):
+    x, n, total = table     # the atoms as floats and F at each
+    cum = np.cumsum(n) / total
+    cum[-1] = 1.0           # exactly, at the last atom
+    return np.asarray(x, dtype=float), cum
+
+
+class _Atoms:
+    """A discrete law from the model's _table() = (x, n, total): distinct
+    atoms x in increasing order, weights n with exact running sums (counts,
+    or a two-atom law's masses) and their sum total; F = cumsum(n) / total."""
+
+    def theta_domain(self):
+        return (-math.inf, math.inf)
+
+    def support(self):
+        x = self._table()[0]
+        return (float(x[0]), float(x[-1]))
+
+    def atoms(self):
+        x, n, total = self._table()
+        return [(float(a), w / total) for a, w in zip(x, n)]
+
+    def logpdf(self, x):
+        return None
+
+    def cdf(self, x):
+        at, cum = _levels(self._table())
+        return np.append(0.0, cum)[np.searchsorted(at, x, side="right")]
+
+    def quantile(self, p):
+        at, cum = _levels(self._table())    # inf{x : F(x) >= p}
+        return float(at[min(np.searchsorted(cum, p), at.size - 1)])
+
+    def upper_quantile(self, q):
+        return self.quantile(1.0 - q)
+
+
+class _TwoAtoms(_Atoms):
     """A two-atom law from the model's _atoms() = (lo, hi, p_lo, p_hi,
     log p_lo, log p_hi), atoms lo < hi with each mass and its log taken the
     accurate way for the model's parameter (a zero mass's log, -inf, is
     never read). The model keeps its fields, mean and from_uniform."""
 
-    def theta_domain(self):
-        return (-math.inf, math.inf)
+    def _table(self):
+        lo, hi, p_lo, p_hi = self._atoms()[:4]
+        return (lo, hi), (p_lo, p_hi), 1.0
 
     def log_mgf(self, theta):
         lo, hi, p_lo, p_hi, log_lo, log_hi = self._atoms()
@@ -89,28 +129,6 @@ class _TwoAtoms:
         z = (log_lo - log_hi) - theta * (hi - lo)
         w = 1.0 / (1.0 + math.exp(z)) if z < 700 else 0.0
         return lo + (hi - lo) * w
-
-    def support(self):
-        return self._atoms()[:2]
-
-    def atoms(self):
-        lo, hi, p_lo, p_hi = self._atoms()[:4]
-        return [(lo, p_lo), (hi, p_hi)]
-
-    def logpdf(self, x):
-        return None
-
-    def cdf(self, x):
-        lo, hi, p_lo = self._atoms()[:3]
-        x = np.asarray(x, dtype=float)
-        return np.where(x < lo, 0.0, np.where(x < hi, p_lo, 1.0))
-
-    def quantile(self, p):
-        lo, hi, p_lo = self._atoms()[:3]
-        return lo if p <= p_lo else hi
-
-    def upper_quantile(self, q):
-        return self.quantile(1.0 - q)
 
     def draw(self, rng, n):
         return self.from_uniform(rng.random(n))
@@ -469,7 +487,7 @@ class Pareto:
 
 
 @dataclass(frozen=True, eq=False)
-class Empirical:
+class Empirical(_Atoms):
     """Discrete uniform over the points of a batch."""
 
     points: np.ndarray = field(default_factory=lambda: np.zeros(1))
@@ -478,45 +496,24 @@ class Empirical:
         arr = np.asarray(self.points, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("empirical model needs at least one point")
+        if not np.isfinite(arr).all():
+            raise ValueError("batch values must be finite (no NaN or inf)")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "points", arr)
+        object.__setattr__(self, "_counts", np.unique(arr, return_counts=True))
+
+    def _table(self):
+        return (*self._counts, self.points.size)
 
     def mean(self):
         return float(self.points.mean())
-
-    def theta_domain(self):
-        return (-math.inf, math.inf)
 
     def log_mgf(self, theta):
         return empirical_log_mgf(self.points, theta)
 
     def dlog_mgf(self, theta):
         return _tilted_mean(self.points, theta)
-
-    def support(self):
-        return (float(self.points.min()), float(self.points.max()))
-
-    def atoms(self):
-        vals, counts = np.unique(self.points, return_counts=True)
-        m = self.points.size
-        return [(float(v), c / m) for v, c in zip(vals, counts)]
-
-    def logpdf(self, x):
-        return None
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.searchsorted(np.sort(self.points), x, side="right") \
-            / self.points.size
-
-    def quantile(self, p):
-        xs = np.sort(self.points)
-        k = max(int(math.ceil(p * xs.size)), 1)
-        return float(xs[k - 1])
-
-    def upper_quantile(self, q):
-        return self.quantile(1.0 - q)
 
     def draw(self, rng, n):
         return self.points[rng.integers(0, self.points.size, n)]
@@ -545,37 +542,33 @@ class Mirrored:
         lo, hi = self.base.support()
         return (-hi, -lo)
 
+    def _table(self):
+        """The base's atom table negated and reversed; None for a density."""
+        table = getattr(self.base, "_table", lambda: None)()
+        if table is not None:
+            x, n, total = table
+            return -np.asarray(x, dtype=float)[::-1], n[::-1], total
+
     def atoms(self):
-        base = self.base.atoms()
-        if base is None:
-            return None
-        return sorted((-x, p) for x, p in base)
+        return None if self._table() is None else _Atoms.atoms(self)
 
     def logpdf(self, x):
-        inner = self.base.logpdf(-np.asarray(x, dtype=float))
-        return inner
-
-    def _jumps(self):
-        """An atom base's atoms and F at each, exactly 1 at the last."""
-        at, p = np.array(self.atoms()).T
-        return at, np.append(np.cumsum(p[:-1]), 1.0)
+        return self.base.logpdf(-np.asarray(x, dtype=float))
 
     def cdf(self, x):
-        if self.atoms() is None:
+        if self._table() is None:
             return 1.0 - self.base.cdf(-np.asarray(x, dtype=float))
-        at, cum = self._jumps()
-        return np.append(0.0, cum)[np.searchsorted(at, x, side="right")]
+        return _Atoms.cdf(self, x)
 
     def quantile(self, p):
-        if self.atoms() is None:
+        if self._table() is None:
             return -self.base.upper_quantile(p)
-        at, cum = self._jumps()     # inf{x : F(x) >= p}
-        return float(at[min(np.searchsorted(cum, p), at.size - 1)])
+        return _Atoms.quantile(self, p)
 
     def upper_quantile(self, q):
-        if self.atoms() is None:
+        if self._table() is None:
             return -self.base.quantile(q)
-        return self.quantile(1.0 - q)
+        return _Atoms.upper_quantile(self, q)
 
     def draw(self, rng, n):
         return -self.base.draw(rng, n)
@@ -668,9 +661,7 @@ def _derivative_bracket(model, deriv):
 
 
 def _kl_discrete(g_atoms, gt_atoms):
-    q = {}
-    for x, p in gt_atoms:
-        q[x] = q.get(x, 0.0) + p
+    q = dict(gt_atoms)
     total = 0.0
     for x, p in g_atoms:
         if p == 0.0:

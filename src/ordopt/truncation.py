@@ -139,6 +139,7 @@ def solve_x_u(f_spec, u: float) -> float:
     Stationarity reads (x - u) f'(x) = f(x) - f(0); for the power budget
     that solves in closed form to u alpha / (alpha - 1), otherwise regula
     falsi brackets the increasing residual's root to 1e-12 relative width.
+    An f that overflows the floats on the way raises RuntimeError.
     """
     if u <= 0:
         raise ValueError("threshold u must be positive")
@@ -150,8 +151,12 @@ def solve_x_u(f_spec, u: float) -> float:
         return (x - u) * f_spec.df(x) - (f_spec.f(x) - f0)
 
     # the distance of hi from u doubles, from u up to at most 1e12 u
-    span, g_hi = expand_bracket(lambda d: g(u + d), u, math.inf, -1,
-                                cap=u * 1e12)
+    try:
+        span, g_hi = expand_bracket(lambda d: g(u + d), u, math.inf, -1,
+                                    cap=u * 1e12)
+    except OverflowError:
+        raise RuntimeError("f overflows in the search for x_u past u = "
+                           f"{u!r} for {f_spec!r}") from None
     if not g_hi >= 0:
         raise ValueError("no stationary point found; f may not be "
                          "strictly convex")

@@ -166,6 +166,12 @@ class TestTilt:
         with pytest.raises(ValueError, match="gamma"):
             TiltedDistribution(base, 1.0, 1.5)
 
+    @pytest.mark.parametrize("b", [-0.5, 1.0])
+    def test_split_at_or_above_the_support_rejected(self, b):
+        # no mass from b up to lift: beta would be inf and the mass nan
+        with pytest.raises(ValueError, match="top of the base's support"):
+            TiltedDistribution(ShiftedExponential(-0.5, 2.0), b, 0.3)
+
 
 class TestLowerBoundSamples:
     def test_unit_kl_gaussian_pair(self):

@@ -591,6 +591,20 @@ class TestTruncErrorCommand:
                                       "--c", "0.5", "--u", "0.3"])
         assert code == 2
 
+    @pytest.mark.parametrize("f", ["power:nan", "exp:inf"])
+    def test_non_finite_parameter(self, capsys, f):
+        code, _, err = run_cli(capsys, ["trunc-error", "--f", f, "--c", "2",
+                                        "--u", "3"])
+        assert code == 2
+        assert "must be finite" in err
+
+    def test_overflow_is_numerical(self, capsys):
+        code, _, err = run_cli(capsys, ["trunc-error", "--f", "exp:1",
+                                        "--c", "2", "--u", "10000",
+                                        "--kind", "capping"])
+        assert code == 3
+        assert "numerical" in err and "Traceback" not in err
+
 
 class TestTiltCommand:
     def test_flagship_chain(self, capsys):

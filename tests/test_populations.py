@@ -345,23 +345,66 @@ def test_quantile_generalized_inverse(model):
             assert float(model.cdf(q - 1e-6)) <= p + 1e-4
 
 
+def _jump_levels(model):
+    """An atom model's atoms and F at each, from its fields: integer counts
+    over n for an empirical law, the first mass for a two-atom law, which a
+    mirror takes in reverse. No running float sum of masses, whose rounding
+    drifts off the levels, and no 1 - F, which rounds too."""
+    base = model.base if isinstance(model, Mirrored) else model
+    sign = -1.0 if base is not model else 1.0
+    if isinstance(base, Empirical):
+        xs, counts = np.unique(sign * base.points, return_counts=True)
+        return xs.tolist(), (np.cumsum(counts) / base.points.size).tolist()
+    if isinstance(base, TwoPoint):
+        xs, masses = [-base.b, base.b], [base.p_minus, 1.0 - base.p_minus]
+    else:
+        xs, masses = [0.0, 1.0], [1.0 - base.q, base.q]
+    if sign < 0:
+        xs, masses = [-x for x in xs[::-1]], masses[::-1]
+    return [float(x) for x in xs], [masses[0], 1.0]
+
+
 @pytest.mark.parametrize("model", [
     Mirrored(Bernoulli(0.25)), Mirrored(TwoPoint(2.0, 0.25)),
-    Mirrored(Empirical(np.array([-1.0, 0.0, 2.0, 2.0])))], ids=str)
-def test_mirrored_atom_base_at_every_jump(model):
-    # F and inf{x : F(x) >= p} of a mirror come from its own atoms: each
-    # jump's level maps to that atom, and a level just above it to the next
-    atoms = model.atoms()
-    cum = 0.0
-    for k, (x, p) in enumerate(atoms):
-        below, cum = cum, cum + p
+    Mirrored(Empirical(np.array([-1.0, 0.0, 2.0, 2.0]))),
+    Empirical(np.arange(25.0)), Mirrored(Empirical(-np.arange(10.0))),
+    TwoPoint(1, 0.55), Bernoulli(0.3)], ids=str)
+def test_atom_model_at_every_jump(model):
+    # F and inf{x : F(x) >= p} come from the model's own atoms: each jump's
+    # level maps to that atom, and a level just above it to the next
+    xs, levels = _jump_levels(model)
+    assert [x for x, _ in model.atoms()] == xs
+    below = 0.0
+    for k, (x, cum) in enumerate(zip(xs, levels)):
         assert float(model.cdf(math.nextafter(x, -math.inf))) == below
-        assert float(model.cdf(x)) == pytest.approx(cum, abs=1e-15)
+        assert float(model.cdf(x)) == cum
         assert model.quantile(cum) == x
-        assert model.upper_quantile(1.0 - cum) == x
+        if 1.0 - (1.0 - cum) == cum:
+            assert model.upper_quantile(1.0 - cum) == x
+        # at some k / 25 levels 1 - (1 - F) rounds above F, onto the next atom
+        assert model.upper_quantile(1.0 - cum + 1e-9) == x
         assert model.quantile(below + 1e-9) == x
-        if k + 1 < len(atoms):
-            assert model.quantile(cum + 1e-9) == atoms[k + 1][0]
+        if k + 1 < len(xs):
+            assert model.quantile(cum + 1e-9) == xs[k + 1]
+        below = cum
+
+
+def test_empirical_levels_k_over_n():
+    # the generalized inverse at every level k / n of n distinct points,
+    # n < 60: 1711 levels, where a ceil(p n) index or a float running sum
+    # of masses lands on the next atom at some of them
+    for n in range(2, 60):
+        law = Empirical(np.arange(n))
+        mirror = Mirrored(Empirical(-np.arange(n)))
+        for k in range(1, n):
+            assert law.quantile(k / n) == mirror.quantile(k / n) == k - 1
+            assert law.cdf(k - 1.0) == mirror.cdf(k - 1.0) == k / n
+
+
+def test_empirical_rejects_non_finite_points():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Empirical(np.array([-1.0, 0.5, bad]))
 
 
 def test_mirrored_atom_base_quantiles():

@@ -118,6 +118,11 @@ class TestSolveXU:
         with pytest.raises(ValueError):
             solve_x_u(PowerSpec(2.0), 0.0)
 
+    def test_overflow_names_u_and_spec(self):
+        # exp(10000) leaves the floats at the bracket walk's first point
+        with pytest.raises(RuntimeError, match=r"u = 10000\.0 .*theta=1\.0"):
+            solve_x_u(ExponentialSpec(1.0), 10000.0)
+
 
 class TestWorstCappingError:
     def test_power_closed_form(self):
