@@ -16,12 +16,14 @@ selectors key those generators by (seed, stream) through a counter-based
 Philox generator, so any replication is reproducible in isolation.
 
 A model whose draws are one transform of rng.random(n) also has
-from_uniform(u): the draws for an array u of uniforms in [0, 1), of u's
-shape, elementwise, so that draw(rng, n) is from_uniform(rng.random(n))
-and a transform over many streams' uniforms at once gives each stream's
-draws exactly. TwoPoint, Bernoulli and Pareto have it; the models that
-draw normals, exponentials, integers or two streams (Gaussian,
-ShiftedExponential, GaussianMixture, Empirical, Mirrored) have draw only.
+from_uniform(u): it overwrites a float64 array u of uniforms in [0, 1)
+with their draws, elementwise and in place, and returns u itself, so that
+draw(rng, n) is from_uniform(rng.random(n)), a transform over many
+streams' uniforms at once gives each stream's draws exactly, and a block
+is written once and never copied. TwoPoint, Bernoulli and Pareto have it;
+the models that draw normals, exponentials, integers or two streams
+(Gaussian, ShiftedExponential, GaussianMixture, Empirical, Mirrored) have
+draw only.
 """
 
 from __future__ import annotations
@@ -154,7 +156,10 @@ class TwoPoint(_TwoAtoms):
         return self.b * (1.0 - 2.0 * self.p_minus)
 
     def from_uniform(self, u):
-        return np.where(u < self.p_minus, -self.b, self.b)
+        # fl(u - p) is 0 only at u = p (distinct floats never subtract to
+        # 0), so its sign puts -b where u < p and +b elsewhere
+        np.subtract(u, self.p_minus, out=u)
+        return np.copysign(self.b, u, out=u)
 
 
 @dataclass(frozen=True)
@@ -175,7 +180,7 @@ class Bernoulli(_TwoAtoms):
         return self.q
 
     def from_uniform(self, u):
-        return (u < self.q).astype(float)
+        return np.less(u, self.q, out=u)
 
 
 @dataclass(frozen=True)
@@ -480,7 +485,12 @@ class Pareto:
         return self.scale * q ** (-1.0 / self.alpha_tail)
 
     def from_uniform(self, u):
-        return self.scale * (1.0 - u) ** (-1.0 / self.alpha_tail)
+        np.subtract(1.0, u, out=u)
+        # **= takes the scalar-power route of **, so the draws are those
+        # of scale * (1 - u) ** (-1 / alpha_tail)
+        u **= -1.0 / self.alpha_tail
+        u *= self.scale
+        return u
 
     def draw(self, rng, n):
         return self.from_uniform(rng.random(n))

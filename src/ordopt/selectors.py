@@ -23,22 +23,24 @@ draws in lock-step, stacking their batches into one matrix for the rate
 estimate. The fixed-budget comparisons stack each arm's draws into
 matrices of bounded size, one row-wise mean each, and one argmin over the
 arms picks every stream's choice. Successive elimination runs the
-replications one after another on radius and threshold tables built once
-per call, each replication drawing into the one draw buffer of the call.
-fs_estimate turns the outcomes into the false-selection rate with its 99%
-Wilson score interval.
+replications one after another on radius, round and threshold tables
+built once per call, each replication drawing into the one draw buffer of
+the call. fs_estimate turns the outcomes into the false-selection rate
+with its 99% Wilson score interval.
 
 Block sampling: every draw site fills a preallocated block through
 _draws(model, fills, out), one view of the block per generator. For a
 model with from_uniform (populations), each generator writes its uniforms
 into its view with Generator.random(out=view) and one from_uniform call
-transforms the whole block; Philox is counter-based, so a stream's j-th
+transforms the whole block in place, so each value is written once;
+Philox is counter-based (Salmon et al., SC 2011), so a stream's j-th
 uniform does not depend on how its draws are split, and the block holds
 exactly what model.draw would give view by view. Any other model draws
-into each view with model.draw. _draws takes the (generator, view) pairs
-lazily, one at a time: a _Streams re-keys its one generator on every
-call, so a list of keys(s, slot) built up front would leave every pair on
-the last key.
+into each view with model.draw, and its values may depend on the split,
+which successive elimination therefore keeps fixed for such arms.
+_draws takes the (generator, view) pairs lazily, one at a time: a
+_Streams re-keys its one generator on every call, so a list of
+keys(s, slot) built up front would leave every pair on the last key.
 """
 
 from __future__ import annotations
@@ -166,14 +168,14 @@ class _Streams:
 
 def _draws(model, fills, out):
     """Draws of model for every (generator, view) pair of fills, where each
-    view is a C-contiguous piece of out; returns the draws in out's shape,
-    as float64.
+    view is a C-contiguous piece of the float64 array out; returns out,
+    holding the draws.
 
     Each view holds the draws model.draw(generator, view.size) would make.
     A model with from_uniform takes each generator's uniforms into its
-    view and transforms the whole of out at once; any other model draws
-    into each view in turn. fills is consumed lazily, so its generators
-    may come from one _Streams re-keyed pair by pair.
+    view and transforms the whole of out in place at once; any other model
+    draws into each view in turn. fills is consumed lazily, so its
+    generators may come from one _Streams re-keyed pair by pair.
     """
     if not hasattr(model, "from_uniform"):
         for g, view in fills:
@@ -181,7 +183,7 @@ def _draws(model, fills, out):
         return out
     for g, view in fills:
         g.random(out=view)
-    return model.from_uniform(out).astype(float, copy=False)
+    return model.from_uniform(out)
 
 
 def _over(stream, block):
@@ -397,9 +399,8 @@ def sequential_select(model, delta: float, c_schedule, round_cap: int = 50,
                 values = np.empty((rows.size, m_k))
                 values[:, :n] = old
                 fresh = values[:, n:]
-                fresh[...] = _draws(model, ((keys(streams[i], k - 1), row)
-                                            for i, row in zip(rows, fresh)),
-                                    fresh)
+                _draws(model, ((keys(streams[i], k - 1), row)
+                               for i, row in zip(rows, fresh)), fresh)
             met = np.array([m_k * est.value >= log_inv
                             for est in estimate_rates_at_zero(values)])
             done = met | (k == round_cap)
@@ -610,7 +611,9 @@ def _chained_cumsum(start, mat):
     chain by the same sequential additions."""
     rows, n = mat.shape
     if n <= _SEGMENT:
-        return start[:, None] + np.cumsum(mat, axis=1)
+        sums = np.cumsum(mat, axis=1)
+        sums += start[:, None]
+        return sums
     segments = -(-n // _SEGMENT)
     if n % _SEGMENT:
         padded = np.zeros((rows, segments * _SEGMENT))
@@ -619,7 +622,8 @@ def _chained_cumsum(start, mat):
     within = np.cumsum(mat.reshape(rows, segments, _SEGMENT), axis=2)
     starts = np.cumsum(np.concatenate([start[:, None], within[:, :-1, -1]],
                                       axis=1), axis=1)
-    return (starts[:, :, None] + within).reshape(rows, -1)[:, :n]
+    within += starts[:, :, None]
+    return within.reshape(rows, -1)[:, :n]
 
 
 def successive_elimination(models, delta: float, schedule: RadiusSchedule,
@@ -639,12 +643,16 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
     nan for dead arms).
 
     A range of streams returns the list of their outcomes. Replications
-    run one after another on tables of radii and thresholds built once per
-    call. Each arm draws from its own re-keyed generator, keyed once per
-    replication, into its row of one draw buffer that every replication of
-    the call reuses; the buffer grows only when a replication draws past
-    all earlier ones. Each step of a replication covers a window of rounds
-    that widens while no arm leaves.
+    run one after another on tables of radii, round numbers and thresholds
+    built once per call. Each arm draws from its own re-keyed generator,
+    keyed once per replication, into its row of one draw buffer that every
+    replication of the call reuses; the buffer grows only when a
+    replication draws past all earlier ones. Each step of a replication
+    covers a window of rounds that widens while no arm leaves. When every
+    arm has from_uniform, each live arm draws the window's rounds not yet
+    drawn in one Generator.random call, transformed in place; if any arm
+    has draw only, every arm draws ahead in chunks of max(256, drawn so
+    far), the split those arms' values depend on.
     """
     d = len(models)
     if d < 2:
@@ -666,43 +674,46 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
         raise ValueError("on_round needs a single stream")
 
     arm_keys = [_Streams(seed) for _ in range(d)]
-    radii = _table(
-        lambda lo, hi: 2.0 * radius(schedule, np.arange(lo + 1, hi + 1)))
+    rounds = _table(lambda lo, hi: np.arange(lo + 1, hi + 1, dtype=float))
+    radii = _table(lambda lo, hi: 2.0 * radius(schedule, rounds(hi)[lo:hi]))
     thresholds = _table(
         lambda lo, hi: _estimator_thresholds(schedule, delta, lo, hi))
+    floors = _table(lambda lo, hi: -thresholds(hi)[lo:hi])
     true_means = np.array([mo.mean() for mo in models])
     ties = np.flatnonzero(true_means == true_means.max())
+    # every arm a transform of uniforms: draws do not depend on the split
+    exact = all(hasattr(mo, "from_uniform") for mo in models)
     # row a: arm a's pulls, transformed; only the first `drawn` columns of
     # the live arms' rows belong to the replication running now
     buffer = np.empty((d, 0))
 
     def extend(rngs, idx, drawn, upto):
-        """Draw the live arms idx from pull drawn to at least upto, in
-        chunks of max(256, drawn so far), as a generator per arm draws
-        them (a split or merged chunk gives other values for some models);
-        returns the new count."""
+        """Draw the live arms idx from pull drawn to upto, in one piece
+        when every arm is exact, else to at least upto in chunks of
+        max(256, drawn so far), as a generator per arm draws them (a split
+        or merged chunk gives other values for some models); returns the
+        new count."""
         nonlocal buffer
-        ends = [drawn]
+        ends = [drawn, upto] if exact else [drawn]
         while ends[-1] < upto:
             ends.append(ends[-1] + max(256, ends[-1]))
-        if ends[-1] > buffer.shape[1]:
-            grown = np.empty((d, ends[-1]))
+        end = ends[-1]
+        if end > buffer.shape[1]:
+            grown = np.empty((d, max(end, 2 * buffer.shape[1])))
             grown[:, :drawn] = buffer[:, :drawn]
             buffer = grown
-        if estimator != "plain":
-            bj = thresholds(ends[-1])[drawn:ends[-1]]
         for a in idx.tolist():
-            fresh = buffer[a, drawn:ends[-1]]
-            fresh[...] = _draws(models[a], ((rngs[a], buffer[a, lo:hi])
-                                            for lo, hi in zip(ends, ends[1:])),
-                                fresh)
+            fresh = _draws(models[a], ((rngs[a], buffer[a, lo:hi])
+                                       for lo, hi in zip(ends, ends[1:])),
+                           buffer[a, drawn:end])
             if estimator == "truncated":
-                fresh[~(np.abs(fresh) <= bj)] = 0.0
+                fresh[~(np.abs(fresh) <= thresholds(end)[drawn:end])] = 0.0
             elif estimator == "capped":
                 # sign(x) min(|x|, B_j), except that a -0.0 stays -0.0:
                 # no running sum, which starts at +0.0, tells them apart
-                np.clip(fresh, -bj, bj, out=fresh)
-        return ends[-1]
+                np.maximum(fresh, floors(end)[drawn:end], out=fresh)
+                np.minimum(fresh, thresholds(end)[drawn:end], out=fresh)
+        return end
 
     def one(s):
         rngs = [keys(s, a) for a, keys in enumerate(arm_keys)]
@@ -718,33 +729,38 @@ def successive_elimination(models, delta: float, schedule: RadiusSchedule,
         # exact because each arm's j-th pull is the j-th entry of its own
         # substream regardless of when other arms leave. The window widens
         # while no arm leaves and starts over at the round after one does.
-        # It draws only when its first segment needs it, and then keeps to
-        # the whole segments drawn, so no chunk is drawn that a loop of
-        # single segments would not draw.
+        # Exact arms draw the window's rounds not yet drawn. Other arms
+        # draw only when the window's first segment needs it, and then the
+        # window keeps to the whole segments drawn, so no chunk is drawn
+        # that a loop of single segments would not draw. A round triggers
+        # when the spread of the live means reaches the radius: fl(M - x)
+        # does not increase with x, so some arm's fl(M - mean) reaches it
+        # exactly when fl(M - min) does.
         while idx.size > 1 and m < pull_cap:
             n = min(span * _SEGMENT, pull_cap - m)
-            if drawn < m + min(n, _SEGMENT):
-                drawn = extend(rngs, idx, drawn, m + min(n, _SEGMENT))
+            need = m + n if exact else m + min(n, _SEGMENT)
+            if drawn < need:
+                drawn = extend(rngs, idx, drawn, need)
             if drawn < m + n:
                 n = (drawn - m) // _SEGMENT * _SEGMENT
             window = (buffer[:, m:m + n] if idx.size == d
                       else buffer[idx, m:m + n])
             cums = _chained_cumsum(sums[idx], window)
-            ms = np.arange(m + 1, m + n + 1)
-            means = cums / ms
-            trig = (means.max(axis=0) - means) >= radii(m + n)[m:m + n]
-            hits = np.flatnonzero(trig.any(axis=0))
+            means = cums / rounds(m + n)[m:m + n]
+            top = means.max(axis=0)
+            reach = radii(m + n)[m:m + n]
+            hits = np.flatnonzero(top - means.min(axis=0) >= reach)
             j = int(hits[0]) if hits.size else n - 1
             if on_round is not None:
                 for j2 in range(j + 1):
                     full = np.full(d, np.nan)
                     full[idx] = means[:, j2]
-                    on_round(int(ms[j2]), alive.copy(), full)
-            m = int(ms[j])
+                    on_round(m + j2 + 1, alive.copy(), full)
+            m += j + 1
             sums[idx] = cums[:, j]
             pulls[idx] = m
             if hits.size:
-                alive[idx[trig[:, j]]] = False
+                alive[idx[top[j] - means[:, j] >= reach[j]]] = False
                 idx = np.flatnonzero(alive)
                 span = 1
             else:

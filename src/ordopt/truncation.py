@@ -121,6 +121,7 @@ def worst_truncation_error(f_spec, c: float, u: float) -> WorstCaseSolution:
     Thresholds below the budget point f^{-1}(c) are beaten by a point mass
     sitting exactly there; above it the maximizer splits between 0 and the
     threshold itself, putting as much mass on u as the budget permits.
+    An f(u) that overflows the floats raises RuntimeError.
     """
     if u < 0:
         raise ValueError("threshold u must be nonnegative")
@@ -128,7 +129,12 @@ def worst_truncation_error(f_spec, c: float, u: float) -> WorstCaseSolution:
     x_c = f_spec.f_inv(c)
     if u <= x_c:
         return WorstCaseSolution(x_c, DegenerateSupport(x_c), u, c, f_spec)
-    p_high = (c - f0) / (f_spec.f(u) - f0)
+    try:
+        f_u = f_spec.f(u)
+    except OverflowError:
+        raise RuntimeError(f"f overflows at u = {u!r} for {f_spec!r}"
+                           ) from None
+    p_high = (c - f0) / (f_u - f0)
     return WorstCaseSolution(u * p_high, TwoPointSupport(0.0, u, p_high),
                              u, c, f_spec)
 
@@ -139,7 +145,10 @@ def solve_x_u(f_spec, u: float) -> float:
     Stationarity reads (x - u) f'(x) = f(x) - f(0); for the power budget
     that solves in closed form to u alpha / (alpha - 1), otherwise regula
     falsi brackets the increasing residual's root to 1e-12 relative width.
-    An f that overflows the floats on the way raises RuntimeError.
+    The bracket walk starts 2^-20 min(u, 1) above u and doubles its
+    distance from u, so it evaluates f at most about 2 (x_u - u) past u,
+    whatever the size of u. An f that overflows on the way raises
+    RuntimeError.
     """
     if u <= 0:
         raise ValueError("threshold u must be positive")
@@ -150,10 +159,10 @@ def solve_x_u(f_spec, u: float) -> float:
     def g(x):
         return (x - u) * f_spec.df(x) - (f_spec.f(x) - f0)
 
-    # the distance of hi from u doubles, from u up to at most 1e12 u
+    # the distance of hi from u doubles, up to at most 1e12 u
     try:
-        span, g_hi = expand_bracket(lambda d: g(u + d), u, math.inf, -1,
-                                    cap=u * 1e12)
+        span, g_hi = expand_bracket(lambda d: g(u + d), min(u, 1.0) * 2**-20,
+                                    math.inf, -1, cap=u * 1e12)
     except OverflowError:
         raise RuntimeError("f overflows in the search for x_u past u = "
                            f"{u!r} for {f_spec!r}") from None

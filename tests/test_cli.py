@@ -605,6 +605,25 @@ class TestTruncErrorCommand:
         assert code == 3
         assert "numerical" in err and "Traceback" not in err
 
+    def test_truncation_overflow_is_numerical(self, capsys):
+        code, _, err = run_cli(capsys, ["trunc-error", "--f", "exp:1",
+                                        "--c", "2", "--u", "10000",
+                                        "--kind", "truncation"])
+        assert code == 3
+        assert "numerical" in err and "Traceback" not in err
+
+    def test_capping_near_the_top_of_the_floats(self, capsys):
+        # x_u is about u + 1 and f(x_u) about e^701, still a float
+        code, out, _ = run_cli(capsys, ["trunc-error", "--f", "exp:1",
+                                        "--c", "2", "--u", "700",
+                                        "--kind", "capping", "--json"])
+        assert code == 0
+        rec = last_json(out)
+        assert rec["branch"] == "two-point"
+        assert rec["high"] == pytest.approx(701.0, rel=1e-12)
+        # (x_u - u) (c - 1) / (e^{x_u} - 1), with x_u - u = 1 - e^{-x_u}
+        assert rec["error"] == pytest.approx(math.exp(-701.0), rel=1e-9)
+
 
 class TestTiltCommand:
     def test_flagship_chain(self, capsys):

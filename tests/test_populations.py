@@ -490,6 +490,38 @@ def test_sample_degenerate():
     assert np.array_equal(values, np.zeros(3))
 
 
+# each model with from_uniform, beside the expression it once evaluated
+# into a new array
+_UNIFORM_TRANSFORMS = [
+    *[(TwoPoint(b, p), lambda u, b=b, p=p: np.where(u < p, -b, b))
+      for b, p in ((1.0, 0.55), (1, 0.55), (2.5, 0.2), (1e-300, 0.5),
+                   (1.0, 0.0), (3.0, 1.0), (1.0, 5e-324))],
+    *[(Bernoulli(q), lambda u, q=q: (u < q).astype(float))
+      for q in (0.3, 0.5, 0.9, 0.0, 1.0, 5e-324)],
+    *[(Pareto(a, s), lambda u, a=a, s=s: s * (1.0 - u) ** (-1.0 / a))
+      for a, s in ((3.0, 0.6), (3.0, 4.0 / 15.0), (2.5, 0.2), (2, 1),
+                   (1.5, 1e10), (1.0 + 1e-9, 0.5))],
+]
+
+
+@pytest.mark.parametrize("model,old", _UNIFORM_TRANSFORMS,
+                         ids=[repr(m) for m, _ in _UNIFORM_TRANSFORMS])
+def test_from_uniform_transforms_in_place(model, old):
+    u = _rng(3, 1, 0).random((3, 700))
+    # the largest uniform, 0, each model parameter and its neighbours
+    edges = [1.0 - 2.0 ** -53, 0.0]
+    for v in (0.55, 0.2, 0.5, 0.3, 0.9, 5e-324):
+        edges += [v, np.nextafter(v, 0.0), np.nextafter(v, 1.0)]
+    u[0, :len(edges)] = edges
+    want = np.asarray(old(u.copy()), dtype=float)
+    block = u.copy()
+    got = model.from_uniform(block)
+    assert got is block
+    assert got.tobytes() == want.tobytes()
+    assert model.draw(_rng(4, 2, 1), 999).tobytes() == model.from_uniform(
+        _rng(4, 2, 1).random(999)).tobytes()
+
+
 def test_sample_determinism_and_splitting():
     model = GaussianMixture(0.3, 10.0)
     a = model.draw(_rng(123, 5, 0), 50)

@@ -732,6 +732,69 @@ def test_elimination_block_reuses_its_buffer_over_many_streams():
     assert any(drawn[i] < max(drawn[:i]) for i in range(1, len(drawn)))
 
 
+def _spy_draws(monkeypatch):
+    """A list that collects (model, sizes of its views) of every _draws
+    call the policies make."""
+    calls = []
+
+    def draws(model, fills, out):
+        sizes = []
+
+        def seen():
+            for g, view in fills:
+                sizes.append(view.size)
+                yield g, view
+        got = _draws(model, seen(), out)
+        calls.append((model, sizes))
+        return got
+
+    monkeypatch.setattr(selectors, "_draws", draws)
+    return calls
+
+
+@pytest.mark.parametrize("models,schedule,estimator,seed,reps,pulls,chunked", [
+    # checks 08 and 09 at the benchmark's replication counts, with the
+    # uniforms the chunk rule max(256, drawn so far) draws for them
+    ([Bernoulli(0.9), Bernoulli(0.5), Bernoulli(0.5)],
+     RadiusSchedule("bounded", 3, 0.05, b=1.0), "plain", 8, 320, 890_846,
+     1_637_376),
+    ([Pareto(3.0, 0.6), Pareto(3.0, 4.0 / 15.0)],
+     RadiusSchedule("heavy", 2, 0.05, alpha=1.5, K=1.0), "capped", 9, 20,
+     1_306_894, 1_638_400)], ids=["check08", "check09"])
+def test_exact_arms_draw_the_windows_they_scan(monkeypatch, models, schedule,
+                                               estimator, seed, reps, pulls,
+                                               chunked):
+    calls = _spy_draws(monkeypatch)
+    block = successive_elimination(models, 0.05, schedule, estimator, seed,
+                                   stream=range(reps))
+    assert sum(sum(o.per_arm_samples) for o in block) == pulls
+    # one random(out=) per arm and step, over the rounds not yet drawn
+    assert all(len(sizes) == 1 for _, sizes in calls)
+    drawn = sum(sum(sizes) for _, sizes in calls)
+    assert pulls <= drawn < chunked
+
+
+@pytest.mark.parametrize("rule", [("bounded", "plain"), ("heavy", "capped")])
+def test_a_draw_only_arm_keeps_the_chunk_rule(monkeypatch, rule):
+    # Gaussian has draw only, so the Pareto arm beside it draws in chunks
+    # of max(256, drawn so far) too, as the reference draws every arm
+    models = [Pareto(3.0, 0.6), Gaussian(0.3, 1.0)]
+    kind, estimator = rule
+    schedule = (RadiusSchedule("bounded", 2, 0.05, b=2.0) if kind == "bounded"
+                else RadiusSchedule("heavy", 2, 0.05, alpha=1.5, K=0.5))
+    streams = range(3, 9)
+    calls = _spy_draws(monkeypatch)
+    block = successive_elimination(models, 0.05, schedule, estimator, 4,
+                                   stream=streams)
+    assert block == [_ref_elimination(models, 0.05, schedule, estimator, 4,
+                                      1_000_000, s) for s in streams]
+    assert {type(model) for model, _ in calls} == {Pareto, Gaussian}
+    sizes = [n for _, views in calls for n in views]
+    assert all(n >= 256 and n & (n - 1) == 0 for n in sizes)
+    assert any(len(views) > 1 for model, views in calls
+               if isinstance(model, Pareto))
+
+
 def _ref_budget(models, n, seed, stream, cap=None):
     """One replication of a fixed-budget minimum selection: a fresh
     generator and one 1-D mean per arm."""

@@ -93,6 +93,11 @@ class TestWorstTruncationError:
         with pytest.raises(ValueError):
             worst_truncation_error(PowerSpec(2.0), 1.0, -0.5)
 
+    def test_overflow_names_u_and_spec(self):
+        # f(u) = e^10000 leaves the floats in the budget split
+        with pytest.raises(RuntimeError, match=r"u = 10000\.0 .*theta=1\.0"):
+            worst_truncation_error(ExponentialSpec(1.0), 2.0, 10000.0)
+
 
 class TestSolveXU:
     def test_power_closed_form(self):
@@ -122,6 +127,20 @@ class TestSolveXU:
         # exp(10000) leaves the floats at the bracket walk's first point
         with pytest.raises(RuntimeError, match=r"u = 10000\.0 .*theta=1\.0"):
             solve_x_u(ExponentialSpec(1.0), 10000.0)
+
+    @pytest.mark.parametrize("theta,u", [
+        (1.0, 0.5), (1.0, 2.0), (2.0, 5.0), (1.0, 30.0), (1.0, 700.0),
+        (0.5, 1400.0), (1000.0, 0.7), (1e-3, 3e5)])
+    def test_exponential_lambert_closed_form(self, theta, u):
+        # y = theta (x_u - u) solves (1 - y) e^y = e^{-theta u}, so
+        # x_u = u + (1 + W0(-e^{-theta u - 1})) / theta; the argument is
+        # taken in log space, so no e^{theta x} is formed. theta u = 700
+        # puts f(x_u) near e^701, a float that a walk starting a distance
+        # u above u overflows before reaching
+        from scipy.special import lambertw
+        want = u + (1.0 + lambertw(-math.exp(-theta * u - 1.0)).real) / theta
+        assert solve_x_u(ExponentialSpec(theta), u) == pytest.approx(
+            want, rel=1e-11)
 
 
 class TestWorstCappingError:
